@@ -28,9 +28,7 @@ Infinite endpoints are serialized as null (empty CSV cell); floats use
 ``repr`` so a JSON/CSV round trip is lossless.
 
 Exit status: 0 success (possibly with warnings), 1 numerical failure or
-verification violation, 2 invalid usage or invalid input.  Sweeps honor
-``SPECGAP_THREADS`` (default 1) and keep a deterministic record order
-regardless of the thread count.
+verification violation, 2 invalid usage or invalid input.
 """
 
 import argparse
@@ -38,10 +36,8 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import warnings as _warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -98,9 +94,14 @@ def _num(x):
     return x
 
 
-def _record(kind, name, family="", weight="", n=None, alpha=None, beta=None,
-            value=None, error=None, lower=None, upper=None, scaling=None,
-            source="", detail=""):
+def _record(kind, name, spec=None, alpha=None, beta=None, value=None,
+            error=None, lower=None, upper=None, scaling=None, source="",
+            detail=""):
+    """One report row; a FamilySpec, when given, fills the case columns."""
+    family, weight, n = "", "", None
+    if spec is not None:
+        family, weight = spec.family, spec.weight_choice
+        n, alpha, beta = spec.n, spec.alpha, spec.beta
     return {
         "record": kind,
         "name": name,
@@ -176,25 +177,6 @@ def _inputs_echo(args):
 # ---------------------------------------------------------------------
 
 
-def _thread_count():
-    raw = os.environ.get("SPECGAP_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise InvalidInput(f"SPECGAP_THREADS must be an integer, got {raw!r}")
-    return max(1, threads)
-
-
-def _map_ordered(fn, items):
-    """Apply fn over items, in order, on SPECGAP_THREADS workers."""
-    items = list(items)
-    threads = _thread_count()
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
-        return list(pool.map(fn, items))
-
-
 def _spec_from_args(args):
     family = _CLI_FAMILY[args.family]
     weight = _CLI_WEIGHT[args.weight]
@@ -214,44 +196,57 @@ def _grid_spec(args):
     return GridSpec(n_cells=args.cells)
 
 
-def _solve_cases(fn, cases):
-    """Run fn over cases, collecting warnings once for the whole sweep.
-
-    The filter state is frozen before any worker starts, so threaded
-    sweeps only ever append to the recording list.
-    """
+def _solve(args, specs, keep_errors=False):
+    """Solver estimates for specs, in order, and the warnings the sweep
+    raised as sorted, deduplicated notes.  With keep_errors, a solver
+    failure stands in the result list in place of its estimate."""
+    opts = _grid_spec(args)
+    results = []
     with _warnings.catch_warnings(record=True) as rec:
         _warnings.simplefilter("always")
-        results = _map_ordered(fn, cases)
+        for spec in specs:
+            measure, weight, _ = _materialize(spec, args.tail_tol)
+            try:
+                results.append(spectral_gap(measure, weight, opts))
+            except SpecGapError as exc:
+                if not keep_errors:
+                    raise
+                results.append(exc)
     notes = sorted({f"{w.category.__name__}: {w.message}" for w in rec})
     return results, notes
 
 
-def _reference_records(spec):
-    records = []
+def _references(spec):
+    """{"radial": ref, "full": ref}, with None where nothing is recorded."""
+    refs = {}
     for which in ("radial", "full"):
         try:
-            ref = catalog.reference_gap(spec, which)
+            refs[which] = catalog.reference_gap(spec, which)
         except InvalidInput:
+            refs[which] = None
+    return refs
+
+
+def _reference_records(spec, refs):
+    records = []
+    for which, ref in refs.items():
+        if ref is None:
             continue
         if ref.kind == "exact":
             value, lower, upper = ref.value, ref.value, ref.value
         else:
             value, lower, upper = None, ref.lower, ref.upper
         records.append(_record(
-            "reference", f"reference_{which}", family=spec.family,
-            weight=spec.weight_choice, n=spec.n, alpha=spec.alpha,
-            beta=spec.beta, value=value, lower=lower, upper=upper,
-            scaling=ref.order_exponent, source=ref.source,
+            "reference", f"reference_{which}", spec, value=value,
+            lower=lower, upper=upper, scaling=ref.order_exponent,
+            source=ref.source,
             detail=f"{ref.kind} reference for the {which} dynamics"))
     return records
 
 
 def _bracket_record(name, spec, bracket, detail):
     return _record(
-        "bound", name, family=spec.family, weight=spec.weight_choice,
-        n=spec.n, alpha=spec.alpha, beta=spec.beta,
-        lower=bracket.lower, upper=bracket.upper,
+        "bound", name, spec, lower=bracket.lower, upper=bracket.upper,
         source=f"{bracket.lower_source} | {bracket.upper_source}",
         detail=detail)
 
@@ -264,10 +259,8 @@ def _lower_record(name, spec, bound, detail):
         extra.append("grid infimum, not a certified global infimum")
     if extra:
         detail = f"{detail}; {'; '.join(extra)}"
-    return _record(
-        "bound", name, family=spec.family, weight=spec.weight_choice,
-        n=spec.n, alpha=spec.alpha, beta=spec.beta, value=bound.value,
-        lower=bound.value, source=bound.method, detail=detail)
+    return _record("bound", name, spec, value=bound.value, lower=bound.value,
+                   source=bound.method, detail=detail)
 
 
 # ---------------------------------------------------------------------
@@ -291,7 +284,12 @@ def cmd_bounds(args):
             notes.append(f"{label} numerically unavailable: {exc}")
             return None
 
-    records.extend(_reference_records(spec))
+    refs = _references(spec)
+    records.extend(_reference_records(spec, refs))
+    radial = refs["radial"]
+    exact = None
+    if radial is not None and radial.kind == "exact":
+        exact = radial.value
 
     m2 = attempt("second-moment bracket", lambda: moment(measure, 2))
     if m2 is not None:
@@ -315,39 +313,29 @@ def cmd_bounds(args):
             detail="dimension-power simplification enclosing the exact form"))
 
     if spec.weight_choice != "unit":
-        try:
-            ref = catalog.reference_gap(spec, "radial")
-        except InvalidInput:
-            ref = None
-        if ref is not None and ref.kind == "exact":
+        if exact is not None:
             def weighted():
                 m_r2s2 = weighted_moment(measure, weight, "r2_over_s2")
                 m_s2 = weighted_moment(measure, weight, "s2")
                 m2w = moment(measure, 2)
-                return weighted_comparison(ref.value, spec.n, m_r2s2,
-                                           m_s2, m2w)
+                return weighted_comparison(exact, spec.n, m_r2s2, m_s2, m2w)
             bracket = attempt("weighted comparison", weighted)
             if bracket is not None:
                 records.append(_bracket_record(
                     "weighted_comparison", spec, bracket,
                     detail=("brackets the full weighted gap from the exact "
-                            f"weighted radial gap {ref.value!r}")))
+                            f"weighted radial gap {exact!r}")))
         else:
             notes.append(
                 "weighted comparison unavailable: no exact weighted radial "
                 "gap is tabulated for this case; run eigen for a numerical "
                 "value")
-    elif m2 is not None:
-        try:
-            ref = catalog.reference_gap(spec, "radial")
-        except InvalidInput:
-            ref = None
-        if ref is not None and ref.kind == "exact":
-            records.append(_bracket_record(
-                "spectral_comparison", spec,
-                spectral_comparison(ref.value, spec.n, m2),
-                detail=("brackets the full gap from the exact radial gap "
-                        f"{ref.value!r} and the angular moment bound")))
+    elif m2 is not None and exact is not None:
+        records.append(_bracket_record(
+            "spectral_comparison", spec,
+            spectral_comparison(exact, spec.n, m2),
+            detail=("brackets the full gap from the exact radial gap "
+                    f"{exact!r} and the angular moment bound")))
 
     if spec.weight_choice == "unit":
         got = attempt("integrated-curvature lower bound",
@@ -388,9 +376,7 @@ def cmd_bounds(args):
                   lambda: rayleigh_upper(measure, weight, cand))
     if got is not None:
         records.append(_record(
-            "bound", "rayleigh_upper", family=spec.family,
-            weight=spec.weight_choice, n=spec.n, alpha=spec.alpha,
-            beta=spec.beta, upper=got,
+            "bound", "rayleigh_upper", spec, upper=got,
             source="Rayleigh quotient of the designated candidate",
             detail="upper-bounds the weighted radial spectral gap"))
 
@@ -404,38 +390,22 @@ def cmd_bounds(args):
 
 def cmd_eigen(args):
     spec = _spec_from_args(args)
-    measure, weight, _ = _materialize(spec, args.tail_tol)
-    opts = _grid_spec(args)
-    results, notes = _solve_cases(
-        lambda _: spectral_gap(measure, weight, opts), [None])
-    est = results[0]
+    (est,), notes = _solve(args, [spec])
     records = [_record(
-        "solver", "spectral_gap", family=spec.family,
-        weight=spec.weight_choice, n=spec.n, alpha=spec.alpha,
-        beta=spec.beta, value=est.value, error=est.error_estimate,
+        "solver", "spectral_gap", spec, value=est.value,
+        error=est.error_estimate,
         source=("finite-volume Sturm-Liouville eigensolve with Richardson "
                 "extrapolation"),
         detail=(f"n_cells_used={est.n_cells_used}; "
                 f"r_max_used={est.r_max_used!r}; "
-                f"grading={opts.grading}"))]
-    records.extend(_reference_records(spec))
+                f"grading={_grid_spec(args).grading}"))]
+    records.extend(_reference_records(spec, _references(spec)))
     return records, notes, []
 
 
 # ---------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------
-
-
-def _check_record(name, spec, detail, value=None, error=None, lower=None,
-                  upper=None, alpha=None, beta=None, n=None, family="",
-                  weight="", source=""):
-    if spec is not None:
-        family, weight = spec.family, spec.weight_choice
-        n, alpha, beta = spec.n, spec.alpha, spec.beta
-    return _record("check", name, family=family, weight=weight, n=n,
-                   alpha=alpha, beta=beta, value=value, error=error,
-                   lower=lower, upper=upper, source=source, detail=detail)
 
 
 def _verify_gamma(records, failures):
@@ -447,8 +417,8 @@ def _verify_gamma(records, failures):
                 lower, value, upper = gamma_ratio_bounds(a, b)
             except InvalidInput as exc:
                 failures.append(f"gamma_ratio a={a} b={b}: {exc}")
-                records.append(_check_record(
-                    "gamma_ratio", None, alpha=a, beta=b,
+                records.append(_record(
+                    "check", "gamma_ratio", alpha=a, beta=b,
                     detail=f"FAIL: {exc}",
                     source="elementary Gamma-ratio bounds"))
                 continue
@@ -457,15 +427,15 @@ def _verify_gamma(records, failures):
             if not ok:
                 failures.append(
                     f"gamma_ratio a={a} b={b}: slack {slack!r}")
-            records.append(_check_record(
-                "gamma_ratio", None, alpha=a, beta=b, value=value,
+            records.append(_record(
+                "check", "gamma_ratio", alpha=a, beta=b, value=value,
                 lower=lower, upper=upper,
                 source="elementary Gamma-ratio bounds",
                 detail=(f"pass; slack={slack!r}" if ok
                         else f"FAIL: slack={slack!r}")))
 
     # log-Gamma against exact integer factorials (independent of the
-    # Lanczos evaluation under test).
+    # scipy evaluation that log_gamma wraps).
     worst_int = 0.0
     for k in range(1, 61):
         want = math.log(math.factorial(k - 1)) if k > 1 else 0.0
@@ -475,8 +445,8 @@ def _verify_gamma(records, failures):
     ok = worst_int <= 1e-13
     if not ok:
         failures.append(f"log_gamma integers: rel err {worst_int!r}")
-    records.append(_check_record(
-        "log_gamma_integers", None, value=worst_int, upper=1e-13,
+    records.append(_record(
+        "check", "log_gamma_integers", value=worst_int, upper=1e-13,
         source="Gamma(k) = (k-1)! for k = 1..60",
         detail=("pass; worst relative error" if ok
                 else f"FAIL: worst relative error {worst_int!r}")))
@@ -494,8 +464,8 @@ def _verify_gamma(records, failures):
     ok = worst_half <= 1e-13
     if not ok:
         failures.append(f"log_gamma half-integers: rel err {worst_half!r}")
-    records.append(_check_record(
-        "log_gamma_half_integers", None, value=worst_half, upper=1e-13,
+    records.append(_record(
+        "check", "log_gamma_half_integers", value=worst_half, upper=1e-13,
         source="Gamma(k+1/2) = (2k)! sqrt(pi) / (4^k k!) for k = 0..60",
         detail=("pass; worst relative error" if ok
                 else f"FAIL: worst relative error {worst_half!r}")))
@@ -510,13 +480,7 @@ def _verify_cauchy_exact(args, records, failures):
                 weight_choice="one_plus_r2", beta=n / 2.0 + t))
     if args.max_cases is not None:
         cases = cases[:args.max_cases]
-    opts = _grid_spec(args)
-
-    def solve_one(spec):
-        measure, weight, _ = _materialize(spec, args.tail_tol)
-        return spectral_gap(measure, weight, opts)
-
-    results, notes = _solve_cases(solve_one, cases)
+    results, notes = _solve(args, cases)
     for spec, est in zip(cases, results):
         truth = catalog.reference_gap(spec, "radial").value
         rel = abs(est.value - truth) / truth
@@ -524,8 +488,8 @@ def _verify_cauchy_exact(args, records, failures):
         if not ok:
             failures.append(
                 f"cauchy exact {spec.label()}: rel err {rel!r}")
-        records.append(_check_record(
-            "cauchy_exact", spec, value=rel, upper=1e-3,
+        records.append(_record(
+            "check", "cauchy_exact", spec, value=rel, upper=1e-3,
             error=est.error_estimate,
             source="solver vs. closed-form weighted radial gap",
             detail=(f"pass; solver={est.value!r} truth={truth!r}" if ok
@@ -537,30 +501,19 @@ def _verify_bracketing(args, records, failures, warn_notes):
     cases = list(catalog.catalog_grid())
     if args.max_cases is not None:
         cases = cases[:args.max_cases]
-    opts = _grid_spec(args)
-
-    def solve_one(spec):
-        measure, weight, _ = _materialize(spec, args.tail_tol)
-        try:
-            return spectral_gap(measure, weight, opts)
-        except SpecGapError as exc:
-            return exc
-
-    results, notes = _solve_cases(solve_one, cases)
+    results, notes = _solve(args, cases, keep_errors=True)
     for spec, est in zip(cases, results):
         if isinstance(est, SpecGapError):
             failures.append(f"solver failed on {spec.label()}: {est}")
-            records.append(_check_record(
-                "bracket_containment", spec,
+            records.append(_record(
+                "check", "bracket_containment", spec,
                 detail=f"FAIL: solver raised {type(est).__name__}: {est}",
                 source="catalog sweep"))
             continue
         gap = est.value
         tol = max(3.0 * est.error_estimate, 1e-9 * (1.0 + gap))
-        for which in ("radial", "full"):
-            try:
-                ref = catalog.reference_gap(spec, which)
-            except InvalidInput:
+        for which, ref in _references(spec).items():
+            if ref is None:
                 continue
             name = f"{which}_containment"
             if ref.kind == "exact" and which == "radial":
@@ -570,8 +523,8 @@ def _verify_bracketing(args, records, failures, warn_notes):
                     failures.append(
                         f"{spec.label()}: radial exact {ref.value!r} vs "
                         f"solver {gap!r}")
-                records.append(_check_record(
-                    name, spec, value=rel, upper=1e-3,
+                records.append(_record(
+                    "check", name, spec, value=rel, upper=1e-3,
                     error=est.error_estimate, source=ref.source,
                     detail=(f"pass; solver={gap!r} exact={ref.value!r}"
                             if ok else
@@ -600,8 +553,8 @@ def _verify_bracketing(args, records, failures, warn_notes):
                 detail = f"FAIL: lower={lower!r} solver={gap!r}"
             else:
                 detail = f"pass; lower={lower!r} solver={gap!r}"
-            records.append(_check_record(
-                name, spec, value=gap, error=est.error_estimate,
+            records.append(_record(
+                "check", name, spec, value=gap, error=est.error_estimate,
                 lower=lower, source=ref.source, detail=detail))
     return notes
 
@@ -665,17 +618,9 @@ def _parse_float_list(text, default, what):
     return tuple(out)
 
 
-def _solve_grid(args, specs):
-    """Solver results (or None with --no-solve) for a list of cases."""
-    if args.no_solve:
-        return [None] * len(specs), []
-    opts = _grid_spec(args)
-
-    def solve_one(spec):
-        measure, weight, _ = _materialize(spec, args.tail_tol)
-        return spectral_gap(measure, weight, opts)
-
-    return _solve_cases(solve_one, specs)
+# Each table returns (specs, row): the cases it covers, and row(spec) ->
+# the closed-form columns of that case's record.  cmd_table adds the
+# solver's value and error.
 
 
 def _table_exp_power(args):
@@ -683,22 +628,17 @@ def _table_exp_power(args):
     dims = _parse_int_list(args.dims, (4, 8, 16, 32), "dims")
     specs = [catalog.FamilySpec(family="exponential_power", n=n, alpha=a)
              for a in alphas for n in dims]
-    results, notes = _solve_grid(args, specs)
-    records = []
-    for spec, est in zip(specs, results):
+
+    def row(spec):
         pair = exp_power_explicit(spec.n, spec.alpha)
-        records.append(_record(
-            "row", "exp-power-asymptotics", family=spec.family,
-            weight="unit", n=spec.n, alpha=spec.alpha,
-            value=None if est is None else est.value,
-            error=None if est is None else est.error_estimate,
+        return dict(
             lower=pair.exact.lower, upper=pair.exact.upper,
             scaling=float(spec.n) ** (1.0 - 2.0 / spec.alpha),
             source="exact Gamma-ratio bracket; solver radial gap",
             detail=(f"simplified=[{pair.simplified.lower!r}, "
                     f"{pair.simplified.upper!r}]; scaling column is "
-                    f"n^(1-2/alpha)")))
-    return records, notes
+                    f"n^(1-2/alpha)"))
+    return specs, row
 
 
 def _table_cauchy_n3(args):
@@ -706,34 +646,28 @@ def _table_cauchy_n3(args):
     specs = [catalog.FamilySpec(family="generalized_cauchy", n=3,
                                 weight_choice="one_plus_r2", beta=b)
              for b in betas]
-    results, notes = _solve_grid(args, specs)
-    records = []
-    for spec, est in zip(specs, results):
+
+    def row(spec):
         full = catalog.reference_gap(spec, "full")
         radial = catalog.reference_gap(spec, "radial")
         if full.kind == "exact":
             lower = upper = full.value
         else:
             lower, upper = full.lower, full.upper
-        records.append(_record(
-            "row", "cauchy-n3", family=spec.family,
-            weight=spec.weight_choice, n=3, beta=spec.beta,
-            value=None if est is None else est.value,
-            error=None if est is None else est.error_estimate,
+        return dict(
             lower=lower, upper=upper, source=full.source,
             detail=(f"full reference kind={full.kind}; exact weighted "
                     f"radial gap {radial.value!r}; value column is the "
-                    f"solver's radial gap")))
-    return records, notes
+                    f"solver's radial gap"))
+    return specs, row
 
 
 def _table_gaussian_weighted(args):
     dims = _parse_int_list(args.dims, tuple(range(2, 9)), "dims")
     specs = [catalog.FamilySpec(family="gaussian", n=n, weight_choice=w)
              for w in ("one_plus_r2", "inv_one_plus_r2") for n in dims]
-    results, notes = _solve_grid(args, specs)
-    records = []
-    for spec, est in zip(specs, results):
+
+    def row(spec):
         measure, weight, _ = _materialize(spec, args.tail_tol)
         full = catalog.reference_gap(spec, "full")
         try:
@@ -742,36 +676,27 @@ def _table_gaussian_weighted(args):
         except (HypothesisFailed, NonIntegrable, ConvergenceError,
                 DiscretizationError) as exc:
             wcl_text = f"weighted_curvature_lower unavailable: {exc}"
-        records.append(_record(
-            "row", "gaussian-weighted", family=spec.family,
-            weight=spec.weight_choice, n=spec.n,
-            value=None if est is None else est.value,
-            error=None if est is None else est.error_estimate,
+        return dict(
             lower=full.lower, upper=full.upper, source=full.source,
             detail=(f"full-gap bracket; value column is the solver's "
-                    f"weighted radial gap; {wcl_text}")))
-    return records, notes
+                    f"weighted radial gap; {wcl_text}"))
+    return specs, row
 
 
 def _table_ball(args):
     dims = _parse_int_list(args.dims, (2, 4, 8, 16), "dims")
     specs = [catalog.FamilySpec(family="uniform_ball", n=n) for n in dims]
-    results, notes = _solve_grid(args, specs)
-    records = []
-    for spec, est in zip(specs, results):
+
+    def row(spec):
         full = catalog.reference_gap(spec, "full")
         radial = catalog.reference_gap(spec, "radial")
-        records.append(_record(
-            "row", "ball", family=spec.family, weight="unit", n=spec.n,
-            value=None if est is None else est.value,
-            error=None if est is None else est.error_estimate,
-            lower=full.lower, upper=full.upper,
-            scaling=float(spec.n) ** 2,
+        return dict(
+            lower=full.lower, upper=full.upper, scaling=float(spec.n) ** 2,
             source=full.source,
             detail=(f"full-gap bracket; radial lower bound "
                     f"{radial.lower!r}; value column is the solver's "
-                    f"radial gap; scaling column is n^2")))
-    return records, notes
+                    f"radial gap; scaling column is n^2"))
+    return specs, row
 
 
 _TABLES = {
@@ -783,7 +708,16 @@ _TABLES = {
 
 
 def cmd_table(args):
-    records, notes = _TABLES[args.id](args)
+    specs, row = _TABLES[args.id](args)
+    if args.no_solve:
+        results, notes = [None] * len(specs), []
+    else:
+        results, notes = _solve(args, specs)
+    records = []
+    for spec, est in zip(specs, results):
+        solved = {} if est is None else dict(value=est.value,
+                                             error=est.error_estimate)
+        records.append(_record("row", args.id, spec, **solved, **row(spec)))
     return records, notes, []
 
 
@@ -819,13 +753,12 @@ def cmd_sample(args):
     batch = sample_mu(measure, args.count, args.seed)
     result = rayleigh_estimate(batch, f, grad, weight)
     records = [_record(
-        "mc", "rayleigh_estimate", family=spec.family,
-        weight=spec.weight_choice, n=spec.n, alpha=spec.alpha,
-        beta=spec.beta, value=result.ratio, error=result.ci_half_width,
+        "mc", "rayleigh_estimate", spec, value=result.ratio,
+        error=result.ci_half_width,
         source="Monte Carlo Rayleigh quotient, batch-means 95% interval",
         detail=(f"count={args.count}; seed={args.seed}; "
                 f"batches={result.batches}; function={args.function}"))]
-    records.extend(_reference_records(spec))
+    records.extend(_reference_records(spec, _references(spec)))
     return records, [], []
 
 

@@ -1,70 +1,21 @@
-"""Log-gamma via a Lanczos rational approximation.
+"""Log-gamma with a typed domain check, and overflow-safe Gamma ratios.
 
 Closed-form brackets for the exponential-power family are ratios
 Gamma(n/alpha) / Gamma((n+2)/alpha) at arguments that overflow a direct
 Gamma evaluation, so everything here works on the log scale and ratios
 are formed as exp of log differences.
 
-The rational coefficients are the classic Lanczos set for
-g = 6.024680040776729583740234375 with sqrt(2*pi) absorbed into the
-numerator, giving ~1e-15 relative accuracy on log Gamma for x >= 1;
-arguments in (0, 1) are lifted with the recurrence
-log Gamma(x) = log Gamma(x+1) - log(x).
+log Gamma itself is scipy.special.gammaln; this module only turns a
+non-positive or non-finite argument into InvalidInput instead of the
+inf or nan gammaln would return.
 """
 
 import math
 
 import numpy as np
+from scipy.special import gammaln
 
 from .errors import InvalidInput
-
-_LANCZOS_G = 6.024680040776729583740234375
-
-# numerator of the Lanczos partial-fraction sum, scaled by exp(g)/sqrt(2*pi)
-_LANCZOS_NUM = (
-    0.006061842346248906525783753964555936883222,
-    0.5098416655656676188125178644804694509993,
-    19.51992788247617482847860966235652136208,
-    449.9445569063168119446858607650988409623,
-    6955.999602515376140356310115515198987526,
-    75999.29304014542649875303443598909137092,
-    601859.6171681098786670226533699352302507,
-    3481712.15498064590882071018964774556468,
-    14605578.08768506808414169982791359218571,
-    43338889.32467613834773723740590533316085,
-    86363131.28813859145546927288977868422342,
-    103794043.1163445451906271053616070238554,
-    56906521.91347156388090791033559122686859,
-)
-# denominator coefficients: expansion of z(z+1)...(z+11)
-_LANCZOS_DEN = (
-    1.0,
-    66.0,
-    1925.0,
-    32670.0,
-    357423.0,
-    2637558.0,
-    13339535.0,
-    45995730.0,
-    105258076.0,
-    150917976.0,
-    120543840.0,
-    39916800.0,
-    0.0,
-)
-
-
-def _lanczos_sum_scaled(x):
-    """Rational part of the Lanczos formula, evaluated in powers of 1/x
-    so large arguments stay well conditioned.  Requires x >= 1."""
-    z = 1.0 / x
-    num = 0.0
-    den = 0.0
-    for c in reversed(_LANCZOS_NUM):
-        num = num * z + c
-    for c in reversed(_LANCZOS_DEN):
-        den = den * z + c
-    return num / den
 
 
 def log_gamma(x):
@@ -76,28 +27,9 @@ def log_gamma(x):
     arr = np.asarray(x, dtype=float)
     if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
         raise InvalidInput(f"log_gamma requires finite x > 0, got {x!r}")
-
-    scalar = arr.ndim == 0
-    vals = np.atleast_1d(arr).astype(float).copy()
-
-    # shift (0, 1) arguments into [1, 2) and record the correction
-    shift = np.zeros_like(vals)
-    small = vals < 1.0
-    if np.any(small):
-        shift[small] = -np.log(vals[small])
-        vals[small] += 1.0
-
-    z = 1.0 / vals
-    num = np.zeros_like(vals)
-    den = np.zeros_like(vals)
-    for c in reversed(_LANCZOS_NUM):
-        num = num * z + c
-    for c in reversed(_LANCZOS_DEN):
-        den = den * z + c
-    base = vals + _LANCZOS_G - 0.5
-    out = (vals - 0.5) * (np.log(base) - 1.0) + np.log(num / den) + shift
-    if scalar:
-        return float(out[0])
+    out = gammaln(arr)
+    if arr.ndim == 0:
+        return float(out)
     return out
 
 

@@ -105,8 +105,6 @@ class RadialMeasure:
     log_z: float
     r_max: float
     name: str = ""
-    cdf_grid_u: np.ndarray = field(default=None, repr=False, compare=False)
-    cdf_grid_f: np.ndarray = field(default=None, repr=False, compare=False)
     _cdf_spline: object = field(default=None, repr=False, compare=False)
     _quantile_spline: object = field(default=None, repr=False, compare=False)
 
@@ -287,7 +285,6 @@ def build_measure(n, potential, tail_tol=1e-12, name=""):
     measure = RadialMeasure(
         n=n, potential=potential, tail_tol=float(tail_tol), z=z, log_z=log_z,
         r_max=r_max, name=name or potential.name,
-        cdf_grid_u=u_nodes, cdf_grid_f=f_nodes,
         _cdf_spline=cdf_spline, _quantile_spline=quantile_spline)
 
     _check_potential_derivatives(measure)

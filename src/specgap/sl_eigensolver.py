@@ -120,18 +120,6 @@ class TridiagonalStiffness:
         n = c.size + 1
         self.shape = (n, n)
 
-    @property
-    def diagonal(self):
-        c = self.conductances
-        d = np.zeros(self.shape[0])
-        d[:-1] += c
-        d[1:] += c
-        return d
-
-    @property
-    def off_diagonal(self):
-        return -self.conductances
-
     def matvec(self, g):
         g = np.asarray(g, dtype=float)
         c = self.conductances
@@ -148,15 +136,6 @@ class TridiagonalStiffness:
         g = np.asarray(g, dtype=float)
         d = np.diff(g)
         return float(self.conductances @ (d * d))
-
-    def toarray(self):
-        n = self.shape[0]
-        a = np.zeros((n, n))
-        idx = np.arange(n - 1)
-        a[idx, idx + 1] = -self.conductances
-        a[idx + 1, idx] = -self.conductances
-        a[np.arange(n), np.arange(n)] = self.diagonal
-        return a
 
 
 @dataclass(frozen=True)
@@ -275,6 +254,28 @@ def _representable_radius(measure):
     return float(r[alive[-1]])
 
 
+def _radii(measure, spec):
+    """(r0, r_cap): the radius the first solve truncates at, and the
+    largest radius any solve may mesh.
+
+    r_cap is the domain end of a bounded law and the representable radius
+    of an unbounded one.  r0 is r_max_override when given, else the domain
+    end or the solver's default truncation radius, never past r_cap.
+    """
+    domain_end = measure.potential.domain_end
+    if math.isfinite(domain_end):
+        r_cap = float(domain_end)
+    else:
+        r_cap = _representable_radius(measure)
+    if spec.r_max_override is not None:
+        r0 = float(spec.r_max_override)
+    elif math.isfinite(domain_end):
+        r0 = r_cap
+    else:
+        r0 = _default_radius(measure)
+    return min(r0, r_cap), r_cap
+
+
 def _mesh_family(measure, weight, from_metric, s_max, spec):
     """Return mesh(n) -> n+1 edges in the natural coordinate on [0, s_max].
 
@@ -388,17 +389,9 @@ def discretize(measure, weight, grid):
     if not isinstance(grid, GridSpec):
         raise InvalidInput("grid must be a GridSpec")
     validate_weight(measure, weight)
-    pot = measure.potential
-    if grid.r_max_override is not None:
-        r_hi = float(grid.r_max_override)
-        if math.isfinite(pot.domain_end):
-            r_hi = min(r_hi, pot.domain_end)
-    elif math.isfinite(pot.domain_end):
-        r_hi = float(pot.domain_end)
-    else:
-        r_hi = min(_default_radius(measure), _representable_radius(measure))
-    to_metric, from_metric = _metric_maps(weight, r_hi)
-    s_max = float(to_metric(r_hi))
+    r0, r_cap = _radii(measure, grid)
+    to_metric, from_metric = _metric_maps(weight, min(r_cap, _R_CAP))
+    s_max = float(to_metric(r0))
     mesh = _mesh_family(measure, weight, from_metric, s_max, grid)
     s_edges = mesh(grid.n_cells)
     cond, masses, r_centers, r_edges = _assemble(
@@ -530,21 +523,9 @@ def spectral_gap(measure, weight, opts=None):
     if not isinstance(spec, GridSpec):
         raise InvalidInput("opts must be a GridSpec")
     validate_weight(measure, weight)
-    pot = measure.potential
-    finite_domain = math.isfinite(pot.domain_end)
+    finite_domain = math.isfinite(measure.potential.domain_end)
     pinned = spec.r_max_override is not None
-
-    if pinned:
-        r0 = float(spec.r_max_override)
-        if finite_domain:
-            r0 = min(r0, pot.domain_end)
-    elif finite_domain:
-        r0 = float(pot.domain_end)
-    else:
-        r0 = _default_radius(measure)
-
-    r_cap = pot.domain_end if finite_domain else _representable_radius(measure)
-    r0 = min(r0, r_cap)
+    r0, r_cap = _radii(measure, spec)
     to_metric, from_metric = _metric_maps(weight, min(r_cap, _R_CAP))
 
     value, err, _, _, fn = _solve_domain(

@@ -2,61 +2,37 @@
 
 Several modules (and most of the acceptance gate) compare bounds against
 the same eigensolver gaps, and a full catalog sweep is ~60 solves.  The
-cache keys on FamilySpec (frozen, hashable) and warms misses through a
-thread pool; the solver releases the GIL inside the banded LAPACK calls,
-so the sweep parallelizes well.
+cache keys on FamilySpec (frozen, hashable), so each case is solved at
+most once per session, serially: the solve is Python-bound and holds
+the GIL, so worker threads only slow it down.
 
-One warnings context wraps the whole pool: warnings.catch_warnings
-mutates interpreter-global state, so entering it per-thread would race.
 Heavy-tail cases legitimately emit TruncationWarning while the domain
-escalation audits itself; tests that care about warnings solve directly
-instead of going through the cache.
+escalation audits itself; the cache silences it, and tests that care
+about warnings solve directly instead of going through the cache.
 """
 
-import os
-import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from specgap import TruncationWarning, make_family, spectral_gap
 
 _CACHE = {}
-_LOCK = threading.Lock()
-
-
-def _solve_raw(spec):
-    measure, weight, _ = make_family(spec)
-    return spectral_gap(measure, weight)
 
 
 def warm_cache(specs):
-    """Solve every uncached case, in parallel when there are several."""
-    with _LOCK:
-        todo = []
-        for spec in specs:
-            if spec not in _CACHE and spec not in todo:
-                todo.append(spec)
-    if not todo:
-        return
-    workers = min(8, os.cpu_count() or 1, len(todo))
+    """Solve every uncached case."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        if workers <= 1:
-            results = [_solve_raw(spec) for spec in todo]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_solve_raw, todo))
-    with _LOCK:
-        for spec, estimate in zip(todo, results):
-            _CACHE[spec] = estimate
+        for spec in specs:
+            if spec not in _CACHE:
+                measure, weight, _ = make_family(spec)
+                _CACHE[spec] = spectral_gap(measure, weight)
 
 
 def cached_gap(spec):
     """GapEstimate for one catalog case, solved at most once per session."""
-    if spec not in _CACHE:
-        warm_cache([spec])
+    warm_cache([spec])
     return _CACHE[spec]
 
 

@@ -201,6 +201,20 @@ def test_coarse_rayleigh_quotient_near_gap():
     assert abs(rq - 2.0) < 0.05, f"coarse quotient {rq!r}"
 
 
+@pytest.mark.parametrize("pin", [50.0, 1e200])
+def test_discretize_caps_pinned_radius_like_spectral_gap(pin):
+    # a pin past the representable radius is capped, not meshed as given
+    mu = build_measure(3, gaussian_pot())
+    grid = GridSpec(n_cells=64, r_max_override=pin)
+    disc = discretize(mu, unit_w(), grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        est = spectral_gap(mu, unit_w(), grid)
+    assert disc.r_edges[-1] == est.r_max_used
+    assert est.r_max_used < pin
+    assert np.all(disc.mass > 0.0)
+
+
 # --- convergence order -------------------------------------------------
 
 
