@@ -64,6 +64,13 @@ __all__ = [
 
 _VARIANCE_FLOOR = 1e-14
 _CHEN_TAIL_TOL = 1e-10
+# a curvature below this multiple of its summands' total size is
+# rounding noise (see _resolution_radius)
+_CURV_RESOLUTION = 1e3 * np.finfo(float).eps
+# probe of the resolution radius: the representable half-line, uniform in
+# log(1+r) like the tail probe of the quadrature
+_PROBE_U_CAP = 708.0
+_PROBE_POINTS = 8193
 
 
 # ---------------------------------------------------------------------
@@ -246,17 +253,64 @@ def weighted_comparison(lambda_nu_sigma, n, m_r2_over_s2, m_s2, m2):
 # ---------------------------------------------------------------------
 
 
-def _inverse_curvature_bound(measure, curv, label):
+def _resolution_radius(terms):
+    """First probed radius where the summed curvature terms no longer
+    resolve the curvature, or None.
+
+    A curvature assembled from terms of total size S carries a rounding
+    error of order eps * S; where |curv| falls below
+    ``_CURV_RESOLUTION`` * S the computed value is mostly that error (and
+    may change sign), so the inverse-curvature integrand cannot be
+    trusted past this radius.  (Farther out, intermediate overflow can
+    make the terms stop cancelling altogether, so only the first such
+    radius is meaningful.)  A genuinely negative curvature is resolved
+    and left to the positivity check.  Probes where a term overflows or
+    every term underflows are left to the integral's own handling of
+    non-finite and non-positive values.
+    """
+    radii = np.expm1(np.linspace(0.0, _PROBE_U_CAP, _PROBE_POINTS))[1:]
+    with np.errstate(all="ignore"):
+        parts = np.array(terms(radii), dtype=float)
+        size = np.sum(np.abs(parts), axis=0)
+        curv = np.sum(parts, axis=0)
+        lost = (np.isfinite(size) & (size > 0.0)
+                & ~(np.abs(curv) > _CURV_RESOLUTION * size))
+    if not np.any(lost):
+        return None
+    return float(radii[int(np.argmax(lost))])
+
+
+def _inverse_curvature_bound(measure, terms, label):
     """1 / integral of 1/curv against nu, with hypothesis checking.
 
-    Positivity of curv is certified on a dense quantile grid
-    (HypothesisFailed otherwise); the integral then treats stray
-    non-finite or non-positive evaluations in the far numerical tail --
-    where composite coefficient formulas can overflow doubles -- as
-    vanishing contributions of 1/curv.  A divergent integral yields the
-    non-informative zero bound.
+    ``terms`` maps radii to the summands of the curvature curv.  On an
+    unbounded domain everything below happens inside the resolution
+    radius, the first radius where the summands cancel below their
+    rounding error (see _resolution_radius).  Positivity of curv is
+    certified on a dense quantile grid (HypothesisFailed otherwise);
+    the integral then treats stray non-finite or non-positive
+    evaluations in the far numerical tail -- where composite
+    coefficient formulas can overflow doubles -- as vanishing
+    contributions of 1/curv.  An integrand still live at the resolution
+    radius is either divergent, which yields the non-informative zero
+    bound, or extrapolated with its tail charged to the error, which
+    then fails the acceptance check as a ConvergenceError naming that
+    radius.
     """
+    def curv(r):
+        # nan at the origin, where the coefficients are undefined
+        rr = np.asarray(r, dtype=float)
+        out = np.full(rr.shape, np.nan)
+        pos = rr > 0.0
+        out[pos] = sum(terms(rr[pos]))
+        return out
+
+    r_stop = None
+    if not math.isfinite(measure.potential.domain_end):
+        r_stop = _resolution_radius(terms)
     grid = diagnostic_grid(measure, count=401, p_lo=1e-6)
+    if r_stop is not None:
+        grid = grid[grid < r_stop]
     vals = np.asarray(curv(grid), dtype=float)
     bad = ~np.isfinite(vals) | (vals <= 0.0)
     if np.any(bad):
@@ -266,29 +320,19 @@ def _inverse_curvature_bound(measure, curv, label):
             f"r = {grid[k]:.6g} is {vals[k]:.6g}")
 
     def log_inv(r):
-        rr = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.full(rr.shape, -np.inf)
-        pos = rr > 0.0
-        if np.any(pos):
-            with np.errstate(all="ignore"):
-                v = np.asarray(curv(rr[pos]), dtype=float)
-                out[pos] = np.where(np.isfinite(v) & (v > 0.0),
-                                    -np.log(np.maximum(v, 5e-324)), -np.inf)
-        return out[0] if np.ndim(r) == 0 else out
+        with np.errstate(all="ignore"):
+            v = np.asarray(curv(r), dtype=float)
+            return np.where(np.isfinite(v) & (v > 0.0),
+                            -np.log(np.maximum(v, 5e-324)), -np.inf)
 
     def inv(r):
-        rr = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.zeros(rr.shape)
-        pos = rr > 0.0
-        if np.any(pos):
-            with np.errstate(all="ignore"):
-                v = np.asarray(curv(rr[pos]), dtype=float)
-                out[pos] = np.where(np.isfinite(v) & (v > 0.0), 1.0 / v, 0.0)
-        return float(out[0]) if np.ndim(r) == 0 else out
+        with np.errstate(all="ignore"):
+            v = np.asarray(curv(r), dtype=float)
+            return np.where(np.isfinite(v) & (v > 0.0), 1.0 / v, 0.0)
 
     try:
         integral = expectation(measure, inv, positive=True,
-                               log_abs_g=log_inv)
+                               log_abs_g=log_inv, r_stop=r_stop)
     except NonIntegrable:
         return LowerBound(0.0, informative=False, method=label)
     return LowerBound(1.0 / integral, informative=True, method=label)
@@ -302,9 +346,15 @@ def curvature_lower(measure):
     harmonic mean of U'' against nu.  Heavy tails make U'' negative at
     large radii and fail the hypothesis.
     """
-    _, _, d2u = effective_potential(measure)
+    d2v = measure.potential.d2v
+    nm1 = measure.n - 1
+
+    def terms(r):
+        rr = np.asarray(r, dtype=float)
+        return d2v(rr), nm1 / (rr * rr)
+
     return _inverse_curvature_bound(
-        measure, d2u, "integrated inverse curvature of the radial well")
+        measure, terms, "integrated inverse curvature of the radial well")
 
 
 def radial_moment_lower(measure):
@@ -314,20 +364,35 @@ def radial_moment_lower(measure):
                       method="(n-1)/m2 second-moment bound")
 
 
+def _weighted_curvature_terms(measure, weight):
+    _, du, d2u = effective_potential(measure)
+
+    def terms(r):
+        rr = np.asarray(r, dtype=float)
+        s = weight.s(rr)
+        return (weight.s2(rr) * d2u(rr), s * weight.ds(rr) * du(rr),
+                -s * weight.d2s(rr))
+
+    return terms
+
+
 def weighted_curvature(measure, weight):
     """Curvature analogue seen by the weighted dynamics, as a callable.
 
     curv(r) = (sigma^2 sigma'' + b sigma') / sigma - b' with b the drift
     of the weighted radial generator; it plays the role U'' plays for
-    the unit weight (to which it reduces when sigma is constant 1).
+    the unit weight (to which it reduces when sigma is constant 1).  It
+    is evaluated in the algebraically equal form
+    sigma^2 U'' + sigma sigma' U' - sigma sigma'' (U the effective
+    potential).  Under a weight growing like r these summands stay O(1)
+    for heavy tails while curv decays like 1/r^2, so far enough out the
+    sum is rounding noise; _inverse_curvature_bound reads the summands
+    to find where that starts.
     """
-    b = drift(measure, weight)
-    db = drift_derivative(measure, weight)
+    terms = _weighted_curvature_terms(measure, weight)
 
     def curv(r):
-        rr = np.asarray(r, dtype=float)
-        return ((weight.s2(rr) * weight.d2s(rr) + b(rr) * weight.ds(rr))
-                / weight.s(rr) - db(rr))
+        return sum(terms(r))
 
     return curv
 
@@ -339,10 +404,13 @@ def weighted_curvature_lower(measure, weight):
     positive on the diagnostic grid; a divergent integral of its inverse
     yields the non-informative zero.  Unlike curvature_lower this can be
     informative for heavy-tailed laws when the weight grows with r.
+    The integral stops where the curvature's summands no longer resolve
+    it (see _inverse_curvature_bound); heavy tails decaying too slowly
+    to be negligible there raise ConvergenceError.
     """
     validate_weight(measure, weight)
     return _inverse_curvature_bound(
-        measure, weighted_curvature(measure, weight),
+        measure, _weighted_curvature_terms(measure, weight),
         "integrated inverse curvature felt by the weighted flow")
 
 

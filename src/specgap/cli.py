@@ -317,7 +317,7 @@ def cmd_bounds(args):
             def weighted():
                 m_r2s2 = weighted_moment(measure, weight, "r2_over_s2")
                 m_s2 = weighted_moment(measure, weight, "s2")
-                m2w = moment(measure, 2)
+                m2w = m2 if m2 is not None else moment(measure, 2)
                 return weighted_comparison(exact, spec.n, m_r2s2, m_s2, m2w)
             bracket = attempt("weighted comparison", weighted)
             if bracket is not None:

@@ -390,28 +390,36 @@ def validate_weight(measure, weight):
 # ---------------------------------------------------------------------
 
 
-def expectation(measure, g, rel_tol=1e-10, *, log_abs_g=None, positive=False):
+def expectation(measure, g, rel_tol=1e-10, *, log_abs_g=None, positive=False,
+                r_stop=None):
     """integral of g(r) nu(dr) over the full domain by adaptive quadrature.
 
-    g must be vectorized (floats and arrays) and defined on (0, R).  The
-    default tail probe requires |g| to stay within float range at every
-    radius where the density has not yet decayed 5000 e-folds below scale;
-    functions that overflow doubles earlier (high powers of r against
-    heavy tails, say) must supply ``log_abs_g`` (vectorized log |g|) so the
-    probe can work on the log scale, and otherwise fail with NonIntegrable
-    rather than risk a corrupted value.  ``positive`` skips the sign
-    bookkeeping for g >= 0.  NonIntegrable is also raised when no
-    integrable decay of g times the density is established at radii where
-    the integrand still carries mass.
+    g must be vectorized and defined on (0, R); the quadrature calls it
+    (and ``log_abs_g``) with arrays of radii only.  The default tail
+    probe requires |g| to stay within float range at every radius where
+    the density has not yet decayed 5000 e-folds below scale; functions
+    that overflow doubles earlier (high powers of r against heavy tails,
+    say) must supply ``log_abs_g`` (vectorized log |g|) so the probe can
+    work on the log scale, and otherwise fail with NonIntegrable rather
+    than risk a corrupted value.  ``positive`` skips the sign bookkeeping
+    for g >= 0.  ``r_stop`` is the radius past which g is not resolved
+    in floating point (see tail_integral); the tail beyond it is
+    extrapolated and charged to the error.  NonIntegrable is also raised
+    when no integrable decay of g times the density is established at
+    radii where the integrand still carries mass.
     """
     pot = measure.potential
     scale = max(1.0, float(np.max(np.abs(
         g(diagnostic_grid(measure, count=33))))))
     if math.isfinite(pot.domain_end):
-        val, _ = quad_finite(
-            lambda r: g(r) * measure.density(r) if r > 0.0 else 0.0,
-            0.0, pot.domain_end, rel_tol=rel_tol * 1e-2,
-            abs_tol=rel_tol * 1e-2 * scale)
+        def integrand(r):
+            # Kronrod nodes are interior, so r > 0 here
+            with np.errstate(all="ignore"):
+                return g(r) * measure.density(r)
+
+        val, _ = quad_finite(integrand, 0.0, pot.domain_end,
+                             rel_tol=rel_tol * 1e-2,
+                             abs_tol=rel_tol * 1e-2 * scale)
         return val
 
     if log_abs_g is None:
@@ -435,13 +443,13 @@ def expectation(measure, g, rel_tol=1e-10, *, log_abs_g=None, positive=False):
     sign_fn = None
     if not positive:
         def sign_fn(r):
-            gv = float(g(float(r)))
-            return math.copysign(1.0, gv) if gv != 0.0 else 0.0
+            with np.errstate(all="ignore"):
+                return np.sign(np.asarray(g(r), dtype=float))
 
     val, _, log_scale = tail_integral(
         log_abs_integrand, 0.0, sign_fn=sign_fn,
         rel_tol=min(rel_tol * 1e-2, 1e-12), accept_rel=rel_tol,
-        abs_floor=rel_tol * 1e-2 * scale)
+        abs_floor=rel_tol * 1e-2 * scale, r_stop=r_stop)
     return val * math.exp(log_scale)
 
 
@@ -489,8 +497,8 @@ def tail_mass(measure, r):
     if r >= pot.domain_end:
         return 0.0
     if math.isfinite(pot.domain_end):
-        val, _ = quad_finite(lambda rr: measure.density(rr),
-                             r, pot.domain_end, rel_tol=1e-12, abs_tol=1e-15)
+        val, _ = quad_finite(measure.density, r, pot.domain_end,
+                             rel_tol=1e-12, abs_tol=1e-15)
         return min(max(val, 0.0), 1.0)
     val, _, log_scale = tail_integral(
         measure.log_density, r, rel_tol=1e-12, accept_rel=1e-9,

@@ -131,8 +131,11 @@ def test_bounds_divergent_moment_warning_path():
                           "--n", "3", "--weight", "one-plus-r2"])
     assert code == 0 and rep["status"] == "warning"
     assert any("unavailable" in w for w in rep["warnings"])
-    assert any("numerically unavailable" in w for w in rep["warnings"])
     assert not recs(rep, "moment_bracket")
+    # t = beta - n/2 = 0.3: the inverse-curvature integral diverges
+    wcl = recs(rep, "weighted_curvature_lower")
+    assert wcl and wcl[0]["value"] == 0.0
+    assert "non-informative" in wcl[0]["detail"]
 
     rr = recs(rep, "reference_radial")
     assert rr and rel(rr[0]["value"], 0.09) < 1e-12
