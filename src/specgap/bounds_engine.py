@@ -41,7 +41,6 @@ from .radial_model import (
     truncation_radius,
     validate_weight,
 )
-from .sl_eigensolver import GridSpec
 
 __all__ = [
     "CandidateFunction",
@@ -64,6 +63,12 @@ __all__ = [
 
 _VARIANCE_FLOOR = 1e-14
 _CHEN_TAIL_TOL = 1e-10
+# evaluation grid of the variational bound: 10 points per cell of the
+# eigensolver's default 1024-cell mesh, plus one
+_CHEN_GRID_POINTS = 10 * 1024 + 1
+# endpoint terms within this relative distance of the radial gap are ties,
+# labelled as the radial gap
+_TIE_REL = 1e-12
 # a curvature below this multiple of its summands' total size is
 # rounding noise (see _resolution_radius)
 _CURV_RESOLUTION = 1e3 * np.finfo(float).eps
@@ -161,6 +166,19 @@ def _check_gap(name, x):
     return x
 
 
+def _require_increasing(cand, radii, claim):
+    """HypothesisFailed naming the first radius where f' > 0 fails."""
+    with np.errstate(over="ignore"):
+        dvals = np.asarray(cand.df(radii), dtype=float)
+    bad = ~np.isfinite(dvals) | (dvals <= 0.0)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        found = ("is not finite" if not np.isfinite(dvals[k])
+                 else "is <= 0")
+        raise HypothesisFailed(
+            f"{claim}, but f'({radii[k]:.6g}) = {dvals[k]:.6g} {found}")
+
+
 def validate_candidate(measure, cand):
     """Consistency checks for a CandidateFunction against one measure.
 
@@ -179,12 +197,8 @@ def validate_candidate(measure, cand):
     if cand.d3f is not None:
         _fd_check(cand.d2f, cand.d3f, f"{cand.name or 'candidate'} f'''", grid)
     if cand.monotone:
-        dvals = np.asarray(cand.df(grid), dtype=float)
-        if np.any(~np.isfinite(dvals)) or np.any(dvals <= 0.0):
-            k = int(np.argmin(dvals))
-            raise HypothesisFailed(
-                f"candidate {cand.name or '<anon>'} claims f' > 0 but "
-                f"f'({grid[k]:.6g}) = {dvals[k]:.6g}")
+        _require_increasing(
+            cand, grid, f"candidate {cand.name or '<anon>'} claims f' > 0")
 
 
 # ---------------------------------------------------------------------
@@ -206,6 +220,12 @@ def moment_bracket(n, m2):
                         upper_source="n/m2 second-moment bound")
 
 
+def _gap_wins(lam, term):
+    """Whether the radial gap lam supplies min(lam, term): it is smaller,
+    or ties with term to within the rounding of the two computations."""
+    return lam - term <= _TIE_REL * term
+
+
 def spectral_comparison(lambda_nu, n, m2):
     """Fold a radial gap into a bracket for the full dynamics.
 
@@ -220,9 +240,9 @@ def spectral_comparison(lambda_nu, n, m2):
     term_hi = float(n) / m2
     return BoundBracket(
         min(lam, term_lo), min(lam, term_hi),
-        lower_source=("radial gap" if lam < term_lo
+        lower_source=("radial gap" if _gap_wins(lam, term_lo)
                       else "(n-1)/m2 second-moment bound"),
-        upper_source=("radial gap" if lam < term_hi
+        upper_source=("radial gap" if _gap_wins(lam, term_hi)
                       else "n/m2 second-moment bound"))
 
 
@@ -231,7 +251,8 @@ def weighted_comparison(lambda_nu_sigma, n, m_r2_over_s2, m_s2, m2):
 
     The angular component of the weighted dynamics is bracketed by
     [(n-1)/E[r^2/sigma^2], n E[sigma^2]/E[r^2]], so the full weighted
-    gap lies in [min(lam, (n-1)/m_r2_over_s2), min(lam, n m_s2/m2)].
+    gap lies in [min(lam, (n-1)/m_r2_over_s2), min(lam, n m_s2/m2)],
+    with ties labelled as in spectral_comparison.
     """
     lam = _check_gap("lambda_nu_sigma", lambda_nu_sigma)
     n = _check_dimension(n)
@@ -242,9 +263,9 @@ def weighted_comparison(lambda_nu_sigma, n, m_r2_over_s2, m_s2, m2):
     term_hi = float(n) * m_s2 / m2
     return BoundBracket(
         min(lam, term_lo), min(lam, term_hi),
-        lower_source=("weighted radial gap" if lam < term_lo
+        lower_source=("weighted radial gap" if _gap_wins(lam, term_lo)
                       else "(n-1)/E[r^2/sigma^2] angular bound"),
-        upper_source=("weighted radial gap" if lam < term_hi
+        upper_source=("weighted radial gap" if _gap_wins(lam, term_hi)
                       else "n E[sigma^2]/E[r^2] angular bound"))
 
 
@@ -445,37 +466,28 @@ def variational_potential(measure, weight, cand):
     return vf
 
 
-def variational_lower(measure, weight, cand, grid=None):
+def variational_lower(measure, weight, cand):
     """Grid infimum of the candidate's variational potential.
 
-    Evaluates -(L f)'/f' on a geometric grid of 10 * n_cells + 1 points
-    spanning (r_max * 1e-6, r_max), refines around the grid minimizer
+    Evaluates -(L f)'/f' on a geometric grid of 10 * 1024 + 1 points
+    spanning (r_max * 1e-6, r_max), with r_max the domain end or the
+    radius leaving a tail mass of 1e-10, refines around the grid minimizer
     with one bounded golden-section search, and returns the smaller of
     the two as a grid-certified lower bound (grid_inf flag set).  A
     non-positive infimum carries no information and returns the flagged
     zero; f' <= 0 anywhere on the grid fails the monotonicity
     hypothesis.
     """
-    spec = grid if grid is not None else GridSpec()
-    if not isinstance(spec, GridSpec):
-        raise InvalidInput("grid must be a GridSpec")
     validate_weight(measure, weight)
     validate_candidate(measure, cand)
     vf = variational_potential(measure, weight, cand)
 
-    end = measure.potential.domain_end
-    if math.isfinite(end):
-        r_max = float(end)
-    else:
-        r_max = truncation_radius(measure, _CHEN_TAIL_TOL)
-    radii = np.geomspace(r_max * 1e-6, r_max, 10 * spec.n_cells + 1)
+    r_max = truncation_radius(measure, _CHEN_TAIL_TOL)
+    radii = np.geomspace(r_max * 1e-6, r_max, _CHEN_GRID_POINTS)
 
-    dvals = np.asarray(cand.df(radii), dtype=float)
-    if np.any(~np.isfinite(dvals)) or np.any(dvals <= 0.0):
-        k = int(np.argmin(dvals))
-        raise HypothesisFailed(
-            f"variational candidate {cand.name or '<anon>'} must have "
-            f"f' > 0, but f'({radii[k]:.6g}) = {dvals[k]:.6g}")
+    _require_increasing(
+        cand, radii,
+        f"variational candidate {cand.name or '<anon>'} must have f' > 0")
 
     with np.errstate(over="ignore", invalid="ignore"):
         vals = np.asarray(vf(radii), dtype=float)

@@ -398,7 +398,7 @@ def cmd_eigen(args):
                 "extrapolation"),
         detail=(f"n_cells_used={est.n_cells_used}; "
                 f"r_max_used={est.r_max_used!r}; "
-                f"grading={_grid_spec(args).grading}"))]
+                "grading=graded"))]
     records.extend(_reference_records(spec, _references(spec)))
     return records, notes, []
 

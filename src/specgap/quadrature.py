@@ -1,21 +1,21 @@
 """Quadrature utilities.
 
-Three layers are used throughout the package:
+Two layers are used throughout the package:
 
 * one adaptive Gauss-Kronrod engine (G10K21 panels with QUADPACK's error
   estimate, the worst panels bisected first, every refinement round's
-  nodes evaluated in one call of a vectorized integrand) for
-  normalizations, moments and tail masses; integrals over (a, infinity)
-  are carried out in the variable u = log(1+r), where the r^{n-1}
-  vanishing at the origin stays polynomial and every integrable tail
-  (power law or faster) becomes an exponential decay, and the integrand
-  is assembled as sign * exp(log-magnitude - peak) so that partial
-  under/overflow of its factors cannot corrupt it;
-* fixed-order Gauss-Legendre panels over the cells of a prescribed grid
-  (cumulative distribution tables);
-* variation-adaptive Gauss-Legendre panels for integrands of the form
-  exp(g) with g of large dynamic range (finite-volume assembly), carried
-  out entirely on the log scale.
+  nodes evaluated in one call of a vectorized integrand) behind
+  tail_integral, the one routine for normalizations, moments and tail
+  masses on bounded and unbounded domains alike; it works in the
+  variable u = log(1+r), where the r^{n-1} vanishing at the origin stays
+  polynomial and every integrable tail (power law or faster) becomes an
+  exponential decay, and the integrand is assembled as
+  sign * exp(log-magnitude - peak) so that partial under/overflow of its
+  factors cannot corrupt it;
+* variation-adaptive Gauss-Legendre panels for many cell integrals of
+  the form exp(g) with g of large dynamic range (finite-volume cell
+  masses, cumulative distribution tables), carried out entirely on the
+  log scale.
 """
 
 import math
@@ -128,26 +128,6 @@ def gauss_kronrod(fn, a, b, rel_tol, abs_tol=0.0, points=()):
         errs = np.concatenate((errs[keep], new_errs))
 
 
-def quad_finite(fn, a, b, rel_tol=1e-12, abs_tol=0.0, accept_rel=None):
-    """Adaptive integral of a vectorized ``fn`` over the finite [a, b].
-
-    Returns (value, error_estimate); raises ConvergenceError when the
-    value is not finite or the error estimate violates
-    max(abs_tol, accept_rel * |value|) (``accept_rel`` defaults to 100x
-    the requested relative tolerance -- the Kronrod estimate is
-    conservative).
-    """
-    if accept_rel is None:
-        accept_rel = 100.0 * rel_tol
-    val, err = gauss_kronrod(fn, a, b, rel_tol, abs_tol)
-    if not math.isfinite(val):
-        raise ConvergenceError(f"integral over [{a}, {b}] is not finite")
-    if err > max(abs_tol, accept_rel * abs(val)) + 1e-300:
-        raise ConvergenceError(
-            f"quadrature error {err:.3e} exceeds tolerance for value {val:.6e}")
-    return val, err
-
-
 # log(1+r) beyond which r itself leaves double range; integration windows
 # never extend past it and the remainder is handled analytically
 _U_CAP = 708.0
@@ -163,9 +143,13 @@ _LIVE_SLOPE = -5e-3
 _U_PEAK_SANE = 30.0
 
 
-def tail_integral(log_abs_fn, r_lo=0.0, *, sign_fn=None, rel_tol=1e-12,
-                  accept_rel=None, abs_floor=0.0, points=8193, r_stop=None):
-    """integral_{r_lo}^inf s(r) exp(L(r)) dr with L = log_abs_fn, s = sign_fn.
+# probe grid of the integrand, uniform in u
+_PROBE_POINTS = 8193
+
+
+def tail_integral(log_abs_fn, r_lo=0.0, r_hi=math.inf, *, sign_fn=None,
+                  rel_tol=1e-12, accept_rel=None, abs_floor=0.0, r_stop=None):
+    """integral_{r_lo}^{r_hi} s(r) exp(L(r)) dr, L = log_abs_fn, s = sign_fn.
 
     Carried out in u = log(1+r).  Returns (value, error, log_scale) as
     Python floats: the integral is value * exp(log_scale) and the error
@@ -175,28 +159,34 @@ def tail_integral(log_abs_fn, r_lo=0.0, *, sign_fn=None, rel_tol=1e-12,
     signed integrand included), and ``sign_fn`` (radii -> +-1 or 0)
     defaults to a positive integrand.
 
-    The u-axis is probed on a fine grid up to the float-representability
-    cap, or up to ``r_stop`` when the caller knows its integrand is only
-    resolved below that radius.  The quadrature window ends where the
-    integrand has permanently dropped ``_DROP`` e-folds below its peak;
-    mass beyond the window (or beyond the probe's end) is estimated from
-    the fitted log-linear tail slope and the estimate is charged to the
-    error bound, so near-threshold tails fail the acceptance check
+    The u-axis is probed on a fine grid up to ``r_hi`` (up to the
+    float-representability cap when it is infinite), or up to ``r_stop``
+    when that comes first and the caller knows its integrand is only
+    resolved below that radius.  A finite ``r_hi`` is a hard end: the
+    domain stops there, so the integral runs up to it and nothing past
+    it is estimated.  Before an open end the quadrature window ends where
+    the integrand has permanently dropped ``_DROP`` e-folds below its
+    peak; mass beyond the window (or beyond the probe's end) is estimated
+    from the fitted log-linear tail slope and the estimate is charged to
+    the error bound, so near-threshold tails fail the acceptance check
     honestly instead of being silently dropped.
 
     Raises NonIntegrable when no integrable decay is established while the
-    integrand is still live (slope above ``_LIVE_SLOPE`` at the probe's
-    end, a peak at the representability cap, or a float-range overflow),
-    and ConvergenceError when the final error violates
+    integrand is still live at an open end (slope above ``_LIVE_SLOPE`` at
+    the probe's end, a peak at the representability cap, or a float-range
+    overflow), and ConvergenceError when the final error violates
     max(abs_floor, accept_rel * |value|).
     """
     if accept_rel is None:
         accept_rel = 100.0 * rel_tol
     u0 = math.log1p(r_lo)
     u_end = _U_CAP if r_stop is None else min(math.log1p(r_stop), _U_CAP)
+    hard_end = math.log1p(r_hi) <= u_end
+    if hard_end:
+        u_end = math.log1p(r_hi)
     if u0 >= u_end:
         return 0.0, 0.0, 0.0
-    us = np.linspace(u0, u_end, points)
+    us = np.linspace(u0, u_end, _PROBE_POINTS)
     with np.errstate(all="ignore"):
         la = np.asarray(log_abs_fn(np.expm1(us)), dtype=float)
     li = np.where(np.isnan(la), -np.inf, la) + us
@@ -216,16 +206,17 @@ def tail_integral(log_abs_fn, r_lo=0.0, *, sign_fn=None, rel_tol=1e-12,
     cut = (i_pk + 1 + dead[0]) if dead.size else None
 
     # decay slope on the (post-peak) approach to the window end
-    stop = cut if cut is not None else points
+    stop = cut if cut is not None else _PROBE_POINTS
     approach = np.arange(i_pk + 1, stop)
     approach = approach[np.isfinite(rel_li[approach])][-32:]
     slope = None
     if approach.size >= 4:
         slope = float(np.polyfit(us[approach], rel_li[approach], 1)[0])
 
-    live = cut is None
+    live = cut is None and not hard_end
     corr = 0.0
     r_last = float(np.expm1(us[approach[-1]])) if approach.size else None
+    u_hi = u_end
     if live:
         if slope is None or slope >= _LIVE_SLOPE:
             where = ("the representability cap" if r_stop is None
@@ -235,8 +226,7 @@ def tail_integral(log_abs_fn, r_lo=0.0, *, sign_fn=None, rel_tol=1e-12,
                 + (f"with log slope {slope:.3e}" if slope is not None
                    else "with no decay established"))
         corr = math.exp(float(rel_li[approach[-1]])) / (-slope)
-        u_hi = u_end
-    else:
+    elif not hard_end:
         u_hi = float(us[cut])
         if us[i_pk] > _U_PEAK_SANE and (slope is None or slope >= _LIVE_SLOPE):
             raise NonIntegrable(
@@ -282,30 +272,23 @@ def tail_integral(log_abs_fn, r_lo=0.0, *, sign_fn=None, rel_tol=1e-12,
     return total, err, shift
 
 
-def cell_integrals(fn, edges, order=16):
-    """Per-cell Gauss-Legendre integrals of a vectorized integrand.
-
-    edges is an increasing array of m+1 cell boundaries; the return value
-    has m entries, one integral per cell.  Intended for smooth, already
-    normalized integrands (no overflow protection).
-    """
-    edges = np.asarray(edges, dtype=float)
-    x, w = gl_rule(order)
-    widths = np.diff(edges)
-    nodes = edges[:-1, None] + widths[:, None] * x[None, :]
-    vals = fn(nodes.ravel()).reshape(nodes.shape)
-    return widths * (vals @ w)
+# log_integrals_exp: Gauss-Legendre order per panel, variation of log_f
+# per panel, and the panel budget of one interval
+_PANEL_ORDER = 8
+_PANEL_VARIATION = 2.0
+_MAX_PANELS = 64
 
 
-def log_integrals_exp(log_f, lo, hi, order=8, var_target=2.0, max_panels=64):
+def log_integrals_exp(log_f, lo, hi):
     """log of integral_{lo_i}^{hi_i} exp(log_f(t)) dt for many intervals.
 
     ``log_f`` is a vectorized callable.  Each interval is probed at five
-    points and split into enough equal panels that the variation of log_f
-    per panel is about ``var_target``; a fixed Gauss-Legendre rule is then
-    applied per panel.  All arithmetic on the integrand happens relative
-    to the per-interval maximum of log_f, so the dynamic range of exp(log_f)
-    never matters; only the *log* of each integral is returned.
+    points and split into enough equal panels (at most 64) that the
+    variation of log_f per panel is about 2; an 8-point Gauss-Legendre
+    rule is then applied per panel.  All arithmetic on the integrand
+    happens relative to the per-interval maximum of log_f, so the dynamic
+    range of exp(log_f) never matters; only the *log* of each integral is
+    returned.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -318,11 +301,13 @@ def log_integrals_exp(log_f, lo, hi, order=8, var_target=2.0, max_panels=64):
     probe_t = lo[:, None] + (hi - lo)[:, None] * probe_x[None, :]
     probe_g = log_f(probe_t.ravel()).reshape(m, 5)
     variation = np.sum(np.abs(np.diff(probe_g, axis=1)), axis=1)
-    variation = np.where(np.isfinite(variation), variation, float(max_panels) * var_target)
-    panels = np.clip(np.ceil(variation / var_target).astype(int), 1, max_panels)
+    variation = np.where(np.isfinite(variation), variation,
+                         _MAX_PANELS * _PANEL_VARIATION)
+    panels = np.clip(np.ceil(variation / _PANEL_VARIATION).astype(int), 1,
+                     _MAX_PANELS)
 
     # flatten all panels of all intervals into one node array
-    x, w = gl_rule(order)
+    x, w = gl_rule(_PANEL_ORDER)
     total = int(panels.sum())
     interval_of_panel = np.repeat(np.arange(m), panels)
     # index of each panel within its interval
@@ -331,7 +316,7 @@ def log_integrals_exp(log_f, lo, hi, order=8, var_target=2.0, max_panels=64):
     pw = ((hi - lo) / panels)[interval_of_panel]          # panel widths
     p_lo = lo[interval_of_panel] + within * pw            # panel left edges
     nodes = p_lo[:, None] + pw[:, None] * x[None, :]
-    g = log_f(nodes.ravel()).reshape(total, order)
+    g = log_f(nodes.ravel()).reshape(total, _PANEL_ORDER)
 
     shift = np.max(probe_g, axis=1)                        # per-interval scale
     g_shifted = g - shift[interval_of_panel, None]

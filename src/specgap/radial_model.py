@@ -17,7 +17,7 @@ inconsistent inputs.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,7 +25,7 @@ from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 from .errors import (ConvergenceError, DomainError, InvalidInput,
                      NonIntegrable)
-from .quadrature import cell_integrals, quad_finite, tail_integral
+from .quadrature import log_integrals_exp, tail_integral
 
 # past this radius no family of interest carries any mass; probing stops here
 _HORIZON = 1e120
@@ -114,16 +114,13 @@ class RadialMeasure:
         """log of the unnormalized density r^{n-1} exp(-V(r)).
 
         Returns -inf wherever the density vanishes (r = 0, V = +inf, or
-        outside the supported domain)."""
+        outside the supported domain, where whatever the formula gives is
+        discarded)."""
         arr = np.asarray(r, dtype=float)
-        out = np.full(arr.shape, -np.inf)
-        ok = (arr > 0.0) & (arr < self.potential.domain_end) & np.isfinite(arr)
-        if np.any(ok):
-            rr = arr[ok]
-            with np.errstate(invalid="ignore", over="ignore"):
-                vals = (self.n - 1) * np.log(rr) - self.potential.v(rr)
-            vals = np.where(np.isnan(vals), -np.inf, vals)
-            out[ok] = vals
+        inside = (arr > 0.0) & (arr < self.potential.domain_end)
+        with np.errstate(all="ignore"):
+            vals = (self.n - 1) * np.log(arr) - self.potential.v(arr)
+        out = np.where(inside & ~np.isnan(vals), vals, -np.inf)
         if arr.ndim == 0:
             return float(out)
         return out
@@ -219,35 +216,23 @@ def build_measure(n, potential, tail_tol=1e-12, name=""):
             raise DomainError(
                 f"potential {potential.name or '<anon>'} not finite on its domain")
 
-    def log_unnorm(r):
-        arr = np.asarray(r, dtype=float)
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            vals = (n - 1) * np.log(arr) - potential.v(arr)
-        return np.where(np.isnan(vals), -np.inf, vals)
-
-    # normalization (peak-shifted so the quadrature integrand is O(1))
-    if finite_domain:
-        r_end = potential.domain_end
-        peak_grid = np.linspace(r_end * 1e-7, r_end * (1 - 1e-12), 2001)
-        shift = float(np.max(log_unnorm(peak_grid)))
-        val, _ = quad_finite(lambda r: np.exp(log_unnorm(r) - shift),
-                             0.0, r_end, rel_tol=1e-13)
-        r_max = r_end
-    else:
-        try:
-            val, _, shift = tail_integral(log_unnorm, 0.0, rel_tol=1e-13,
-                                          accept_rel=5e-11)
-        except NonIntegrable as exc:
-            raise NonIntegrable(
-                f"r^{{n-1}} exp(-V) is not integrable for potential "
-                f"{potential.name or '<anon>'} (n = {n}): {exc}") from None
+    # the unnormalized law: its log_weight is all the normalization reads
+    measure = RadialMeasure(
+        n=n, potential=potential, tail_tol=float(tail_tol), z=1.0,
+        log_z=0.0, r_max=potential.domain_end, name=name or potential.name)
+    try:
+        val, _, shift = tail_integral(measure.log_weight, 0.0,
+                                      potential.domain_end, rel_tol=1e-13,
+                                      accept_rel=5e-11)
+    except NonIntegrable as exc:
+        raise NonIntegrable(
+            f"r^{{n-1}} exp(-V) is not integrable for potential "
+            f"{potential.name or '<anon>'} (n = {n}): {exc}") from None
     if not (val > 0.0 and math.isfinite(val)):
         raise NonIntegrable("normalization integral did not converge")
     log_z = shift + math.log(val)
-    z = math.exp(log_z)
-
-    if not finite_domain:
-        r_max = _pick_r_max(log_unnorm, potential, n, log_z, tail_tol)
+    measure = replace(measure, z=math.exp(log_z), log_z=log_z)
+    r_max = truncation_radius(measure, tail_tol)
 
     # CDF table: Chebyshev-extrema grading in u = log(1+r) clusters nodes
     # at both ends, where the density factor r^{n-1} and the tail live
@@ -256,19 +241,21 @@ def build_measure(n, potential, tail_tol=1e-12, name=""):
     u_nodes = u_max * (1.0 - np.cos(math.pi * x)) / 2.0
     u_nodes[0], u_nodes[-1] = 0.0, u_max
 
-    def dens_u(u):
+    def log_dens_u(u):
         # density of nu transported to u = log(1+r); jacobian dr/du = 1+r = e^u
-        return np.exp(log_unnorm(np.expm1(u)) - log_z + u)
+        return measure.log_density(np.expm1(u)) + u
 
-    masses = cell_integrals(dens_u, u_nodes, order=16)
+    masses = np.exp(log_integrals_exp(log_dens_u, u_nodes[:-1], u_nodes[1:]))
     f_nodes = np.concatenate(([0.0], np.cumsum(masses)))
     f_nodes = np.minimum(f_nodes, 1.0)
     if f_nodes[-1] < 1.0 - max(100.0 * tail_tol, 1e-9) or f_nodes[-1] > 1.0:
         raise ConvergenceError(
             f"CDF table mass {f_nodes[-1]!r} inconsistent with normalization")
 
-    # exact node derivatives, clamped to the Fritsch-Carlson monotone region
-    deriv = dens_u(u_nodes)
+    # exact node derivatives, clamped to the Fritsch-Carlson monotone region;
+    # the last node is read from just inside, where a bounded law's density
+    # has not yet dropped to zero at its wall
+    deriv = np.exp(log_dens_u(np.minimum(u_nodes, np.nextafter(u_max, 0.0))))
     sec = np.diff(f_nodes) / np.diff(u_nodes)
     sec_lo = np.concatenate(([sec[0]], np.minimum(sec[:-1], sec[1:]), [sec[-1]]))
     deriv = np.clip(deriv, 0.0, 3.0 * np.maximum(sec_lo, 0.0))
@@ -282,10 +269,8 @@ def build_measure(n, potential, tail_tol=1e-12, name=""):
                                                 np.diff(f_nodes) > 0.0))
     quantile_spline = PchipInterpolator(f_nodes[keep], u_nodes[keep])
 
-    measure = RadialMeasure(
-        n=n, potential=potential, tail_tol=float(tail_tol), z=z, log_z=log_z,
-        r_max=r_max, name=name or potential.name,
-        _cdf_spline=cdf_spline, _quantile_spline=quantile_spline)
+    measure = replace(measure, r_max=r_max, _cdf_spline=cdf_spline,
+                      _quantile_spline=quantile_spline)
 
     _check_potential_derivatives(measure)
     return measure
@@ -328,12 +313,10 @@ def truncation_radius(measure, tail_tol, poly_power=0):
                        measure.log_z + log_mk, tail_tol)
 
 
-def diagnostic_grid(measure, count=201, p_lo=1e-4, p_hi=None):
-    """Quantile-based radii covering the bulk of nu (used for pointwise
-    positivity/consistency checks)."""
-    if p_hi is None:
-        p_hi = 1.0 - p_lo
-    r = measure.quantile(np.linspace(p_lo, p_hi, count))
+def diagnostic_grid(measure, count=201, p_lo=1e-4):
+    """Quantile-based radii covering the bulk of nu, from probability p_lo
+    to 1 - p_lo (used for pointwise positivity/consistency checks)."""
+    r = measure.quantile(np.linspace(p_lo, 1.0 - p_lo, count))
     r = np.unique(r[r > 0.0])
     if r.size < 8:
         raise ConvergenceError("diagnostic grid degenerate")
@@ -390,38 +373,27 @@ def validate_weight(measure, weight):
 # ---------------------------------------------------------------------
 
 
-def expectation(measure, g, rel_tol=1e-10, *, log_abs_g=None, positive=False,
-                r_stop=None):
-    """integral of g(r) nu(dr) over the full domain by adaptive quadrature.
+def expectation(measure, g, *, log_abs_g=None, positive=False, r_stop=None):
+    """integral of g(r) nu(dr) over the whole domain, to relative 1e-10.
 
-    g must be vectorized and defined on (0, R); the quadrature calls it
-    (and ``log_abs_g``) with arrays of radii only.  The default tail
-    probe requires |g| to stay within float range at every radius where
-    the density has not yet decayed 5000 e-folds below scale; functions
+    g must be vectorized and defined on (0, R); the quadrature
+    (tail_integral up to the domain end R) calls it (and ``log_abs_g``)
+    with arrays of radii only.  The default probe requires |g| to stay
+    within float range at every radius where the density has not yet
+    decayed 5000 e-folds below scale; functions
     that overflow doubles earlier (high powers of r against heavy tails,
-    say) must supply ``log_abs_g`` (vectorized log |g|) so the probe can
-    work on the log scale, and otherwise fail with NonIntegrable rather
-    than risk a corrupted value.  ``positive`` skips the sign bookkeeping
-    for g >= 0.  ``r_stop`` is the radius past which g is not resolved
-    in floating point (see tail_integral); the tail beyond it is
-    extrapolated and charged to the error.  NonIntegrable is also raised
-    when no integrable decay of g times the density is established at
-    radii where the integrand still carries mass.
+    or negative powers at the origin, say) must supply ``log_abs_g``
+    (vectorized log |g|) so the probe can work on the log scale, and
+    otherwise fail with NonIntegrable rather than risk a corrupted value.
+    ``positive`` skips the sign bookkeeping for g >= 0.  ``r_stop`` is
+    the radius past which g is not resolved in floating point (see
+    tail_integral); the tail beyond it is extrapolated and charged to the
+    error.  NonIntegrable is also raised when no integrable decay of g
+    times the density is established at radii where the integrand still
+    carries mass on an unbounded domain.
     """
-    pot = measure.potential
     scale = max(1.0, float(np.max(np.abs(
         g(diagnostic_grid(measure, count=33))))))
-    if math.isfinite(pot.domain_end):
-        def integrand(r):
-            # Kronrod nodes are interior, so r > 0 here
-            with np.errstate(all="ignore"):
-                return g(r) * measure.density(r)
-
-        val, _ = quad_finite(integrand, 0.0, pot.domain_end,
-                             rel_tol=rel_tol * 1e-2,
-                             abs_tol=rel_tol * 1e-2 * scale)
-        return val
-
     if log_abs_g is None:
         def log_abs_g(r):
             with np.errstate(all="ignore"):
@@ -447,9 +419,9 @@ def expectation(measure, g, rel_tol=1e-10, *, log_abs_g=None, positive=False,
                 return np.sign(np.asarray(g(r), dtype=float))
 
     val, _, log_scale = tail_integral(
-        log_abs_integrand, 0.0, sign_fn=sign_fn,
-        rel_tol=min(rel_tol * 1e-2, 1e-12), accept_rel=rel_tol,
-        abs_floor=rel_tol * 1e-2 * scale, r_stop=r_stop)
+        log_abs_integrand, 0.0, measure.potential.domain_end,
+        sign_fn=sign_fn, rel_tol=1e-12, accept_rel=1e-10,
+        abs_floor=1e-12 * scale, r_stop=r_stop)
     return val * math.exp(log_scale)
 
 
@@ -493,16 +465,9 @@ def tail_mass(measure, r):
         raise InvalidInput("tail_mass requires r >= 0")
     if r == 0.0:
         return 1.0
-    pot = measure.potential
-    if r >= pot.domain_end:
-        return 0.0
-    if math.isfinite(pot.domain_end):
-        val, _ = quad_finite(measure.density, r, pot.domain_end,
-                             rel_tol=1e-12, abs_tol=1e-15)
-        return min(max(val, 0.0), 1.0)
     val, _, log_scale = tail_integral(
-        measure.log_density, r, rel_tol=1e-12, accept_rel=1e-9,
-        abs_floor=1e-15)
+        measure.log_density, r, measure.potential.domain_end, rel_tol=1e-12,
+        accept_rel=1e-9, abs_floor=1e-15)
     return min(max(val * math.exp(log_scale), 0.0), 1.0)
 
 

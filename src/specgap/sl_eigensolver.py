@@ -70,19 +70,15 @@ _AUDIT_FACTOR = 10.0
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Resolution/grading/truncation options for one eigensolve.
+    """Resolution/truncation options for one eigensolve.
 
     n_cells must be a power of two times 64 so that mesh pairs nest and
-    resolution doublings stay cheap to reason about.  grading is either
-    "uniform" (equal widths in the natural coordinate) or "graded" (cell
-    widths proportional to local density^(-grading_strength), clipped to
-    a 50:1 width ratio).  r_max_override pins the truncation radius; the
+    resolution doublings stay cheap to reason about; the cells are graded
+    (see _mesh_family).  r_max_override pins the truncation radius; the
     truncation audit still runs and warns, but no escalation happens.
     """
 
     n_cells: int = 1024
-    grading: str = "graded"
-    grading_strength: float = 0.5
     r_max_override: Optional[float] = None
 
     def __post_init__(self):
@@ -92,11 +88,6 @@ class GridSpec:
         if self.n_cells < 64 or rem or (k & (k - 1)):
             raise InvalidInput(
                 f"n_cells must be a power of two times 64, got {self.n_cells}")
-        if self.grading not in ("uniform", "graded"):
-            raise InvalidInput(
-                f"grading must be 'uniform' or 'graded', got {self.grading!r}")
-        if not (0.0 < self.grading_strength <= 1.0):
-            raise InvalidInput("grading_strength must lie in (0, 1]")
         if self.r_max_override is not None and not (self.r_max_override > 0.0):
             raise InvalidInput("r_max_override must be positive")
 
@@ -276,18 +267,14 @@ def _radii(measure, spec):
     return min(r0, r_cap), r_cap
 
 
-def _mesh_family(measure, weight, from_metric, s_max, spec):
+def _mesh_family(measure, weight, from_metric, s_max):
     """Return mesh(n) -> n+1 edges in the natural coordinate on [0, s_max].
 
-    Edges are placed by equidistributing a clipped power of the density
-    (expressed in the natural coordinate), so meshes for n and 2n cells
-    share every coarse edge exactly -- the nesting Richardson assumes.
+    Edges are placed by equidistributing density^(1/2) (expressed in the
+    natural coordinate) clipped to a 50:1 width ratio, so meshes for n
+    and 2n cells share every coarse edge exactly -- the nesting
+    Richardson assumes.
     """
-    if spec.grading == "uniform":
-        def mesh(n):
-            return np.linspace(0.0, s_max, n + 1)
-        return mesh
-
     sp = np.linspace(0.0, s_max, 4097)
     rp = np.asarray(from_metric(sp), dtype=float)
     rp[0] = 0.0
@@ -295,7 +282,7 @@ def _mesh_family(measure, weight, from_metric, s_max, spec):
         lw = np.asarray(measure.log_weight(rp), dtype=float)
         lsig = np.log(np.asarray(weight.s(rp), dtype=float))
     lrho = np.where(np.isnan(lw + lsig), -np.inf, lw + lsig)
-    lq = spec.grading_strength * (lrho - np.max(lrho))
+    lq = 0.5 * (lrho - np.max(lrho))
     # widths ~ 1/q with q in [q_max/50, q_max]: the 50:1 width-ratio clip
     q = np.exp(np.maximum(lq, -math.log(_RATIO_CLIP)))
     cum = np.concatenate(
@@ -392,7 +379,7 @@ def discretize(measure, weight, grid):
     r0, r_cap = _radii(measure, grid)
     to_metric, from_metric = _metric_maps(weight, min(r_cap, _R_CAP))
     s_max = float(to_metric(r0))
-    mesh = _mesh_family(measure, weight, from_metric, s_max, grid)
+    mesh = _mesh_family(measure, weight, from_metric, s_max)
     s_edges = mesh(grid.n_cells)
     cond, masses, r_centers, r_edges = _assemble(
         measure, weight, s_edges, from_metric)
@@ -452,7 +439,7 @@ def _solve_domain(measure, weight, r_hi, spec, to_metric, from_metric):
     Returns (value, mesh_error, coarse_value, fine_value, eigenfunction).
     """
     s_max = float(to_metric(r_hi))
-    mesh = _mesh_family(measure, weight, from_metric, s_max, spec)
+    mesh = _mesh_family(measure, weight, from_metric, s_max)
     levels = [spec.n_cells, 2 * spec.n_cells]
     if spec.n_cells >= 128:
         levels.insert(0, spec.n_cells // 2)

@@ -553,6 +553,21 @@ def test_weighted_comparison():
         weighted_comparison(1.0, 3, 0.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("side", (-1.0, 1.0))
+def test_comparison_ties_take_the_radial_gap_label(side):
+    # an endpoint term 4 ulp off the gap is a tie, whichever side it falls
+    tie = 1.0 + side * 4.0 * np.finfo(float).eps
+    lam = 6.0
+    br = spectral_comparison(lam, 3, 2.0 / (lam * tie))
+    assert br.lower_source == "radial gap"
+    br = spectral_comparison(lam, 3, 3.0 / (lam * tie))
+    assert br.upper_source == "radial gap"
+    br = weighted_comparison(lam, 3, 2.0 / (lam * tie), 10.0, 1.0)
+    assert br.lower_source == "weighted radial gap"
+    br = weighted_comparison(lam, 3, 1.0, lam * tie / 3.0, 1.0)
+    assert br.upper_source == "weighted radial gap"
+
+
 # --------------------------------------------------- validate_candidate
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from specgap.bounds_engine import validate_candidate
+from specgap.bounds_engine import rayleigh_upper, validate_candidate
 from specgap.catalog import (
     FamilySpec,
     ReferenceGap,
@@ -252,6 +252,20 @@ def test_catalog_grid_shape():
              "generalized_cauchy")}
     assert fams == {"exponential_power": 20, "uniform_ball": 5,
                     "gaussian": 21, "generalized_cauchy": 16}
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 8, 16, 128))
+def test_ball_candidate_rayleigh_closed_form(n):
+    # f = r^p/p (log r at n = 3) on the ball: E[f'^2] = n and
+    # Var f = (n/p^2)(1/3 - n/(p+n)^2), p = (3-n)/2; Var log r = 1/9
+    measure, weight, cand = make_family(FamilySpec("uniform_ball", n))
+    if n == 3:
+        want = 27.0
+    else:
+        p = (3.0 - n) / 2.0
+        want = n / ((n / p ** 2) * (1.0 / 3.0 - n / (p + n) ** 2))
+    got = rayleigh_upper(measure, weight, cand)
+    assert abs(got - want) <= 1e-12 * want, (got, want)
 
 
 def test_catalog_grid_materializes_and_validates():

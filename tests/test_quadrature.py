@@ -4,7 +4,7 @@ Oracle: mpmath.quad at 30 significant digits on explicitly written
 integrands (tanh-sinh, nothing shared with the package).  Each package
 value must agree with the oracle to 1e-12 relative and lie within the
 error the engine reported for it; the reported errors are read by
-wrapping the engine's entry points where radial_model looks them up.
+wrapping tail_integral where radial_model looks it up.
 """
 
 import math
@@ -24,6 +24,7 @@ from specgap import (
     tail_mass,
 )
 from specgap import radial_model
+from specgap.errors import NonIntegrable
 from specgap.quadrature import (GK_GAUSS, GK_KRONROD, GK_NODES,
                                 gauss_kronrod, tail_integral)
 
@@ -40,15 +41,7 @@ def reported(monkeypatch):
         calls.append((val * math.exp(log_scale), err * math.exp(log_scale)))
         return val, err, log_scale
 
-    finite = radial_model.quad_finite
-
-    def spy_finite(*args, **kwargs):
-        val, err = finite(*args, **kwargs)
-        calls.append((val, err))
-        return val, err
-
     monkeypatch.setattr(radial_model, "tail_integral", spy_tail)
-    monkeypatch.setattr(radial_model, "quad_finite", spy_finite)
     return calls
 
 
@@ -92,6 +85,15 @@ def test_ball_second_moment(reported):
     _check(moment(mu, 2), oracle, reported[-1])
 
 
+def test_ball_signed_log_expectation(reported):
+    # E[log r] = -1/3 on the ball n = 3: signed, and still live at the wall
+    oracle = float(mpmath.quad(lambda r: 3 * r ** 2 * mpmath.log(r), [0, 1]))
+    assert abs(oracle + 1.0 / 3.0) < 1e-25
+    mu = build_measure(3, ball_potential())
+    reported.clear()
+    _check(expectation(mu, lambda r: np.log(r)), oracle, reported[-1])
+
+
 def test_signed_expectation(reported):
     # g = r - 3/2 changes sign inside the bulk of the chi_3 law
     dens = lambda r: r ** 2 * mpmath.exp(-r ** 2 / 2)
@@ -119,6 +121,19 @@ def test_tail_integral_calls_integrand_with_arrays_only():
     tail_integral(log_abs, sign_fn=sign, rel_tol=1e-12, accept_rel=1e-10)
     assert set(calls["log_abs"]) == {1}
     assert set(calls["sign"]) == {1}
+
+
+def test_tail_integral_hard_end_takes_no_tail_charge():
+    # integrands still live at a finite r_hi: the domain ends there, so
+    # nothing past it is extrapolated, whether the integrand falls (an
+    # open end would charge a tail) or rises (an open end would diverge)
+    for log_abs, lo, exact in ((lambda r: -r, 0.0, -math.expm1(-2.0)),
+                               (lambda r: 2.0 * np.log(r), 0.5, 21.0 / 8.0)):
+        val, err, log_scale = tail_integral(log_abs, lo, 2.0, rel_tol=1e-13)
+        assert abs(val * math.exp(log_scale) - exact) <= 1e-13 * exact
+        assert err * math.exp(log_scale) <= 1e-13 * exact
+    with pytest.raises(NonIntegrable):
+        tail_integral(lambda r: 2.0 * np.log(r), 0.5, rel_tol=1e-13)
 
 
 def test_kronrod_rule_exact_to_degree_31():

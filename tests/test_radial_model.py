@@ -235,6 +235,18 @@ def test_tail_mass_consistent_with_cdf():
         assert abs(tail_mass(mu, r) - (1.0 - mu.cdf(r))) <= 1e-6
 
 
+def test_ball_cdf_and_tail_mass_at_the_wall():
+    # nu((r, 1)) = 1 - r^n right up to the wall, where the density of a
+    # bounded law is still n, not zero
+    from specgap import ball_potential
+    mu = build_measure(8, ball_potential())
+    for gap in (1e-3, 1e-6, 1e-9):
+        r = 1.0 - gap
+        exact = -np.expm1(8.0 * np.log(r))
+        assert abs((1.0 - mu.cdf(r)) - exact) <= 1e-6 * exact
+        assert abs(tail_mass(mu, r) - exact) <= 1e-6 * exact
+
+
 def test_diagnostic_grid_inside_support():
     from specgap import ball_potential
     ball = build_measure(4, ball_potential())

@@ -311,12 +311,6 @@ def test_gaussian_default_solve_is_warning_free():
                    for w in caught), [str(w.message) for w in caught]
 
 
-def test_uniform_grading_agrees():
-    est = spectral_gap(build_measure(3, gaussian_pot()), unit_w(),
-                       GridSpec(n_cells=512, grading="uniform"))
-    assert abs(est.value - 2.0) < 1e-4
-
-
 @pytest.mark.parametrize("bad", (0, 63, 96, 100, 65))
 def test_grid_spec_rejects_non_multiple_of_64(bad):
     with pytest.raises(InvalidInput) as exc:
