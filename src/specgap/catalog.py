@@ -281,7 +281,9 @@ def _inv_weight_from_metric(s):
             err = 0.5 * (r * np.sqrt(1.0 + r * r) + np.arcsinh(r)) - t
             step = err / np.sqrt(1.0 + r * r)
             r_new = np.where(r - step > 0.0, r - step, 0.5 * r)
-            done = np.all(np.abs(r_new - r) <= 1e-16 * r_new)
+            # the relative step stalls near one ulp, so stop within four
+            done = np.all(np.abs(r_new - r)
+                          <= 4.0 * np.finfo(float).eps * r_new)
             r = r_new
             if done:
                 break

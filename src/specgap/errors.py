@@ -25,7 +25,8 @@ class NonIntegrable(SpecGapError):
 
 class HypothesisFailed(SpecGapError):
     """A structural hypothesis (positivity, monotonicity) failed on the
-    diagnostic grid, so the requested bound does not apply."""
+    diagnostic grid, so the requested bound does not apply; or the
+    solver found no spectral gap to estimate."""
 
 
 class DegenerateFunction(SpecGapError):

@@ -101,7 +101,6 @@ class RadialMeasure:
     n: int
     potential: RadialPotential
     tail_tol: float
-    z: float
     log_z: float
     r_max: float
     name: str = ""
@@ -195,9 +194,9 @@ def _pick_r_max(measure_logw, potential, n, log_z, tail_tol):
 def build_measure(n, potential, tail_tol=1e-12, name=""):
     """Construct the radial measure nu for dimension n and potential V.
 
-    The normalization z, the truncation radius r_max (estimated tail mass
-    below tail_tol) and a 4096-cell monotone CDF table (graded in
-    log(1+r), denser near both ends) are computed here; the supplied
+    The log-normalization log_z, the truncation radius r_max (estimated
+    tail mass below tail_tol) and a 4096-cell monotone CDF table (graded
+    in log(1+r), denser near both ends) are computed here; the supplied
     derivatives are finite-difference checked on a quantile grid.
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
@@ -218,7 +217,7 @@ def build_measure(n, potential, tail_tol=1e-12, name=""):
 
     # the unnormalized law: its log_weight is all the normalization reads
     measure = RadialMeasure(
-        n=n, potential=potential, tail_tol=float(tail_tol), z=1.0,
+        n=n, potential=potential, tail_tol=float(tail_tol),
         log_z=0.0, r_max=potential.domain_end, name=name or potential.name)
     try:
         val, _, shift = tail_integral(measure.log_weight, 0.0,
@@ -231,7 +230,7 @@ def build_measure(n, potential, tail_tol=1e-12, name=""):
     if not (val > 0.0 and math.isfinite(val)):
         raise NonIntegrable("normalization integral did not converge")
     log_z = shift + math.log(val)
-    measure = replace(measure, z=math.exp(log_z), log_z=log_z)
+    measure = replace(measure, log_z=log_z)
     r_max = truncation_radius(measure, tail_tol)
 
     # CDF table: Chebyshev-extrema grading in u = log(1+r) clusters nodes

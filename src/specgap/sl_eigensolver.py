@@ -5,11 +5,18 @@ b = (sigma^2)' - sigma^2 (V' - (n-1)/r) is self-adjoint in L^2(nu), and
 its spectral gap is the smallest nonzero eigenvalue of the Neumann
 problem -(w sigma^2 g')' = lambda w g on (0, R), where w is the radial
 density r^{n-1} e^{-V}/Z.  This module discretizes that problem with a
-mass-conservative finite-volume scheme on a graded mesh, extracts the
-two lowest eigenvalues of the resulting symmetric tridiagonal pencil by
-bisection with Sturm-sequence counting (inverse iteration for the
-eigenvector), and removes the leading O(h^2) mesh error by Richardson
-extrapolation across a nested mesh pair.
+mass-conservative finite-volume scheme on a graded mesh, whose stiffness
+is K = B^T C B (B the difference operator, C the face conductances), and
+removes the leading O(h^2) mesh error by Richardson extrapolation across
+nested meshes.
+
+Intertwining.  The derivative of the gap eigenfunction is the ground
+state of a Schroedinger-type operator (the Markovian approach of
+Bonnefont & Joulin).  Discretely, the nonzero spectrum of M^{-1} K is
+the spectrum of the flux pencil C^{1/2} B M^{-1} B^T C^{1/2}, so the gap
+is that pencil's lowest eigenvalue: LAPACK is asked for one eigenvalue
+per mesh, the constant mode never enters, and the eigenfunction
+M^{-1} B^T C^{1/2} q is mean-zero by construction.
 
 Coordinates.  Meshes are laid out in the natural coordinate of the
 diffusion, s(r) = int_0^r du/sigma(u), in which the operator has unit
@@ -42,7 +49,8 @@ from scipy.linalg import LinAlgError, eigh_tridiagonal
 from scipy.optimize import brentq
 
 from .errors import (ConvergenceError, DiscretizationError, DomainError,
-                     InvalidInput, NonIntegrable, TruncationWarning)
+                     HypothesisFailed, InvalidInput, NonIntegrable,
+                     TruncationWarning)
 from .quadrature import gl_rule, log_integrals_exp
 from .radial_model import (diagnostic_grid, drift, expectation,
                            truncation_radius, validate_weight)
@@ -92,48 +100,12 @@ class GridSpec:
             raise InvalidInput("r_max_override must be positive")
 
 
-class TridiagonalStiffness:
-    """Neumann stiffness matrix assembled from face conductances.
-
-    The matrix is symmetric tridiagonal with rows
-    [-C_{i-1}, C_{i-1} + C_i, -C_i]; its action is evaluated in flux form
-    y_i = C_{i-1} (g_i - g_{i-1}) + C_i (g_i - g_{i+1}), so constants are
-    annihilated exactly in floating point (every flux is a difference of
-    equal numbers), and the quadratic form g' K g = sum_i C_i (dg_i)^2 is
-    nonnegative by construction.
-    """
-
-    def __init__(self, conductances):
-        c = np.asarray(conductances, dtype=float)
-        if c.ndim != 1 or c.size < 1:
-            raise DiscretizationError("need at least one interior face")
-        self.conductances = c
-        n = c.size + 1
-        self.shape = (n, n)
-
-    def matvec(self, g):
-        g = np.asarray(g, dtype=float)
-        c = self.conductances
-        flux = c * (g[:-1] - g[1:])
-        out = np.zeros_like(g)
-        out[:-1] += flux
-        out[1:] -= flux
-        return out
-
-    def __matmul__(self, g):
-        return self.matvec(g)
-
-    def quadratic_form(self, g):
-        g = np.asarray(g, dtype=float)
-        d = np.diff(g)
-        return float(self.conductances @ (d * d))
-
-
 @dataclass(frozen=True)
 class Discretization:
-    """One finite-volume discretization: pencil plus its grid."""
+    """One finite-volume discretization: pencil (K = B^T C B as the face
+    conductances C, and the cell masses M) plus its grid."""
 
-    stiffness: TridiagonalStiffness
+    conductances: np.ndarray
     mass: np.ndarray
     r_centers: np.ndarray
     r_edges: np.ndarray
@@ -364,8 +336,10 @@ def _assemble(measure, weight, s_edges, from_metric):
 
 def discretize(measure, weight, grid):
     """Finite-volume Neumann discretization of the weighted radial
-    generator on cell centers: stiffness K (symmetric tridiagonal,
-    positive semidefinite, K 1 = 0 exactly) and diagonal mass M.
+    generator on cell centers: face conductances C and cell masses M,
+    which define the stiffness K = B^T C B (B the difference operator,
+    so K 1 = 0 and g' K g = sum_i C_i (g_{i+1} - g_i)^2) and the
+    diagonal mass matrix M.
 
     The conductance of the face between cells i and i+1 is
     sigma^2(r_face) w(r_face) / (r-distance between the cell centers);
@@ -383,9 +357,9 @@ def discretize(measure, weight, grid):
     s_edges = mesh(grid.n_cells)
     cond, masses, r_centers, r_edges = _assemble(
         measure, weight, s_edges, from_metric)
-    return Discretization(stiffness=TridiagonalStiffness(cond),
-                          mass=masses, r_centers=r_centers,
-                          r_edges=r_edges, s_edges=s_edges)
+    return Discretization(conductances=cond, mass=masses,
+                          r_centers=r_centers, r_edges=r_edges,
+                          s_edges=s_edges)
 
 
 # ---------------------------------------------------------------------
@@ -393,39 +367,43 @@ def discretize(measure, weight, grid):
 # ---------------------------------------------------------------------
 
 
-def _lowest_pair(cond, masses):
-    """(lambda_0, lambda_1, g_1): the two lowest eigenvalues of
-    K g = lambda M g and the eigenvector of the second, via the
-    symmetric similarity D = M^{-1/2} K M^{-1/2}."""
-    inv_sqrt_m = 1.0 / np.sqrt(masses)
-    d = np.zeros(masses.size)
-    d[:-1] += cond
-    d[1:] += cond
-    d *= inv_sqrt_m * inv_sqrt_m
-    e = -cond * inv_sqrt_m[:-1] * inv_sqrt_m[1:]
+def _ground_state(cond, masses):
+    """(lambda_1, g_1): the spectral gap of K g = lambda M g and its
+    eigenvector, M-normalized, as the ground state of the flux pencil.
+
+    With K = B^T C B, the nonzero spectrum of M^{-1} K is the spectrum
+    of the positive definite (N-1)x(N-1) pencil
+    T = C^{1/2} B M^{-1} B^T C^{1/2}, which acts on face fluxes: the
+    discrete form of the intertwining that makes the derivative of the
+    gap eigenfunction the ground state of a Schroedinger-type operator.
+    If T q = lambda q, then g proportional to M^{-1} B^T C^{1/2} q solves
+    K g = lambda M g and is M-orthogonal to the constants by construction.
+    """
+    # T_ii = c_i (1/m_i + 1/m_{i+1}), T_{i,i+1} = -sqrt(c_i c_{i+1})/m_{i+1},
+    # assembled from the ratios c/m, which stay in range when c and m
+    # are both tiny
+    lo = cond / masses[:-1]
+    hi = cond / masses[1:]
+    d = lo + hi
+    e = -np.sqrt(hi[:-1]) * np.sqrt(lo[1:])
     if np.any(~np.isfinite(d)) or np.any(~np.isfinite(e)):
         raise DiscretizationError(
             "pencil entries overflowed; the mesh spans a wider dynamic "
             "range than doubles can carry")
     try:
-        vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, 1),
+        vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, 0),
                                       lapack_driver="stebz")
     except (LinAlgError, ValueError) as exc:
         raise ConvergenceError(
             f"tridiagonal eigenvalue iteration failed: {exc}") from None
-    lam0, lam1 = float(vals[0]), float(vals[1])
-    scale = abs(lam1) + abs(d).max() * 1e-14
-    if not (-1e-8 * scale < lam0 < lam1):
-        raise ConvergenceError(
-            f"constant mode not resolved: lowest eigenvalues {lam0}, {lam1}")
-    g = vecs[:, 1] * inv_sqrt_m
-    # deflate the constant mode in the M inner product, normalize, and
-    # fix the sign so the tabulated eigenfunction increases on average
-    g = g - (masses @ g) / masses.sum()
+    flux = np.concatenate(([0.0], np.sqrt(cond) * vecs[:, 0], [0.0]))
+    g = np.diff(flux) / masses
+    # normalize, and fix the sign so the tabulated eigenfunction
+    # increases on average
     g = g / math.sqrt(masses @ (g * g))
     if g[-1] < g[0]:
         g = -g
-    return lam0, lam1, g
+    return float(vals[0]), g
 
 
 def _solve_domain(measure, weight, r_hi, spec, to_metric, from_metric):
@@ -450,7 +428,7 @@ def _solve_domain(measure, weight, r_hi, spec, to_metric, from_metric):
     for n in levels:
         cond, masses, r_centers, _ = _assemble(
             measure, weight, mesh(n), from_metric)
-        _, lam1, g = _lowest_pair(cond, masses)
+        lam1, g = _ground_state(cond, masses)
         lams.append(lam1)
         g_fine, masses_fine, r_fine = g, masses, r_centers
     lam_coarse, lam_fine = lams[-2], lams[-1]
@@ -496,15 +474,19 @@ def _fit_inverse_square(points):
 def spectral_gap(measure, weight, opts=None):
     """Spectral gap of the weighted radial generator, with error control.
 
-    Solves the Neumann eigenproblem at n_cells and 2 n_cells and
-    Richardson-extrapolates assuming O(h^2); error_estimate is
-    |lambda_N - lambda_2N| / 3.  On unbounded domains the truncation is
-    audited by re-solving on a domain of twice the natural length: a
-    shift exceeding ten times the mesh error raises TruncationWarning,
-    and (unless r_max_override pinned the domain) the domain is grown
-    until the shift is resolved or the representable range is exhausted,
-    with an inverse-square extrapolation in the natural length when the
-    bias is algebraic.
+    Solves the flux-pencil ground state at n_cells and 2 n_cells (and
+    n_cells/2 when n_cells >= 128) and Richardson-extrapolates;
+    error_estimate is |lambda_N - lambda_2N| / 3.  On unbounded domains
+    the truncation is audited by re-solving on a domain of twice the
+    natural length: a shift exceeding ten times the mesh error raises
+    TruncationWarning, and (unless r_max_override pinned the domain) the
+    domain is grown until the shift is resolved or the representable
+    range is exhausted, with an inverse-square extrapolation in the
+    natural length when the bias is algebraic.
+
+    Raises HypothesisFailed ("no spectral gap") when the estimate does
+    not exceed its own error, as for heavy tails whose generator has no
+    gap: the eigenvalue then only shrinks as the domain grows.
     """
     spec = opts if opts is not None else GridSpec()
     if not isinstance(spec, GridSpec):
@@ -519,7 +501,12 @@ def spectral_gap(measure, weight, opts=None):
         measure, weight, r0, spec, to_metric, from_metric)
 
     def estimate(val, error, r_used, grid_fn):
-        return GapEstimate(value=max(float(val), 0.0),
+        val = max(float(val), 0.0)
+        if not val > error:
+            raise HypothesisFailed(
+                f"no spectral gap: lambda_1 = {val:.3e} does not exceed "
+                f"its error {error:.3e} on the domain (0, {r_used:.6g})")
+        return GapEstimate(value=val,
                            error_estimate=float(error),
                            n_cells_used=2 * spec.n_cells,
                            r_max_used=float(r_used),

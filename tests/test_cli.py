@@ -176,6 +176,19 @@ def test_eigen_ball():
     assert sg["value"] >= 63.0 / 4.0
 
 
+@pytest.mark.parametrize("argv,error", [
+    (["--family", "exp-power", "--alpha", "1.01", "--n", "192"],
+     "DiscretizationError: "),
+    (["--family", "cauchy", "--beta", "4.1", "--n", "8"],
+     "HypothesisFailed: no spectral gap"),
+], ids=["normalization-past-double-range", "no-gap"])
+def test_eigen_failures_are_typed(argv, error):
+    # the report names the failure; no raw exception reaches the CLI
+    code, rep = run_json(["eigen"] + argv)
+    assert code == 1 and rep["status"] == "error"
+    assert rep["error"].startswith(error), rep["error"]
+
+
 # ------------------------------------------------------------------ verify
 
 

@@ -18,12 +18,13 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from specgap.errors import InvalidInput, TruncationWarning
+from specgap.errors import HypothesisFailed, InvalidInput, TruncationWarning
 from specgap.radial_model import (RadialPotential, Weight, build_measure,
                                   truncation_radius)
-from specgap.sl_eigensolver import (GridSpec, discretize, residual_check,
-                                    spectral_gap)
+from specgap.sl_eigensolver import (GridSpec, _ground_state, discretize,
+                                    residual_check, spectral_gap)
 
 
 def gaussian_pot():
@@ -178,13 +179,11 @@ def test_inv_weight_quadrature_metric_solves():
 # --- discretization contract ------------------------------------------
 
 
-def test_discretize_conserves_constants_and_mass():
+def test_discretize_conserves_mass():
     disc = discretize(build_measure(2, ball_pot()), unit_w(),
                       GridSpec(n_cells=128))
-    ones = np.ones(disc.mass.size)
-    kv = disc.stiffness @ ones
-    # constants are in the kernel of the Neumann stiffness *exactly*
-    assert float(np.max(np.abs(kv))) == 0.0
+    assert disc.conductances.size == disc.mass.size - 1
+    assert np.all(disc.conductances > 0.0)
     assert disc.r_edges[0] == 0.0
     assert abs(disc.r_edges[-1] - 1.0) < 1e-12
     assert np.all(np.diff(disc.r_edges) > 0.0)
@@ -197,8 +196,44 @@ def test_coarse_rayleigh_quotient_near_gap():
                       GridSpec(n_cells=64))
     v = disc.r_centers ** 2
     v = v - (disc.mass @ v) / disc.mass.sum()
-    rq = disc.stiffness.quadratic_form(v) / float(disc.mass @ (v * v))
+    energy = float(disc.conductances @ np.diff(v) ** 2)
+    rq = energy / float(disc.mass @ (v * v))
     assert abs(rq - 2.0) < 0.05, f"coarse quotient {rq!r}"
+
+
+@pytest.mark.parametrize("name,builder,weight", [
+    ("gaussian n=3", lambda: build_measure(3, gaussian_pot()), unit_w),
+    ("ball n=4", lambda: build_measure(4, ball_pot()), unit_w),
+    ("cauchy n=3 b=4", lambda: build_measure(3, cauchy_pot(4.0)), one_plus_w),
+])
+def test_ground_state_matches_dense_generalized_eigh(name, builder, weight):
+    # oracle: the second eigenpair of the dense Neumann pencil
+    # K g = lambda M g, with K = B^T C B built from the same conductances
+    disc = discretize(builder(), weight(), GridSpec(n_cells=64))
+    c, m = disc.conductances, disc.mass
+    b = np.diff(np.eye(m.size), axis=0)
+    vals, vecs = scipy.linalg.eigh(b.T @ (c[:, None] * b), np.diag(m))
+    lam, g = _ground_state(c, m)
+    assert abs(lam - vals[1]) <= 1e-10 * vals[1], (name, lam, vals[1])
+    ref = vecs[:, 1] * np.sign(vecs[:, 1] @ (m * g))
+    diff = g - ref
+    assert math.sqrt(m @ (diff * diff)) <= 1e-8, name
+    assert abs(m @ g) <= 1e-12, name
+
+
+@pytest.mark.parametrize("label,builder,weight", [
+    ("cauchy n=8 b=4.1", lambda: build_measure(8, cauchy_pot(4.1)), unit_w),
+    ("cauchy n=2 b=1.5", lambda: build_measure(2, cauchy_pot(1.5)), unit_w),
+    ("cauchy n=2 b=6", lambda: build_measure(2, cauchy_pot(6.0)), unit_w),
+    ("cauchy n=3 b=3.5", lambda: build_measure(3, cauchy_pot(3.5)),
+     inv_one_plus_w),
+])
+def test_heavy_tail_without_gap_is_a_typed_outcome(label, builder, weight):
+    # these generators have no spectral gap: the eigenvalue only shrinks
+    # as the domain grows, and no estimate may pass for a gap
+    with pytest.raises(HypothesisFailed) as exc:
+        _quiet_gap(builder(), weight())
+    assert "no spectral gap" in str(exc.value), label
 
 
 @pytest.mark.parametrize("pin", [50.0, 1e200])

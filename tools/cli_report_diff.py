@@ -1,0 +1,210 @@
+"""Run a fixed list of specgap CLI commands and diff two sets of reports.
+
+A refactor that claims to keep behaviour shows it on this list: bounds,
+eigen and ``sample --seed 0`` on every ``catalog_grid()`` case, the four
+tables with ``--no-solve``, and ``verify --scope all``.
+
+    python3 tools/cli_report_diff.py run SRC_TREE OUT_DIR
+    python3 tools/cli_report_diff.py compare DIR_A DIR_B
+
+``run`` imports ``specgap`` from ``SRC_TREE/src`` (a checkout of any
+commit), runs every command in-process with ``--output`` into
+``OUT_DIR``, and writes the exit codes to ``OUT_DIR/exit_codes.json``; a
+command that raises instead of reporting is recorded with its traceback.
+Run it once per tree, in a fresh process each time.
+
+``compare`` counts byte-identical reports and lists the rest with
+- exit codes that differ;
+- non-numeric differences: keys, list lengths, types, and text once its
+  numbers are masked;
+- the largest relative delta per numeric field, where a field is a JSON
+  path with records keyed by their ``name`` and numbers inside text
+  collected under the path of that text;
+- per record name, the largest value shift in units of the record's own
+  reported error.
+It exits 1 when anything other than numbers differs, else 0.
+"""
+
+import argparse
+import json
+import math
+import os
+import re
+import sys
+import traceback
+
+_REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_CODES = "exit_codes.json"
+_NUMBER = re.compile(
+    r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
+_TABLES = ("exp-power-asymptotics", "cauchy-n3", "gaussian-weighted", "ball")
+
+
+def command_list(grid):
+    """[argv] of the fixed command list for the catalog cases ``grid``."""
+    sys.path.insert(0, _REPO)
+    from perfbench.workloads import case_argv
+
+    argvs = []
+    for command, seed in (("bounds", None), ("eigen", None), ("sample", 0)):
+        argvs += [case_argv(command, spec, seed) for spec in grid]
+    argvs += [["table", "--id", table, "--no-solve"] for table in _TABLES]
+    argvs.append(["verify", "--scope", "all"])
+    return argvs
+
+
+def _file_name(argv):
+    return re.sub(r"[^A-Za-z0-9.=+-]+", "_", " ".join(argv)) + ".json"
+
+
+def run(tree, out_dir):
+    sys.path.insert(0, os.path.join(os.path.abspath(tree), "src"))
+    from specgap import catalog, cli
+
+    os.makedirs(out_dir, exist_ok=True)
+    codes = {}
+    for argv in command_list(catalog.catalog_grid()):
+        name = _file_name(argv)
+        try:
+            codes[name] = cli.main(
+                argv + ["--output", os.path.join(out_dir, name)])
+        except Exception:
+            # keep going: a raw exception is an outcome to compare
+            codes[name] = "raised: " + traceback.format_exc(limit=-1).strip()
+    with open(os.path.join(out_dir, _CODES), "w", encoding="utf-8") as fh:
+        json.dump(codes, fh, indent=1, sort_keys=True)
+    print(f"{len(codes)} commands -> {out_dir}")
+
+
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+class _Diff:
+    """What differs between two reports, accumulated over many files."""
+
+    def __init__(self):
+        self.rel = {}           # field -> (largest relative delta, file)
+        self.in_error = {}      # record name -> (|dvalue| / error, file)
+        self.other = []         # non-numeric differences
+
+    def number(self, path, a, b, where):
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            delta = 0.0
+        elif math.isfinite(a) and math.isfinite(b):
+            delta = abs(a - b) / max(abs(a), abs(b))
+        else:
+            delta = math.inf
+        if delta >= self.rel.get(path, (-1.0, None))[0]:
+            self.rel[path] = (delta, where)
+
+    def walk(self, a, b, path, where):
+        if _is_number(a) and _is_number(b):
+            self.number(path, float(a), float(b), where)
+        elif type(a) != type(b):
+            self.other.append(f"{where}: {path}: {a!r} vs {b!r}")
+        elif isinstance(a, str):
+            mask_a, mask_b = _NUMBER.sub("#", a), _NUMBER.sub("#", b)
+            nums_a, nums_b = _NUMBER.findall(a), _NUMBER.findall(b)
+            if mask_a != mask_b or len(nums_a) != len(nums_b):
+                self.other.append(f"{where}: {path}: {a!r} vs {b!r}")
+                return
+            for x, y in zip(nums_a, nums_b):
+                self.number(path + "~text", float(x), float(y), where)
+        elif isinstance(a, dict):
+            if set(a) != set(b):
+                self.other.append(
+                    f"{where}: {path}: keys {sorted(set(a) ^ set(b))}")
+                return
+            for key in sorted(a):
+                self.walk(a[key], b[key], f"{path}.{key}", where)
+            self.record(a, b, where)
+        elif isinstance(a, list):
+            if len(a) != len(b):
+                self.other.append(
+                    f"{where}: {path}: {len(a)} vs {len(b)} items")
+                return
+            for x, y in zip(a, b):
+                key = x.get("name") if isinstance(x, dict) else None
+                self.walk(x, y, f"{path}[{key or ''}]", where)
+        elif a != b:
+            self.other.append(f"{where}: {path}: {a!r} vs {b!r}")
+
+    def record(self, a, b, where):
+        try:
+            shift = abs(a["value"] - b["value"])
+            error = max(a["error"], b["error"])
+        except (KeyError, TypeError):
+            return
+        if shift > 0.0:
+            ratio = shift / error if error > 0.0 else math.inf
+            name = a.get("name", "?")
+            if ratio >= self.in_error.get(name, (-1.0, None))[0]:
+                self.in_error[name] = (ratio, where)
+
+
+def compare(dir_a, dir_b):
+    def load_codes(d):
+        with open(os.path.join(d, _CODES), encoding="utf-8") as fh:
+            return json.load(fh)
+
+    codes_a, codes_b = load_codes(dir_a), load_codes(dir_b)
+    diff = _Diff()
+    for name in sorted(set(codes_a) ^ set(codes_b)):
+        diff.other.append(f"{name}: run on one side only")
+    same, changed = 0, []
+    for name in sorted(set(codes_a) & set(codes_b)):
+        if codes_a[name] != codes_b[name]:
+            diff.other.append(
+                f"{name}: exit {codes_a[name]!r} vs {codes_b[name]!r}")
+        paths = [os.path.join(d, name) for d in (dir_a, dir_b)]
+        present = [os.path.exists(p) for p in paths]
+        if not all(present):
+            if any(present):
+                diff.other.append(f"{name}: report on one side only")
+            continue
+        raw = []
+        for p in paths:
+            with open(p, "rb") as fh:
+                raw.append(fh.read())
+        if raw[0] == raw[1]:
+            same += 1
+            continue
+        changed.append(name)
+        diff.walk(json.loads(raw[0]), json.loads(raw[1]), "", name)
+
+    print(f"{same} of {len(codes_a)} reports byte-identical; "
+          f"{len(changed)} differ")
+    for name in changed:
+        print(f"  differs: {name}")
+    print("largest relative delta per numeric field:")
+    for path, (delta, where) in sorted(diff.rel.items()):
+        if delta > 0.0:
+            print(f"  {path}: {delta:.3g} ({where})")
+    print("largest value shift / reported error per record:")
+    for name, (ratio, where) in sorted(diff.in_error.items()):
+        print(f"  {name}: {ratio:.3g} ({where})")
+    print(f"{len(diff.other)} non-numeric difference(s)")
+    for line in diff.other:
+        print(f"  {line}")
+    return 1 if diff.other else 0
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    sub = parser.add_subparsers(dest="action", required=True)
+    p = sub.add_parser("run", help="run the command list on one tree")
+    p.add_argument("tree", help="source tree holding src/specgap")
+    p.add_argument("out_dir", help="directory the reports go to")
+    p = sub.add_parser("compare", help="diff two run directories")
+    p.add_argument("dir_a")
+    p.add_argument("dir_b")
+    args = parser.parse_args(argv)
+    if args.action == "run":
+        run(args.tree, args.out_dir)
+        return 0
+    return compare(args.dir_a, args.dir_b)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
