@@ -19,7 +19,11 @@ Examples::
 
 Every command accepts ``--seed`` (default 0), ``--tail-tol`` (default
 1e-12) and ``--cells`` (default 1024); unused knobs are simply echoed in
-the report's ``inputs`` block.  Reports share one fixed CSV column set::
+the report's ``inputs`` block.  ``--cells`` is read, and checked, only by
+the commands that solve (eigen, verify, table without ``--no-solve``).
+One run handles each case once: a catalog case that several sweeps read
+is built, referenced and solved at most once per ``main`` call, and
+nothing is kept between calls.  Reports share one fixed CSV column set::
 
   record,name,family,weight,n,alpha,beta,value,error,lower,upper,scaling,source,detail
 
@@ -33,6 +37,7 @@ verification violation, 2 invalid usage or invalid input.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -42,7 +47,7 @@ import warnings as _warnings
 import numpy as np
 
 from . import catalog
-from .bounds_engine import (curvature_lower, exp_power_explicit,
+from .bounds_engine import (LowerBound, curvature_lower, exp_power_explicit,
                             gamma_ratio_bounds, moment_bracket,
                             radial_moment_lower, rayleigh_upper,
                             spectral_comparison, variational_lower,
@@ -173,7 +178,7 @@ def _inputs_echo(args):
 
 
 # ---------------------------------------------------------------------
-# shared helpers
+# one case per run
 # ---------------------------------------------------------------------
 
 
@@ -184,64 +189,92 @@ def _spec_from_args(args):
                               alpha=args.alpha, beta=args.beta)
 
 
-def _materialize(spec, tail_tol):
-    measure, weight, cand = catalog.make_family(spec)
-    if tail_tol != _DEFAULT_TAIL_TOL:
-        measure = build_measure(spec.n, measure.potential,
-                                tail_tol=tail_tol, name=measure.name)
-    return measure, weight, cand
+def _reraise(outcome):
+    """outcome, unless it is a SpecGapError that stands in for a value."""
+    if isinstance(outcome, SpecGapError):
+        raise outcome
+    return outcome
 
 
-def _grid_spec(args):
-    return GridSpec(n_cells=args.cells)
+class _Case:
+    """One FamilySpec within one run.  Its law, references, second moment
+    and solve are each computed at most once, on first use; a failed
+    second moment or solve keeps its SpecGapError."""
 
+    def __init__(self, spec, args):
+        self.spec = spec
+        self.args = args
 
-def _solve(args, specs, keep_errors=False):
-    """Solver estimates for specs, in order, and the warnings the sweep
-    raised as sorted, deduplicated notes.  With keep_errors, a solver
-    failure stands in the result list in place of its estimate."""
-    opts = _grid_spec(args)
-    results = []
-    with _warnings.catch_warnings(record=True) as rec:
-        _warnings.simplefilter("always")
-        for spec in specs:
-            measure, weight, _ = _materialize(spec, args.tail_tol)
+    @functools.cached_property
+    def law(self):
+        """(measure, weight, candidate) at the run's --tail-tol."""
+        measure, weight, cand = catalog.make_family(self.spec)
+        if self.args.tail_tol != _DEFAULT_TAIL_TOL:
+            measure = build_measure(self.spec.n, measure.potential,
+                                    tail_tol=self.args.tail_tol,
+                                    name=measure.name)
+        return measure, weight, cand
+
+    @functools.cached_property
+    def refs(self):
+        """{"radial": ref, "full": ref}, with None where nothing is
+        recorded."""
+        refs = {}
+        for which in ("radial", "full"):
             try:
-                results.append(spectral_gap(measure, weight, opts))
-            except SpecGapError as exc:
-                if not keep_errors:
-                    raise
-                results.append(exc)
-    notes = sorted({f"{w.category.__name__}: {w.message}" for w in rec})
-    return results, notes
+                refs[which] = catalog.reference_gap(self.spec, which)
+            except InvalidInput:
+                refs[which] = None
+        return refs
 
+    @functools.cached_property
+    def reference_records(self):
+        records = []
+        for which, ref in self.refs.items():
+            if ref is None:
+                continue
+            if ref.kind == "exact":
+                value, lower, upper = ref.value, ref.value, ref.value
+            else:
+                value, lower, upper = None, ref.lower, ref.upper
+            records.append(_record(
+                "reference", f"reference_{which}", self.spec, value=value,
+                lower=lower, upper=upper, scaling=ref.order_exponent,
+                source=ref.source,
+                detail=f"{ref.kind} reference for the {which} dynamics"))
+        return tuple(records)
 
-def _references(spec):
-    """{"radial": ref, "full": ref}, with None where nothing is recorded."""
-    refs = {}
-    for which in ("radial", "full"):
+    @functools.cached_property
+    def _m2(self):
         try:
-            refs[which] = catalog.reference_gap(spec, which)
-        except InvalidInput:
-            refs[which] = None
-    return refs
+            return moment(self.law[0], 2)
+        except SpecGapError as exc:
+            return exc
+
+    def second_moment(self):
+        return _reraise(self._m2)
+
+    @functools.cached_property
+    def solved(self):
+        """(the GapEstimate, or the SpecGapError the solve raised; the
+        warnings it emitted, as a set of notes).  --cells is read here."""
+        opts = GridSpec(n_cells=self.args.cells)
+        with _warnings.catch_warnings(record=True) as rec:
+            _warnings.simplefilter("always")
+            measure, weight, _ = self.law
+            try:
+                est = spectral_gap(measure, weight, opts)
+            except SpecGapError as exc:
+                est = exc
+        return est, {f"{w.category.__name__}: {w.message}" for w in rec}
+
+    def gap(self):
+        return _reraise(self.solved[0])
 
 
-def _reference_records(spec, refs):
-    records = []
-    for which, ref in refs.items():
-        if ref is None:
-            continue
-        if ref.kind == "exact":
-            value, lower, upper = ref.value, ref.value, ref.value
-        else:
-            value, lower, upper = None, ref.lower, ref.upper
-        records.append(_record(
-            "reference", f"reference_{which}", spec, value=value,
-            lower=lower, upper=upper, scaling=ref.order_exponent,
-            source=ref.source,
-            detail=f"{ref.kind} reference for the {which} dynamics"))
-    return records
+def _notes(cases):
+    """The sorted union of the cases' solve warnings."""
+    return sorted(set().union(*(case.solved[1] for case in cases)))
 
 
 def _bracket_record(name, spec, bracket, detail):
@@ -251,7 +284,12 @@ def _bracket_record(name, spec, bracket, detail):
         detail=detail)
 
 
-def _lower_record(name, spec, bound, detail):
+def _one_sided_record(name, spec, bound, detail):
+    """A LowerBound's record, or a Rayleigh upper bound's."""
+    if not isinstance(bound, LowerBound):
+        return _record("bound", name, spec, upper=bound,
+                       source="Rayleigh quotient of the designated candidate",
+                       detail=detail)
     extra = []
     if not bound.informative:
         extra.append("non-informative (defining integral diverges)")
@@ -268,10 +306,11 @@ def _lower_record(name, spec, bound, detail):
 # ---------------------------------------------------------------------
 
 
-def cmd_bounds(args):
-    spec = _spec_from_args(args)
-    measure, weight, cand = _materialize(spec, args.tail_tol)
-    records = []
+def cmd_bounds(args, case_of):
+    case = case_of(_spec_from_args(args))
+    spec = case.spec
+    measure, weight, cand = case.law
+    records = list(case.reference_records)
     notes = []
 
     def attempt(label, fn):
@@ -284,14 +323,11 @@ def cmd_bounds(args):
             notes.append(f"{label} numerically unavailable: {exc}")
             return None
 
-    refs = _references(spec)
-    records.extend(_reference_records(spec, refs))
-    radial = refs["radial"]
-    exact = None
-    if radial is not None and radial.kind == "exact":
-        exact = radial.value
+    radial = case.refs["radial"]
+    exact = (radial.value if radial is not None and radial.kind == "exact"
+             else None)
 
-    m2 = attempt("second-moment bracket", lambda: moment(measure, 2))
+    m2 = attempt("second-moment bracket", case.second_moment)
     if m2 is not None:
         caveat = ""
         if not measure.potential.convex:
@@ -317,8 +353,8 @@ def cmd_bounds(args):
             def weighted():
                 m_r2s2 = weighted_moment(measure, weight, "r2_over_s2")
                 m_s2 = weighted_moment(measure, weight, "s2")
-                m2w = m2 if m2 is not None else moment(measure, 2)
-                return weighted_comparison(exact, spec.n, m_r2s2, m_s2, m2w)
+                return weighted_comparison(exact, spec.n, m_r2s2, m_s2,
+                                           case.second_moment())
             bracket = attempt("weighted comparison", weighted)
             if bracket is not None:
                 records.append(_bracket_record(
@@ -337,49 +373,40 @@ def cmd_bounds(args):
             detail=("brackets the full gap from the exact radial gap "
                     f"{exact!r} and the angular moment bound")))
 
+    # One-sided bounds, in report order: (record name, note label, bound,
+    # detail).  The two unweighted routes apply to the unit weight only.
+    routes = []
     if spec.weight_choice == "unit":
-        got = attempt("integrated-curvature lower bound",
-                      lambda: curvature_lower(measure))
+        if measure.potential.convex:
+            rml_detail = "lower-bounds the radial spectral gap"
+        else:
+            rml_detail = ("assumes a convex radial potential, which this "
+                          "measure does not satisfy -- reported for "
+                          "reference only, not a certified bound")
+        routes += [
+            ("curvature_lower", "integrated-curvature lower bound",
+             lambda: curvature_lower(measure),
+             ("lower-bounds the radial spectral gap via the harmonic mean "
+              "of the radial well's curvature")),
+            ("radial_moment_lower", "radial moment lower bound",
+             lambda: radial_moment_lower(measure), rml_detail),
+        ]
+    routes += [
+        ("weighted_curvature_lower", "weighted-curvature lower bound",
+         lambda: weighted_curvature_lower(measure, weight),
+         "lower-bounds the weighted radial spectral gap"),
+        ("variational_lower", "variational lower bound",
+         lambda: variational_lower(measure, weight, cand),
+         ("lower-bounds the weighted radial spectral gap via the "
+          "designated candidate's variational potential")),
+        ("rayleigh_upper", "Rayleigh upper bound",
+         lambda: rayleigh_upper(measure, weight, cand),
+         "upper-bounds the weighted radial spectral gap"),
+    ]
+    for name, label, bound, detail in routes:
+        got = attempt(label, bound)
         if got is not None:
-            records.append(_lower_record(
-                "curvature_lower", spec, got,
-                detail=("lower-bounds the radial spectral gap via the "
-                        "harmonic mean of the radial well's curvature")))
-        got = attempt("radial moment lower bound",
-                      lambda: radial_moment_lower(measure))
-        if got is not None:
-            if measure.potential.convex:
-                rml_detail = "lower-bounds the radial spectral gap"
-            else:
-                rml_detail = ("assumes a convex radial potential, which "
-                              "this measure does not satisfy -- reported "
-                              "for reference only, not a certified bound")
-            records.append(_lower_record(
-                "radial_moment_lower", spec, got, detail=rml_detail))
-
-    got = attempt("weighted-curvature lower bound",
-                  lambda: weighted_curvature_lower(measure, weight))
-    if got is not None:
-        records.append(_lower_record(
-            "weighted_curvature_lower", spec, got,
-            detail="lower-bounds the weighted radial spectral gap"))
-
-    got = attempt("variational lower bound",
-                  lambda: variational_lower(measure, weight, cand))
-    if got is not None:
-        records.append(_lower_record(
-            "variational_lower", spec, got,
-            detail=("lower-bounds the weighted radial spectral gap via the "
-                    "designated candidate's variational potential")))
-
-    got = attempt("Rayleigh upper bound",
-                  lambda: rayleigh_upper(measure, weight, cand))
-    if got is not None:
-        records.append(_record(
-            "bound", "rayleigh_upper", spec, upper=got,
-            source="Rayleigh quotient of the designated candidate",
-            detail="upper-bounds the weighted radial spectral gap"))
-
+            records.append(_one_sided_record(name, spec, got, detail))
     return records, notes, []
 
 
@@ -388,19 +415,19 @@ def cmd_bounds(args):
 # ---------------------------------------------------------------------
 
 
-def cmd_eigen(args):
-    spec = _spec_from_args(args)
-    (est,), notes = _solve(args, [spec])
+def cmd_eigen(args, case_of):
+    case = case_of(_spec_from_args(args))
+    est = case.gap()
     records = [_record(
-        "solver", "spectral_gap", spec, value=est.value,
+        "solver", "spectral_gap", case.spec, value=est.value,
         error=est.error_estimate,
         source=("finite-volume Sturm-Liouville eigensolve with Richardson "
                 "extrapolation"),
         detail=(f"n_cells_used={est.n_cells_used}; "
                 f"r_max_used={est.r_max_used!r}; "
                 "grading=graded"))]
-    records.extend(_reference_records(spec, _references(spec)))
-    return records, notes, []
+    records.extend(case.reference_records)
+    return records, _notes([case]), []
 
 
 # ---------------------------------------------------------------------
@@ -408,127 +435,108 @@ def cmd_eigen(args):
 # ---------------------------------------------------------------------
 
 
+def _check(records, failures, name, spec=None, *, ok, detail, failure,
+           **fields):
+    """Add one "check" record, its detail read as "pass; detail" or
+    "FAIL: detail", and the failure line when the check failed."""
+    if not ok:
+        failures.append(failure)
+    records.append(_record("check", name, spec,
+                           detail=("pass; " if ok else "FAIL: ") + detail,
+                           **fields))
+
+
 def _verify_gamma(records, failures):
     grid_a = (0.25, 0.5, 1.0, 2.0, 5.0, 20.0, 100.0)
     grid_b = tuple(0.25 * k for k in range(9))
+    source = "elementary Gamma-ratio bounds"
     for a in grid_a:
         for b in grid_b:
+            where = f"gamma_ratio a={a} b={b}"
             try:
                 lower, value, upper = gamma_ratio_bounds(a, b)
             except InvalidInput as exc:
-                failures.append(f"gamma_ratio a={a} b={b}: {exc}")
-                records.append(_record(
-                    "check", "gamma_ratio", alpha=a, beta=b,
-                    detail=f"FAIL: {exc}",
-                    source="elementary Gamma-ratio bounds"))
+                _check(records, failures, "gamma_ratio", ok=False,
+                       detail=str(exc), failure=f"{where}: {exc}",
+                       alpha=a, beta=b, source=source)
                 continue
             slack = min(value - lower, upper - value)
-            ok = slack >= -1e-12 * max(1.0, abs(value))
-            if not ok:
-                failures.append(
-                    f"gamma_ratio a={a} b={b}: slack {slack!r}")
-            records.append(_record(
-                "check", "gamma_ratio", alpha=a, beta=b, value=value,
-                lower=lower, upper=upper,
-                source="elementary Gamma-ratio bounds",
-                detail=(f"pass; slack={slack!r}" if ok
-                        else f"FAIL: slack={slack!r}")))
+            _check(records, failures, "gamma_ratio",
+                   ok=slack >= -1e-12 * max(1.0, abs(value)),
+                   detail=f"slack={slack!r}",
+                   failure=f"{where}: slack {slack!r}", alpha=a, beta=b,
+                   value=value, lower=lower, upper=upper, source=source)
 
-    # log-Gamma against exact integer factorials (independent of the
-    # scipy evaluation that log_gamma wraps).
-    worst_int = 0.0
-    for k in range(1, 61):
-        want = math.log(math.factorial(k - 1)) if k > 1 else 0.0
-        got = log_gamma(float(k))
-        rel = abs(got - want) / max(1.0, abs(want))
-        worst_int = max(worst_int, rel)
-    ok = worst_int <= 1e-13
-    if not ok:
-        failures.append(f"log_gamma integers: rel err {worst_int!r}")
-    records.append(_record(
-        "check", "log_gamma_integers", value=worst_int, upper=1e-13,
-        source="Gamma(k) = (k-1)! for k = 1..60",
-        detail=("pass; worst relative error" if ok
-                else f"FAIL: worst relative error {worst_int!r}")))
-
-    worst_half = 0.0
+    # log-Gamma against exact factorials (independent of the scipy
+    # evaluation that log_gamma wraps): Gamma(k) = (k-1)!, and
+    # Gamma(k + 1/2) = (2k)! sqrt(pi) / (4^k k!), reduced in exact integer
+    # arithmetic before a single log.
     half_log_pi = 0.5 * math.log(math.pi)
-    for k in range(0, 61):
-        # Gamma(k + 1/2) = (2k)! sqrt(pi) / (4^k k!), reduced in exact
-        # integer arithmetic before a single log.
-        want = (math.log(math.factorial(2 * k)) + half_log_pi
-                - k * math.log(4.0) - math.log(math.factorial(k)))
-        got = log_gamma(k + 0.5)
-        rel = abs(got - want) / max(1.0, abs(want))
-        worst_half = max(worst_half, rel)
-    ok = worst_half <= 1e-13
-    if not ok:
-        failures.append(f"log_gamma half-integers: rel err {worst_half!r}")
-    records.append(_record(
-        "check", "log_gamma_half_integers", value=worst_half, upper=1e-13,
-        source="Gamma(k+1/2) = (2k)! sqrt(pi) / (4^k k!) for k = 0..60",
-        detail=("pass; worst relative error" if ok
-                else f"FAIL: worst relative error {worst_half!r}")))
+    suites = (
+        ("integers", "Gamma(k) = (k-1)! for k = 1..60", range(1, 61),
+         float, lambda k: math.log(math.factorial(k - 1))),
+        ("half_integers",
+         "Gamma(k+1/2) = (2k)! sqrt(pi) / (4^k k!) for k = 0..60",
+         range(0, 61), lambda k: k + 0.5,
+         lambda k: (math.log(math.factorial(2 * k)) + half_log_pi
+                    - k * math.log(4.0) - math.log(math.factorial(k)))),
+    )
+    for which, source, ks, arg, exact in suites:
+        worst = 0.0
+        for k in ks:
+            want = exact(k)
+            rel = abs(log_gamma(arg(k)) - want) / max(1.0, abs(want))
+            worst = max(worst, rel)
+        _check(records, failures, f"log_gamma_{which}", ok=worst <= 1e-13,
+               detail="worst relative error",
+               failure=f"log_gamma_{which}: rel err {worst!r}",
+               value=worst, upper=1e-13, source=source)
 
 
-def _verify_cauchy_exact(args, records, failures):
-    cases = []
-    for n in (2, 3, 4, 6):
-        for t in (0.5, 1.5, 2.0, 2.5, 4.5):
-            cases.append(catalog.FamilySpec(
+def _verify_cauchy_exact(args, case_of, records, failures):
+    cases = [case_of(catalog.FamilySpec(
                 family="generalized_cauchy", n=n,
                 weight_choice="one_plus_r2", beta=n / 2.0 + t))
-    if args.max_cases is not None:
-        cases = cases[:args.max_cases]
-    results, notes = _solve(args, cases)
-    for spec, est in zip(cases, results):
-        truth = catalog.reference_gap(spec, "radial").value
+             for n in (2, 3, 4, 6) for t in (0.5, 1.5, 2.0, 2.5, 4.5)]
+    cases = cases[:args.max_cases]
+    for case in cases:
+        est = case.gap()
+        truth = case.refs["radial"].value
         rel = abs(est.value - truth) / truth
-        ok = rel <= 1e-3
-        if not ok:
-            failures.append(
-                f"cauchy exact {spec.label()}: rel err {rel!r}")
-        records.append(_record(
-            "check", "cauchy_exact", spec, value=rel, upper=1e-3,
-            error=est.error_estimate,
-            source="solver vs. closed-form weighted radial gap",
-            detail=(f"pass; solver={est.value!r} truth={truth!r}" if ok
-                    else f"FAIL: solver={est.value!r} truth={truth!r}")))
-    return notes
+        _check(records, failures, "cauchy_exact", case.spec, ok=rel <= 1e-3,
+               detail=f"solver={est.value!r} truth={truth!r}",
+               failure=f"cauchy exact {case.spec.label()}: rel err {rel!r}",
+               value=rel, upper=1e-3, error=est.error_estimate,
+               source="solver vs. closed-form weighted radial gap")
+    return _notes(cases)
 
 
-def _verify_bracketing(args, records, failures, warn_notes):
-    cases = list(catalog.catalog_grid())
-    if args.max_cases is not None:
-        cases = cases[:args.max_cases]
-    results, notes = _solve(args, cases, keep_errors=True)
-    for spec, est in zip(cases, results):
+def _verify_bracketing(args, case_of, records, failures, warn_notes):
+    cases = [case_of(spec) for spec in catalog.catalog_grid()]
+    cases = cases[:args.max_cases]
+    for case in cases:
+        spec, est = case.spec, case.solved[0]
         if isinstance(est, SpecGapError):
-            failures.append(f"solver failed on {spec.label()}: {est}")
-            records.append(_record(
-                "check", "bracket_containment", spec,
-                detail=f"FAIL: solver raised {type(est).__name__}: {est}",
-                source="catalog sweep"))
+            _check(records, failures, "bracket_containment", spec, ok=False,
+                   detail=f"solver raised {type(est).__name__}: {est}",
+                   failure=f"solver failed on {spec.label()}: {est}",
+                   source="catalog sweep")
             continue
         gap = est.value
         tol = max(3.0 * est.error_estimate, 1e-9 * (1.0 + gap))
-        for which, ref in _references(spec).items():
+        for which, ref in case.refs.items():
             if ref is None:
                 continue
             name = f"{which}_containment"
             if ref.kind == "exact" and which == "radial":
                 rel = abs(gap - ref.value) / max(ref.value, 1e-30)
-                ok = rel <= 1e-3 or abs(gap - ref.value) <= tol
-                if not ok:
-                    failures.append(
-                        f"{spec.label()}: radial exact {ref.value!r} vs "
-                        f"solver {gap!r}")
-                records.append(_record(
-                    "check", name, spec, value=rel, upper=1e-3,
-                    error=est.error_estimate, source=ref.source,
-                    detail=(f"pass; solver={gap!r} exact={ref.value!r}"
-                            if ok else
-                            f"FAIL: solver={gap!r} exact={ref.value!r}")))
+                _check(records, failures, name, spec,
+                       ok=rel <= 1e-3 or abs(gap - ref.value) <= tol,
+                       detail=f"solver={gap!r} exact={ref.value!r}",
+                       failure=(f"{spec.label()}: radial exact "
+                                f"{ref.value!r} vs solver {gap!r}"),
+                       value=rel, upper=1e-3, error=est.error_estimate,
+                       source=ref.source)
                 continue
             # Bracket / full-exact cases: the tabulated lower endpoint
             # (or exact full value) can never exceed the radial gap.
@@ -536,39 +544,38 @@ def _verify_bracketing(args, records, failures, warn_notes):
             if ref.kind == "order_only" or lower is None:
                 continue
             slack = gap + tol - lower
-            ok = slack >= 0.0
-            recorded = "(recorded claim)" in ref.source
-            if not ok and recorded:
+            fields = dict(value=gap, error=est.error_estimate, lower=lower,
+                          source=ref.source)
+            if not slack >= 0.0 and "(recorded claim)" in ref.source:
                 warn_notes.append(
                     f"recorded claim exceeds the measured gap on "
                     f"{spec.label()}: recorded lower {lower!r} vs solver "
                     f"{gap!r} (+/- {est.error_estimate:.3g})")
-                detail = (f"warning: recorded lower {lower!r} exceeds "
-                          f"solver {gap!r}; divergence "
-                          f"{lower - gap!r}")
-            elif not ok:
-                failures.append(
-                    f"{spec.label()}: {which} lower {lower!r} exceeds "
-                    f"solver {gap!r}")
-                detail = f"FAIL: lower={lower!r} solver={gap!r}"
-            else:
-                detail = f"pass; lower={lower!r} solver={gap!r}"
-            records.append(_record(
-                "check", name, spec, value=gap, error=est.error_estimate,
-                lower=lower, source=ref.source, detail=detail))
-    return notes
+                records.append(_record(
+                    "check", name, spec, **fields,
+                    detail=(f"warning: recorded lower {lower!r} exceeds "
+                            f"solver {gap!r}; divergence {lower - gap!r}")))
+                continue
+            _check(records, failures, name, spec, ok=slack >= 0.0,
+                   detail=f"lower={lower!r} solver={gap!r}",
+                   failure=(f"{spec.label()}: {which} lower {lower!r} "
+                            f"exceeds solver {gap!r}"), **fields)
+    return _notes(cases)
 
 
-def cmd_verify(args):
+def cmd_verify(args, case_of):
+    if args.max_cases is not None and args.max_cases < 1:
+        raise InvalidInput(f"--max-cases must be >= 1, got {args.max_cases}")
     records = []
     failures = []
     notes = []
     if args.scope in ("all", "gamma-inequalities"):
         _verify_gamma(records, failures)
     if args.scope in ("all", "cauchy-exact"):
-        notes.extend(_verify_cauchy_exact(args, records, failures))
+        notes.extend(_verify_cauchy_exact(args, case_of, records, failures))
     if args.scope in ("all", "bracketing"):
-        notes.extend(_verify_bracketing(args, records, failures, notes))
+        notes.extend(
+            _verify_bracketing(args, case_of, records, failures, notes))
     return records, notes, failures
 
 
@@ -577,7 +584,8 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------
 
 
-def _parse_int_list(text, default, what):
+def _parse_list(text, default, what, kind):
+    """Comma-separated kind values; for kind=int, a..b ranges too."""
     if text is None:
         return tuple(default)
     out = []
@@ -586,14 +594,14 @@ def _parse_int_list(text, default, what):
         if not part:
             continue
         try:
-            if ".." in part:
+            if kind is int and ".." in part:
                 lo_txt, _, hi_txt = part.partition("..")
                 lo, hi = int(lo_txt), int(hi_txt)
                 if lo > hi:
                     raise ValueError(f"empty range {part!r}")
                 out.extend(range(lo, hi + 1))
             else:
-                out.append(int(part))
+                out.append(kind(part))
         except ValueError as exc:
             raise InvalidInput(f"bad {what} entry {part!r}: {exc}")
     if not out:
@@ -601,39 +609,23 @@ def _parse_int_list(text, default, what):
     return tuple(out)
 
 
-def _parse_float_list(text, default, what):
-    if text is None:
-        return tuple(default)
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            out.append(float(part))
-        except ValueError as exc:
-            raise InvalidInput(f"bad {what} entry {part!r}: {exc}")
-    if not out:
-        raise InvalidInput(f"empty {what} list")
-    return tuple(out)
-
-
-# Each table returns (specs, row): the cases it covers, and row(spec) ->
+# Each table returns (specs, row): the cases it covers, and row(case) ->
 # the closed-form columns of that case's record.  cmd_table adds the
 # solver's value and error.
 
 
 def _table_exp_power(args):
-    alphas = _parse_float_list(args.alphas, (1.0, 2.0, 4.0), "alpha")
-    dims = _parse_int_list(args.dims, (4, 8, 16, 32), "dims")
+    alphas = _parse_list(args.alphas, (1.0, 2.0, 4.0), "alpha", float)
+    dims = _parse_list(args.dims, (4, 8, 16, 32), "dims", int)
     specs = [catalog.FamilySpec(family="exponential_power", n=n, alpha=a)
              for a in alphas for n in dims]
 
-    def row(spec):
-        pair = exp_power_explicit(spec.n, spec.alpha)
+    def row(case):
+        n, alpha = case.spec.n, case.spec.alpha
+        pair = exp_power_explicit(n, alpha)
         return dict(
             lower=pair.exact.lower, upper=pair.exact.upper,
-            scaling=float(spec.n) ** (1.0 - 2.0 / spec.alpha),
+            scaling=float(n) ** (1.0 - 2.0 / alpha),
             source="exact Gamma-ratio bracket; solver radial gap",
             detail=(f"simplified=[{pair.simplified.lower!r}, "
                     f"{pair.simplified.upper!r}]; scaling column is "
@@ -642,14 +634,13 @@ def _table_exp_power(args):
 
 
 def _table_cauchy_n3(args):
-    betas = _parse_float_list(args.betas, (2.5, 3.5, 3.6, 3.9, 6.0), "beta")
+    betas = _parse_list(args.betas, (2.5, 3.5, 3.6, 3.9, 6.0), "beta", float)
     specs = [catalog.FamilySpec(family="generalized_cauchy", n=3,
                                 weight_choice="one_plus_r2", beta=b)
              for b in betas]
 
-    def row(spec):
-        full = catalog.reference_gap(spec, "full")
-        radial = catalog.reference_gap(spec, "radial")
+    def row(case):
+        full, radial = case.refs["full"], case.refs["radial"]
         if full.kind == "exact":
             lower = upper = full.value
         else:
@@ -663,13 +654,13 @@ def _table_cauchy_n3(args):
 
 
 def _table_gaussian_weighted(args):
-    dims = _parse_int_list(args.dims, tuple(range(2, 9)), "dims")
+    dims = _parse_list(args.dims, tuple(range(2, 9)), "dims", int)
     specs = [catalog.FamilySpec(family="gaussian", n=n, weight_choice=w)
              for w in ("one_plus_r2", "inv_one_plus_r2") for n in dims]
 
-    def row(spec):
-        measure, weight, _ = _materialize(spec, args.tail_tol)
-        full = catalog.reference_gap(spec, "full")
+    def row(case):
+        measure, weight, _ = case.law
+        full = case.refs["full"]
         try:
             wcl = weighted_curvature_lower(measure, weight)
             wcl_text = f"weighted_curvature_lower={wcl.value!r}"
@@ -684,15 +675,14 @@ def _table_gaussian_weighted(args):
 
 
 def _table_ball(args):
-    dims = _parse_int_list(args.dims, (2, 4, 8, 16), "dims")
+    dims = _parse_list(args.dims, (2, 4, 8, 16), "dims", int)
     specs = [catalog.FamilySpec(family="uniform_ball", n=n) for n in dims]
 
-    def row(spec):
-        full = catalog.reference_gap(spec, "full")
-        radial = catalog.reference_gap(spec, "radial")
+    def row(case):
+        full, radial = case.refs["full"], case.refs["radial"]
         return dict(
-            lower=full.lower, upper=full.upper, scaling=float(spec.n) ** 2,
-            source=full.source,
+            lower=full.lower, upper=full.upper,
+            scaling=float(case.spec.n) ** 2, source=full.source,
             detail=(f"full-gap bracket; radial lower bound "
                     f"{radial.lower!r}; value column is the solver's "
                     f"radial gap; scaling column is n^2"))
@@ -707,18 +697,17 @@ _TABLES = {
 }
 
 
-def cmd_table(args):
+def cmd_table(args, case_of):
     specs, row = _TABLES[args.id](args)
-    if args.no_solve:
-        results, notes = [None] * len(specs), []
-    else:
-        results, notes = _solve(args, specs)
+    cases = [case_of(spec) for spec in specs]
+    ests = [None if args.no_solve else case.gap() for case in cases]
     records = []
-    for spec, est in zip(specs, results):
+    for case, est in zip(cases, ests):
         solved = {} if est is None else dict(value=est.value,
                                              error=est.error_estimate)
-        records.append(_record("row", args.id, spec, **solved, **row(spec)))
-    return records, notes, []
+        records.append(_record("row", args.id, case.spec, **solved,
+                               **row(case)))
+    return records, [] if args.no_solve else _notes(cases), []
 
 
 # ---------------------------------------------------------------------
@@ -726,30 +715,19 @@ def cmd_table(args):
 # ---------------------------------------------------------------------
 
 
-def _sample_function(name):
-    if name == "linear":
-        def f(points):
-            return points.sum(axis=1)
-
-        def grad(points):
-            return np.ones_like(points)
-
-        return f, grad
-    if name == "radial-quadratic":
-        def f(points):
-            return (points * points).sum(axis=1)
-
-        def grad(points):
-            return 2.0 * points
-
-        return f, grad
-    raise InvalidInput(f"unknown sample function {name!r}")
+# --function -> (f, grad f) on an (count, n) array of points
+_SAMPLE_FUNCTIONS = {
+    "linear": (lambda points: points.sum(axis=1), np.ones_like),
+    "radial-quadratic": (lambda points: (points * points).sum(axis=1),
+                         lambda points: 2.0 * points),
+}
 
 
-def cmd_sample(args):
-    spec = _spec_from_args(args)
-    measure, weight, _ = _materialize(spec, args.tail_tol)
-    f, grad = _sample_function(args.function)
+def cmd_sample(args, case_of):
+    case = case_of(_spec_from_args(args))
+    spec = case.spec
+    measure, weight, _ = case.law
+    f, grad = _SAMPLE_FUNCTIONS[args.function]
     batch = sample_mu(measure, args.count, args.seed)
     result = rayleigh_estimate(batch, f, grad, weight)
     records = [_record(
@@ -758,7 +736,7 @@ def cmd_sample(args):
         source="Monte Carlo Rayleigh quotient, batch-means 95% interval",
         detail=(f"count={args.count}; seed={args.seed}; "
                 f"batches={result.batches}; function={args.function}"))]
-    records.extend(_reference_records(spec, _references(spec)))
+    records.extend(case.reference_records)
     return records, [], []
 
 
@@ -836,7 +814,7 @@ def _build_parser():
 
     p = sub.add_parser("sample", parents=[common, fam],
                        help="Monte Carlo Rayleigh quotient")
-    p.add_argument("--function", choices=("linear", "radial-quadratic"),
+    p.add_argument("--function", choices=tuple(_SAMPLE_FUNCTIONS),
                    default="radial-quadratic",
                    help="test function (default radial-quadratic)")
     p.add_argument("--count", type=int, default=100000,
@@ -848,17 +826,23 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    if args.output:
+        # fail before the work, not after it
+        try:
+            open(args.output, "w", encoding="utf-8").close()
+        except OSError as exc:
+            sys.stderr.write(f"specgap: cannot write --output "
+                             f"{args.output}: {exc.strerror or exc}\n")
+            return 2
     inputs = _inputs_echo(args)
+    # one case per spec for this call only: nothing outlives main
+    case_of = functools.cache(lambda spec: _Case(spec, args))
     try:
-        records, notes, failures = args.func(args)
-    except (InvalidInput, DomainError) as exc:
-        _emit(_report(args.command, inputs, [],
-                      [], f"{type(exc).__name__}: {exc}"), args)
-        return 2
+        records, notes, failures = args.func(args, case_of)
     except SpecGapError as exc:
         _emit(_report(args.command, inputs, [],
                       [], f"{type(exc).__name__}: {exc}"), args)
-        return 1
+        return 2 if isinstance(exc, (InvalidInput, DomainError)) else 1
     error = None
     if failures:
         shown = failures[:8]

@@ -17,6 +17,7 @@ from jsonschema import Draft202012Validator
 from scipy.special import jn_zeros
 
 from specgap import cli
+from specgap.errors import ConvergenceError
 
 SCHEMA = json.loads(
     (resources.files("specgap") / "schema" / "run_report.schema.json")
@@ -40,6 +41,19 @@ def run_json(argv):
     errs = sorted(VALIDATOR.iter_errors(report), key=str)
     assert not errs, f"schema violation for {argv}: {errs[0].message}"
     return code, report
+
+
+def spy_on(monkeypatch, name, fn=None):
+    """Replace cli.<name> by a wrapper; returns the list of its calls."""
+    calls = []
+    real = fn or getattr(cli, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+    return calls
 
 
 def recs(report, name):
@@ -146,6 +160,30 @@ def test_bounds_divergent_moment_warning_path():
     assert ru[0]["upper"] >= 0.09 - 1e-9
 
 
+def test_bounds_failed_second_moment_is_computed_once(monkeypatch):
+    # the weighted comparison re-raises the bracket's failure instead of
+    # integrating E[r^2] again
+    def failing(measure, k):
+        raise ConvergenceError("second moment did not settle")
+
+    calls = spy_on(monkeypatch, "moment", failing)
+    code, rep = run_json(["bounds", "--family", "cauchy", "--beta", "4",
+                          "--n", "3", "--weight", "one-plus-r2"])
+    assert code == 0 and len(calls) == 1
+    for label in ("second-moment bracket", "weighted comparison"):
+        assert (f"{label} numerically unavailable: second moment did not "
+                "settle") in rep["warnings"]
+    assert not recs(rep, "moment_bracket")
+    assert not recs(rep, "weighted_comparison")
+
+
+def test_cells_is_read_only_by_solving_commands():
+    for argv in (["bounds", "--family", "gaussian", "--n", "3"],
+                 ["table", "--id", "ball", "--dims", "2", "--no-solve"]):
+        code, rep = run_json(argv + ["--cells", "100"])
+        assert code == 0 and rep["status"] == "ok"
+
+
 # ------------------------------------------------------------------- eigen
 
 
@@ -218,6 +256,25 @@ def test_verify_bracketing_subset():
     fc = recs(rep, "full_containment")
     assert len(fc) == 4
     assert all(r["detail"].startswith("pass") for r in fc)
+
+
+def test_verify_all_solves_each_case_once(monkeypatch):
+    # 20 cauchy-exact cases and the 62 catalog cases share 16 specs
+    calls = spy_on(monkeypatch, "spectral_gap")
+    code, rep = run_json(["verify", "--scope", "all"])
+    assert code == 0
+    assert len(recs(rep, "cauchy_exact")) == 20
+    assert len(calls) == 66
+
+
+def test_eigen_solves_once_per_call(monkeypatch):
+    # nothing is cached between main() calls
+    calls = spy_on(monkeypatch, "spectral_gap")
+    argv = ["eigen", "--family", "gaussian", "--n", "3"]
+    first = run_cli(argv)
+    assert len(calls) == 1
+    assert run_cli(argv) == first
+    assert len(calls) == 2
 
 
 # ------------------------------------------------------------------- table
@@ -302,7 +359,10 @@ def test_sample_heavy_tail_quadratic_pinned():
     ["bounds", "--family", "gaussian", "--n", "1"],
     ["table", "--id", "cauchy-n3", "--betas", "xyz"],
     ["eigen", "--family", "gaussian", "--n", "3", "--cells", "100"],
-], ids=["no-beta", "beta-at-threshold", "n1", "bad-betas", "bad-cells"])
+    ["verify", "--scope", "cauchy-exact", "--max-cases", "0"],
+    ["verify", "--scope", "cauchy-exact", "--max-cases", "-1"],
+], ids=["no-beta", "beta-at-threshold", "n1", "bad-betas", "bad-cells",
+        "max-cases-0", "max-cases-negative"])
 def test_usage_errors_exit_2(argv):
     code, text = run_cli(argv)
     assert code == 2
@@ -332,6 +392,18 @@ def test_output_file_writes_and_validates(tmp_path):
     assert code == 0 and text == ""
     rep = json.loads(out.read_text())
     assert not sorted(VALIDATOR.iter_errors(rep), key=str)
+
+
+def test_unwritable_output_exits_2_before_the_work(tmp_path, monkeypatch,
+                                                   capsys):
+    out = tmp_path / "missing" / "report.json"
+    calls = spy_on(monkeypatch, "moment")
+    code, text = run_cli(["bounds", "--family", "gaussian", "--n", "3",
+                          "--output", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and text == "" and not calls
+    assert err.count("\n") == 1 and str(out) in err
+    assert not out.exists()
 
 
 def test_console_script_subprocess():

@@ -1,19 +1,27 @@
 """Run a fixed list of specgap CLI commands and diff two sets of reports.
 
-A refactor that claims to keep behaviour shows it on this list: bounds,
-eigen and ``sample --seed 0`` on every ``catalog_grid()`` case, the four
-tables with ``--no-solve``, and ``verify --scope all``.
+A refactor that claims to keep behaviour shows it on this list:
+- bounds, eigen and ``sample --seed 0`` on every ``catalog_grid()`` case;
+- the four tables with ``--no-solve``, and the ball and gaussian-weighted
+  tables solved;
+- ``verify --scope all``, and the bracketing and cauchy-exact sweeps cut
+  by ``--max-cases``;
+- a few flag variants: ``--tail-tol`` on bounds, eigen and sample,
+  ``--format csv`` on bounds and eigen, ``eigen --cells 512``, and the
+  rejected ``eigen --cells 100`` and ``table --id ball --dims 3..2``.
 
     python3 tools/cli_report_diff.py run SRC_TREE OUT_DIR
     python3 tools/cli_report_diff.py compare DIR_A DIR_B
 
 ``run`` imports ``specgap`` from ``SRC_TREE/src`` (a checkout of any
 commit), runs every command in-process with ``--output`` into
-``OUT_DIR``, and writes the exit codes to ``OUT_DIR/exit_codes.json``; a
-command that raises instead of reporting is recorded with its traceback.
+``OUT_DIR`` (``.csv`` files for CSV reports), and writes the exit codes
+to ``OUT_DIR/exit_codes.json``; a command that raises instead of
+reporting is recorded with its traceback.
 Run it once per tree, in a fresh process each time.
 
 ``compare`` counts byte-identical reports and lists the rest with
+- CSV reports that differ at all;
 - exit codes that differ;
 - non-numeric differences: keys, list lengths, types, and text once its
   numbers are masked;
@@ -38,6 +46,23 @@ _CODES = "exit_codes.json"
 _NUMBER = re.compile(
     r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
 _TABLES = ("exp-power-asymptotics", "cauchy-n3", "gaussian-weighted", "ball")
+_GAUSSIAN = ["--family", "gaussian", "--n", "3"]
+_CAUCHY = ["--family", "cauchy", "--beta", "4", "--n", "3",
+           "--weight", "one-plus-r2"]
+_VARIANTS = (
+    ["bounds"] + _CAUCHY + ["--tail-tol", "1e-6"],
+    ["eigen"] + _CAUCHY + ["--tail-tol", "1e-6"],
+    ["sample"] + _CAUCHY + ["--tail-tol", "1e-6", "--count", "20000"],
+    ["bounds"] + _CAUCHY + ["--format", "csv"],
+    ["eigen"] + _GAUSSIAN + ["--format", "csv"],
+    ["eigen"] + _GAUSSIAN + ["--cells", "512"],
+    ["eigen"] + _GAUSSIAN + ["--cells", "100"],
+    ["table", "--id", "ball", "--dims", "2,4,8"],
+    ["table", "--id", "gaussian-weighted", "--dims", "2..4"],
+    ["table", "--id", "ball", "--dims", "3..2"],
+    ["verify", "--scope", "bracketing", "--max-cases", "5"],
+    ["verify", "--scope", "cauchy-exact", "--max-cases", "3"],
+)
 
 
 def command_list(grid):
@@ -50,11 +75,12 @@ def command_list(grid):
         argvs += [case_argv(command, spec, seed) for spec in grid]
     argvs += [["table", "--id", table, "--no-solve"] for table in _TABLES]
     argvs.append(["verify", "--scope", "all"])
-    return argvs
+    return argvs + list(_VARIANTS)
 
 
 def _file_name(argv):
-    return re.sub(r"[^A-Za-z0-9.=+-]+", "_", " ".join(argv)) + ".json"
+    ext = ".csv" if "csv" in argv else ".json"
+    return re.sub(r"[^A-Za-z0-9.=+-]+", "_", " ".join(argv)) + ext
 
 
 def run(tree, out_dir):
@@ -171,6 +197,9 @@ def compare(dir_a, dir_b):
             same += 1
             continue
         changed.append(name)
+        if name.endswith(".csv"):
+            diff.other.append(f"{name}: CSV report differs")
+            continue
         diff.walk(json.loads(raw[0]), json.loads(raw[1]), "", name)
 
     print(f"{same} of {len(codes_a)} reports byte-identical; "
