@@ -169,11 +169,12 @@ _ECHO_SKIP = frozenset(("command", "format", "output", "func"))
 
 
 def _inputs_echo(args):
+    """The parsed inputs, with non-finite float flags echoed as null."""
     out = {}
     for key, val in sorted(vars(args).items()):
         if key in _ECHO_SKIP or val is None:
             continue
-        out[key] = val
+        out[key] = _num(val) if isinstance(val, float) else val
     return out
 
 

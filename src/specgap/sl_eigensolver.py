@@ -7,8 +7,8 @@ problem -(w sigma^2 g')' = lambda w g on (0, R), where w is the radial
 density r^{n-1} e^{-V}/Z.  This module discretizes that problem with a
 mass-conservative finite-volume scheme on a graded mesh, whose stiffness
 is K = B^T C B (B the difference operator, C the face conductances), and
-removes the leading O(h^2) mesh error by Richardson extrapolation across
-nested meshes.
+removes the O(h^2) and O(h^4) mesh errors by Richardson extrapolation
+across three nested meshes.
 
 Intertwining.  The derivative of the gap eigenfunction is the ground
 state of a Schroedinger-type operator (the Markovian approach of
@@ -27,18 +27,22 @@ laws, where no clipped grading in r could resolve both the bulk and the
 reflecting wall, while the natural coordinate stays numerically tame.
 
 Truncation.  Unbounded laws are truncated where the solver's own tail
-budget (1e-10) is met.  The Neumann wall is then audited by re-solving
-on a domain of twice the natural length; a shift larger than ten times
-the mesh error raises TruncationWarning and triggers escalation.  The
-escalation doubles the *natural length* of the domain rather than the
-radius -- for sigma^2 = 1 + r^2 a radius doubling moves the wall by only
-log 2 in the natural coordinate, which can never resolve the 1/S^2
-truncation bias of a law whose generator has essential spectrum.  When
-the truncation bias is algebraic, the limit is recovered from the last
-domain doublings by fitting lambda(S) = lambda_inf + A/(S + phi)^2.
+budget (1e-10) is met.  Every domain then passes one audit loop: the
+Neumann wall is re-solved on a domain of twice the natural length, and a
+shift larger than ten times the mesh error raises TruncationWarning.  A
+pinned domain is audited once and kept; any other grows until a doubling
+no longer moves the eigenvalue or the representable range (a bounded
+law's whole domain) is reached.  The growth doubles the *natural length*
+of the domain rather than the radius -- for sigma^2 = 1 + r^2 a radius
+doubling moves the wall by only log 2 in the natural coordinate, which
+can never resolve the 1/S^2 truncation bias of a law whose generator has
+essential spectrum.  When the truncation bias is algebraic, the limit is
+recovered from the last domain doublings by fitting
+lambda(S) = lambda_inf + A/(S + phi)^2.
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -80,10 +84,12 @@ _AUDIT_FACTOR = 10.0
 class GridSpec:
     """Resolution/truncation options for one eigensolve.
 
-    n_cells must be a power of two times 64 so that mesh pairs nest and
-    resolution doublings stay cheap to reason about; the cells are graded
-    (see _mesh_family).  r_max_override pins the truncation radius; the
-    truncation audit still runs and warns, but no escalation happens.
+    n_cells must be a power of two times 64, so that the n_cells/2,
+    n_cells and 2 n_cells meshes of every domain solve nest; the cells
+    are graded (see _mesh_family).  r_max_override, a positive real,
+    pins the truncation radius (capped at the representable radius): the
+    truncation audit still doubles it once and may warn, but the pinned
+    domain is the one solved.
     """
 
     n_cells: int = 1024
@@ -96,8 +102,12 @@ class GridSpec:
         if self.n_cells < 64 or rem or (k & (k - 1)):
             raise InvalidInput(
                 f"n_cells must be a power of two times 64, got {self.n_cells}")
-        if self.r_max_override is not None and not (self.r_max_override > 0.0):
-            raise InvalidInput("r_max_override must be positive")
+        pin = self.r_max_override
+        if pin is not None and (isinstance(pin, bool)
+                                or not isinstance(pin, numbers.Real)
+                                or not pin > 0.0):
+            raise InvalidInput(
+                f"r_max_override must be a positive real, got {pin!r}")
 
 
 @dataclass(frozen=True)
@@ -292,7 +302,8 @@ def _first_cell_log_mass(measure, r1):
 
 
 def _assemble(measure, weight, s_edges, from_metric):
-    """Conductances, cell masses, and grid radii for one mesh."""
+    """The Discretization of one mesh, given by its natural-coordinate
+    edges."""
     s_edges = np.asarray(s_edges, dtype=float)
     s_centers = 0.5 * (s_edges[:-1] + s_edges[1:])
     r_edges = np.asarray(from_metric(s_edges), dtype=float)
@@ -331,7 +342,9 @@ def _assemble(measure, weight, s_edges, from_metric):
         raise DiscretizationError(
             "a cell mass underflowed to zero; refine the grading or "
             "shrink the domain")
-    return cond, masses, r_centers, r_edges
+    return Discretization(conductances=cond, mass=masses,
+                          r_centers=r_centers, r_edges=r_edges,
+                          s_edges=s_edges)
 
 
 def discretize(measure, weight, grid):
@@ -354,12 +367,7 @@ def discretize(measure, weight, grid):
     to_metric, from_metric = _metric_maps(weight, min(r_cap, _R_CAP))
     s_max = float(to_metric(r0))
     mesh = _mesh_family(measure, weight, from_metric, s_max)
-    s_edges = mesh(grid.n_cells)
-    cond, masses, r_centers, r_edges = _assemble(
-        measure, weight, s_edges, from_metric)
-    return Discretization(conductances=cond, mass=masses,
-                          r_centers=r_centers, r_edges=r_edges,
-                          s_edges=s_edges)
+    return _assemble(measure, weight, mesh(grid.n_cells), from_metric)
 
 
 # ---------------------------------------------------------------------
@@ -409,38 +417,24 @@ def _ground_state(cond, masses):
 def _solve_domain(measure, weight, r_hi, spec, to_metric, from_metric):
     """Mesh-extrapolated eigensolve on one domain.
 
-    Solves at n_cells and 2 n_cells and Richardson-extrapolates the
-    O(h^2) error; error_estimate is |lambda_N - lambda_2N| / 3.  When
-    n_cells allows it, a third solve at n_cells/2 eliminates the O(h^4)
-    term of the nested-mesh expansion as well (the reported error keeps
-    the two-mesh formula, so it is conservative for the returned value).
-    Returns (value, mesh_error, coarse_value, fine_value, eigenfunction).
+    Solves on the nested n_cells/2, n_cells and 2 n_cells meshes.
+    Richardson extrapolation of each finer pair removes the O(h^2) error,
+    and a second step across the two extrapolants removes the O(h^4) term
+    of the nested-mesh expansion.  The mesh error is the two-mesh formula
+    |lambda_N - lambda_2N| / 3, so it is conservative for the value.
+    Returns (value, mesh_error, eigenfunction on the finest mesh).
     """
-    s_max = float(to_metric(r_hi))
-    mesh = _mesh_family(measure, weight, from_metric, s_max)
-    levels = [spec.n_cells, 2 * spec.n_cells]
-    if spec.n_cells >= 128:
-        levels.insert(0, spec.n_cells // 2)
+    mesh = _mesh_family(measure, weight, from_metric, float(to_metric(r_hi)))
     lams = []
-    g_fine = None
-    masses_fine = None
-    r_fine = None
-    for n in levels:
-        cond, masses, r_centers, _ = _assemble(
-            measure, weight, mesh(n), from_metric)
-        lam1, g = _ground_state(cond, masses)
+    for n in (spec.n_cells // 2, spec.n_cells, 2 * spec.n_cells):
+        disc = _assemble(measure, weight, mesh(n), from_metric)
+        lam1, g = _ground_state(disc.conductances, disc.mass)
         lams.append(lam1)
-        g_fine, masses_fine, r_fine = g, masses, r_centers
-    lam_coarse, lam_fine = lams[-2], lams[-1]
-    rich_hi = lam_fine + (lam_fine - lam_coarse) / 3.0
-    err = abs(lam_fine - lam_coarse) / 3.0
-    if len(lams) == 3:
-        rich_lo = lams[1] + (lams[1] - lams[0]) / 3.0
-        value = rich_hi + (rich_hi - rich_lo) / 15.0
-    else:
-        value = rich_hi
-    fn = GridFunction(r=r_fine, values=g_fine, masses=masses_fine)
-    return value, err, lam_coarse, lam_fine, fn
+    rich_lo = lams[1] + (lams[1] - lams[0]) / 3.0
+    rich_hi = lams[2] + (lams[2] - lams[1]) / 3.0
+    value = rich_hi + (rich_hi - rich_lo) / 15.0
+    fn = GridFunction(r=disc.r_centers, values=g, masses=disc.mass)
+    return value, abs(lams[2] - lams[1]) / 3.0, fn
 
 
 def _fit_inverse_square(points):
@@ -474,15 +468,17 @@ def _fit_inverse_square(points):
 def spectral_gap(measure, weight, opts=None):
     """Spectral gap of the weighted radial generator, with error control.
 
-    Solves the flux-pencil ground state at n_cells and 2 n_cells (and
-    n_cells/2 when n_cells >= 128) and Richardson-extrapolates;
-    error_estimate is |lambda_N - lambda_2N| / 3.  On unbounded domains
-    the truncation is audited by re-solving on a domain of twice the
+    Every domain is solved on three nested meshes (see _solve_domain).
+    The truncation is audited by re-solving on a domain of twice the
     natural length: a shift exceeding ten times the mesh error raises
-    TruncationWarning, and (unless r_max_override pinned the domain) the
-    domain is grown until the shift is resolved or the representable
-    range is exhausted, with an inverse-square extrapolation in the
-    natural length when the bias is algebraic.
+    TruncationWarning.  A domain pinned by r_max_override is audited once
+    and returned as solved.  Any other domain grows until the shift
+    settles or the representable range is reached; a bounded law starts
+    there, so its whole domain is solved once.  The result is then the
+    inverse-square extrapolation in the natural length when the domain
+    trace admits it, or else the least-error domain: of a settled trace
+    the one whose mesh error plus remaining wall bias is least, of an
+    unsettled one the last, with the last shift added to its error.
 
     Raises HypothesisFailed ("no spectral gap") when the estimate does
     not exceed its own error, as for heavy tails whose generator has no
@@ -492,13 +488,10 @@ def spectral_gap(measure, weight, opts=None):
     if not isinstance(spec, GridSpec):
         raise InvalidInput("opts must be a GridSpec")
     validate_weight(measure, weight)
-    finite_domain = math.isfinite(measure.potential.domain_end)
     pinned = spec.r_max_override is not None
     r0, r_cap = _radii(measure, spec)
     to_metric, from_metric = _metric_maps(weight, min(r_cap, _R_CAP))
-
-    value, err, _, _, fn = _solve_domain(
-        measure, weight, r0, spec, to_metric, from_metric)
+    s0, s_cap = float(to_metric(r0)), float(to_metric(r_cap))
 
     def estimate(val, error, r_used, grid_fn):
         val = max(float(val), 0.0)
@@ -512,58 +505,40 @@ def spectral_gap(measure, weight, opts=None):
                            r_max_used=float(r_used),
                            eigenfunction=grid_fn)
 
-    if finite_domain and not pinned:
-        return estimate(value, err, r0, fn)
-
-    # truncation audit: the Neumann wall is trusted only if doubling the
-    # natural length of the domain barely moves the eigenvalue
-    s0 = float(to_metric(r0))
-    s_cap = float(to_metric(r_cap))
-
-    def audit_warn(from_s, to_s, delta, merr):
-        warnings.warn(TruncationWarning(
-            f"doubling the truncated domain (natural length {from_s:.3g} "
-            f"-> {to_s:.3g}) moved the spectral gap by {delta:.3e}, more "
-            f"than {_AUDIT_FACTOR:g}x the mesh error {merr:.3e}"))
-
-    if pinned:
-        # the caller pinned the domain: audit it, warn, but honor the pin
-        s1 = min(2.0 * s0, s_cap)
-        if s1 > s0 * (1.0 + 1e-9):
-            value1, err1, _, _, _ = _solve_domain(
-                measure, weight, float(from_metric(s1)), spec, to_metric,
-                from_metric)
-            shift = abs(value1 - value)
-            mesh_err = max(err, err1, 1e-300)
-            if shift > _AUDIT_FACTOR * mesh_err:
-                audit_warn(s0, s1, shift, mesh_err)
-        return estimate(value, err, r0, fn)
-
-    # grow the domain (doubling the natural length, up to the
-    # representable cap) until the eigenvalue stops moving; the warning
-    # fires at the first doubling that fails the audit
-    trace = [(s0, value)]
-    solves = [(value, err, r0, fn)]
-    deltas = []
-    warned = False
-    settled = False
+    # the domain trace: (natural length, value, mesh error, radius,
+    # eigenfunction) per solve, and the shift each doubling caused
+    value, err, fn = _solve_domain(
+        measure, weight, r0, spec, to_metric, from_metric)
+    solves = [(s0, value, err, r0, fn)]
+    shifts = []
+    warned = settled = False
+    # the Neumann wall is trusted only if doubling the natural length of
+    # the domain barely moves the eigenvalue; the warning fires at the
+    # first doubling that fails this audit.  A pinned domain is audited
+    # once and kept; any other grows, up to the representable cap, until
+    # the eigenvalue stops moving
     for _ in range(_MAX_GROWTH):
-        s_prev = trace[-1][0]
+        s_prev, val_prev, err_prev = solves[-1][:3]
         if s_prev >= s_cap * (1.0 - 1e-9):
             break
         s_next = min(2.0 * s_prev, s_cap)
         r_next = float(from_metric(s_next))
-        val_n, err_n, _, _, fn_n = _solve_domain(
+        val_n, err_n, fn_n = _solve_domain(
             measure, weight, r_next, spec, to_metric, from_metric)
-        delta = abs(val_n - trace[-1][1])
-        mesh_err = max(solves[-1][1], err_n, 1e-300)
-        if delta > _AUDIT_FACTOR * mesh_err and not warned:
-            audit_warn(s_prev, s_next, delta, mesh_err)
+        shift = abs(val_n - val_prev)
+        mesh_err = max(err_prev, err_n, 1e-300)
+        if shift > _AUDIT_FACTOR * mesh_err and not warned:
+            warnings.warn(TruncationWarning(
+                f"doubling the truncated domain (natural length "
+                f"{s_prev:.3g} -> {s_next:.3g}) moved the spectral gap by "
+                f"{shift:.3e}, more than {_AUDIT_FACTOR:g}x the mesh error "
+                f"{mesh_err:.3e}"))
             warned = True
-        trace.append((s_next, val_n))
-        solves.append((val_n, err_n, r_next, fn_n))
-        deltas.append(delta)
-        if delta <= max(0.01 * err_n, 1e-12 * (1.0 + abs(val_n))):
+        if pinned:
+            break
+        solves.append((s_next, val_n, err_n, r_next, fn_n))
+        shifts.append(shift)
+        if shift <= max(0.01 * err_n, 1e-12 * (1.0 + abs(val_n))):
             settled = True
             break
 
@@ -571,38 +546,30 @@ def spectral_gap(measure, weight, opts=None):
     # drift follows lambda(S) ~ lam_inf + A/(S + phi)^2, and fitting it
     # removes the remaining bias; traces that have genuinely converged
     # (exponential tails) do not admit the model and fall through
-    val_last, err_last, r_last, fn_last = solves[-1]
+    points = [solve[:2] for solve in solves]
     fits = []
-    for k in (len(trace) - 4, len(trace) - 3):
+    for k in (len(points) - 4, len(points) - 3):
         if k >= 0:
-            lam_inf = _fit_inverse_square(trace[k:k + 3])
+            lam_inf = _fit_inverse_square(points[k:k + 3])
             if lam_inf is not None:
                 fits.append(lam_inf)
     if fits:
-        extrapolated = fits[-1]
+        _, val_last, err_last, r_last, fn_last = solves[-1]
         spread = abs(fits[-1] - fits[0]) if len(fits) == 2 else 0.0
-        correction = abs(extrapolated - val_last)
-        err_domain = max(spread, 0.05 * correction)
-        return estimate(extrapolated, err_last + err_domain, r_last, fn_last)
+        err_domain = max(spread, 0.05 * abs(fits[-1] - val_last))
+        return estimate(fits[-1], err_last + err_domain, r_last, fn_last)
 
-    if settled:
-        # the wall no longer moves the eigenvalue: every domain in the
-        # trace is valid, so return the one with the least total error
-        # (larger domains stretch the mesh and can only lose accuracy);
-        # the residual wall bias of solve k is bounded by what the later
-        # doublings actually moved, plus the settled margin
-        tail_bias = np.concatenate((np.cumsum(deltas[::-1])[::-1], [0.0]))
-        tail_bias += deltas[-1]
-        k = int(np.argmin([s[1] + tail_bias[i]
-                           for i, s in enumerate(solves)]))
-        val_k, err_k, r_k, fn_k = solves[k]
-        return estimate(val_k, err_k + tail_bias[k], r_k, fn_k)
-
-    # no usable model: report the largest-domain value with the last
-    # domain shift folded into the error
-    tail_shift = (abs(trace[-1][1] - trace[-2][1])
-                  if len(trace) >= 2 else 0.0)
-    return estimate(val_last, err_last + tail_shift, r_last, fn_last)
+    # the residual wall bias of solve k is bounded by what the later
+    # doublings moved, plus the last shift (0 for a single domain).  Once
+    # settled, every domain is valid, so return the one with the least
+    # total error (larger domains stretch the mesh and can only lose
+    # accuracy); an unsettled trace can only trust its last domain
+    tail_bias = np.cumsum(np.append(shifts, 0.0)[::-1])[::-1]
+    tail_bias += shifts[-1] if shifts else 0.0
+    errors = np.array([solve[2] for solve in solves]) + tail_bias
+    k = int(np.argmin(errors)) if settled else len(solves) - 1
+    _, val_k, err_k, r_k, fn_k = solves[k]
+    return estimate(val_k, err_k + tail_bias[k], r_k, fn_k)
 
 
 # ---------------------------------------------------------------------

@@ -361,8 +361,14 @@ def test_sample_heavy_tail_quadratic_pinned():
     ["eigen", "--family", "gaussian", "--n", "3", "--cells", "100"],
     ["verify", "--scope", "cauchy-exact", "--max-cases", "0"],
     ["verify", "--scope", "cauchy-exact", "--max-cases", "-1"],
+    # non-finite flags are echoed as null, so the report still renders
+    ["bounds", "--family", "gaussian", "--n", "3", "--tail-tol", "nan"],
+    ["bounds", "--family", "gaussian", "--n", "3", "--tail-tol", "inf"],
+    ["bounds", "--family", "exp-power", "--alpha", "nan", "--n", "3"],
+    ["bounds", "--family", "cauchy", "--beta", "inf", "--n", "3"],
 ], ids=["no-beta", "beta-at-threshold", "n1", "bad-betas", "bad-cells",
-        "max-cases-0", "max-cases-negative"])
+        "max-cases-0", "max-cases-negative", "tail-tol-nan", "tail-tol-inf",
+        "alpha-nan", "beta-inf"])
 def test_usage_errors_exit_2(argv):
     code, text = run_cli(argv)
     assert code == 2

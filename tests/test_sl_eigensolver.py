@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from specgap import sl_eigensolver
 from specgap.errors import HypothesisFailed, InvalidInput, TruncationWarning
 from specgap.radial_model import (RadialPotential, Weight, build_measure,
                                   truncation_radius)
@@ -265,14 +266,55 @@ def test_richardson_error_shrinks_by_factor_three(name, builder, weight):
            if math.isfinite(mu.potential.domain_end)
            else truncation_radius(mu, 1e-10))
     errs = []
-    for cells in (128, 256, 512):
+    for cells in (64, 128, 256, 512):
         est = _quiet_gap(mu, weight(),
                          GridSpec(n_cells=cells, r_max_override=pin))
         errs.append(est.error_estimate)
-    ratios = [errs[i] / errs[i + 1] for i in range(2) if errs[i + 1] > 0]
+    ratios = [errs[i] / errs[i + 1] for i in range(3) if errs[i + 1] > 0]
     assert ratios, f"{name}: error estimates hit zero: {errs}"
     assert all(r >= 3.0 for r in ratios), (
         f"{name}: second-order refinement expected, ratios {ratios}")
+
+
+def test_every_domain_solve_uses_three_nested_meshes(monkeypatch):
+    # a bounded law is solved on one domain, at 32, 64 and 128 cells
+    calls = []
+    real = sl_eigensolver._ground_state
+
+    def spy(cond, masses):
+        calls.append(masses.size)
+        return real(cond, masses)
+
+    monkeypatch.setattr(sl_eigensolver, "_ground_state", spy)
+    est = spectral_gap(build_measure(4, ball_pot()), unit_w(),
+                       GridSpec(n_cells=64))
+    assert calls == [32, 64, 128]
+    assert abs(est.value - BALL_ORACLE[4]) <= est.error_estimate
+
+
+def test_unsettled_trace_returns_last_domain(monkeypatch):
+    # without a usable inverse-square model an unsettled trace returns its
+    # last domain, with the last doubling shift added to the mesh error
+    solves = []
+    real = sl_eigensolver._solve_domain
+
+    def spy(measure, weight, r_hi, *rest):
+        out = real(measure, weight, r_hi, *rest)
+        solves.append((r_hi, out[0], out[1]))
+        return out
+
+    monkeypatch.setattr(sl_eigensolver, "_solve_domain", spy)
+    monkeypatch.setattr(sl_eigensolver, "_fit_inverse_square",
+                        lambda points: None)
+    est = _quiet_gap(build_measure(3, cauchy_pot(2.0), tail_tol=1e-12),
+                     one_plus_w())
+    assert len(solves) >= 3
+    (_, val_prev, _), (r_last, val_last, err_last) = solves[-2:]
+    shift = abs(val_last - val_prev)
+    assert shift > 0.01 * err_last, "the trace settled"
+    assert est.value == val_last
+    assert est.r_max_used == r_last
+    assert est.error_estimate == err_last + shift
 
 
 @pytest.mark.parametrize("n,beta,exact", [
@@ -351,3 +393,10 @@ def test_grid_spec_rejects_non_multiple_of_64(bad):
     with pytest.raises(InvalidInput) as exc:
         GridSpec(n_cells=bad)
     assert "64" in str(exc.value)
+
+
+@pytest.mark.parametrize("bad", ("50", True, 0.0, -1.0, float("nan"), 1j))
+def test_grid_spec_rejects_bad_r_max_override(bad):
+    with pytest.raises(InvalidInput) as exc:
+        GridSpec(r_max_override=bad)
+    assert "r_max_override" in str(exc.value)

@@ -8,7 +8,9 @@ A refactor that claims to keep behaviour shows it on this list:
   by ``--max-cases``;
 - a few flag variants: ``--tail-tol`` on bounds, eigen and sample,
   ``--format csv`` on bounds and eigen, ``eigen --cells 512``, and the
-  rejected ``eigen --cells 100`` and ``table --id ball --dims 3..2``.
+  rejected ``eigen --cells 100`` and ``table --id ball --dims 3..2``;
+- ``eigen --cells 64`` on gaussian n=3 and ball n=4, the smallest mesh,
+  where a change to the Richardson scheme shows first.
 
     python3 tools/cli_report_diff.py run SRC_TREE OUT_DIR
     python3 tools/cli_report_diff.py compare DIR_A DIR_B
@@ -57,6 +59,8 @@ _VARIANTS = (
     ["eigen"] + _GAUSSIAN + ["--format", "csv"],
     ["eigen"] + _GAUSSIAN + ["--cells", "512"],
     ["eigen"] + _GAUSSIAN + ["--cells", "100"],
+    ["eigen"] + _GAUSSIAN + ["--cells", "64"],
+    ["eigen", "--family", "ball", "--n", "4", "--cells", "64"],
     ["table", "--id", "ball", "--dims", "2,4,8"],
     ["table", "--id", "gaussian-weighted", "--dims", "2..4"],
     ["table", "--id", "ball", "--dims", "3..2"],
