@@ -100,7 +100,9 @@ class FamilySpec:
             if self.alpha is None:
                 raise InvalidInput("exponential_power requires alpha")
             object.__setattr__(self, "alpha", float(self.alpha))
-            if not math.isfinite(self.alpha) or self.alpha < 1.0:
+            if not math.isfinite(self.alpha):
+                raise InvalidInput(f"alpha must be finite, got {self.alpha}")
+            if self.alpha < 1.0:
                 raise InvalidInput(
                     f"exponential_power requires alpha >= 1 (log-concavity), "
                     f"got {self.alpha}")
@@ -111,7 +113,9 @@ class FamilySpec:
             if self.beta is None:
                 raise InvalidInput("generalized_cauchy requires beta")
             object.__setattr__(self, "beta", float(self.beta))
-            if not math.isfinite(self.beta) or self.beta <= self.n / 2.0:
+            if not math.isfinite(self.beta):
+                raise InvalidInput(f"beta must be finite, got {self.beta}")
+            if self.beta <= self.n / 2.0:
                 raise InvalidInput(
                     f"generalized_cauchy requires beta > n/2 = {self.n / 2.0} "
                     f"(normalizability), got {self.beta}")

@@ -746,7 +746,9 @@ def cmd_sample(args, case_of):
 # ---------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser():
+    # built once per process: parse_args returns a fresh Namespace per call
     parser = argparse.ArgumentParser(
         prog="specgap",
         description=("Closed-form spectral-gap bounds for rotationally "

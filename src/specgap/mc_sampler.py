@@ -92,7 +92,12 @@ def _stream(seed, stream_index):
 
 
 def sample_radius(measure, count, seed):
-    """i.i.d. radii of nu via the tabulated monotone-cubic inverse CDF."""
+    """i.i.d. radii of nu via the tabulated monotone-cubic inverse CDF.
+
+    One Philox uniform per radius, mapped through ``measure.quantile``:
+    the measure's PCHIP table of log(1+r) against probability, whose
+    guide table locates each uniform's knot interval directly.
+    """
     count = _check_count(count)
     seed = _check_seed(seed)
     u = _stream(seed, 0).random(count)

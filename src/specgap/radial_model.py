@@ -4,10 +4,16 @@ A spherically symmetric probability measure on R^n with density
 proportional to exp(-V(||x||)) pushes forward, under x -> ||x||, to the
 one-dimensional measure with density proportional to r^{n-1} exp(-V(r))
 on (0, R).  This module owns that one-dimensional object: normalization,
-truncation radius, a tabulated monotone CDF (for inverse sampling),
-moments and tail masses by adaptive quadrature, the effective potential
-U = V - (n-1) log r, and the drift coefficient of the weighted radial
-generator.
+truncation radius, a tabulated monotone CDF and its inverse (for inverse
+sampling), moments and tail masses by adaptive quadrature, the effective
+potential U = V - (n-1) log r, and the drift coefficient of the weighted
+radial generator.
+
+Both tables are monotone cubic Hermite interpolants (_MonotoneCubic,
+numpy only, also used by the eigensolver's coordinate maps and mesh
+placement): the CDF carries the density as its exact, clamped knot
+slopes, and the quantile takes PCHIP's Fritsch-Carlson slopes.  A guide
+table maps a uniform draw straight to its knot interval.
 
 All callables supplied in a RadialPotential or Weight must accept floats
 and numpy arrays and be analytically correct derivatives of each other: a
@@ -21,7 +27,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 from .errors import (ConvergenceError, DomainError, InvalidInput,
                      NonIntegrable)
@@ -36,6 +41,111 @@ _CDF_CELLS = 4096
 _FD_REL_STEP = 1e-5
 _FD_REL_TOL = 1e-5
 _CONVEXITY_SLACK = 1e-10
+# guide-table buckets per knot interval of a _MonotoneCubic
+_GUIDE_DENSITY = 8
+
+
+# ---------------------------------------------------------------------
+# monotone cubic interpolation
+# ---------------------------------------------------------------------
+
+
+def _pchip_slopes(h, m):
+    """PCHIP knot slopes from the knot spacings h and secants m.
+
+    Fritsch-Carlson: the weighted harmonic mean of the adjacent secants,
+    zero where they change sign or vanish; at each end the one-sided
+    three-point estimate, made shape-preserving as in Moler's pchiptx.
+    """
+    if h.size == 1:
+        return np.array([m[0], m[0]])
+    sign = np.sign(m)
+    flat = (sign[1:] != sign[:-1]) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+    d = np.concatenate(([0.0], np.where(flat, 0.0, inner), [0.0]))
+    for end, (h0, h1, m0, m1) in ((0, (h[0], h[1], m[0], m[1])),
+                                  (-1, (h[-1], h[-2], m[-1], m[-2]))):
+        e = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(e) != np.sign(m0):
+            e = 0.0
+        elif np.sign(m0) != np.sign(m1) and abs(e) > 3.0 * abs(m0):
+            e = 3.0 * m0
+        d[end] = e
+    return d
+
+
+class _MonotoneCubic:
+    """Cubic Hermite interpolant through (x, y) with knot slopes dydx.
+
+    ``dydx`` defaults to the PCHIP slopes, which keep monotone data
+    monotone.  The coefficients and their evaluation repeat scipy's
+    CubicHermiteSpline and PPoly operation for operation, so values agree
+    bit for bit; outside [x[0], x[-1]] the end cubics extrapolate.
+
+    The knot search is a guide table (Chen & Asau 1974; Devroye 1986,
+    III.2.4): buckets uniform over [x[0], x[-1]] give each point its knot
+    interval directly, and only points whose bucket holds a knot fall
+    back to a binary search.  The bucket map is monotone and applied to
+    knots and points alike, so the lookup is exact.
+    """
+
+    def __init__(self, x, y, dydx=None):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        h = np.diff(x)
+        if x.size < 2 or not (np.all(np.isfinite(x)) and np.all(h > 0.0)):
+            raise ValueError("knots must be finite and strictly increasing")
+        m = np.diff(y) / h
+        d = _pchip_slopes(h, m) if dydx is None else np.asarray(dydx, float)
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        self.x = x
+        self._c = (t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1])
+        self._buckets = _GUIDE_DENSITY * h.size
+        self._scale = self._buckets / (x[-1] - x[0])
+        # the knot interval of every point in a knot-free bucket: buckets
+        # kx[j-1] < b <= kx[j] lie in interval j - 1; -1 marks the buckets
+        # that hold a knot
+        kx = self._bucket(x)
+        self._guide = np.repeat(
+            np.minimum(np.arange(-1, x.size), h.size - 1),
+            np.diff(kx, prepend=-1, append=self._buckets))
+        self._guide[kx] = -1
+
+    def _bucket(self, v):
+        t = v - self.x[0]
+        t *= self._scale
+        np.fmax(t, 0.0, out=t)
+        np.fmin(t, self._buckets, out=t)
+        return t.astype(np.intp)
+
+    def _interval(self, v):
+        """searchsorted(x, v, side="right") - 1, clipped to [0, len(x) - 2]."""
+        i = self._guide[self._bucket(v)]
+        mixed = np.flatnonzero(i < 0)
+        if mixed.size:
+            i[mixed] = np.clip(
+                np.searchsorted(self.x, v[mixed], side="right") - 1,
+                0, self.x.size - 2)
+        return i
+
+    def __call__(self, v):
+        v = np.asarray(v, dtype=float)
+        flat = v.ravel()
+        i = self._interval(flat)
+        c0, c1, c2, c3 = (c.take(i) for c in self._c)
+        # PPoly's power sum: res += c[3-k] * s^k, the powers by z *= s
+        with np.errstate(all="ignore"):
+            s = flat - self.x.take(i)
+            res = 0.0 + c3
+            res += c2 * s
+            z = s * s
+            res += c1 * z
+            z *= s
+            res += c0 * z
+        return res.reshape(v.shape)
 
 
 @dataclass(frozen=True)
@@ -144,7 +254,12 @@ class RadialMeasure:
         return vals
 
     def quantile(self, p):
-        """Generalized inverse of the tabulated CDF (used for sampling)."""
+        """Generalized inverse of the tabulated CDF (used for sampling).
+
+        A PCHIP interpolant of u = log(1+r) against the CDF table's
+        probabilities from 1e-18 up; p outside the table's probability
+        range is clipped into it, and the interpolant's guide table finds
+        each p's knot interval without a binary search."""
         arr = np.asarray(p, dtype=float)
         if np.any((arr < 0.0) | (arr > 1.0)):
             raise InvalidInput("quantile probabilities must lie in [0, 1]")
@@ -258,7 +373,7 @@ def build_measure(n, potential, tail_tol=1e-12, name=""):
     sec = np.diff(f_nodes) / np.diff(u_nodes)
     sec_lo = np.concatenate(([sec[0]], np.minimum(sec[:-1], sec[1:]), [sec[-1]]))
     deriv = np.clip(deriv, 0.0, 3.0 * np.maximum(sec_lo, 0.0))
-    cdf_spline = CubicHermiteSpline(u_nodes, f_nodes, deriv)
+    cdf_spline = _MonotoneCubic(u_nodes, f_nodes, deriv)
 
     # in high dimension the CDF is astronomically flat at the left end
     # (r^{n-1} vanishing) and the inverse slopes there break the monotone
@@ -266,7 +381,7 @@ def build_measure(n, potential, tail_tol=1e-12, name=""):
     # so the quantile table starts at 1e-18 and clips below it
     keep = (f_nodes >= 1e-18) & np.concatenate(([False],
                                                 np.diff(f_nodes) > 0.0))
-    quantile_spline = PchipInterpolator(f_nodes[keep], u_nodes[keep])
+    quantile_spline = _MonotoneCubic(f_nodes[keep], u_nodes[keep])
 
     measure = replace(measure, r_max=r_max, _cdf_spline=cdf_spline,
                       _quantile_spline=quantile_spline)

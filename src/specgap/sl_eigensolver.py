@@ -48,16 +48,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.linalg import LinAlgError, eigh_tridiagonal
-from scipy.optimize import brentq
 
 from .errors import (ConvergenceError, DiscretizationError, DomainError,
                      HypothesisFailed, InvalidInput, NonIntegrable,
                      TruncationWarning)
 from .quadrature import gl_rule, log_integrals_exp
-from .radial_model import (diagnostic_grid, drift, expectation,
-                           truncation_radius, validate_weight)
+from .radial_model import (_MonotoneCubic, diagnostic_grid, drift,
+                           expectation, truncation_radius, validate_weight)
 
 # width ratio cap of the graded mesh (widest cell / narrowest cell)
 _RATIO_CLIP = 50.0
@@ -171,8 +169,10 @@ def _metric_maps(weight, r_hi):
     """(to_metric, from_metric) callables valid on [0, r_hi].
 
     Uses the closed-form maps when the weight carries them, otherwise
-    tabulates s(r) = int_0^r du/sigma(u) on a log-spaced grid and
-    interpolates monotonically in both directions.
+    tabulates s(r) = int_0^r du/sigma(u) by the trapezoid rule on 16385
+    points uniform in log(1+r) and interpolates both directions with the
+    PCHIP monotone cubic (_MonotoneCubic), so each map is increasing and
+    the two are inverse to interpolation accuracy.
     """
     if weight.to_metric is not None and weight.from_metric is not None:
         return weight.to_metric, weight.from_metric
@@ -187,8 +187,8 @@ def _metric_maps(weight, r_hi):
     slope[0] = slope[1]
     s_tab = np.concatenate(
         ([0.0], np.cumsum((u[1:] - u[:-1]) * 0.5 * (slope[1:] + slope[:-1]))))
-    u_of_s = PchipInterpolator(s_tab, u)
-    s_of_u = PchipInterpolator(u, s_tab)
+    u_of_s = _MonotoneCubic(s_tab, u)
+    s_of_u = _MonotoneCubic(u, s_tab)
 
     def to_metric(x):
         return s_of_u(np.log1p(x))
@@ -253,9 +253,12 @@ def _mesh_family(measure, weight, from_metric, s_max):
     """Return mesh(n) -> n+1 edges in the natural coordinate on [0, s_max].
 
     Edges are placed by equidistributing density^(1/2) (expressed in the
-    natural coordinate) clipped to a 50:1 width ratio, so meshes for n
-    and 2n cells share every coarse edge exactly -- the nesting
-    Richardson assumes.
+    natural coordinate) clipped to a 50:1 width ratio: the cumulative
+    weight is tabulated by the trapezoid rule on 4097 uniform points, and
+    its inverse is the PCHIP monotone cubic (_MonotoneCubic) of s against
+    the normalized cumulative weight, evaluated at n+1 equally spaced
+    levels.  Meshes for n and 2n cells therefore share every coarse edge
+    exactly -- the nesting Richardson assumes.
     """
     sp = np.linspace(0.0, s_max, 4097)
     rp = np.asarray(from_metric(sp), dtype=float)
@@ -270,7 +273,7 @@ def _mesh_family(measure, weight, from_metric, s_max):
     cum = np.concatenate(
         ([0.0], np.cumsum((sp[1:] - sp[:-1]) * 0.5 * (q[1:] + q[:-1]))))
     cum /= cum[-1]
-    place = PchipInterpolator(cum, sp)
+    place = _MonotoneCubic(cum, sp)
 
     def mesh(n):
         edges = np.asarray(place(np.linspace(0.0, 1.0, n + 1)), dtype=float)
@@ -440,7 +443,8 @@ def _solve_domain(measure, weight, r_hi, spec, to_metric, from_metric):
 def _fit_inverse_square(points):
     """Fit lambda(S) = lam_inf + A/(S + phi)^2 through three (S, lambda)
     points; returns lam_inf or None when the data do not admit the model
-    (non-monotone, or decay faster than the model allows)."""
+    (non-monotone, or decay faster than the model allows).  phi solves the
+    ratio of successive differences by bisection on (-0.999 S1, 100 S3)."""
     (s1, l1), (s2, l2), (s3, l3) = points
     d12, d23 = l1 - l2, l2 - l3
     if d12 == 0.0 or d23 == 0.0 or (d12 > 0.0) != (d23 > 0.0):
@@ -453,13 +457,19 @@ def _fit_inverse_square(points):
 
     lo = -0.999 * s1
     hi = 100.0 * s3
-    try:
-        f_lo, f_hi = mismatch(lo), mismatch(hi)
-        if not (np.isfinite(f_lo) and np.isfinite(f_hi)) or f_lo * f_hi > 0.0:
-            return None
-        phi = brentq(mismatch, lo, hi, xtol=1e-12 * s3, rtol=1e-14)
-    except (ValueError, RuntimeError):
+    f_lo, f_hi = mismatch(lo), mismatch(hi)
+    if not (np.isfinite(f_lo) and np.isfinite(f_hi)) or f_lo * f_hi > 0.0:
         return None
+    # bisection: 64 halvings shrink the bracket below 1e-17 s3
+    for _ in range(64):
+        phi = 0.5 * (lo + hi)
+        f_mid = mismatch(phi)
+        if f_mid == 0.0:
+            break
+        if (f_mid > 0.0) == (f_lo > 0.0):
+            lo, f_lo = phi, f_mid
+        else:
+            hi = phi
     w2, w3 = (s2 + phi) ** -2, (s3 + phi) ** -2
     a = d23 / (w2 - w3)
     return l3 - a * w3

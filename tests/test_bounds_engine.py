@@ -14,8 +14,10 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 from scipy.special import exp1, gamma as sp_gamma, gammaln
 
+from specgap import bounds_engine
 from specgap.bounds_engine import (
     CandidateFunction,
     curvature_lower,
@@ -39,7 +41,8 @@ from specgap.errors import (
     NonIntegrable,
     TruncationWarning,
 )
-from specgap.radial_model import RadialPotential, Weight, build_measure
+from specgap.radial_model import (RadialPotential, Weight, build_measure,
+                                  truncation_radius)
 from specgap.sl_eigensolver import spectral_gap
 
 
@@ -588,3 +591,62 @@ def test_validate_candidate_catches_false_monotone_claim():
                             monotone=True)
     with pytest.raises(HypothesisFailed):
         validate_candidate(GAUSS[3], dec)
+
+
+
+def _grid_minimum(measure, weight, cand):
+    """The variational potential's least value on variational_lower's grid,
+    and the bracket of the two cells around it."""
+    r_max = truncation_radius(measure, bounds_engine._CHEN_TAIL_TOL)
+    radii = np.geomspace(r_max * 1e-6, r_max,
+                         bounds_engine._CHEN_GRID_POINTS)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = variational_potential(measure, weight, cand)(radii)
+    k = int(np.nanargmin(vals))
+    return (float(vals[k]), radii[max(k - 1, 0)],
+            radii[min(k + 1, radii.size - 1)])
+
+
+def _r_plus_cubic_candidate():
+    arr = lambda r: np.asarray(r, float)
+    return CandidateFunction(
+        f=lambda r: arr(r) + 0.1 * arr(r) ** 3,
+        df=lambda r: 1.0 + 0.3 * arr(r) ** 2,
+        d2f=lambda r: 0.6 * arr(r), d3f=lambda r: np.full_like(arr(r), 0.6),
+        monotone=True, name="r + r^3/10")
+
+
+@pytest.mark.parametrize("case", [
+    # exact eigenfunctions: a constant decay rate, its grid minimum noise
+    lambda: (GAUSS[3], UNIT, r2_candidate()),
+    lambda: (CAU34, ONEP, r2_candidate()),
+    lambda: (build_measure(4, ball_pot()), UNIT,
+             _ball_slow_increase_candidate(4)),
+    # minimum at the grid's end, and in its interior
+    lambda: (build_measure(3, cauchy_pot(3.0)), ONEP,
+             power_1pr2_candidate(0.75)),
+    lambda: (GAUSS[3], UNIT, _r_plus_cubic_candidate()),
+], ids=["gaussian-r2", "cauchy-r2", "ball-slow", "cauchy-t1.5", "r-plus-cubic"])
+def test_variational_refinement_never_exceeds_grid_minimum(case):
+    measure, weight, cand = case()
+    grid_min, _, _ = _grid_minimum(measure, weight, cand)
+    assert float(variational_lower(measure, weight, cand)) <= grid_min
+
+
+def test_variational_refinement_reaches_interior_minimum():
+    # f = r + r^3/10 under the gaussian n=3: the decay rate
+    # (2/r^2 + 0.9 r^2 - 0.2)/(1 + 0.3 r^2) has one interior minimum near
+    # r = 1.46, which scipy's bounded Brent search on the grid minimizer's
+    # two cells locates as well
+    cand = _r_plus_cubic_candidate()
+    grid_min, lo, hi = _grid_minimum(GAUSS[3], UNIT, cand)
+    vf = variational_potential(GAUSS[3], UNIT, cand)
+    ref = minimize_scalar(lambda r: float(vf(r)), bounds=(lo, hi),
+                          method="bounded",
+                          options={"xatol": 1e-12 * (hi - lo)})
+    value = float(variational_lower(GAUSS[3], UNIT, cand))
+    assert value < grid_min
+    assert abs(value - ref.fun) <= 1e-12 * abs(ref.fun)
+    r = np.linspace(1.0, 2.0, 100001)
+    assert abs(value - np.min((2 / r**2 + 0.9 * r**2 - 0.2)
+                              / (1 + 0.3 * r**2))) <= 1e-9

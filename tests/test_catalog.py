@@ -48,6 +48,22 @@ def test_family_spec_rejects(ctor):
         ctor()
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(family="exponential_power", alpha=math.inf),
+     "alpha must be finite, got inf"),
+    (dict(family="generalized_cauchy", beta=math.inf),
+     "beta must be finite, got inf"),
+    (dict(family="generalized_cauchy", beta=math.nan),
+     "beta must be finite, got nan"),
+], ids=["alpha-inf", "beta-inf", "beta-nan"])
+def test_family_spec_rejects_non_finite_parameter_by_name(kwargs, message):
+    # inf meets both alpha >= 1 and beta > n/2, so the hypothesis messages
+    # must not be the reason given
+    with pytest.raises(InvalidInput) as exc:
+        FamilySpec(n=3, **kwargs)
+    assert str(exc.value) == message
+
+
 def test_family_spec_normalization_and_label():
     sp = FamilySpec("generalized_cauchy", 3, "one_plus_r2", beta=4)
     assert isinstance(sp.beta, float)

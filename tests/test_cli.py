@@ -2,7 +2,8 @@
 
 Every JSON report emitted in these tests is validated against the
 packaged run-report schema.  Commands run in-process through
-``cli.main`` except for one subprocess check of the console script.
+``cli.main`` except for two subprocess checks: the console script, and
+the modules a cold ``import specgap.cli`` loads.
 """
 
 import contextlib
@@ -419,3 +420,12 @@ def test_console_script_subprocess():
         capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("record,name,family")
+
+
+def test_cli_import_loads_no_scipy_optimize_or_interpolate():
+    code = ("import sys, specgap.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.optimize', 'scipy.interpolate'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -19,6 +19,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.optimize import brentq
 
 from specgap import sl_eigensolver
 from specgap.errors import HypothesisFailed, InvalidInput, TruncationWarning
@@ -315,6 +316,36 @@ def test_unsettled_trace_returns_last_domain(monkeypatch):
     assert est.value == val_last
     assert est.r_max_used == r_last
     assert est.error_estimate == err_last + shift
+
+
+def _brentq_inverse_square(points):
+    """The inverse-square fit with scipy's brentq solving for phi: the
+    reference for sl_eigensolver's bisection."""
+    (s1, l1), (s2, l2), (s3, l3) = points
+    target = (l1 - l2) / (l2 - l3)
+
+    def mismatch(phi):
+        w1, w2, w3 = (s1 + phi) ** -2, (s2 + phi) ** -2, (s3 + phi) ** -2
+        return (w1 - w2) / (w2 - w3) - target
+
+    phi = brentq(mismatch, -0.999 * s1, 100.0 * s3, xtol=1e-12 * s3,
+                 rtol=1e-14)
+    w2, w3 = (s2 + phi) ** -2, (s3 + phi) ** -2
+    return l3 - (l2 - l3) / (w2 - w3) * w3
+
+
+@pytest.mark.parametrize("lam_inf, amp, phi, s_first", [
+    (6.0, 3.0, 0.5, 4.0), (6.0, -3.0, 0.5, 4.0), (0.25, 40.0, -1.2, 2.0),
+    (14.0, -0.02, 7.0, 1.5), (2.25, 1e3, 0.0, 30.0), (1e-3, 5e-4, 3.0, 8.0),
+])
+def test_inverse_square_fit_matches_brentq(lam_inf, amp, phi, s_first):
+    # exact traces lambda(S) = lam_inf + A/(S + phi)^2 over doublings of S
+    points = [(s, lam_inf + amp / (s + phi) ** 2)
+              for s in (s_first, 2.0 * s_first, 4.0 * s_first)]
+    got = sl_eigensolver._fit_inverse_square(points)
+    want = _brentq_inverse_square(points)
+    assert abs(got - want) <= 1e-12 * abs(want)
+    assert abs(got - lam_inf) <= 1e-9 * (abs(lam_inf) + abs(amp))
 
 
 @pytest.mark.parametrize("n,beta,exact", [

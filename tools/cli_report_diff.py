@@ -10,7 +10,12 @@ A refactor that claims to keep behaviour shows it on this list:
   ``--format csv`` on bounds and eigen, ``eigen --cells 512``, and the
   rejected ``eigen --cells 100`` and ``table --id ball --dims 3..2``;
 - ``eigen --cells 64`` on gaussian n=3 and ball n=4, the smallest mesh,
-  where a change to the Richardson scheme shows first.
+  where a change to the Richardson scheme shows first;
+- ``sample --function radial-quadratic`` on gaussian n=3, and ``sample``
+  on ball n=128 and exp-power alpha=1.01 n=192, whose quantile tables
+  start at the 1e-18 probability clip;
+- ``bounds`` on ball n=128, past the catalog's dimensions, where the
+  variational candidate's f' overflows at the grid's first radius.
 
     python3 tools/cli_report_diff.py run SRC_TREE OUT_DIR
     python3 tools/cli_report_diff.py compare DIR_A DIR_B
@@ -61,6 +66,10 @@ _VARIANTS = (
     ["eigen"] + _GAUSSIAN + ["--cells", "100"],
     ["eigen"] + _GAUSSIAN + ["--cells", "64"],
     ["eigen", "--family", "ball", "--n", "4", "--cells", "64"],
+    ["sample"] + _GAUSSIAN + ["--function", "radial-quadratic"],
+    ["sample", "--family", "ball", "--n", "128"],
+    ["sample", "--family", "exp-power", "--alpha", "1.01", "--n", "192"],
+    ["bounds", "--family", "ball", "--n", "128"],
     ["table", "--id", "ball", "--dims", "2,4,8"],
     ["table", "--id", "gaussian-weighted", "--dims", "2..4"],
     ["table", "--id", "ball", "--dims", "3..2"],
