@@ -4,16 +4,15 @@ A spherically symmetric probability measure on R^n with density
 proportional to exp(-V(||x||)) pushes forward, under x -> ||x||, to the
 one-dimensional measure with density proportional to r^{n-1} exp(-V(r))
 on (0, R).  This module owns that one-dimensional object: normalization,
-truncation radius, a tabulated monotone CDF and its inverse (for inverse
-sampling), moments and tail masses by adaptive quadrature, the effective
-potential U = V - (n-1) log r, and the drift coefficient of the weighted
-radial generator.
+truncation radius, a tabulated quantile function (for inverse sampling),
+moments and tail masses by adaptive quadrature, the effective potential
+U = V - (n-1) log r, and the drift coefficient of the weighted radial
+generator.
 
-Both tables are monotone cubic Hermite interpolants (_MonotoneCubic,
-numpy only, also used by the eigensolver's coordinate maps and mesh
-placement): the CDF carries the density as its exact, clamped knot
-slopes, and the quantile takes PCHIP's Fritsch-Carlson slopes.  A guide
-table maps a uniform draw straight to its knot interval.
+The quantile table is a PCHIP monotone cubic (_MonotoneCubic, numpy
+only, also used by the eigensolver's coordinate maps and mesh placement)
+through the CDF values of a graded grid, and a guide table maps a
+uniform draw straight to its knot interval.
 
 All callables supplied in a RadialPotential or Weight must accept floats
 and numpy arrays and be analytically correct derivatives of each other: a
@@ -78,12 +77,12 @@ def _pchip_slopes(h, m):
 
 
 class _MonotoneCubic:
-    """Cubic Hermite interpolant through (x, y) with knot slopes dydx.
+    """PCHIP cubic Hermite interpolant through (x, y).
 
-    ``dydx`` defaults to the PCHIP slopes, which keep monotone data
-    monotone.  The coefficients and their evaluation repeat scipy's
-    CubicHermiteSpline and PPoly operation for operation, so values agree
-    bit for bit; outside [x[0], x[-1]] the end cubics extrapolate.
+    The knot slopes are PCHIP's, which keep monotone data monotone.  The
+    coefficients and their evaluation repeat scipy's PchipInterpolator
+    operation for operation, so values agree bit for bit; outside
+    [x[0], x[-1]] the end cubics extrapolate.
 
     The knot search is a guide table (Chen & Asau 1974; Devroye 1986,
     III.2.4): buckets uniform over [x[0], x[-1]] give each point its knot
@@ -92,14 +91,14 @@ class _MonotoneCubic:
     knots and points alike, so the lookup is exact.
     """
 
-    def __init__(self, x, y, dydx=None):
+    def __init__(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         h = np.diff(x)
         if x.size < 2 or not (np.all(np.isfinite(x)) and np.all(h > 0.0)):
             raise ValueError("knots must be finite and strictly increasing")
         m = np.diff(y) / h
-        d = _pchip_slopes(h, m) if dydx is None else np.asarray(dydx, float)
+        d = _pchip_slopes(h, m)
         t = (d[:-1] + d[1:] - 2 * m) / h
         self.x = x
         self._c = (t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1])
@@ -206,7 +205,7 @@ class BoundBracket:
 
 @dataclass(frozen=True)
 class RadialMeasure:
-    """Normalized radial law nu with cached truncation and CDF table."""
+    """Normalized radial law nu with cached truncation and quantile table."""
 
     n: int
     potential: RadialPotential
@@ -214,7 +213,6 @@ class RadialMeasure:
     log_z: float
     r_max: float
     name: str = ""
-    _cdf_spline: object = field(default=None, repr=False, compare=False)
     _quantile_spline: object = field(default=None, repr=False, compare=False)
 
     # -- densities ---------------------------------------------------
@@ -242,27 +240,21 @@ class RadialMeasure:
         with np.errstate(over="ignore"):
             return np.exp(self.log_density(r))
 
-    # -- cumulative distribution -------------------------------------
-
-    def cdf(self, r):
-        arr = np.asarray(r, dtype=float)
-        u = np.log1p(np.clip(arr, 0.0, self.r_max))
-        vals = np.clip(self._cdf_spline(u), 0.0, 1.0)
-        # the table stops at r_max; beyond it the cdf stays at its cap
-        if arr.ndim == 0:
-            return float(vals)
-        return vals
+    # -- inverse sampling ---------------------------------------------
 
     def quantile(self, p):
-        """Generalized inverse of the tabulated CDF (used for sampling).
+        """Generalized inverse of the CDF (used for sampling).
 
-        A PCHIP interpolant of u = log(1+r) against the CDF table's
-        probabilities from 1e-18 up; p outside the table's probability
-        range is clipped into it, and the interpolant's guide table finds
-        each p's knot interval without a binary search."""
+        A PCHIP interpolant of u = log(1+r) against the CDF values of a
+        graded grid, from probability 1e-18 up; p outside the table's
+        probability range is clipped into it, and the interpolant's guide
+        table finds each p's knot interval without a binary search."""
         arr = np.asarray(p, dtype=float)
-        if np.any((arr < 0.0) | (arr > 1.0)):
-            raise InvalidInput("quantile probabilities must lie in [0, 1]")
+        outside = ~((arr >= 0.0) & (arr <= 1.0))
+        if np.any(outside):
+            raise InvalidInput(
+                "quantile probabilities p must lie in [0, 1], got "
+                f"{float(arr[outside].flat[0])}")
         lo = self._quantile_spline.x[0]
         hi = self._quantile_spline.x[-1]
         clipped = np.clip(arr, lo, hi)
@@ -310,9 +302,10 @@ def build_measure(n, potential, tail_tol=1e-12, name=""):
     """Construct the radial measure nu for dimension n and potential V.
 
     The log-normalization log_z, the truncation radius r_max (estimated
-    tail mass below tail_tol) and a 4096-cell monotone CDF table (graded
-    in log(1+r), denser near both ends) are computed here; the supplied
-    derivatives are finite-difference checked on a quantile grid.
+    tail mass below tail_tol) and the quantile table over the CDF values
+    of a 4096-cell grid (graded in log(1+r), denser near both ends) are
+    computed here; the supplied derivatives are finite-difference checked
+    on a quantile grid.
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise InvalidInput(f"dimension n must be an integer >= 2, got {n!r}")
@@ -348,7 +341,7 @@ def build_measure(n, potential, tail_tol=1e-12, name=""):
     measure = replace(measure, log_z=log_z)
     r_max = truncation_radius(measure, tail_tol)
 
-    # CDF table: Chebyshev-extrema grading in u = log(1+r) clusters nodes
+    # CDF values: Chebyshev-extrema grading in u = log(1+r) clusters nodes
     # at both ends, where the density factor r^{n-1} and the tail live
     u_max = math.log1p(r_max)
     x = np.linspace(0.0, 1.0, _CDF_CELLS + 1)
@@ -366,15 +359,6 @@ def build_measure(n, potential, tail_tol=1e-12, name=""):
         raise ConvergenceError(
             f"CDF table mass {f_nodes[-1]!r} inconsistent with normalization")
 
-    # exact node derivatives, clamped to the Fritsch-Carlson monotone region;
-    # the last node is read from just inside, where a bounded law's density
-    # has not yet dropped to zero at its wall
-    deriv = np.exp(log_dens_u(np.minimum(u_nodes, np.nextafter(u_max, 0.0))))
-    sec = np.diff(f_nodes) / np.diff(u_nodes)
-    sec_lo = np.concatenate(([sec[0]], np.minimum(sec[:-1], sec[1:]), [sec[-1]]))
-    deriv = np.clip(deriv, 0.0, 3.0 * np.maximum(sec_lo, 0.0))
-    cdf_spline = _MonotoneCubic(u_nodes, f_nodes, deriv)
-
     # in high dimension the CDF is astronomically flat at the left end
     # (r^{n-1} vanishing) and the inverse slopes there break the monotone
     # interpolant; uniform doubles never resolve probabilities below 2^-53,
@@ -383,8 +367,7 @@ def build_measure(n, potential, tail_tol=1e-12, name=""):
                                                 np.diff(f_nodes) > 0.0))
     quantile_spline = _MonotoneCubic(f_nodes[keep], u_nodes[keep])
 
-    measure = replace(measure, r_max=r_max, _cdf_spline=cdf_spline,
-                      _quantile_spline=quantile_spline)
+    measure = replace(measure, r_max=r_max, _quantile_spline=quantile_spline)
 
     _check_potential_derivatives(measure)
     return measure
@@ -408,7 +391,8 @@ def truncation_radius(measure, tail_tol, poly_power=0):
     """
     if not (0.0 < tail_tol < 1e-3):
         raise InvalidInput("tail_tol must lie in (0, 1e-3)")
-    if not isinstance(poly_power, (int, np.integer)) or poly_power < 0:
+    if (isinstance(poly_power, bool)
+            or not isinstance(poly_power, (int, np.integer)) or poly_power < 0):
         raise InvalidInput("poly_power must be an integer >= 0")
     pot = measure.potential
     if math.isfinite(pot.domain_end):
@@ -541,7 +525,7 @@ def expectation(measure, g, *, log_abs_g=None, positive=False, r_stop=None):
 
 def moment(measure, k):
     """k-th moment of nu, integral of r^k nu(dr), to relative 1e-10."""
-    if not isinstance(k, (int, np.integer)) or k < 0:
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
         raise InvalidInput(f"moment order must be an integer >= 0, got {k!r}")
     if k == 0:
         return 1.0
@@ -574,9 +558,9 @@ def weighted_moment(measure, weight, kind):
 
 
 def tail_mass(measure, r):
-    """nu((r, R)), by quadrature (consistent with 1 - cdf within 1e-8)."""
-    if r < 0.0:
-        raise InvalidInput("tail_mass requires r >= 0")
+    """nu((r, R)) = 1 - CDF(r), by quadrature."""
+    if not r >= 0.0:
+        raise InvalidInput(f"tail_mass requires r >= 0, got {r}")
     if r == 0.0:
         return 1.0
     val, _, log_scale = tail_integral(

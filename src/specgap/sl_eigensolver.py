@@ -29,23 +29,20 @@ reflecting wall, while the natural coordinate stays numerically tame.
 Truncation.  Unbounded laws are truncated where the solver's own tail
 budget (1e-10) is met.  Every domain then passes one audit loop: the
 Neumann wall is re-solved on a domain of twice the natural length, and a
-shift larger than ten times the mesh error raises TruncationWarning.  A
-pinned domain is audited once and kept; any other grows until a doubling
-no longer moves the eigenvalue or the representable range (a bounded
-law's whole domain) is reached.  The growth doubles the *natural length*
-of the domain rather than the radius -- for sigma^2 = 1 + r^2 a radius
-doubling moves the wall by only log 2 in the natural coordinate, which
-can never resolve the 1/S^2 truncation bias of a law whose generator has
-essential spectrum.  When the truncation bias is algebraic, the limit is
+shift larger than ten times the mesh error raises TruncationWarning.  The
+domain grows until a doubling no longer moves the eigenvalue or the
+representable range (a bounded law's whole domain) is reached.  The
+growth doubles the *natural length* of the domain rather than the
+radius -- for sigma^2 = 1 + r^2 a radius doubling moves the wall by only
+log 2 in the natural coordinate, which can never resolve the 1/S^2
+truncation bias of a law whose generator has essential spectrum.  When the truncation bias is algebraic, the limit is
 recovered from the last domain doublings by fitting
 lambda(S) = lambda_inf + A/(S + phi)^2.
 """
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from scipy.linalg import LinAlgError, eigh_tridiagonal
@@ -80,18 +77,14 @@ _AUDIT_FACTOR = 10.0
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Resolution/truncation options for one eigensolve.
+    """Mesh resolution of one eigensolve.
 
     n_cells must be a power of two times 64, so that the n_cells/2,
     n_cells and 2 n_cells meshes of every domain solve nest; the cells
-    are graded (see _mesh_family).  r_max_override, a positive real,
-    pins the truncation radius (capped at the representable radius): the
-    truncation audit still doubles it once and may warn, but the pinned
-    domain is the one solved.
+    are graded (see _mesh_family).
     """
 
     n_cells: int = 1024
-    r_max_override: Optional[float] = None
 
     def __post_init__(self):
         if not isinstance(self.n_cells, (int, np.integer)):
@@ -100,12 +93,6 @@ class GridSpec:
         if self.n_cells < 64 or rem or (k & (k - 1)):
             raise InvalidInput(
                 f"n_cells must be a power of two times 64, got {self.n_cells}")
-        pin = self.r_max_override
-        if pin is not None and (isinstance(pin, bool)
-                                or not isinstance(pin, numbers.Real)
-                                or not pin > 0.0):
-            raise InvalidInput(
-                f"r_max_override must be a positive real, got {pin!r}")
 
 
 @dataclass(frozen=True)
@@ -117,23 +104,19 @@ class Discretization:
     mass: np.ndarray
     r_centers: np.ndarray
     r_edges: np.ndarray
-    s_edges: np.ndarray
 
 
 @dataclass(frozen=True)
 class GridFunction:
     """Function tabulated on cell centers, with the cell masses of nu.
 
-    Calling the object evaluates by linear interpolation; the mean and
-    norm methods integrate against the tabulated cell masses.
+    The mean and norm methods integrate against the tabulated cell
+    masses.
     """
 
     r: np.ndarray
     values: np.ndarray
     masses: np.ndarray
-
-    def __call__(self, x):
-        return np.interp(x, self.r, self.values)
 
     def nu_mean(self):
         return float(self.masses @ self.values)
@@ -227,26 +210,19 @@ def _representable_radius(measure):
     return float(r[alive[-1]])
 
 
-def _radii(measure, spec):
+def _radii(measure):
     """(r0, r_cap): the radius the first solve truncates at, and the
     largest radius any solve may mesh.
 
-    r_cap is the domain end of a bounded law and the representable radius
-    of an unbounded one.  r0 is r_max_override when given, else the domain
-    end or the solver's default truncation radius, never past r_cap.
+    A bounded law is solved on its whole domain, so r0 = r_cap = its
+    domain end.  An unbounded law starts at the solver's default
+    truncation radius, never past r_cap, its representable radius.
     """
     domain_end = measure.potential.domain_end
     if math.isfinite(domain_end):
-        r_cap = float(domain_end)
-    else:
-        r_cap = _representable_radius(measure)
-    if spec.r_max_override is not None:
-        r0 = float(spec.r_max_override)
-    elif math.isfinite(domain_end):
-        r0 = r_cap
-    else:
-        r0 = _default_radius(measure)
-    return min(r0, r_cap), r_cap
+        return float(domain_end), float(domain_end)
+    r_cap = _representable_radius(measure)
+    return min(_default_radius(measure), r_cap), r_cap
 
 
 def _mesh_family(measure, weight, from_metric, s_max):
@@ -304,14 +280,14 @@ def _first_cell_log_mass(measure, r1):
     return n * math.log(r1) - math.log(n) + top + math.log(total)
 
 
-def _assemble(measure, weight, s_edges, from_metric):
+def _assemble(measure, weight, edges, from_metric):
     """The Discretization of one mesh, given by its natural-coordinate
     edges."""
-    s_edges = np.asarray(s_edges, dtype=float)
-    s_centers = 0.5 * (s_edges[:-1] + s_edges[1:])
-    r_edges = np.asarray(from_metric(s_edges), dtype=float)
+    edges = np.asarray(edges, dtype=float)
+    r_edges = np.asarray(from_metric(edges), dtype=float)
     r_edges[0] = 0.0
-    r_centers = np.asarray(from_metric(s_centers), dtype=float)
+    r_centers = np.asarray(from_metric(0.5 * (edges[:-1] + edges[1:])),
+                           dtype=float)
     if (np.any(~np.isfinite(r_edges)) or np.any(np.diff(r_edges) <= 0.0)
             or np.any(~np.isfinite(r_centers)) or not r_centers[0] > 0.0
             or np.any(np.diff(r_centers) <= 0.0)):
@@ -330,7 +306,7 @@ def _assemble(measure, weight, s_edges, from_metric):
             "a face conductance underflowed to zero or overflowed; the "
             "domain extends past the representable range of the density")
 
-    log_m = np.empty(s_edges.size - 1)
+    log_m = np.empty(edges.size - 1)
     log_m[0] = _first_cell_log_mass(measure, r_edges[1]) - measure.log_z
     t_lo = np.log(r_edges[1:-1])
     t_hi = np.log(r_edges[2:])
@@ -346,8 +322,7 @@ def _assemble(measure, weight, s_edges, from_metric):
             "a cell mass underflowed to zero; refine the grading or "
             "shrink the domain")
     return Discretization(conductances=cond, mass=masses,
-                          r_centers=r_centers, r_edges=r_edges,
-                          s_edges=s_edges)
+                          r_centers=r_centers, r_edges=r_edges)
 
 
 def discretize(measure, weight, grid):
@@ -366,7 +341,7 @@ def discretize(measure, weight, grid):
     if not isinstance(grid, GridSpec):
         raise InvalidInput("grid must be a GridSpec")
     validate_weight(measure, weight)
-    r0, r_cap = _radii(measure, grid)
+    r0, r_cap = _radii(measure)
     to_metric, from_metric = _metric_maps(weight, min(r_cap, _R_CAP))
     s_max = float(to_metric(r0))
     mesh = _mesh_family(measure, weight, from_metric, s_max)
@@ -481,11 +456,10 @@ def spectral_gap(measure, weight, opts=None):
     Every domain is solved on three nested meshes (see _solve_domain).
     The truncation is audited by re-solving on a domain of twice the
     natural length: a shift exceeding ten times the mesh error raises
-    TruncationWarning.  A domain pinned by r_max_override is audited once
-    and returned as solved.  Any other domain grows until the shift
-    settles or the representable range is reached; a bounded law starts
-    there, so its whole domain is solved once.  The result is then the
-    inverse-square extrapolation in the natural length when the domain
+    TruncationWarning.  The domain grows until the shift settles or the
+    representable range is reached; a bounded law starts there, so its
+    whole domain is solved once.  The result is then the inverse-square
+    extrapolation in the natural length when the domain
     trace admits it, or else the least-error domain: of a settled trace
     the one whose mesh error plus remaining wall bias is least, of an
     unsettled one the last, with the last shift added to its error.
@@ -498,8 +472,7 @@ def spectral_gap(measure, weight, opts=None):
     if not isinstance(spec, GridSpec):
         raise InvalidInput("opts must be a GridSpec")
     validate_weight(measure, weight)
-    pinned = spec.r_max_override is not None
-    r0, r_cap = _radii(measure, spec)
+    r0, r_cap = _radii(measure)
     to_metric, from_metric = _metric_maps(weight, min(r_cap, _R_CAP))
     s0, s_cap = float(to_metric(r0)), float(to_metric(r_cap))
 
@@ -524,9 +497,8 @@ def spectral_gap(measure, weight, opts=None):
     warned = settled = False
     # the Neumann wall is trusted only if doubling the natural length of
     # the domain barely moves the eigenvalue; the warning fires at the
-    # first doubling that fails this audit.  A pinned domain is audited
-    # once and kept; any other grows, up to the representable cap, until
-    # the eigenvalue stops moving
+    # first doubling that fails this audit.  The domain grows, up to the
+    # representable cap, until the eigenvalue stops moving
     for _ in range(_MAX_GROWTH):
         s_prev, val_prev, err_prev = solves[-1][:3]
         if s_prev >= s_cap * (1.0 - 1e-9):
@@ -544,8 +516,6 @@ def spectral_gap(measure, weight, opts=None):
                 f"{shift:.3e}, more than {_AUDIT_FACTOR:g}x the mesh error "
                 f"{mesh_err:.3e}"))
             warned = True
-        if pinned:
-            break
         solves.append((s_next, val_n, err_n, r_next, fn_n))
         shifts.append(shift)
         if shift <= max(0.01 * err_n, 1e-12 * (1.0 + abs(val_n))):

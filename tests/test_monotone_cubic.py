@@ -1,17 +1,17 @@
-"""The numpy monotone cubic behind the CDF, quantile, metric and mesh tables.
+"""The numpy monotone cubic behind the quantile, metric and mesh tables.
 
 Oracles are scipy's own splines, kept as test references only: every
-interpolant the package builds must equal ``PchipInterpolator`` (PCHIP
-slopes) or ``CubicHermiteSpline`` (given slopes) bit for bit, and the
-guide-table knot search must equal ``searchsorted(side="right") - 1``
-clipped to the interval range, which is PPoly's interval rule.
+interpolant the package builds must equal ``PchipInterpolator`` bit for
+bit, and the guide-table knot search must equal
+``searchsorted(side="right") - 1`` clipped to the interval range, which
+is PPoly's interval rule.
 """
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
+from scipy.interpolate import PchipInterpolator
 
 from specgap import radial_model, sl_eigensolver
 from specgap.catalog import FamilySpec, make_family
@@ -29,10 +29,9 @@ def built(monkeypatch):
     made = []
 
     class Recorded(radial_model._MonotoneCubic):
-        def __init__(self, x, y, dydx=None):
-            super().__init__(x, y, dydx)
-            made.append((self, np.array(x), np.array(y),
-                         None if dydx is None else np.array(dydx)))
+        def __init__(self, x, y):
+            super().__init__(x, y)
+            made.append((self, np.array(x), np.array(y)))
 
     monkeypatch.setattr(radial_model, "_MonotoneCubic", Recorded)
     monkeypatch.setattr(sl_eigensolver, "_MonotoneCubic", Recorded)
@@ -48,9 +47,8 @@ def _probe_points(x, rng):
 
 def _assert_matches_scipy(made):
     rng = np.random.default_rng(7)
-    for fn, x, y, dydx in made:
-        ref = (PchipInterpolator(x, y) if dydx is None
-               else CubicHermiteSpline(x, y, dydx))
+    for fn, x, y in made:
+        ref = PchipInterpolator(x, y)
         pts = _probe_points(x, rng)
         got, want = fn(pts), ref(pts)
         assert np.array_equal(got, want), (
@@ -61,9 +59,12 @@ def _assert_matches_scipy(made):
 
 @pytest.mark.parametrize("spec", CASES, ids=lambda s: s.label())
 def test_cdf_and_quantile_tables_match_scipy_bit_for_bit(built, spec):
-    make_family(spec)
-    kinds = [dydx is None for _, _, _, dydx in built]
-    assert kinds == [False, True]  # the CDF (given slopes), the quantile
+    measure, _, _ = make_family(spec)
+    # one table per measure: the quantile, whose knots are the CDF values
+    assert [fn for fn, _, _ in built] == [measure._quantile_spline]
+    probs = built[0][1]
+    assert probs[0] >= 1e-18 and probs[-1] <= 1.0
+    assert np.all(np.diff(probs) > 0.0)
     _assert_matches_scipy(built)
 
 

@@ -1,4 +1,4 @@
-"""Radial measures: moments, coefficients, CDF machinery, validation.
+"""Radial measures: moments, coefficients, quantile table, validation.
 
 Moment oracles are closed forms computed independently of the package:
 
@@ -193,7 +193,7 @@ def test_radial_potential_validation():
 
 
 # ---------------------------------------------------------------------
-# measure construction: normalization, CDF, truncation
+# measure construction: normalization, quantile, truncation
 # ---------------------------------------------------------------------
 
 
@@ -205,16 +205,17 @@ def test_normalization_and_cdf():
         total, _ = integrate.quad(lambda r: mu.density(r), 0, top,
                                   limit=400)
         assert abs(total - 1.0) <= 1e-7, f"density of {pot.name} not normalized"
-        assert mu.cdf(mu.r_max) >= 1.0 - 1e-9
-        assert mu.cdf(0.0) <= 1e-12
+        # the quantile table spans the law, with CDF = 1 - tail_mass
+        assert tail_mass(mu, mu.quantile(1.0)) <= 1e-9
+        assert tail_mass(mu, mu.quantile(0.0)) >= 1.0 - 1e-12
 
 
 def test_quantile_cdf_round_trip():
-    mu = build_measure(4, gaussian_potential())
-    ps = np.linspace(0.001, 0.999, 41)
-    rs = mu.quantile(ps)
-    back = mu.cdf(rs)
-    assert np.max(np.abs(back - ps)) <= 1e-6
+    # the CDF at the quantile of p, by quadrature: 1 - tail_mass = p
+    for mu in (build_measure(4, gaussian_potential()),
+               build_measure(3, cauchy_potential(4.0))):
+        for p in np.linspace(0.001, 0.999, 41):
+            assert abs(tail_mass(mu, mu.quantile(p)) - (1.0 - p)) <= 1e-8
     # scalar in, scalar out
     assert isinstance(mu.quantile(0.5), float)
     with pytest.raises(InvalidInput):
@@ -230,21 +231,43 @@ def test_truncation_radius_monotone_in_tolerance():
 
 
 def test_tail_mass_consistent_with_cdf():
+    # the gaussian n=3 CDF in closed form: erf(r/sqrt 2) - sqrt(2/pi) r e^{-r^2/2}
     mu = _gaussian(3)
     for r in (0.5, 2.0, 4.0):
-        assert abs(tail_mass(mu, r) - (1.0 - mu.cdf(r))) <= 1e-6
+        cdf = (math.erf(r / math.sqrt(2.0))
+               - math.sqrt(2.0 / math.pi) * r * math.exp(-0.5 * r * r))
+        assert abs(tail_mass(mu, r) - (1.0 - cdf)) <= 1e-10
 
 
 def test_ball_cdf_and_tail_mass_at_the_wall():
-    # nu((r, 1)) = 1 - r^n right up to the wall, where the density of a
-    # bounded law is still n, not zero
+    # the ball's CDF is r^n right up to the wall, where the density of a
+    # bounded law is still n, not zero: its quantile is p^(1/n) and
+    # nu((r, 1)) = 1 - r^n
     from specgap import ball_potential
     mu = build_measure(8, ball_potential())
     for gap in (1e-3, 1e-6, 1e-9):
+        p = 1.0 - gap
+        assert abs(mu.quantile(p) - p ** 0.125) <= 1e-10 * p ** 0.125
         r = 1.0 - gap
         exact = -np.expm1(8.0 * np.log(r))
-        assert abs((1.0 - mu.cdf(r)) - exact) <= 1e-6 * exact
         assert abs(tail_mass(mu, r) - exact) <= 1e-6 * exact
+
+
+def test_nan_arguments_are_invalid_input():
+    mu = _gaussian(3)
+    for p in (math.nan, np.array([0.5, math.nan])):
+        with pytest.raises(InvalidInput, match="quantile probabilities p"):
+            mu.quantile(p)
+    with pytest.raises(InvalidInput, match="tail_mass requires r"):
+        tail_mass(mu, math.nan)
+
+
+def test_bool_orders_are_invalid_input():
+    mu = _gaussian(3)
+    with pytest.raises(InvalidInput, match="moment order"):
+        moment(mu, True)
+    with pytest.raises(InvalidInput, match="poly_power"):
+        truncation_radius(mu, 1e-10, poly_power=True)
 
 
 def test_diagnostic_grid_inside_support():

@@ -238,20 +238,6 @@ def test_heavy_tail_without_gap_is_a_typed_outcome(label, builder, weight):
     assert "no spectral gap" in str(exc.value), label
 
 
-@pytest.mark.parametrize("pin", [50.0, 1e200])
-def test_discretize_caps_pinned_radius_like_spectral_gap(pin):
-    # a pin past the representable radius is capped, not meshed as given
-    mu = build_measure(3, gaussian_pot())
-    grid = GridSpec(n_cells=64, r_max_override=pin)
-    disc = discretize(mu, unit_w(), grid)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        est = spectral_gap(mu, unit_w(), grid)
-    assert disc.r_edges[-1] == est.r_max_used
-    assert est.r_max_used < pin
-    assert np.all(disc.mass > 0.0)
-
-
 # --- convergence order -------------------------------------------------
 
 
@@ -261,16 +247,17 @@ def test_discretize_caps_pinned_radius_like_spectral_gap(pin):
     ("ball n=4", lambda: build_measure(4, ball_pot()), unit_w),
 ])
 def test_richardson_error_shrinks_by_factor_three(name, builder, weight):
-    # pin the domain so only the mesh error varies under refinement
+    # solve one fixed domain so only the mesh error varies under refinement
     mu = builder()
-    pin = (mu.potential.domain_end
-           if math.isfinite(mu.potential.domain_end)
-           else truncation_radius(mu, 1e-10))
+    r_hi = (mu.potential.domain_end
+            if math.isfinite(mu.potential.domain_end)
+            else truncation_radius(mu, 1e-10))
+    maps = sl_eigensolver._metric_maps(weight(), r_hi)
     errs = []
     for cells in (64, 128, 256, 512):
-        est = _quiet_gap(mu, weight(),
-                         GridSpec(n_cells=cells, r_max_override=pin))
-        errs.append(est.error_estimate)
+        _, err, _ = sl_eigensolver._solve_domain(
+            mu, weight(), r_hi, GridSpec(n_cells=cells), *maps)
+        errs.append(err)
     ratios = [errs[i] / errs[i + 1] for i in range(3) if errs[i + 1] > 0]
     assert ratios, f"{name}: error estimates hit zero: {errs}"
     assert all(r >= 3.0 for r in ratios), (
@@ -400,15 +387,15 @@ def test_residual_check_flags_wrong_eigenvalue():
 # --- truncation control -------------------------------------------------
 
 
-def test_r_max_override_pins_domain_and_warns():
-    mu = build_measure(3, cauchy_pot(1.6), tail_tol=1e-10)
+def test_truncation_audit_warns_once():
+    # this essential-spectrum case doubles its domain four times and the
+    # first two doublings fail the audit; the warning fires only once
+    mu = build_measure(3, cauchy_pot(2.0), tail_tol=1e-12)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        est = spectral_gap(mu, one_plus_w(),
-                           GridSpec(n_cells=256, r_max_override=50.0))
+        spectral_gap(mu, one_plus_w(), GridSpec(n_cells=1024))
     trunc = [w for w in caught if issubclass(w.category, TruncationWarning)]
     assert len(trunc) == 1, f"{len(trunc)} truncation warnings"
-    assert est.r_max_used <= 50.0 + 1e-9
 
 
 def test_gaussian_default_solve_is_warning_free():
@@ -424,10 +411,3 @@ def test_grid_spec_rejects_non_multiple_of_64(bad):
     with pytest.raises(InvalidInput) as exc:
         GridSpec(n_cells=bad)
     assert "64" in str(exc.value)
-
-
-@pytest.mark.parametrize("bad", ("50", True, 0.0, -1.0, float("nan"), 1j))
-def test_grid_spec_rejects_bad_r_max_override(bad):
-    with pytest.raises(InvalidInput) as exc:
-        GridSpec(r_max_override=bad)
-    assert "r_max_override" in str(exc.value)
