@@ -36,9 +36,11 @@ _Z95 = 1.959963984540054
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Reproducible sample of mu: rows of ``points`` are draws in R^n."""
+    """Reproducible sample of mu: rows of ``points`` are draws in R^n,
+    and ``radii`` their norms as drawn."""
 
     points: np.ndarray = field(repr=False, compare=False)
+    radii: np.ndarray = field(repr=False, compare=False)
     seed: int
     count: int
 
@@ -118,7 +120,7 @@ def sample_mu(measure, count, seed):
     # a zero normal vector has probability zero; keep the guard anyway
     norms = np.where(norms > 0.0, norms, 1.0)
     points = (radii / norms)[:, None] * z
-    return SampleBatch(points=points, seed=seed, count=count)
+    return SampleBatch(points=points, radii=radii, seed=seed, count=count)
 
 
 def rayleigh_estimate(batch, f, grad_f, weight):
@@ -138,9 +140,8 @@ def rayleigh_estimate(batch, f, grad_f, weight):
             f"need at least {_BATCHES} points for batch means, "
             f"got {batch.count}")
     pts = batch.points
-    radii = np.linalg.norm(pts, axis=1)
     with np.errstate(all="ignore"):
-        s2 = np.asarray(weight.s2(radii), dtype=float)
+        s2 = np.asarray(weight.s2(batch.radii), dtype=float)
     fv = np.asarray(f(pts), dtype=float)
     gv = np.asarray(grad_f(pts), dtype=float)
     if fv.shape != (batch.count,):

@@ -8,7 +8,10 @@ density r^{n-1} e^{-V}/Z.  This module discretizes that problem with a
 mass-conservative finite-volume scheme on a graded mesh, whose stiffness
 is K = B^T C B (B the difference operator, C the face conductances), and
 removes the O(h^2) and O(h^4) mesh errors by Richardson extrapolation
-across three nested meshes.
+across three nested meshes.  Only the finest mesh of a domain is
+integrated; the coarser two are its restrictions, whose cell masses are
+pair and quadruple sums of its cell masses and whose faces are a subset
+of its edges.
 
 Intertwining.  The derivative of the gap eigenfunction is the ground
 state of a Schroedinger-type operator (the Markovian approach of
@@ -68,6 +71,8 @@ _MAX_GROWTH = 8
 # |lambda(2S) - lambda(S)| <= this multiple of the mesh error passes the
 # truncation audit
 _AUDIT_FACTOR = 10.0
+# dyadic panels of the first cell's mass rule (see _first_cell_log_mass)
+_FIRST_CELL_HALVINGS = 40
 
 
 # ---------------------------------------------------------------------
@@ -267,44 +272,49 @@ def _mesh_family(measure, weight, from_metric, s_max):
 
 def _first_cell_log_mass(measure, r1):
     """log integral_0^{r1} r^{n-1} e^{-V} dr via tau = (r/r1)^n, which
-    absorbs the vanishing r^{n-1} factor into the measure exactly."""
+    absorbs the vanishing r^{n-1} factor into the measure exactly.
+
+    In tau the integrand is a function of tau^(1/n), which is not smooth
+    at 0, so the rule is composite: 16-point Gauss-Legendre on the dyadic
+    panels [2^-k, 2^(1-k)], k = 1.._FIRST_CELL_HALVINGS, and on the
+    remaining [0, 2^-_FIRST_CELL_HALVINGS]."""
     n = measure.n
-    x, wq = gl_rule(32)
-    radii = r1 * x ** (1.0 / n)
-    vals = -np.asarray(measure.potential.v(radii), dtype=float)
+    x, wq = gl_rule(16)
+    width = 0.5 ** np.arange(1, _FIRST_CELL_HALVINGS + 1)
+    left = np.append(width, 0.0)
+    width = np.append(width, width[-1])
+    tau = (left[:, None] + width[:, None] * x).ravel()
+    vals = -np.asarray(measure.potential.v(r1 * tau ** (1.0 / n)),
+                       dtype=float)
     top = float(np.max(vals))
     if not math.isfinite(top):
         raise DiscretizationError(
             "potential is not finite inside the first cell")
-    total = float(wq @ np.exp(vals - top))
+    total = float((width[:, None] * wq).ravel() @ np.exp(vals - top))
     return n * math.log(r1) - math.log(n) + top + math.log(total)
 
 
-def _assemble(measure, weight, edges, from_metric):
-    """The Discretization of one mesh, given by its natural-coordinate
-    edges."""
-    edges = np.asarray(edges, dtype=float)
-    r_edges = np.asarray(from_metric(edges), dtype=float)
-    r_edges[0] = 0.0
-    r_centers = np.asarray(from_metric(0.5 * (edges[:-1] + edges[1:])),
-                           dtype=float)
-    if (np.any(~np.isfinite(r_edges)) or np.any(np.diff(r_edges) <= 0.0)
-            or np.any(~np.isfinite(r_centers)) or not r_centers[0] > 0.0
-            or np.any(np.diff(r_centers) <= 0.0)):
+def _require_increasing(r, floor=-math.inf):
+    if (np.any(~np.isfinite(r)) or not r[0] > floor
+            or np.any(np.diff(r) <= 0.0)):
         raise DiscretizationError(
             "mesh degenerated: grid radii are not strictly increasing")
 
-    # midpoint-face conductances sigma^2(r_f) w(r_f) / (center distance)
+
+def _mesh_terms(measure, weight, edges, from_metric):
+    """(r_edges, face_flux, masses) of one mesh, given by its
+    natural-coordinate edges: the edge radii, the numerators
+    sigma^2(r_f) w(r_f) of the interior face conductances, and the cell
+    masses -- every integral and density evaluation of an assembly."""
+    r_edges = np.asarray(from_metric(edges), dtype=float)
+    r_edges[0] = 0.0
+    _require_increasing(r_edges)
     faces = r_edges[1:-1]
     with np.errstate(over="ignore", under="ignore"):
         log_w_face = (np.asarray(measure.log_weight(faces), dtype=float)
                       - measure.log_z)
-        cond = (np.asarray(weight.s2(faces), dtype=float)
-                * np.exp(log_w_face) / np.diff(r_centers))
-    if np.any(~np.isfinite(cond)) or np.any(cond <= 0.0):
-        raise DiscretizationError(
-            "a face conductance underflowed to zero or overflowed; the "
-            "domain extends past the representable range of the density")
+        face_flux = np.asarray(weight.s2(faces), dtype=float) * np.exp(
+            log_w_face)
 
     log_m = np.empty(edges.size - 1)
     log_m[0] = _first_cell_log_mass(measure, r_edges[1]) - measure.log_z
@@ -317,12 +327,54 @@ def _assemble(measure, weight, edges, from_metric):
     log_m[1:] = log_integrals_exp(log_f, t_lo, t_hi) - measure.log_z
     with np.errstate(under="ignore"):
         masses = np.exp(log_m)
+    return r_edges, face_flux, masses
+
+
+def _pencil(edges, r_edges, face_flux, masses, from_metric):
+    """The Discretization of one mesh from its _mesh_terms: the cell
+    centers and midpoint-face conductances
+    sigma^2(r_f) w(r_f) / (center distance)."""
+    r_centers = np.asarray(from_metric(0.5 * (edges[:-1] + edges[1:])),
+                           dtype=float)
+    _require_increasing(r_centers, floor=0.0)
+    with np.errstate(over="ignore", under="ignore"):
+        cond = face_flux / np.diff(r_centers)
+    if np.any(~np.isfinite(cond)) or np.any(cond <= 0.0):
+        raise DiscretizationError(
+            "a face conductance underflowed to zero or overflowed; the "
+            "domain extends past the representable range of the density")
     if np.any(~np.isfinite(masses)) or np.any(masses <= 0.0):
         raise DiscretizationError(
             "a cell mass underflowed to zero; refine the grading or "
             "shrink the domain")
     return Discretization(conductances=cond, mass=masses,
                           r_centers=r_centers, r_edges=r_edges)
+
+
+def _assemble(measure, weight, edges, from_metric):
+    """The Discretization of one mesh, given by its natural-coordinate
+    edges."""
+    edges = np.asarray(edges, dtype=float)
+    return _pencil(edges, *_mesh_terms(measure, weight, edges, from_metric),
+                   from_metric)
+
+
+def _nested_pencils(measure, weight, edges, from_metric):
+    """Discretizations of the meshes edges[::4], edges[::2] and edges,
+    coarsest first, from one assembly of the finest.
+
+    Each coarse cell is a pair (or quadruple) of fine cells and each
+    coarse face a fine edge, so the coarse pencils are restrictions: the
+    coarse masses are sums of fine masses and the coarse face numerators
+    a subset of the fine ones.  Only the coarse cell centers, and with
+    them the conductances' center distances, are computed anew.
+    """
+    r_edges, face_flux, masses = _mesh_terms(measure, weight, edges,
+                                             from_metric)
+    return [_pencil(edges[::step], r_edges[::step],
+                    face_flux[step - 1::step],
+                    masses.reshape(-1, step).sum(axis=1), from_metric)
+            for step in (4, 2, 1)]
 
 
 def discretize(measure, weight, grid):
@@ -395,7 +447,9 @@ def _ground_state(cond, masses):
 def _solve_domain(measure, weight, r_hi, spec, to_metric, from_metric):
     """Mesh-extrapolated eigensolve on one domain.
 
-    Solves on the nested n_cells/2, n_cells and 2 n_cells meshes.
+    Solves on the nested n_cells/2, n_cells and 2 n_cells meshes.  Only
+    the 2 n_cells mesh is assembled (its cell masses integrated); the
+    coarser two are its restrictions (see _nested_pencils).
     Richardson extrapolation of each finer pair removes the O(h^2) error,
     and a second step across the two extrapolants removes the O(h^4) term
     of the nested-mesh expansion.  The mesh error is the two-mesh formula
@@ -404,8 +458,8 @@ def _solve_domain(measure, weight, r_hi, spec, to_metric, from_metric):
     """
     mesh = _mesh_family(measure, weight, from_metric, float(to_metric(r_hi)))
     lams = []
-    for n in (spec.n_cells // 2, spec.n_cells, 2 * spec.n_cells):
-        disc = _assemble(measure, weight, mesh(n), from_metric)
+    for disc in _nested_pencils(measure, weight, mesh(2 * spec.n_cells),
+                                from_metric):
         lam1, g = _ground_state(disc.conductances, disc.mass)
         lams.append(lam1)
     rich_lo = lams[1] + (lams[1] - lams[0]) / 3.0

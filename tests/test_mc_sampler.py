@@ -157,7 +157,8 @@ def test_mc_matches_quadrature_route_and_solver(gauss_batch, gap_of):
         b, lambda x: np.asarray(x, dtype=float), LIN_DF, UNIT),
      InvalidInput),
     (lambda b: rayleigh_estimate(
-        SampleBatch(points=np.ones((4, 3)), seed=1, count=4),
+        SampleBatch(points=np.ones((4, 3)), radii=np.full(4, math.sqrt(3.0)),
+                    seed=1, count=4),
         LIN_F, LIN_DF, UNIT),
      InvalidInput),
     (lambda b: rayleigh_estimate("nope", LIN_F, LIN_DF, UNIT),

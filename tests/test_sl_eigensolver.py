@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from scipy.optimize import brentq
+from scipy.special import gammainc, gammaln
 
 from specgap import sl_eigensolver
 from specgap.errors import HypothesisFailed, InvalidInput, TruncationWarning
@@ -193,6 +194,20 @@ def test_discretize_conserves_mass():
     assert abs(disc.mass.sum() - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("r1", [1e-3, 0.5, 2.0])
+@pytest.mark.parametrize("alpha,n", [(1.0, 2), (1.0, 8), (1.5, 3), (2.0, 3)])
+def test_first_cell_mass_matches_incomplete_gamma(alpha, n, r1):
+    # integral_0^r1 r^(n-1) e^(-r^alpha/alpha) dr
+    #   = alpha^(n/alpha - 1) Gamma(n/alpha) P(n/alpha, r1^alpha/alpha);
+    # in tau = (r/r1)^n the integrand is not smooth at 0
+    s = n / alpha
+    exact = ((s - 1.0) * math.log(alpha) + gammaln(s)
+             + math.log(gammainc(s, r1 ** alpha / alpha)))
+    got = sl_eigensolver._first_cell_log_mass(
+        build_measure(n, exp_power_pot(alpha)), r1)
+    assert abs(got - exact) <= 1e-13, (alpha, n, r1, got - exact)
+
+
 def test_coarse_rayleigh_quotient_near_gap():
     disc = discretize(build_measure(3, gaussian_pot()), unit_w(),
                       GridSpec(n_cells=64))
@@ -278,6 +293,70 @@ def test_every_domain_solve_uses_three_nested_meshes(monkeypatch):
                        GridSpec(n_cells=64))
     assert calls == [32, 64, 128]
     assert abs(est.value - BALL_ORACLE[4]) <= est.error_estimate
+
+
+@pytest.mark.parametrize("n_cells", [64, 1024])
+@pytest.mark.parametrize("name,builder,weight", [
+    ("gaussian n=3", lambda: build_measure(3, gaussian_pot()), unit_w),
+    ("ball n=4", lambda: build_measure(4, ball_pot()), unit_w),
+    ("cauchy n=3 b=4", lambda: build_measure(3, cauchy_pot(4.0)), one_plus_w),
+])
+def test_restricted_pencils_match_direct_assembly(name, builder, weight,
+                                                  n_cells):
+    # the n_cells/2 and n_cells pencils of a domain solve are restrictions
+    # of the 2 n_cells assembly; each must be the pencil a direct
+    # assembly of that mesh gives
+    mu, w = builder(), weight()
+    r0, r_cap = sl_eigensolver._radii(mu)
+    to_metric, from_metric = sl_eigensolver._metric_maps(
+        w, min(r_cap, sl_eigensolver._R_CAP))
+    mesh = sl_eigensolver._mesh_family(mu, w, from_metric,
+                                       float(to_metric(r0)))
+    fine = mesh(2 * n_cells)
+    pencils = sl_eigensolver._nested_pencils(mu, w, fine, from_metric)
+    for step, pencil in zip((4, 2, 1), pencils):
+        edges = mesh(2 * n_cells // step)
+        assert np.array_equal(fine[::step], edges), (name, step)
+        direct = sl_eigensolver._assemble(mu, w, edges, from_metric)
+        assert np.array_equal(pencil.r_edges, direct.r_edges), (name, step)
+        assert np.array_equal(pencil.conductances, direct.conductances), (
+            name, step)
+        np.testing.assert_allclose(pencil.mass, direct.mass, rtol=1e-12,
+                                   atol=0.0, err_msg=f"{name} step {step}")
+        lam_r = _ground_state(pencil.conductances, pencil.mass)[0]
+        lam_d = _ground_state(direct.conductances, direct.mass)[0]
+        # the tridiagonal bisection resolves each eigenvalue to
+        # eps |T|_1 absolute, which on ball n=4 at 1024 cells is 2.2e-10
+        # relative; two such solves may differ by twice that
+        lo = direct.conductances / direct.mass[:-1]
+        hi = direct.conductances / direct.mass[1:]
+        off = np.sqrt(hi[:-1] * lo[1:])
+        norm1 = np.max(lo + hi + np.append(off, 0.0) + np.append(0.0, off))
+        tol = max(1e-10 * lam_d, 2.0 * np.finfo(float).eps * norm1)
+        assert abs(lam_r - lam_d) <= tol, (name, step, lam_r, lam_d)
+
+
+def test_one_mass_integration_per_domain_solve(monkeypatch):
+    # only the finest mesh of a domain solve integrates its cell masses:
+    # 2 n_cells - 1 intervals (the first cell has its own rule)
+    intervals, solves = [], []
+    real_integrals = sl_eigensolver.log_integrals_exp
+    real_ground = sl_eigensolver._ground_state
+
+    def spy_integrals(log_f, lo, hi):
+        intervals.append(np.size(lo))
+        return real_integrals(log_f, lo, hi)
+
+    def spy_ground(cond, masses):
+        solves.append(masses.size)
+        return real_ground(cond, masses)
+
+    monkeypatch.setattr(sl_eigensolver, "log_integrals_exp", spy_integrals)
+    monkeypatch.setattr(sl_eigensolver, "_ground_state", spy_ground)
+    spectral_gap(build_measure(4, ball_pot()), unit_w(), GridSpec(n_cells=64))
+    # a bounded law is one domain solve: three meshes, one integration
+    assert solves == [32, 64, 128]
+    assert intervals == [2 * 64 - 1]
 
 
 def test_unsettled_trace_returns_last_domain(monkeypatch):

@@ -11,6 +11,9 @@ A refactor that claims to keep behaviour shows it on this list:
   rejected ``eigen --cells 100`` and ``table --id ball --dims 3..2``;
 - ``eigen --cells 64`` on gaussian n=3 and ball n=4, the smallest mesh,
   where a change to the Richardson scheme shows first;
+- ``eigen --cells 128`` and ``--cells 256`` on cauchy beta=7.5 n=6 with
+  sigma^2 = 1+r^2 and on gaussian n=2 with sigma^2 = 1/(1+r^2), whose
+  domain doublings stretch the mesh far from its default spacing;
 - ``sample --function radial-quadratic`` on gaussian n=3, and ``sample``
   on ball n=128 and exp-power alpha=1.01 n=192, whose quantile tables
   start at the 1e-18 probability clip;
@@ -56,6 +59,10 @@ _TABLES = ("exp-power-asymptotics", "cauchy-n3", "gaussian-weighted", "ball")
 _GAUSSIAN = ["--family", "gaussian", "--n", "3"]
 _CAUCHY = ["--family", "cauchy", "--beta", "4", "--n", "3",
            "--weight", "one-plus-r2"]
+_STRETCHED = (["--family", "cauchy", "--beta", "7.5", "--n", "6",
+               "--weight", "one-plus-r2"],
+              ["--family", "gaussian", "--n", "2",
+               "--weight", "inv-one-plus-r2"])
 _VARIANTS = (
     ["bounds"] + _CAUCHY + ["--tail-tol", "1e-6"],
     ["eigen"] + _CAUCHY + ["--tail-tol", "1e-6"],
@@ -66,6 +73,8 @@ _VARIANTS = (
     ["eigen"] + _GAUSSIAN + ["--cells", "100"],
     ["eigen"] + _GAUSSIAN + ["--cells", "64"],
     ["eigen", "--family", "ball", "--n", "4", "--cells", "64"],
+    *(["eigen"] + case + ["--cells", cells]
+      for case in _STRETCHED for cells in ("128", "256")),
     ["sample"] + _GAUSSIAN + ["--function", "radial-quadratic"],
     ["sample", "--family", "ball", "--n", "128"],
     ["sample", "--family", "exp-power", "--alpha", "1.01", "--n", "192"],
