@@ -18,15 +18,14 @@ from .catalog import (FAMILY_NAMES, WEIGHT_NAMES, FamilySpec, ReferenceGap,
                       ball_candidate, ball_potential, catalog_grid,
                       cauchy_potential, exp_power_potential,
                       gaussian_potential, inv_one_plus_r2_weight,
-                      linear_candidate, make_family, make_weight,
-                      one_plus_r2_weight, power_candidate,
-                      power_law_candidate, quadratic_candidate,
-                      reference_gap, unit_weight)
+                      make_family, make_weight, one_plus_r2_weight,
+                      power_candidate, power_law_candidate,
+                      quadratic_candidate, reference_gap, unit_weight)
 from .errors import (ConvergenceError, DegenerateFunction,
                      DiscretizationError, DomainError, HypothesisFailed,
                      InvalidInput, NonIntegrable, SpecGapError,
                      TruncationWarning)
-from .loggamma import gamma_ratio, log_gamma
+from .loggamma import log_gamma
 from .mc_sampler import (RayleighResult, SampleBatch, rayleigh_estimate,
                          sample_mu, sample_radius)
 from .radial_model import (BoundBracket, RadialMeasure, RadialPotential,
@@ -35,8 +34,7 @@ from .radial_model import (BoundBracket, RadialMeasure, RadialPotential,
                            expectation, moment, tail_mass,
                            truncation_radius, validate_weight,
                            weighted_moment)
-from .sl_eigensolver import (Discretization, GapEstimate, GridFunction,
-                             GridSpec, discretize, residual_check,
+from .sl_eigensolver import (GapEstimate, GridSpec, residual_check,
                              spectral_gap)
 
 __version__ = "0.1.0"

@@ -33,6 +33,7 @@ or asserted by this package.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -59,7 +60,6 @@ __all__ = [
     "power_candidate",
     "power_law_candidate",
     "ball_candidate",
-    "linear_candidate",
     "make_family",
     "reference_gap",
     "catalog_grid",
@@ -73,6 +73,16 @@ WEIGHT_NAMES = ("unit", "one_plus_r2", "inv_one_plus_r2")
 # ---------------------------------------------------------------------
 # specification records
 # ---------------------------------------------------------------------
+
+
+def _finite_real(name, value):
+    """value as a float; bool and non-real values raise InvalidInput."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidInput(f"{name} must be a real number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise InvalidInput(f"{name} must be finite, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -99,9 +109,8 @@ class FamilySpec:
         if self.family == "exponential_power":
             if self.alpha is None:
                 raise InvalidInput("exponential_power requires alpha")
-            object.__setattr__(self, "alpha", float(self.alpha))
-            if not math.isfinite(self.alpha):
-                raise InvalidInput(f"alpha must be finite, got {self.alpha}")
+            object.__setattr__(self, "alpha",
+                               _finite_real("alpha", self.alpha))
             if self.alpha < 1.0:
                 raise InvalidInput(
                     f"exponential_power requires alpha >= 1 (log-concavity), "
@@ -112,9 +121,7 @@ class FamilySpec:
         if self.family == "generalized_cauchy":
             if self.beta is None:
                 raise InvalidInput("generalized_cauchy requires beta")
-            object.__setattr__(self, "beta", float(self.beta))
-            if not math.isfinite(self.beta):
-                raise InvalidInput(f"beta must be finite, got {self.beta}")
+            object.__setattr__(self, "beta", _finite_real("beta", self.beta))
             if self.beta <= self.n / 2.0:
                 raise InvalidInput(
                     f"generalized_cauchy requires beta > n/2 = {self.n / 2.0} "
@@ -395,11 +402,6 @@ def power_law_candidate(alpha):
         log_abs_f=lambda r: a * np.log(np.asarray(r, dtype=float)),
         log_abs_df=lambda r: math.log(a)
         + (a - 1.0) * np.log(np.asarray(r, dtype=float)))
-
-
-def linear_candidate():
-    """f = r, the generic upper-bound probe."""
-    return power_law_candidate(1.0)
 
 
 def ball_candidate(n):

@@ -1,16 +1,14 @@
-"""Log-gamma with a typed domain check, and overflow-safe Gamma ratios.
+"""Log-gamma with a typed domain check.
 
 Closed-form brackets for the exponential-power family are ratios
 Gamma(n/alpha) / Gamma((n+2)/alpha) at arguments that overflow a direct
-Gamma evaluation, so everything here works on the log scale and ratios
-are formed as exp of log differences.
+Gamma evaluation, so they are formed on the log scale, as exp of log
+differences.
 
 log Gamma itself is scipy.special.gammaln; this module only turns a
 non-positive or non-finite argument into InvalidInput instead of the
 inf or nan gammaln would return.
 """
-
-import math
 
 import numpy as np
 from scipy.special import gammaln
@@ -32,8 +30,3 @@ def log_gamma(x):
         return float(out)
     return out
 
-
-def gamma_ratio(a, b):
-    """Gamma(a) / Gamma(b) computed as exp(log Gamma(a) - log Gamma(b)),
-    safe at arguments where either Gamma alone would overflow."""
-    return math.exp(log_gamma(float(a)) - log_gamma(float(b)))

@@ -22,6 +22,7 @@ inconsistent inputs.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -558,9 +559,10 @@ def weighted_moment(measure, weight, kind):
 
 
 def tail_mass(measure, r):
-    """nu((r, R)) = 1 - CDF(r), by quadrature."""
-    if not r >= 0.0:
-        raise InvalidInput(f"tail_mass requires r >= 0, got {r}")
+    """nu((r, R)) = 1 - CDF(r), by quadrature, for a real scalar r."""
+    if (isinstance(r, bool) or not isinstance(r, numbers.Real)
+            or not r >= 0.0):
+        raise InvalidInput(f"tail_mass requires r >= 0, got {r!r}")
     if r == 0.0:
         return 1.0
     val, _, log_scale = tail_integral(

@@ -18,8 +18,7 @@ state of a Schroedinger-type operator (the Markovian approach of
 Bonnefont & Joulin).  Discretely, the nonzero spectrum of M^{-1} K is
 the spectrum of the flux pencil C^{1/2} B M^{-1} B^T C^{1/2}, so the gap
 is that pencil's lowest eigenvalue: LAPACK is asked for one eigenvalue
-per mesh, the constant mode never enters, and the eigenfunction
-M^{-1} B^T C^{1/2} q is mean-zero by construction.
+per mesh, and the constant mode never enters.
 
 Coordinates.  Meshes are laid out in the natural coordinate of the
 diffusion, s(r) = int_0^r du/sigma(u), in which the operator has unit
@@ -38,14 +37,14 @@ representable range (a bounded law's whole domain) is reached.  The
 growth doubles the *natural length* of the domain rather than the
 radius -- for sigma^2 = 1 + r^2 a radius doubling moves the wall by only
 log 2 in the natural coordinate, which can never resolve the 1/S^2
-truncation bias of a law whose generator has essential spectrum.  When the truncation bias is algebraic, the limit is
-recovered from the last domain doublings by fitting
-lambda(S) = lambda_inf + A/(S + phi)^2.
+truncation bias of a law whose generator has essential spectrum.  When
+the truncation bias is algebraic, the limit is recovered from the last
+domain doublings by fitting lambda(S) = lambda_inf + A/(S + phi)^2.
 """
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, eigh_tridiagonal
@@ -101,51 +100,19 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
-class Discretization:
-    """One finite-volume discretization: pencil (K = B^T C B as the face
-    conductances C, and the cell masses M) plus its grid."""
-
-    conductances: np.ndarray
-    mass: np.ndarray
-    r_centers: np.ndarray
-    r_edges: np.ndarray
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """Function tabulated on cell centers, with the cell masses of nu.
-
-    The mean and norm methods integrate against the tabulated cell
-    masses.
-    """
-
-    r: np.ndarray
-    values: np.ndarray
-    masses: np.ndarray
-
-    def nu_mean(self):
-        return float(self.masses @ self.values)
-
-    def nu_norm(self):
-        return float(math.sqrt(self.masses @ (self.values * self.values)))
-
-
-@dataclass(frozen=True)
 class GapEstimate:
     """Spectral-gap estimate with its own error model.
 
     value is the Richardson-extrapolated eigenvalue; error_estimate is
     |lambda_N - lambda_2N| / 3 (the size of the correction the
     extrapolation applied), plus a truncation term when the domain had
-    to be escalated.  The eigenfunction is tabulated on the cell centers
-    of the finest mesh used, mean-zero and unit-norm in L^2(nu).
+    to be escalated.
     """
 
     value: float
     error_estimate: float
     n_cells_used: int
     r_max_used: float
-    eigenfunction: GridFunction = field(repr=False)
 
 
 # ---------------------------------------------------------------------
@@ -302,10 +269,10 @@ def _require_increasing(r, floor=-math.inf):
 
 
 def _mesh_terms(measure, weight, edges, from_metric):
-    """(r_edges, face_flux, masses) of one mesh, given by its
-    natural-coordinate edges: the edge radii, the numerators
-    sigma^2(r_f) w(r_f) of the interior face conductances, and the cell
-    masses -- every integral and density evaluation of an assembly."""
+    """(face_flux, masses) of one mesh, given by its natural-coordinate
+    edges: the numerators sigma^2(r_f) w(r_f) of the interior face
+    conductances, and the cell masses -- every integral and density
+    evaluation of an assembly."""
     r_edges = np.asarray(from_metric(edges), dtype=float)
     r_edges[0] = 0.0
     _require_increasing(r_edges)
@@ -327,13 +294,13 @@ def _mesh_terms(measure, weight, edges, from_metric):
     log_m[1:] = log_integrals_exp(log_f, t_lo, t_hi) - measure.log_z
     with np.errstate(under="ignore"):
         masses = np.exp(log_m)
-    return r_edges, face_flux, masses
+    return face_flux, masses
 
 
-def _pencil(edges, r_edges, face_flux, masses, from_metric):
-    """The Discretization of one mesh from its _mesh_terms: the cell
-    centers and midpoint-face conductances
-    sigma^2(r_f) w(r_f) / (center distance)."""
+def _pencil(edges, face_flux, masses, from_metric):
+    """(conductances, masses) of one mesh from its _mesh_terms, checked:
+    the midpoint-face conductances sigma^2(r_f) w(r_f) / (center
+    distance) of K = B^T C B, and the cell masses of M."""
     r_centers = np.asarray(from_metric(0.5 * (edges[:-1] + edges[1:])),
                            dtype=float)
     _require_increasing(r_centers, floor=0.0)
@@ -347,21 +314,12 @@ def _pencil(edges, r_edges, face_flux, masses, from_metric):
         raise DiscretizationError(
             "a cell mass underflowed to zero; refine the grading or "
             "shrink the domain")
-    return Discretization(conductances=cond, mass=masses,
-                          r_centers=r_centers, r_edges=r_edges)
-
-
-def _assemble(measure, weight, edges, from_metric):
-    """The Discretization of one mesh, given by its natural-coordinate
-    edges."""
-    edges = np.asarray(edges, dtype=float)
-    return _pencil(edges, *_mesh_terms(measure, weight, edges, from_metric),
-                   from_metric)
+    return cond, masses
 
 
 def _nested_pencils(measure, weight, edges, from_metric):
-    """Discretizations of the meshes edges[::4], edges[::2] and edges,
-    coarsest first, from one assembly of the finest.
+    """(conductances, masses) of the meshes edges[::4], edges[::2] and
+    edges, coarsest first, from one assembly of the finest.
 
     Each coarse cell is a pair (or quadruple) of fine cells and each
     coarse face a fine edge, so the coarse pencils are restrictions: the
@@ -369,35 +327,10 @@ def _nested_pencils(measure, weight, edges, from_metric):
     a subset of the fine ones.  Only the coarse cell centers, and with
     them the conductances' center distances, are computed anew.
     """
-    r_edges, face_flux, masses = _mesh_terms(measure, weight, edges,
-                                             from_metric)
-    return [_pencil(edges[::step], r_edges[::step],
-                    face_flux[step - 1::step],
+    face_flux, masses = _mesh_terms(measure, weight, edges, from_metric)
+    return [_pencil(edges[::step], face_flux[step - 1::step],
                     masses.reshape(-1, step).sum(axis=1), from_metric)
             for step in (4, 2, 1)]
-
-
-def discretize(measure, weight, grid):
-    """Finite-volume Neumann discretization of the weighted radial
-    generator on cell centers: face conductances C and cell masses M,
-    which define the stiffness K = B^T C B (B the difference operator,
-    so K 1 = 0 and g' K g = sum_i C_i (g_{i+1} - g_i)^2) and the
-    diagonal mass matrix M.
-
-    The conductance of the face between cells i and i+1 is
-    sigma^2(r_face) w(r_face) / (r-distance between the cell centers);
-    cell masses are the exact integrals of the normalized density over
-    each cell (the first cell by a substitution exact for r^{n-1}).
-    Raises DiscretizationError if any cell mass underflows to zero.
-    """
-    if not isinstance(grid, GridSpec):
-        raise InvalidInput("grid must be a GridSpec")
-    validate_weight(measure, weight)
-    r0, r_cap = _radii(measure)
-    to_metric, from_metric = _metric_maps(weight, min(r_cap, _R_CAP))
-    s_max = float(to_metric(r0))
-    mesh = _mesh_family(measure, weight, from_metric, s_max)
-    return _assemble(measure, weight, mesh(grid.n_cells), from_metric)
 
 
 # ---------------------------------------------------------------------
@@ -406,16 +339,14 @@ def discretize(measure, weight, grid):
 
 
 def _ground_state(cond, masses):
-    """(lambda_1, g_1): the spectral gap of K g = lambda M g and its
-    eigenvector, M-normalized, as the ground state of the flux pencil.
+    """The spectral gap lambda_1 of K g = lambda M g, as the ground state
+    of the flux pencil.
 
     With K = B^T C B, the nonzero spectrum of M^{-1} K is the spectrum
     of the positive definite (N-1)x(N-1) pencil
     T = C^{1/2} B M^{-1} B^T C^{1/2}, which acts on face fluxes: the
     discrete form of the intertwining that makes the derivative of the
     gap eigenfunction the ground state of a Schroedinger-type operator.
-    If T q = lambda q, then g proportional to M^{-1} B^T C^{1/2} q solves
-    K g = lambda M g and is M-orthogonal to the constants by construction.
     """
     # T_ii = c_i (1/m_i + 1/m_{i+1}), T_{i,i+1} = -sqrt(c_i c_{i+1})/m_{i+1},
     # assembled from the ratios c/m, which stay in range when c and m
@@ -429,19 +360,12 @@ def _ground_state(cond, masses):
             "pencil entries overflowed; the mesh spans a wider dynamic "
             "range than doubles can carry")
     try:
-        vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, 0),
-                                      lapack_driver="stebz")
+        vals = eigh_tridiagonal(d, e, select="i", select_range=(0, 0),
+                                lapack_driver="stebz", eigvals_only=True)
     except (LinAlgError, ValueError) as exc:
         raise ConvergenceError(
             f"tridiagonal eigenvalue iteration failed: {exc}") from None
-    flux = np.concatenate(([0.0], np.sqrt(cond) * vecs[:, 0], [0.0]))
-    g = np.diff(flux) / masses
-    # normalize, and fix the sign so the tabulated eigenfunction
-    # increases on average
-    g = g / math.sqrt(masses @ (g * g))
-    if g[-1] < g[0]:
-        g = -g
-    return float(vals[0]), g
+    return float(vals[0])
 
 
 def _solve_domain(measure, weight, r_hi, spec, to_metric, from_metric):
@@ -454,19 +378,16 @@ def _solve_domain(measure, weight, r_hi, spec, to_metric, from_metric):
     and a second step across the two extrapolants removes the O(h^4) term
     of the nested-mesh expansion.  The mesh error is the two-mesh formula
     |lambda_N - lambda_2N| / 3, so it is conservative for the value.
-    Returns (value, mesh_error, eigenfunction on the finest mesh).
+    Returns (value, mesh_error).
     """
     mesh = _mesh_family(measure, weight, from_metric, float(to_metric(r_hi)))
-    lams = []
-    for disc in _nested_pencils(measure, weight, mesh(2 * spec.n_cells),
-                                from_metric):
-        lam1, g = _ground_state(disc.conductances, disc.mass)
-        lams.append(lam1)
+    lams = [_ground_state(cond, masses)
+            for cond, masses in _nested_pencils(
+                measure, weight, mesh(2 * spec.n_cells), from_metric)]
     rich_lo = lams[1] + (lams[1] - lams[0]) / 3.0
     rich_hi = lams[2] + (lams[2] - lams[1]) / 3.0
     value = rich_hi + (rich_hi - rich_lo) / 15.0
-    fn = GridFunction(r=disc.r_centers, values=g, masses=disc.mass)
-    return value, abs(lams[2] - lams[1]) / 3.0, fn
+    return value, abs(lams[2] - lams[1]) / 3.0
 
 
 def _fit_inverse_square(points):
@@ -530,7 +451,7 @@ def spectral_gap(measure, weight, opts=None):
     to_metric, from_metric = _metric_maps(weight, min(r_cap, _R_CAP))
     s0, s_cap = float(to_metric(r0)), float(to_metric(r_cap))
 
-    def estimate(val, error, r_used, grid_fn):
+    def estimate(val, error, r_used):
         val = max(float(val), 0.0)
         if not val > error:
             raise HypothesisFailed(
@@ -539,14 +460,13 @@ def spectral_gap(measure, weight, opts=None):
         return GapEstimate(value=val,
                            error_estimate=float(error),
                            n_cells_used=2 * spec.n_cells,
-                           r_max_used=float(r_used),
-                           eigenfunction=grid_fn)
+                           r_max_used=float(r_used))
 
-    # the domain trace: (natural length, value, mesh error, radius,
-    # eigenfunction) per solve, and the shift each doubling caused
-    value, err, fn = _solve_domain(
-        measure, weight, r0, spec, to_metric, from_metric)
-    solves = [(s0, value, err, r0, fn)]
+    # the domain trace: (natural length, value, mesh error, radius) per
+    # solve, and the shift each doubling caused
+    value, err = _solve_domain(measure, weight, r0, spec, to_metric,
+                               from_metric)
+    solves = [(s0, value, err, r0)]
     shifts = []
     warned = settled = False
     # the Neumann wall is trusted only if doubling the natural length of
@@ -559,7 +479,7 @@ def spectral_gap(measure, weight, opts=None):
             break
         s_next = min(2.0 * s_prev, s_cap)
         r_next = float(from_metric(s_next))
-        val_n, err_n, fn_n = _solve_domain(
+        val_n, err_n = _solve_domain(
             measure, weight, r_next, spec, to_metric, from_metric)
         shift = abs(val_n - val_prev)
         mesh_err = max(err_prev, err_n, 1e-300)
@@ -570,7 +490,7 @@ def spectral_gap(measure, weight, opts=None):
                 f"{shift:.3e}, more than {_AUDIT_FACTOR:g}x the mesh error "
                 f"{mesh_err:.3e}"))
             warned = True
-        solves.append((s_next, val_n, err_n, r_next, fn_n))
+        solves.append((s_next, val_n, err_n, r_next))
         shifts.append(shift)
         if shift <= max(0.01 * err_n, 1e-12 * (1.0 + abs(val_n))):
             settled = True
@@ -588,10 +508,10 @@ def spectral_gap(measure, weight, opts=None):
             if lam_inf is not None:
                 fits.append(lam_inf)
     if fits:
-        _, val_last, err_last, r_last, fn_last = solves[-1]
+        _, val_last, err_last, r_last = solves[-1]
         spread = abs(fits[-1] - fits[0]) if len(fits) == 2 else 0.0
         err_domain = max(spread, 0.05 * abs(fits[-1] - val_last))
-        return estimate(fits[-1], err_last + err_domain, r_last, fn_last)
+        return estimate(fits[-1], err_last + err_domain, r_last)
 
     # the residual wall bias of solve k is bounded by what the later
     # doublings moved, plus the last shift (0 for a single domain).  Once
@@ -602,8 +522,8 @@ def spectral_gap(measure, weight, opts=None):
     tail_bias += shifts[-1] if shifts else 0.0
     errors = np.array([solve[2] for solve in solves]) + tail_bias
     k = int(np.argmin(errors)) if settled else len(solves) - 1
-    _, val_k, err_k, r_k, fn_k = solves[k]
-    return estimate(val_k, err_k + tail_bias[k], r_k, fn_k)
+    _, val_k, err_k, r_k = solves[k]
+    return estimate(val_k, err_k + tail_bias[k], r_k)
 
 
 # ---------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The benchmark's per-layer spans still find the program's layers.
+"""The benchmark's per-layer spans and counters still find the program.
 
 ``perfbench/spans.py`` wraps each layer function by (module, attribute)
 and silently skips a name the program no longer has, so a refactor that
@@ -6,20 +6,24 @@ moves or renames one would zero that layer's metrics unnoticed.  The
 table is read, not edited: the import writes no bytecode there.
 """
 
+import contextlib
 import importlib
+import io
 import os
 import sys
 from collections import defaultdict
 
+import scipy.linalg
+
 _REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _spanned():
+def _spans():
     sys.path.insert(0, _REPO)
     dont_write = sys.dont_write_bytecode
     sys.dont_write_bytecode = True
     try:
-        return importlib.import_module("perfbench.spans").SPANNED
+        return importlib.import_module("perfbench.spans")
     finally:
         sys.dont_write_bytecode = dont_write
         sys.path.remove(_REPO)
@@ -27,9 +31,30 @@ def _spanned():
 
 def test_every_span_resolves_in_the_program():
     found = defaultdict(list)
-    for mod_name, attr, span_name in _spanned():
+    for mod_name, attr, span_name in _spans().SPANNED:
         module = importlib.import_module(mod_name)
         found[span_name].append(hasattr(module, attr))
     assert found
     missing = sorted(name for name, hits in found.items() if not any(hits))
     assert not missing, f"spans with no resolvable (module, attribute): {missing}"
+
+
+def test_counters_see_the_eigensolver():
+    # a bounded law is one domain solve on three nested meshes: 31, 63
+    # and 127 pencil rows at --cells 64
+    from specgap import cli, sl_eigensolver
+
+    tracer = _spans().Tracer()
+    tracer.install(dict(sys.modules))
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(["eigen", "--family", "ball", "--n", "4",
+                           "--cells", "64"])
+    finally:
+        tracer.uninstall()
+    counts = tracer.counters
+    assert rc == 0
+    assert counts["sl_eigensolver.eigh.calls"] == 3
+    assert counts["sl_eigensolver.eigh.rows"] == 31 + 63 + 127
+    assert counts["radial_model.log_weight.calls"] > 0
+    assert sl_eigensolver.eigh_tridiagonal is scipy.linalg.eigh_tridiagonal

@@ -64,6 +64,23 @@ def test_family_spec_rejects_non_finite_parameter_by_name(kwargs, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("family, name, value", [
+    ("exponential_power", "alpha", True),
+    ("exponential_power", "alpha", "2"),
+    ("exponential_power", "alpha", np.array([2.0])),
+    ("generalized_cauchy", "beta", True),
+    ("generalized_cauchy", "beta", "4"),
+    ("generalized_cauchy", "beta", 4 + 0j),
+], ids=["alpha-bool", "alpha-str", "alpha-array", "beta-bool", "beta-str",
+        "beta-complex"])
+def test_family_spec_rejects_non_real_parameter(family, name, value):
+    # bool is an int subclass and "2" converts by float(); neither may
+    # pass for a real parameter
+    with pytest.raises(InvalidInput) as exc:
+        FamilySpec(family, 3, **{name: value})
+    assert str(exc.value).startswith(f"{name} must be a real number")
+
+
 def test_family_spec_normalization_and_label():
     sp = FamilySpec("generalized_cauchy", 3, "one_plus_r2", beta=4)
     assert isinstance(sp.beta, float)

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from specgap import InvalidInput, gamma_ratio, log_gamma
+from specgap import InvalidInput, log_gamma
 
 REL = 1e-13
 
@@ -60,20 +60,6 @@ def test_vectorized_matches_scalar():
     assert vec.shape == xs.shape
     for x, v in zip(xs, vec):
         assert v == log_gamma(float(x))
-
-
-def test_gamma_ratio_exact_cases():
-    # Gamma(a+1)/Gamma(a) = a; exponentiating the log difference turns the
-    # ~1e-15 log-scale error into |log Gamma| * 1e-15 relative error here
-    for a in (0.5, 1.0, 3.25, 40.0, 123.5):
-        tol = 4e-15 * (1.0 + abs(math.lgamma(a + 1.0)) + abs(math.lgamma(a)))
-        assert abs(gamma_ratio(a + 1.0, a) - a) <= tol * a
-    # Gamma(5)/Gamma(3) = 24/2
-    assert abs(gamma_ratio(5.0, 3.0) - 12.0) <= 1e-12
-    # ratio at arguments whose Gammas overflow a double separately
-    big = gamma_ratio(400.25, 400.0)
-    ref = math.exp(math.lgamma(400.25) - math.lgamma(400.0))
-    assert abs(big - ref) <= 1e-11 * ref
 
 
 def test_rejects_nonpositive_and_nonfinite():

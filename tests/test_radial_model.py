@@ -262,6 +262,13 @@ def test_nan_arguments_are_invalid_input():
         tail_mass(mu, math.nan)
 
 
+@pytest.mark.parametrize("r", [np.array([1.0, 2.0]), "1", True],
+                         ids=["array", "str", "bool"])
+def test_tail_mass_rejects_non_scalar_radius(r):
+    with pytest.raises(InvalidInput, match="tail_mass requires r"):
+        tail_mass(_gaussian(3), r)
+
+
 def test_bool_orders_are_invalid_input():
     mu = _gaussian(3)
     with pytest.raises(InvalidInput, match="moment order"):
