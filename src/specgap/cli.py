@@ -718,8 +718,8 @@ def cmd_table(args, case_of):
 
 # --function -> (f, grad f) on an (count, n) array of points
 _SAMPLE_FUNCTIONS = {
-    "linear": (lambda points: points.sum(axis=1), np.ones_like),
-    "radial-quadratic": (lambda points: (points * points).sum(axis=1),
+    "linear": (lambda points: np.einsum("ij->i", points), np.ones_like),
+    "radial-quadratic": (lambda points: np.einsum("ij,ij->i", points, points),
                          lambda points: 2.0 * points),
 }
 

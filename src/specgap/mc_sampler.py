@@ -115,11 +115,12 @@ def sample_mu(measure, count, seed):
     count = _check_count(count)
     seed = _check_seed(seed)
     radii = sample_radius(measure, count, seed)
-    z = _stream(seed, 1).standard_normal((count, measure.n))
-    norms = np.linalg.norm(z, axis=1)
+    points = _stream(seed, 1).standard_normal((count, measure.n))
+    # row kernels: one pass per reduction and no (count, n) temporary
+    norms = np.sqrt(np.einsum("ij,ij->i", points, points))
     # a zero normal vector has probability zero; keep the guard anyway
     norms = np.where(norms > 0.0, norms, 1.0)
-    points = (radii / norms)[:, None] * z
+    points *= (radii / norms)[:, None]
     return SampleBatch(points=points, radii=radii, seed=seed, count=count)
 
 
@@ -152,7 +153,7 @@ def rayleigh_estimate(batch, f, grad_f, weight):
         raise InvalidInput(
             f"grad_f must map (count, n) points to (count, n) gradients, "
             f"got shape {gv.shape}")
-    energy = s2 * np.sum(gv * gv, axis=1)
+    energy = s2 * np.einsum("ij,ij->i", gv, gv)
     if not (np.all(np.isfinite(fv)) and np.all(np.isfinite(energy))):
         raise InvalidInput(
             "f and sigma^2 |grad f|^2 must be finite at all sample points")

@@ -299,6 +299,12 @@ def _pick_r_max(measure_logw, potential, n, log_z, tail_tol):
     return float(grid[idx])
 
 
+def _check_tail_tol(tail_tol):
+    if (isinstance(tail_tol, bool) or not isinstance(tail_tol, numbers.Real)
+            or not 0.0 < tail_tol < 1e-3):
+        raise InvalidInput(f"tail_tol must lie in (0, 1e-3), got {tail_tol!r}")
+
+
 def build_measure(n, potential, tail_tol=1e-12, name=""):
     """Construct the radial measure nu for dimension n and potential V.
 
@@ -310,8 +316,7 @@ def build_measure(n, potential, tail_tol=1e-12, name=""):
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise InvalidInput(f"dimension n must be an integer >= 2, got {n!r}")
-    if not (0.0 < tail_tol < 1e-3):
-        raise InvalidInput("tail_tol must lie in (0, 1e-3)")
+    _check_tail_tol(tail_tol)
     n = int(n)
     finite_domain = math.isfinite(potential.domain_end)
 
@@ -390,8 +395,7 @@ def truncation_radius(measure, tail_tol, poly_power=0):
     moment diverges or the weighted tail never meets the budget inside
     the probe horizon.
     """
-    if not (0.0 < tail_tol < 1e-3):
-        raise InvalidInput("tail_tol must lie in (0, 1e-3)")
+    _check_tail_tol(tail_tol)
     if (isinstance(poly_power, bool)
             or not isinstance(poly_power, (int, np.integer)) or poly_power < 0):
         raise InvalidInput("poly_power must be an integer >= 0")

@@ -58,3 +58,22 @@ def test_counters_see_the_eigensolver():
     assert counts["sl_eigensolver.eigh.rows"] == 31 + 63 + 127
     assert counts["radial_model.log_weight.calls"] > 0
     assert sl_eigensolver.eigh_tridiagonal is scipy.linalg.eigh_tridiagonal
+
+
+def test_counters_see_the_sampler():
+    from specgap import cli, mc_sampler
+
+    tracer = _spans().Tracer()
+    tracer.install(dict(sys.modules))
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(["sample", "--family", "gaussian", "--n", "3",
+                           "--count", "2000", "--seed", "1"])
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert rc == 0
+    assert tracer.counters["mc_sampler.points"] == 2000
+    assert names.count("mc_sampler.sample_mu") == 1
+    assert names.count("mc_sampler.rayleigh_estimate") == 1
+    assert cli.sample_mu is mc_sampler.sample_mu

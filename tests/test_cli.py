@@ -429,3 +429,13 @@ def test_cli_import_loads_no_scipy_optimize_or_interpolate():
                          text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_scipy_special():
+    # log Gamma is math.lgamma; scipy.special would cost ~0.13 s per start
+    code = ("import sys, specgap.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith('scipy.special')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

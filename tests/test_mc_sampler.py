@@ -10,8 +10,10 @@ import math
 import numpy as np
 import pytest
 
+from specgap import mc_sampler
 from specgap.bounds_engine import rayleigh_upper
 from specgap.catalog import FamilySpec, make_family, quadratic_candidate
+from specgap.cli import _SAMPLE_FUNCTIONS
 from specgap.errors import DegenerateFunction, InvalidInput
 from specgap.mc_sampler import (
     SampleBatch,
@@ -167,3 +169,59 @@ def test_mc_matches_quadrature_route_and_solver(gauss_batch, gap_of):
 def test_rayleigh_rejects(gauss_batch, bad_call, exc):
     with pytest.raises(exc):
         bad_call(gauss_batch)
+
+
+# ------------------------------------------------ row kernels vs reference
+
+
+def _reference_sample(measure, count, seed):
+    # the sampler written with np.linalg.norm and a (count, n) temporary
+    radii = sample_radius(measure, count, seed)
+    z = mc_sampler._stream(seed, 1).standard_normal((count, measure.n))
+    norms = np.linalg.norm(z, axis=1)
+    norms = np.where(norms > 0.0, norms, 1.0)
+    return (radii / norms)[:, None] * z, radii
+
+
+def _reference_rayleigh(points, radii, f, grad_f, weight):
+    # the batch-means estimate with np.sum(axis=1) reductions
+    s2 = np.asarray(weight.s2(radii), dtype=float)
+    energy = s2 * np.sum(grad_f(points) ** 2, axis=1)
+    fv = f(points)
+    centered_sq = (fv - fv.mean()) ** 2
+    num, den = energy.mean(), centered_sq.mean()
+    batch_num = [c.mean() for c in np.array_split(energy, 16)]
+    batch_den = [c.mean() for c in np.array_split(centered_sq, 16)]
+    cov = np.cov(np.vstack([batch_num, batch_den])) / 16
+    grad = np.array([1.0 / den, -num / den ** 2])
+    return num / den, 1.959963984540054 * math.sqrt(grad @ cov @ grad)
+
+
+_REFERENCE_FUNCTIONS = {
+    "linear": (lambda x: np.sum(x, axis=1), np.ones_like),
+    "radial-quadratic": (lambda x: np.sum(x * x, axis=1), lambda x: 2.0 * x),
+}
+
+
+@pytest.mark.parametrize("function", sorted(_SAMPLE_FUNCTIONS))
+@pytest.mark.parametrize("spec", [
+    FamilySpec("gaussian", 2), FamilySpec("gaussian", 3),
+    FamilySpec("gaussian", 8), FamilySpec("gaussian", 16),
+    FamilySpec("uniform_ball", 4),
+    FamilySpec("exponential_power", 6, alpha=1.0),
+], ids=["gauss2", "gauss3", "gauss8", "gauss16", "ball4", "exp-power1-n6"])
+def test_row_kernels_match_reference(spec, function):
+    count, seed = 20_000, 11
+    measure, weight, _ = make_family(spec)
+    batch = sample_mu(measure, count, seed)
+    ref_points, ref_radii = _reference_sample(measure, count, seed)
+    assert batch.radii.tobytes() == ref_radii.tobytes()
+    np.testing.assert_allclose(batch.points, ref_points, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(np.linalg.norm(batch.points, axis=1),
+                               batch.radii, rtol=1e-14, atol=0)
+
+    res = rayleigh_estimate(batch, *_SAMPLE_FUNCTIONS[function], weight)
+    ratio, half = _reference_rayleigh(ref_points, ref_radii,
+                                      *_REFERENCE_FUNCTIONS[function], weight)
+    assert abs(res.ratio - ratio) <= 1e-14 * abs(ratio)
+    assert abs(res.ci_half_width - half) <= 1e-9 * half

@@ -269,6 +269,22 @@ def test_tail_mass_rejects_non_scalar_radius(r):
         tail_mass(_gaussian(3), r)
 
 
+@pytest.mark.parametrize("tail_tol", ["1e-10", np.array([1e-10, 1e-9]),
+                                      np.array([1e-10])],
+                         ids=["str", "array", "array1"])
+def test_truncation_radius_rejects_non_scalar_tail_tol(tail_tol):
+    with pytest.raises(InvalidInput, match="tail_tol must lie"):
+        truncation_radius(_gaussian(3), tail_tol)
+
+
+@pytest.mark.parametrize("tail_tol", ["1e-12", np.array([1e-12]),
+                                      np.array([1e-12, 1e-13])],
+                         ids=["str", "array1", "array"])
+def test_build_measure_rejects_non_scalar_tail_tol(tail_tol):
+    with pytest.raises(InvalidInput, match="tail_tol must lie"):
+        build_measure(3, gaussian_potential(), tail_tol=tail_tol)
+
+
 def test_bool_orders_are_invalid_input():
     mu = _gaussian(3)
     with pytest.raises(InvalidInput, match="moment order"):
