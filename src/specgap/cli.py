@@ -56,7 +56,8 @@ from .errors import (ConvergenceError, DegenerateFunction,
                      DiscretizationError, DomainError, HypothesisFailed,
                      InvalidInput, NonIntegrable, SpecGapError)
 from .loggamma import log_gamma
-from .mc_sampler import rayleigh_estimate, sample_mu
+from .mc_sampler import (radial_rayleigh_estimate, rayleigh_estimate,
+                         sample_mu, sample_radius)
 from .radial_model import build_measure, moment, weighted_moment
 from .sl_eigensolver import GridSpec, spectral_gap
 
@@ -716,11 +717,14 @@ def cmd_table(args, case_of):
 # ---------------------------------------------------------------------
 
 
-# --function -> (f, grad f) on an (count, n) array of points
-_SAMPLE_FUNCTIONS = {
+# --function -> (f, grad f) on a (count, n) array of points
+_POINT_FUNCTIONS = {
     "linear": (lambda points: np.einsum("ij->i", points), np.ones_like),
-    "radial-quadratic": (lambda points: np.einsum("ij,ij->i", points, points),
-                         lambda points: 2.0 * points),
+}
+# --function -> (f, f') on (count,) radii, for F(x) = f(|x|): a radial
+# test function is estimated from the radii alone, with no directions
+_RADIAL_FUNCTIONS = {
+    "radial-quadratic": (lambda r: r * r, lambda r: 2.0 * r),
 }
 
 
@@ -728,9 +732,14 @@ def cmd_sample(args, case_of):
     case = case_of(_spec_from_args(args))
     spec = case.spec
     measure, weight, _ = case.law
-    f, grad = _SAMPLE_FUNCTIONS[args.function]
-    batch = sample_mu(measure, args.count, args.seed)
-    result = rayleigh_estimate(batch, f, grad, weight)
+    if args.function in _RADIAL_FUNCTIONS:
+        radii = sample_radius(measure, args.count, args.seed)
+        result = radial_rayleigh_estimate(
+            radii, *_RADIAL_FUNCTIONS[args.function], weight)
+    else:
+        batch = sample_mu(measure, args.count, args.seed)
+        result = rayleigh_estimate(
+            batch, *_POINT_FUNCTIONS[args.function], weight)
     records = [_record(
         "mc", "rayleigh_estimate", spec, value=result.ratio,
         error=result.ci_half_width,
@@ -817,9 +826,13 @@ def _build_parser():
 
     p = sub.add_parser("sample", parents=[common, fam],
                        help="Monte Carlo Rayleigh quotient")
-    p.add_argument("--function", choices=tuple(_SAMPLE_FUNCTIONS),
+    p.add_argument("--function",
+                   choices=(*_POINT_FUNCTIONS, *_RADIAL_FUNCTIONS),
                    default="radial-quadratic",
-                   help="test function (default radial-quadratic)")
+                   help="test function (default radial-quadratic, |x|^2, "
+                        "estimated from the radii alone: O(count) draws "
+                        "and memory at any n; linear still draws "
+                        "n-dimensional directions)")
     p.add_argument("--count", type=int, default=100000,
                    help="sample size (default 100000)")
     p.set_defaults(func=cmd_sample)

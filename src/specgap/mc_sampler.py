@@ -7,6 +7,12 @@ full n-dimensional test functions against the weighted Dirichlet form
 then give statistical upper bounds on the spectral gap, with a batch-means
 confidence interval.
 
+A radial test function F(x) = f(|x|) needs no directions: its quotient
+E[sigma^2(r) f'(r)^2] / Var f(r) depends on the law of the radius alone,
+so ``radial_rayleigh_estimate`` reads the radii only, and its draws and
+memory are O(count) at any n.  A non-radial function such as the linear
+one still needs the n-dimensional points of ``sample_mu``.
+
 Randomness comes from the counter-based Philox4x64-10 bit generator keyed
 by the caller's 64-bit seed: radii use the base stream, directions the
 once-jumped stream, so draws are reproducible bit-for-bit for a given
@@ -26,6 +32,7 @@ __all__ = [
     "sample_radius",
     "sample_mu",
     "rayleigh_estimate",
+    "radial_rayleigh_estimate",
 ]
 
 _BATCHES = 16
@@ -124,36 +131,15 @@ def sample_mu(measure, count, seed):
     return SampleBatch(points=points, radii=radii, seed=seed, count=count)
 
 
-def rayleigh_estimate(batch, f, grad_f, weight):
-    """Monte Carlo Rayleigh quotient of f for the weighted Dirichlet form.
+def _check_batches(count):
+    if count < _BATCHES:
+        raise InvalidInput(
+            f"need at least {_BATCHES} points for batch means, got {count}")
 
-    ratio = mean(sigma^2(|x|) |grad f(x)|^2) / Var(f(x)), a statistical
-    upper bound on the spectral gap of the weighted dynamics.  f maps a
-    (count, n) array to (count,) values and grad_f to (count, n)
-    gradients; both must be finite at every sample point.  The 95% half
-    width comes from sixteen batch means via the delta method on the
-    (numerator, denominator) pair.
-    """
-    if not isinstance(batch, SampleBatch):
-        raise InvalidInput("rayleigh_estimate expects a SampleBatch")
-    if batch.count < _BATCHES:
-        raise InvalidInput(
-            f"need at least {_BATCHES} points for batch means, "
-            f"got {batch.count}")
-    pts = batch.points
-    with np.errstate(all="ignore"):
-        s2 = np.asarray(weight.s2(batch.radii), dtype=float)
-    fv = np.asarray(f(pts), dtype=float)
-    gv = np.asarray(grad_f(pts), dtype=float)
-    if fv.shape != (batch.count,):
-        raise InvalidInput(
-            f"f must map (count, n) points to (count,) values, "
-            f"got shape {fv.shape}")
-    if gv.shape != pts.shape:
-        raise InvalidInput(
-            f"grad_f must map (count, n) points to (count, n) gradients, "
-            f"got shape {gv.shape}")
-    energy = s2 * np.einsum("ij,ij->i", gv, gv)
+
+def _batch_means(fv, energy):
+    """mean(energy) / Var(fv) with the batch-means half width described
+    in ``rayleigh_estimate``; both estimators end here."""
     if not (np.all(np.isfinite(fv)) and np.all(np.isfinite(energy))):
         raise InvalidInput(
             "f and sigma^2 |grad f|^2 must be finite at all sample points")
@@ -176,3 +162,57 @@ def rayleigh_estimate(batch, f, grad_f, weight):
     half = _Z95 * math.sqrt(max(var_ratio, 0.0))
     return RayleighResult(ratio=numerator / denominator,
                           ci_half_width=half, batches=_BATCHES)
+
+
+def rayleigh_estimate(batch, f, grad_f, weight):
+    """Monte Carlo Rayleigh quotient of f for the weighted Dirichlet form.
+
+    ratio = mean(sigma^2(|x|) |grad f(x)|^2) / Var(f(x)), a statistical
+    upper bound on the spectral gap of the weighted dynamics.  f maps a
+    (count, n) array to (count,) values and grad_f to (count, n)
+    gradients; both must be finite at every sample point.  The 95% half
+    width comes from sixteen batch means via the delta method on the
+    (numerator, denominator) pair.
+    """
+    if not isinstance(batch, SampleBatch):
+        raise InvalidInput("rayleigh_estimate expects a SampleBatch")
+    _check_batches(batch.count)
+    pts = batch.points
+    with np.errstate(all="ignore"):
+        s2 = np.asarray(weight.s2(batch.radii), dtype=float)
+    fv = np.asarray(f(pts), dtype=float)
+    gv = np.asarray(grad_f(pts), dtype=float)
+    if fv.shape != (batch.count,):
+        raise InvalidInput(
+            f"f must map (count, n) points to (count,) values, "
+            f"got shape {fv.shape}")
+    if gv.shape != pts.shape:
+        raise InvalidInput(
+            f"grad_f must map (count, n) points to (count, n) gradients, "
+            f"got shape {gv.shape}")
+    return _batch_means(fv, s2 * np.einsum("ij,ij->i", gv, gv))
+
+
+def radial_rayleigh_estimate(radii, f, df, weight):
+    """Rayleigh quotient of the radial function F(x) = f(|x|), from radii.
+
+    |grad F(x)| = |f'(|x|)|, so the quotient of ``rayleigh_estimate``
+    becomes mean(sigma^2(r) f'(r)^2) / Var(f(r)) over a sample of the
+    radius (``sample_radius``): no direction is drawn.  f and df map the
+    1-D array of radii to (count,) values, finite at every radius; the
+    half width is the same batch-means interval.
+    """
+    if not (isinstance(radii, np.ndarray) and radii.ndim == 1
+            and radii.dtype.kind == "f"):
+        raise InvalidInput(
+            "radial_rayleigh_estimate expects a 1-D float array of radii")
+    _check_batches(radii.shape[0])
+    with np.errstate(all="ignore"):
+        s2 = np.asarray(weight.s2(radii), dtype=float)
+    fv = np.asarray(f(radii), dtype=float)
+    dv = np.asarray(df(radii), dtype=float)
+    if fv.shape != radii.shape or dv.shape != radii.shape:
+        raise InvalidInput(
+            f"f and df must map (count,) radii to (count,) values, "
+            f"got shapes {fv.shape} and {dv.shape}")
+    return _batch_means(fv, s2 * (dv * dv))

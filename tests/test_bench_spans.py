@@ -60,20 +60,35 @@ def test_counters_see_the_eigensolver():
     assert sl_eigensolver.eigh_tridiagonal is scipy.linalg.eigh_tridiagonal
 
 
-def test_counters_see_the_sampler():
-    from specgap import cli, mc_sampler
+def _traced_sample(extra):
+    from specgap import cli
 
     tracer = _spans().Tracer()
     tracer.install(dict(sys.modules))
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             rc = cli.main(["sample", "--family", "gaussian", "--n", "3",
-                           "--count", "2000", "--seed", "1"])
+                           "--count", "2000", "--seed", "1", *extra])
     finally:
         tracer.uninstall()
-    names = [span[0] for span in tracer.spans]
+    return rc, tracer, [span[0] for span in tracer.spans]
+
+
+def test_counters_see_the_sampler():
+    # the linear test function is the path that still draws points
+    from specgap import cli, mc_sampler
+
+    rc, tracer, names = _traced_sample(["--function", "linear"])
     assert rc == 0
     assert tracer.counters["mc_sampler.points"] == 2000
     assert names.count("mc_sampler.sample_mu") == 1
     assert names.count("mc_sampler.rayleigh_estimate") == 1
     assert cli.sample_mu is mc_sampler.sample_mu
+
+
+def test_default_sample_draws_no_points():
+    # the radial default reads radii only: no n-dimensional points
+    rc, tracer, names = _traced_sample([])
+    assert rc == 0
+    assert tracer.counters["mc_sampler.points"] == 0
+    assert "mc_sampler.sample_mu" not in names

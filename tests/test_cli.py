@@ -351,6 +351,24 @@ def test_sample_heavy_tail_quadratic_pinned():
     assert abs(mc["value"] - 2.0) > mc["error"]
 
 
+def test_sample_tiny_count_same_report_under_both_functions():
+    # the radii-only path rejects a sample too small for batch means with
+    # the points path's report; only the echoed --function differs
+    texts = {}
+    for function in ("linear", "radial-quadratic"):
+        code, texts[function] = run_cli(
+            ["sample", "--family", "gaussian", "--n", "3", "--count", "15",
+             "--function", function])
+        assert code == 2
+    rep = json.loads(texts["linear"])
+    VALIDATOR.validate(rep)
+    assert rep["error"] == ("InvalidInput: need at least 16 points for "
+                            "batch means, got 15")
+    assert texts["radial-quadratic"].replace(
+        '"function": "radial-quadratic"', '"function": "linear"') == (
+        texts["linear"])
+
+
 # -------------------------------------------------------------- exit codes
 
 

@@ -68,3 +68,20 @@ def test_rejects_nonpositive_and_nonfinite():
             log_gamma(bad)
     with pytest.raises(InvalidInput):
         log_gamma(np.array([1.0, -2.0]))
+
+
+@pytest.mark.parametrize("bad", [
+    "2.5", True, False, np.True_, None, 1.0 + 0.0j,
+    np.array([True, False]), np.array(["2.5"]), np.array([2.5 + 0.0j]),
+], ids=["str", "true", "false", "np-bool", "none", "complex", "bool-array",
+        "str-array", "complex-array"])
+def test_rejects_non_real(bad):
+    # a float conversion first would read "2.5" as 2.5 and True as Gamma(1)
+    with pytest.raises(InvalidInput, match="requires real x > 0"):
+        log_gamma(bad)
+
+
+def test_integer_input_is_real():
+    assert log_gamma(3) == log_gamma(np.int64(3)) == math.lgamma(3.0)
+    assert log_gamma(np.array([3, 4])).tolist() == [math.lgamma(3.0),
+                                                     math.lgamma(4.0)]

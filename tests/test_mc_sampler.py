@@ -13,10 +13,11 @@ import pytest
 from specgap import mc_sampler
 from specgap.bounds_engine import rayleigh_upper
 from specgap.catalog import FamilySpec, make_family, quadratic_candidate
-from specgap.cli import _SAMPLE_FUNCTIONS
+from specgap.cli import _POINT_FUNCTIONS, _RADIAL_FUNCTIONS
 from specgap.errors import DegenerateFunction, InvalidInput
 from specgap.mc_sampler import (
     SampleBatch,
+    radial_rayleigh_estimate,
     rayleigh_estimate,
     sample_mu,
     sample_radius,
@@ -203,7 +204,8 @@ _REFERENCE_FUNCTIONS = {
 }
 
 
-@pytest.mark.parametrize("function", sorted(_SAMPLE_FUNCTIONS))
+@pytest.mark.parametrize("function",
+                         sorted((*_POINT_FUNCTIONS, *_RADIAL_FUNCTIONS)))
 @pytest.mark.parametrize("spec", [
     FamilySpec("gaussian", 2), FamilySpec("gaussian", 3),
     FamilySpec("gaussian", 8), FamilySpec("gaussian", 16),
@@ -211,17 +213,71 @@ _REFERENCE_FUNCTIONS = {
     FamilySpec("exponential_power", 6, alpha=1.0),
 ], ids=["gauss2", "gauss3", "gauss8", "gauss16", "ball4", "exp-power1-n6"])
 def test_row_kernels_match_reference(spec, function):
+    # the CLI's evaluation of each --function against the reference
+    # estimate on reference points: a radial function reads the radii of
+    # sample_radius alone, any other the points of sample_mu
     count, seed = 20_000, 11
     measure, weight, _ = make_family(spec)
-    batch = sample_mu(measure, count, seed)
     ref_points, ref_radii = _reference_sample(measure, count, seed)
-    assert batch.radii.tobytes() == ref_radii.tobytes()
-    np.testing.assert_allclose(batch.points, ref_points, rtol=1e-15, atol=0)
-    np.testing.assert_allclose(np.linalg.norm(batch.points, axis=1),
-                               batch.radii, rtol=1e-14, atol=0)
-
-    res = rayleigh_estimate(batch, *_SAMPLE_FUNCTIONS[function], weight)
+    if function in _RADIAL_FUNCTIONS:
+        radii = sample_radius(measure, count, seed)
+        assert radii.tobytes() == ref_radii.tobytes()
+        res = radial_rayleigh_estimate(radii, *_RADIAL_FUNCTIONS[function],
+                                       weight)
+    else:
+        batch = sample_mu(measure, count, seed)
+        assert batch.radii.tobytes() == ref_radii.tobytes()
+        np.testing.assert_allclose(batch.points, ref_points, rtol=1e-15,
+                                   atol=0)
+        np.testing.assert_allclose(np.linalg.norm(batch.points, axis=1),
+                                   batch.radii, rtol=1e-14, atol=0)
+        res = rayleigh_estimate(batch, *_POINT_FUNCTIONS[function], weight)
     ratio, half = _reference_rayleigh(ref_points, ref_radii,
                                       *_REFERENCE_FUNCTIONS[function], weight)
     assert abs(res.ratio - ratio) <= 1e-14 * abs(ratio)
     assert abs(res.ci_half_width - half) <= 1e-9 * half
+
+
+# ------------------------------------------------- radial_rayleigh_estimate
+
+
+_SQ = (lambda r: r * r, lambda r: 2.0 * r)
+
+
+def test_radial_estimate_matches_points_path(gauss_batch):
+    # |grad F|^2 = f'(r)^2 for F(x) = f(|x|): on the same radii, the
+    # points path's quotient up to rounding, here under a non-unit weight
+    res = radial_rayleigh_estimate(gauss_batch.radii, *_SQ, ONEP)
+    ref = rayleigh_estimate(gauss_batch, lambda x: np.sum(x * x, axis=1),
+                            lambda x: 2.0 * x, ONEP)
+    assert abs(res.ratio - ref.ratio) <= 1e-14 * ref.ratio
+    assert abs(res.ci_half_width - ref.ci_half_width) <= (
+        1e-9 * ref.ci_half_width)
+
+
+def test_radial_heavy_tail_ratio():
+    # m2 = 1, m4 = 5 give 4 (m2 + m4) / (m4 - m2^2) = 6 under sigma^2 = 1+r^2
+    res = radial_rayleigh_estimate(sample_radius(CAU34, COUNT, SEED), *_SQ,
+                                   ONEP)
+    assert abs(res.ratio - 6.0) <= res.ci_half_width, (
+        f"{res.ratio:.5f} +- {res.ci_half_width:.5f}")
+
+
+@pytest.mark.parametrize("bad_call,exc", [
+    (lambda r: radial_rayleigh_estimate(r, np.ones_like, np.zeros_like, UNIT),
+     DegenerateFunction),
+    (lambda r: radial_rayleigh_estimate(r[:15], *_SQ, UNIT), InvalidInput),
+    (lambda r: radial_rayleigh_estimate(r.tolist(), *_SQ, UNIT),
+     InvalidInput),
+    (lambda r: radial_rayleigh_estimate(r.reshape(-1, 2), *_SQ, UNIT),
+     InvalidInput),
+    (lambda r: radial_rayleigh_estimate(
+        r, lambda x: x[:-1], lambda x: 2.0 * x, UNIT), InvalidInput),
+    (lambda r: radial_rayleigh_estimate(
+        r, lambda x: x * x, lambda x: np.full_like(x, np.inf), UNIT),
+     InvalidInput),
+], ids=["constant-f", "tiny", "list", "2-d", "short-f", "infinite-df"])
+def test_radial_rejects(gauss_batch, bad_call, exc):
+    with pytest.raises(exc):
+        bad_call(gauss_batch.radii)
+

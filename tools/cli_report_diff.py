@@ -17,6 +17,10 @@ A refactor that claims to keep behaviour shows it on this list:
 - ``sample --function radial-quadratic`` on gaussian n=3, and ``sample``
   on ball n=128 and exp-power alpha=1.01 n=192, whose quantile tables
   start at the 1e-18 probability clip;
+- ``sample --function linear``, the path that draws n-dimensional points
+  (the default radial function reads radii only), on gaussian n=3, on
+  cauchy beta=4 n=3 with sigma^2 = 1+r^2 and on ball n=128, and the
+  rejected ``sample --count 15`` under each function;
 - ``bounds`` on ball n=128, past the catalog's dimensions, where the
   variational candidate's f' overflows at the grid's first radius.
 
@@ -59,6 +63,7 @@ _TABLES = ("exp-power-asymptotics", "cauchy-n3", "gaussian-weighted", "ball")
 _GAUSSIAN = ["--family", "gaussian", "--n", "3"]
 _CAUCHY = ["--family", "cauchy", "--beta", "4", "--n", "3",
            "--weight", "one-plus-r2"]
+_BALL128 = ["--family", "ball", "--n", "128"]
 _STRETCHED = (["--family", "cauchy", "--beta", "7.5", "--n", "6",
                "--weight", "one-plus-r2"],
               ["--family", "gaussian", "--n", "2",
@@ -76,9 +81,13 @@ _VARIANTS = (
     *(["eigen"] + case + ["--cells", cells]
       for case in _STRETCHED for cells in ("128", "256")),
     ["sample"] + _GAUSSIAN + ["--function", "radial-quadratic"],
-    ["sample", "--family", "ball", "--n", "128"],
+    ["sample"] + _BALL128,
     ["sample", "--family", "exp-power", "--alpha", "1.01", "--n", "192"],
-    ["bounds", "--family", "ball", "--n", "128"],
+    *(["sample"] + case + ["--function", "linear"]
+      for case in (_GAUSSIAN, _CAUCHY, _BALL128)),
+    *(["sample"] + _GAUSSIAN + ["--count", "15", "--function", function]
+      for function in ("linear", "radial-quadratic")),
+    ["bounds"] + _BALL128,
     ["table", "--id", "ball", "--dims", "2,4,8"],
     ["table", "--id", "gaussian-weighted", "--dims", "2..4"],
     ["table", "--id", "ball", "--dims", "3..2"],
