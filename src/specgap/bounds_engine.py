@@ -31,12 +31,12 @@ from .loggamma import log_gamma
 from .radial_model import (
     BoundBracket,
     _fd_check,
+    _log_s2,
     diagnostic_grid,
     drift,
     drift_derivative,
     effective_potential,
     expectation,
-    moment,
     truncation_radius,
     validate_weight,
 )
@@ -382,10 +382,15 @@ def curvature_lower(measure):
         measure, terms, "integrated inverse curvature of the radial well")
 
 
-def radial_moment_lower(measure):
-    """Lower bound (n-1)/m2 for the radial gap (m2 the second moment)."""
-    m2 = moment(measure, 2)
-    return LowerBound((measure.n - 1.0) / m2, informative=True,
+def radial_moment_lower(n, m2):
+    """Lower bound (n-1)/m2 for the radial gap in dimension n.
+
+    Like moment_bracket, it takes the second moment m2 = E[|x|^2] of the
+    law rather than integrating it.
+    """
+    n = _check_dimension(n)
+    m2 = _check_positive("m2", m2)
+    return LowerBound((n - 1.0) / m2, informative=True,
                       method="(n-1)/m2 second-moment bound")
 
 
@@ -567,11 +572,6 @@ def rayleigh_upper(measure, weight, cand):
                 ldf = np.log(np.abs(np.asarray(cand.df(r), dtype=float)))
         return ldf
 
-    def log_s2(r):
-        with np.errstate(all="ignore"):
-            return np.log(np.clip(np.asarray(weight.s2(r), dtype=float),
-                                  5e-324, 1.7e308))
-
     mean = expectation(measure, cand.f, log_abs_g=log_abs_f)
     second = expectation(measure, lambda r: np.square(cand.f(r)),
                          positive=True,
@@ -587,7 +587,7 @@ def rayleigh_upper(measure, weight, cand):
         measure,
         lambda r: weight.s2(r) * np.square(cand.df(r)),
         positive=True,
-        log_abs_g=lambda r: log_s2(r) + 2.0 * log_abs_df(r))
+        log_abs_g=lambda r: _log_s2(weight, r) + 2.0 * log_abs_df(r))
     return energy / variance
 
 

@@ -274,36 +274,13 @@ def one_plus_r2_weight():
         from_metric=lambda s: np.sinh(np.asarray(s, dtype=float)))
 
 
-def _inv_weight_to_metric(r):
-    # s(r) = int_0^r sqrt(1 + u^2) du = (r sqrt(1+r^2) + arcsinh r) / 2
-    rr = np.asarray(r, dtype=float)
-    return 0.5 * (rr * np.sqrt(1.0 + rr * rr) + np.arcsinh(rr))
-
-
-def _inv_weight_from_metric(s):
-    ss = np.atleast_1d(np.asarray(s, dtype=float))
-    out = np.zeros_like(ss)
-    pos = ss > 0.0
-    if np.any(pos):
-        t = ss[pos]
-        # s ~ r near 0 and s ~ r^2/2 at infinity; Newton polishes the blend
-        r = np.where(t < 1.0, t, np.sqrt(2.0 * t))
-        for _ in range(64):
-            err = 0.5 * (r * np.sqrt(1.0 + r * r) + np.arcsinh(r)) - t
-            step = err / np.sqrt(1.0 + r * r)
-            r_new = np.where(r - step > 0.0, r - step, 0.5 * r)
-            # the relative step stalls near one ulp, so stop within four
-            done = np.all(np.abs(r_new - r)
-                          <= 4.0 * np.finfo(float).eps * r_new)
-            r = r_new
-            if done:
-                break
-        out[pos] = r
-    return out[0] if np.ndim(s) == 0 else out
-
-
 def inv_one_plus_r2_weight():
-    """sigma^2 = 1/(1 + r^2), probing bounds below the plain Dirichlet form."""
+    """sigma^2 = 1/(1 + r^2), probing bounds below the plain Dirichlet form.
+
+    Its natural coordinate s(r) = (r sqrt(1+r^2) + arcsinh r) / 2 has no
+    elementary inverse, so the weight carries no closed-form maps and
+    the solver tabulates them.
+    """
     q = lambda r: 1.0 + np.asarray(r, dtype=float) ** 2
     return Weight(
         s2=lambda r: 1.0 / q(r),
@@ -312,9 +289,7 @@ def inv_one_plus_r2_weight():
         s=lambda r: q(r) ** -0.5,
         ds=lambda r: -np.asarray(r, dtype=float) * q(r) ** -1.5,
         d2s=lambda r: (2.0 * np.asarray(r, dtype=float) ** 2 - 1.0) * q(r) ** -2.5,
-        name="inv_one_plus_r2",
-        to_metric=_inv_weight_to_metric,
-        from_metric=_inv_weight_from_metric)
+        name="inv_one_plus_r2")
 
 
 _WEIGHT_BUILDERS = {

@@ -78,8 +78,6 @@ _CLI_WEIGHT = {
     "inv-one-plus-r2": "inv_one_plus_r2",
 }
 
-_TABLE_IDS = ("exp-power-asymptotics", "cauchy-n3", "gaussian-weighted",
-              "ball")
 _VERIFY_SCOPES = ("all", "cauchy-exact", "gamma-inequalities", "bracketing")
 
 _DEFAULT_TAIL_TOL = 1e-12
@@ -391,7 +389,8 @@ def cmd_bounds(args, case_of):
              ("lower-bounds the radial spectral gap via the harmonic mean "
               "of the radial well's curvature")),
             ("radial_moment_lower", "radial moment lower bound",
-             lambda: radial_moment_lower(measure), rml_detail),
+             lambda: radial_moment_lower(spec.n, case.second_moment()),
+             rml_detail),
         ]
     routes += [
         ("weighted_curvature_lower", "weighted-curvature lower bound",
@@ -469,7 +468,7 @@ def _verify_gamma(records, failures):
                    failure=f"{where}: slack {slack!r}", alpha=a, beta=b,
                    value=value, lower=lower, upper=upper, source=source)
 
-    # log-Gamma against exact factorials (independent of the scipy
+    # log-Gamma against exact factorials (independent of the math.lgamma
     # evaluation that log_gamma wraps): Gamma(k) = (k-1)!, and
     # Gamma(k + 1/2) = (2k)! sqrt(pi) / (4^k k!), reduced in exact integer
     # arithmetic before a single log.
@@ -811,7 +810,7 @@ def _build_parser():
 
     p = sub.add_parser("table", parents=[common],
                        help="reproduction tables over parameter grids")
-    p.add_argument("--id", required=True, choices=_TABLE_IDS,
+    p.add_argument("--id", required=True, choices=_TABLES,
                    help="which table to produce")
     p.add_argument("--alphas", default=None,
                    help="comma-separated exponents "

@@ -539,26 +539,26 @@ def moment(measure, k):
                        log_abs_g=lambda r: kf * np.log(r), positive=True)
 
 
-def weighted_moment(measure, weight, kind):
-    """integral of r^2/sigma^2 or of sigma^2 against nu, to relative 1e-10.
-
-    The log-magnitude handed to the tail probe clips sigma^2 into float
+def _log_s2(weight, r):
+    """log sigma^2(r) for the tail probe, with sigma^2 clipped into float
     range, so weights that under/overflow doubles in the far tail (where
-    the density no longer carries mass) stay harmless.
-    """
-    def log_s2(r):
-        with np.errstate(all="ignore"):
-            return np.log(np.clip(np.asarray(weight.s2(r), dtype=float),
-                                  5e-324, 1.7e308))
+    the density no longer carries mass) stay harmless."""
+    with np.errstate(all="ignore"):
+        return np.log(np.clip(np.asarray(weight.s2(r), dtype=float),
+                              5e-324, 1.7e308))
 
+
+def weighted_moment(measure, weight, kind):
+    """integral of r^2/sigma^2 or of sigma^2 against nu, to relative 1e-10."""
     if kind == "r2_over_s2":
         return expectation(
             measure, lambda r: r * r / weight.s2(r),
-            log_abs_g=lambda r: 2.0 * np.log(r) - log_s2(r),
+            log_abs_g=lambda r: 2.0 * np.log(r) - _log_s2(weight, r),
             positive=True)
     if kind == "s2":
         return expectation(measure, lambda r: weight.s2(r),
-                           log_abs_g=log_s2, positive=True)
+                           log_abs_g=lambda r: _log_s2(weight, r),
+                           positive=True)
     raise InvalidInput(f"unknown weighted moment kind {kind!r}")
 
 

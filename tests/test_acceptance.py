@@ -312,10 +312,12 @@ def test_criterion_06_bounds_never_cross_solver(gap_of, warm, capsys):
         # only sit higher
         if (measure.potential.convex
                 and spec.weight_choice in ("unit", "one_plus_r2")):
-            for name, fn in (("curvature", curvature_lower),
-                             ("radial_moment", radial_moment_lower)):
+            for name, fn in (
+                    ("curvature", lambda: curvature_lower(measure)),
+                    ("radial_moment", lambda: radial_moment_lower(
+                        measure.n, moment(measure, 2)))):
                 try:
-                    b = fn(measure)
+                    b = fn()
                     if b.informative:
                         claim_lower(name, label, float(b), est)
                     else:

@@ -42,7 +42,7 @@ from specgap.errors import (
     TruncationWarning,
 )
 from specgap.radial_model import (RadialPotential, Weight, build_measure,
-                                  truncation_radius)
+                                  moment, truncation_radius)
 from specgap.sl_eigensolver import spectral_gap
 
 
@@ -202,7 +202,7 @@ def test_curvature_dominates_moment_bound_for_convex(alpha, n):
     # U'' >= (n-1)/r^2 pointwise, so the harmonic-mean bound dominates
     mu = build_measure(n, exp_power_pot(alpha))
     a = float(curvature_lower(mu))
-    b = float(radial_moment_lower(mu))
+    b = float(radial_moment_lower(n, moment(mu, 2)))
     assert a >= b - 1e-10 * (1 + abs(b)), f"{a!r} < {b!r}"
 
 
@@ -219,17 +219,35 @@ def test_curvature_lower_heavy_tail_hypothesis_fails():
 
 
 def test_radial_moment_lower_values():
-    assert abs(float(radial_moment_lower(GAUSS[3])) - 2 / 3) < 1e-10
+    lb = radial_moment_lower(3, moment(GAUSS[3], 2))
+    assert abs(float(lb) - 2 / 3) < 1e-10
     mu13 = build_measure(3, exp_power_pot(1.0))
-    assert abs(float(radial_moment_lower(mu13)) - 1.0 / 6.0) < 1e-9
+    lb = radial_moment_lower(3, moment(mu13, 2))
+    assert abs(float(lb) - 1.0 / 6.0) < 1e-9
     ball2 = build_measure(2, ball_pot())
-    assert abs(float(radial_moment_lower(ball2)) - 2.0) < 1e-10
-    assert abs(float(radial_moment_lower(CAU34)) - 2.0) < 1e-8
+    assert abs(float(radial_moment_lower(2, moment(ball2, 2))) - 2.0) < 1e-10
+    assert abs(float(radial_moment_lower(3, moment(CAU34, 2))) - 2.0) < 1e-8
 
 
 def test_radial_moment_lower_divergent_m2():
     with pytest.raises(NonIntegrable):
-        radial_moment_lower(build_measure(3, cauchy_pot(2.0)))
+        radial_moment_lower(3, moment(build_measure(3, cauchy_pot(2.0)), 2))
+
+
+@pytest.mark.parametrize("n,m2", [(2, 0.5), (3, 3.0), (7, 1.0e-3),
+                                  (128, 4.2e5)])
+def test_radial_moment_lower_is_the_bracket_lower_end(n, m2):
+    got = radial_moment_lower(n, m2)
+    assert got.informative
+    assert got.value == moment_bracket(n, m2).lower
+
+
+@pytest.mark.parametrize("n,m2", [(1, 1.0), (True, 1.0), (3.0, 1.0),
+                                  (3, 0.0), (3, -1.0), (3, math.inf),
+                                  (3, math.nan)])
+def test_radial_moment_lower_rejects(n, m2):
+    with pytest.raises(InvalidInput):
+        radial_moment_lower(n, m2)
 
 
 # ------------------------------------------- weighted curvature + bound

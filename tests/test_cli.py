@@ -17,7 +17,7 @@ import pytest
 from jsonschema import Draft202012Validator
 from scipy.special import jn_zeros
 
-from specgap import cli
+from specgap import cli, radial_model
 from specgap.errors import ConvergenceError
 
 SCHEMA = json.loads(
@@ -176,6 +176,25 @@ def test_bounds_failed_second_moment_is_computed_once(monkeypatch):
                 "settle") in rep["warnings"]
     assert not recs(rep, "moment_bracket")
     assert not recs(rep, "weighted_comparison")
+
+
+def test_bounds_integrates_the_second_moment_once(monkeypatch):
+    # radial_moment_lower takes the case's m2 instead of integrating it
+    # again; every specgap module's reference to moment is spied on
+    real = radial_model.moment
+    orders = []
+
+    def spy(measure, k):
+        orders.append(k)
+        return real(measure, k)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("specgap") and getattr(module, "moment",
+                                                  None) is real:
+            monkeypatch.setattr(module, "moment", spy)
+    code, rep = run_json(["bounds", "--family", "gaussian", "--n", "3"])
+    assert code == 0 and recs(rep, "radial_moment_lower")
+    assert orders.count(2) == 1
 
 
 def test_cells_is_read_only_by_solving_commands():

@@ -22,7 +22,10 @@ A refactor that claims to keep behaviour shows it on this list:
   cauchy beta=4 n=3 with sigma^2 = 1+r^2 and on ball n=128, and the
   rejected ``sample --count 15`` under each function;
 - ``bounds`` on ball n=128, past the catalog's dimensions, where the
-  variational candidate's f' overflows at the grid's first radius.
+  variational candidate's f' overflows at the grid's first radius;
+- ``bounds`` on cauchy beta=2 n=3 with the unit weight, whose second
+  moment diverges, so every bound that needs it reports why it is
+  unavailable.
 
     python3 tools/cli_report_diff.py run SRC_TREE OUT_DIR
     python3 tools/cli_report_diff.py compare DIR_A DIR_B
@@ -88,6 +91,7 @@ _VARIANTS = (
     *(["sample"] + _GAUSSIAN + ["--count", "15", "--function", function]
       for function in ("linear", "radial-quadratic")),
     ["bounds"] + _BALL128,
+    ["bounds", "--family", "cauchy", "--beta", "2", "--n", "3"],
     ["table", "--id", "ball", "--dims", "2,4,8"],
     ["table", "--id", "gaussian-weighted", "--dims", "2..4"],
     ["table", "--id", "ball", "--dims", "3..2"],
