@@ -17,10 +17,9 @@ from .bounds_engine import (CandidateFunction, ExpPowerBrackets, LowerBound,
 from .catalog import (FAMILY_NAMES, WEIGHT_NAMES, FamilySpec, ReferenceGap,
                       ball_candidate, ball_potential, catalog_grid,
                       cauchy_potential, exp_power_potential,
-                      gaussian_potential, inv_one_plus_r2_weight,
-                      make_family, make_weight, one_plus_r2_weight,
-                      power_candidate, power_law_candidate,
-                      quadratic_candidate, reference_gap, unit_weight)
+                      gaussian_potential, make_family, make_weight,
+                      power_candidate, power_law_candidate, power_weight,
+                      quadratic_candidate, reference_gap)
 from .errors import (ConvergenceError, DegenerateFunction,
                      DiscretizationError, DomainError, HypothesisFailed,
                      InvalidInput, NonIntegrable, SpecGapError,

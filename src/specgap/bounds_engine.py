@@ -31,6 +31,7 @@ from .loggamma import log_gamma
 from .radial_model import (
     BoundBracket,
     _fd_check,
+    _finite_real,
     _log_s2,
     diagnostic_grid,
     drift,
@@ -157,15 +158,15 @@ def _check_dimension(n):
 
 
 def _check_positive(name, x):
-    x = float(x)
-    if not (math.isfinite(x) and x > 0.0):
+    x = _finite_real(name, x)
+    if not x > 0.0:
         raise InvalidInput(f"{name} must be finite and > 0, got {x!r}")
     return x
 
 
 def _check_gap(name, x):
-    x = float(x)
-    if not (math.isfinite(x) and x >= 0.0):
+    x = _finite_real(name, x)
+    if not x >= 0.0:
         raise InvalidInput(f"{name} must be finite and >= 0, got {x!r}")
     return x
 
@@ -399,9 +400,9 @@ def _weighted_curvature_terms(measure, weight):
 
     def terms(r):
         rr = np.asarray(r, dtype=float)
-        s = weight.s(rr)
-        return (weight.s2(rr) * d2u(rr), s * weight.ds(rr) * du(rr),
-                -s * weight.d2s(rr))
+        s2, ds2 = weight.s2(rr), weight.ds2(rr)
+        return (s2 * d2u(rr), 0.5 * ds2 * du(rr),
+                0.25 * ds2 * ds2 / s2 - 0.5 * weight.d2s2(rr))
 
     return terms
 
@@ -412,12 +413,13 @@ def weighted_curvature(measure, weight):
     curv(r) = (sigma^2 sigma'' + b sigma') / sigma - b' with b the drift
     of the weighted radial generator; it plays the role U'' plays for
     the unit weight (to which it reduces when sigma is constant 1).  It
-    is evaluated in the algebraically equal form
-    sigma^2 U'' + sigma sigma' U' - sigma sigma'' (U the effective
-    potential).  Under a weight growing like r these summands stay O(1)
-    for heavy tails while curv decays like 1/r^2, so far enough out the
-    sum is rounding noise; _inverse_curvature_bound reads the summands
-    to find where that starts.
+    is evaluated from sigma^2 alone, in the algebraically equal form
+    sigma^2 U'' + (sigma^2)' U'/2 + ((sigma^2)')^2/(4 sigma^2)
+    - (sigma^2)''/2 (U the effective potential; the last two summands
+    are -sigma sigma'').  Under a weight growing like r these summands
+    stay O(1) for heavy tails while curv decays like 1/r^2, so far
+    enough out the sum is rounding noise; _inverse_curvature_bound reads
+    the summands to find where that starts.
     """
     terms = _weighted_curvature_terms(measure, weight)
 
@@ -604,11 +606,11 @@ def gamma_ratio_bounds(a, b):
     [a/(a+b-1), ((a+b-1)/a)^(2-b)].  The directly evaluated ratio is
     checked against its bounds before returning.
     """
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and a > 0.0):
+    a = _finite_real("a", a)
+    b = _finite_real("b", b)
+    if not a > 0.0:
         raise InvalidInput(f"gamma_ratio_bounds requires a > 0, got {a!r}")
-    if not (math.isfinite(b) and 0.0 <= b <= 2.0):
+    if not 0.0 <= b <= 2.0:
         raise InvalidInput(
             f"gamma_ratio_bounds requires b in [0, 2], got {b!r}")
     value = math.exp(log_gamma(a) + b * math.log(a) - log_gamma(a + b))
@@ -636,8 +638,8 @@ def exp_power_explicit(n, alpha):
     simplified bracket encloses the exact one.
     """
     n = _check_dimension(n)
-    alpha = float(alpha)
-    if not (math.isfinite(alpha) and alpha >= 1.0):
+    alpha = _finite_real("alpha", alpha)
+    if not alpha >= 1.0:
         raise InvalidInput(f"alpha must be >= 1, got {alpha!r}")
     log_m2 = ((2.0 / alpha) * math.log(alpha)
               + log_gamma((n + 2.0) / alpha) - log_gamma(n / alpha))

@@ -1,9 +1,10 @@
 """Concrete radial families with analytic derivatives and reference gaps.
 
 Each catalog entry bundles a radial measure (potential with closed-form
-V, V', V''), a diffusion weight (sigma^2 with derivatives and, where
-available, the natural-coordinate map in closed form), and a designated
-candidate function for the variational and Rayleigh routes.  Known
+V, V', V''), a diffusion weight sigma^2 = (1+r^2)^k (sigma^2 with its
+first two derivatives, sigma derived from it, and the natural-coordinate
+map in closed form at k = 0 and 1), and a designated candidate function
+for the variational and Rayleigh routes.  Known
 exact values and two-sided brackets for the spectral gaps are recorded
 as ``ReferenceGap`` entries so the eigensolver and the bound engine can
 be regression-tested against them.
@@ -33,7 +34,6 @@ or asserted by this package.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,7 +41,8 @@ import numpy as np
 
 from .bounds_engine import CandidateFunction, exp_power_explicit
 from .errors import InvalidInput
-from .radial_model import RadialMeasure, RadialPotential, Weight, build_measure
+from .radial_model import (RadialMeasure, RadialPotential, Weight,
+                           _finite_real, build_measure)
 
 __all__ = [
     "FamilySpec",
@@ -52,9 +53,7 @@ __all__ = [
     "cauchy_potential",
     "ball_potential",
     "exp_power_potential",
-    "unit_weight",
-    "one_plus_r2_weight",
-    "inv_one_plus_r2_weight",
+    "power_weight",
     "make_weight",
     "quadratic_candidate",
     "power_candidate",
@@ -67,22 +66,14 @@ __all__ = [
 
 FAMILY_NAMES = ("exponential_power", "uniform_ball", "generalized_cauchy",
                 "gaussian")
-WEIGHT_NAMES = ("unit", "one_plus_r2", "inv_one_plus_r2")
+# each named weight is sigma^2 = (1+r^2)^k for its k
+_WEIGHT_POWERS = {"unit": 0, "one_plus_r2": 1, "inv_one_plus_r2": -1}
+WEIGHT_NAMES = tuple(_WEIGHT_POWERS)
 
 
 # ---------------------------------------------------------------------
 # specification records
 # ---------------------------------------------------------------------
-
-
-def _finite_real(name, value):
-    """value as a float; bool and non-real values raise InvalidInput."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InvalidInput(f"{name} must be a real number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise InvalidInput(f"{name} must be finite, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -209,8 +200,8 @@ def gaussian_potential():
 
 def cauchy_potential(beta):
     """V(r) = beta log(1 + r^2): polynomial tails of index 2 beta."""
-    b = float(beta)
-    if not math.isfinite(b) or b <= 0.0:
+    b = _finite_real("beta", beta)
+    if b <= 0.0:
         raise InvalidInput(f"cauchy exponent must be positive, got {beta!r}")
     return RadialPotential(
         v=lambda r: b * np.log1p(np.asarray(r, dtype=float) ** 2),
@@ -230,8 +221,8 @@ def ball_potential():
 
 def exp_power_potential(alpha):
     """V(r) = r^alpha / alpha; convex (log-concave measure) for alpha >= 1."""
-    a = float(alpha)
-    if not math.isfinite(a) or a < 1.0:
+    a = _finite_real("alpha", alpha)
+    if a < 1.0:
         raise InvalidInput(
             f"exponential_power requires alpha >= 1, got {alpha!r}")
     return RadialPotential(
@@ -246,67 +237,51 @@ def exp_power_potential(alpha):
 # ---------------------------------------------------------------------
 
 
-def unit_weight():
-    """sigma^2 = 1: the plain (unweighted) radial dynamics."""
-    one = lambda r: np.ones_like(np.asarray(r, dtype=float))
-    zero = lambda r: np.zeros_like(np.asarray(r, dtype=float))
-    return Weight(s2=one, ds2=zero, d2s2=zero, s=one, ds=zero, d2s=zero,
-                  name="unit",
-                  to_metric=lambda r: np.asarray(r, dtype=float),
-                  from_metric=lambda s: np.asarray(s, dtype=float))
+def _identity(x):
+    return np.asarray(x, dtype=float)
 
 
-def one_plus_r2_weight():
-    """sigma^2 = 1 + r^2, the weight taming polynomial tails.
+def power_weight(k):
+    """sigma^2 = (1 + r^2)^k with its first two derivatives.
 
-    Natural coordinate s(r) = arcsinh r in closed form.
+    k = 0 is the plain (unweighted) dynamics, k = 1 the weight taming
+    polynomial tails and k = -1 probes bounds below the plain Dirichlet
+    form.  The natural coordinate s(r) = int_0^r (1+u^2)^(-k/2) du is
+    carried in closed form at k = 0 (s = r) and k = 1 (s = arcsinh r);
+    elsewhere the solver tabulates it (at k = -1,
+    s = (r sqrt(1+r^2) + arcsinh r)/2 has no elementary inverse).
     """
+    k = _finite_real("k", k)
+    c, c1 = 2.0 * k, 4.0 * k * k - 2.0 * k
+
+    def q(r):
+        return 1.0 + np.asarray(r, dtype=float) ** 2
+
+    def d2s2(r):
+        x = np.asarray(r, dtype=float) ** 2
+        out = (c + c1 * x) / (1.0 + x) ** (2.0 - k)
+        if not np.all(np.isfinite(out)):
+            # past r ~ 1.3e154 r^2 overflows and the quotient reads inf/inf
+            # or 0 * inf; there (sigma^2)'' is its leading term c1 r^(2k-2)
+            with np.errstate(all="ignore"):
+                out = np.where(np.isfinite(out), out, c1 * x ** (k - 1.0))
+        return out
+
+    maps = {0.0: (_identity, _identity), 1.0: (np.arcsinh, np.sinh)}
+    to_metric, from_metric = maps.get(k, (None, None))
     return Weight(
-        s2=lambda r: 1.0 + np.asarray(r, dtype=float) ** 2,
-        ds2=lambda r: 2.0 * np.asarray(r, dtype=float),
-        d2s2=lambda r: 2.0 * np.ones_like(np.asarray(r, dtype=float)),
-        s=lambda r: np.sqrt(1.0 + np.asarray(r, dtype=float) ** 2),
-        ds=lambda r: np.asarray(r, dtype=float)
-        / np.sqrt(1.0 + np.asarray(r, dtype=float) ** 2),
-        d2s=lambda r: (1.0 + np.asarray(r, dtype=float) ** 2) ** -1.5,
-        name="one_plus_r2",
-        to_metric=lambda r: np.arcsinh(np.asarray(r, dtype=float)),
-        from_metric=lambda s: np.sinh(np.asarray(s, dtype=float)))
-
-
-def inv_one_plus_r2_weight():
-    """sigma^2 = 1/(1 + r^2), probing bounds below the plain Dirichlet form.
-
-    Its natural coordinate s(r) = (r sqrt(1+r^2) + arcsinh r) / 2 has no
-    elementary inverse, so the weight carries no closed-form maps and
-    the solver tabulates them.
-    """
-    q = lambda r: 1.0 + np.asarray(r, dtype=float) ** 2
-    return Weight(
-        s2=lambda r: 1.0 / q(r),
-        ds2=lambda r: -2.0 * np.asarray(r, dtype=float) / q(r) ** 2,
-        d2s2=lambda r: (6.0 * np.asarray(r, dtype=float) ** 2 - 2.0) / q(r) ** 3,
-        s=lambda r: q(r) ** -0.5,
-        ds=lambda r: -np.asarray(r, dtype=float) * q(r) ** -1.5,
-        d2s=lambda r: (2.0 * np.asarray(r, dtype=float) ** 2 - 1.0) * q(r) ** -2.5,
-        name="inv_one_plus_r2")
-
-
-_WEIGHT_BUILDERS = {
-    "unit": unit_weight,
-    "one_plus_r2": one_plus_r2_weight,
-    "inv_one_plus_r2": inv_one_plus_r2_weight,
-}
+        s2=lambda r: q(r) ** k,
+        ds2=lambda r: c * np.asarray(r, dtype=float) / q(r) ** (1.0 - k),
+        d2s2=d2s2, name=f"(1+r^2)^{k:g}",
+        to_metric=to_metric, from_metric=from_metric)
 
 
 def make_weight(weight_choice):
     """Weight object for one of the named weight choices."""
-    try:
-        return _WEIGHT_BUILDERS[weight_choice]()
-    except KeyError:
+    if weight_choice not in WEIGHT_NAMES:
         raise InvalidInput(
-            f"unknown weight {weight_choice!r}; expected one of {WEIGHT_NAMES}"
-        ) from None
+            f"unknown weight {weight_choice!r}; expected one of {WEIGHT_NAMES}")
+    return power_weight(_WEIGHT_POWERS[weight_choice])
 
 
 # ---------------------------------------------------------------------
@@ -333,8 +308,8 @@ def power_candidate(p):
     this is the slow-growth candidate whose decay-rate infimum reaches the
     essential-spectrum bottom.
     """
-    p = float(p)
-    if not math.isfinite(p) or p == 0.0:
+    p = _finite_real("p", p)
+    if p == 0.0:
         raise InvalidInput(f"power candidate needs a finite nonzero p, got {p!r}")
 
     def f(r):
@@ -364,8 +339,8 @@ def power_candidate(p):
 
 def power_law_candidate(alpha):
     """f = r^alpha, the variational probe matched to the light-tailed family."""
-    a = float(alpha)
-    if not math.isfinite(a) or a <= 0.0:
+    a = _finite_real("alpha", alpha)
+    if a <= 0.0:
         raise InvalidInput(f"power-law candidate needs alpha > 0, got {alpha!r}")
     return CandidateFunction(
         f=lambda r: np.asarray(r, dtype=float) ** a,
@@ -443,7 +418,7 @@ def make_family(spec):
     """Materialize a catalog case: (measure, weight, designated candidate).
 
     The measure carries the analytic potential derivatives; the weight
-    carries sigma^2, sigma, their derivatives, and closed-form natural
+    carries sigma^2 = (1+r^2)^k, its derivatives, and closed-form natural
     coordinates where available; the candidate is the family's standard
     probe for the variational lower bound and the Rayleigh upper bound.
     """

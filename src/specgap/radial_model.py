@@ -18,7 +18,9 @@ All callables supplied in a RadialPotential or Weight must accept floats
 and numpy arrays and be analytically correct derivatives of each other: a
 central finite-difference self-check (h = 1e-5 relative, tolerance 1e-5
 relative) runs on a quantile grid at build/validation time and rejects
-inconsistent inputs.
+inconsistent inputs.  A Weight is sigma^2 with its first two derivatives
+(the catalog's are sigma^2 = (1+r^2)^k); whoever needs sigma takes the
+square root of sigma^2.
 """
 
 import math
@@ -166,20 +168,18 @@ class RadialPotential:
 
 @dataclass(frozen=True)
 class Weight:
-    """Diffusion weight sigma, supplied both as sigma^2 and sigma.
+    """Diffusion weight, given by sigma^2 alone.
 
-    s2/ds2/d2s2 are sigma^2 and its derivatives; s/ds/d2s are sigma and
-    its derivatives.  ``to_metric``/``from_metric`` optionally supply the
-    natural-coordinate map s(r) = int_0^r du/sigma(u) and its inverse in
-    closed form; the eigensolver falls back to quadrature without them.
+    s2/ds2/d2s2 are sigma^2 and its first two derivatives, all the
+    weighted dynamics reads; sigma itself is sqrt(s2).
+    ``to_metric``/``from_metric`` optionally supply the natural-coordinate
+    map s(r) = int_0^r du/sigma(u) and its inverse in closed form; the
+    eigensolver tabulates them otherwise.
     """
 
     s2: Callable
     ds2: Callable
     d2s2: Callable
-    s: Callable
-    ds: Callable
-    d2s: Callable
     name: str = ""
     to_metric: Optional[Callable] = None
     from_metric: Optional[Callable] = None
@@ -297,6 +297,17 @@ def _pick_r_max(measure_logw, potential, n, log_z, tail_tol):
             "could not locate a truncation radius with tail mass below "
             f"{tail_tol:g} inside the probe horizon")
     return float(grid[idx])
+
+
+def _finite_real(name, value):
+    """value as a float; bool, non-real and non-finite values raise
+    InvalidInput."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidInput(f"{name} must be a real number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise InvalidInput(f"{name} must be finite, got {value}")
+    return value
 
 
 def _check_tail_tol(tail_tol):
@@ -462,13 +473,8 @@ def validate_weight(measure, weight):
     s2 = weight.s2(grid)
     if np.any(~np.isfinite(s2)) or np.any(s2 <= 0.0):
         raise InvalidInput(f"weight {weight.name or '<anon>'} is not elliptic")
-    s = weight.s(grid)
-    if np.any(np.abs(s * s - s2) > 1e-12 * np.abs(s2)):
-        raise InvalidInput("weight fields sigma and sigma^2 are inconsistent")
     _fd_check(weight.s2, weight.ds2, "(sigma^2)'", grid)
     _fd_check(weight.ds2, weight.d2s2, "(sigma^2)''", grid)
-    _fd_check(weight.s, weight.ds, "sigma'", grid)
-    _fd_check(weight.ds, weight.d2s, "sigma''", grid)
 
 
 # ---------------------------------------------------------------------

@@ -124,17 +124,18 @@ def _metric_maps(weight, r_hi):
     """(to_metric, from_metric) callables valid on [0, r_hi].
 
     Uses the closed-form maps when the weight carries them, otherwise
-    tabulates s(r) = int_0^r du/sigma(u) by the trapezoid rule on 16385
-    points uniform in log(1+r) and interpolates both directions with the
-    PCHIP monotone cubic (_MonotoneCubic), so each map is increasing and
-    the two are inverse to interpolation accuracy.
+    tabulates s(r) = int_0^r du/sigma(u), sigma = sqrt(sigma^2), by the
+    trapezoid rule on 16385 points uniform in log(1+r) and interpolates
+    both directions with the PCHIP monotone cubic (_MonotoneCubic), so
+    each map is increasing and the two are inverse to interpolation
+    accuracy.
     """
     if weight.to_metric is not None and weight.from_metric is not None:
         return weight.to_metric, weight.from_metric
     u = np.linspace(0.0, math.log1p(r_hi), 16385)
     r = np.expm1(u)
     with np.errstate(all="ignore"):
-        slope = (1.0 + r) / np.asarray(weight.s(r), dtype=float)
+        slope = (1.0 + r) / np.sqrt(weight.s2(r))
     if not np.all(np.isfinite(slope[1:])) or np.any(slope[1:] <= 0.0):
         raise DomainError(
             f"weight {weight.name or '<anon>'} has no usable natural "
@@ -213,7 +214,7 @@ def _mesh_family(measure, weight, from_metric, s_max):
     rp[0] = 0.0
     with np.errstate(all="ignore"):
         lw = np.asarray(measure.log_weight(rp), dtype=float)
-        lsig = np.log(np.asarray(weight.s(rp), dtype=float))
+        lsig = np.log(np.sqrt(weight.s2(rp)))
     lrho = np.where(np.isnan(lw + lsig), -np.inf, lw + lsig)
     lq = 0.5 * (lrho - np.max(lrho))
     # widths ~ 1/q with q in [q_max/50, q_max]: the 50:1 width-ratio clip

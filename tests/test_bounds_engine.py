@@ -1,7 +1,9 @@
 """Closed-form bounds vs. independent oracles.
 
-Families, weights, and candidates are hand-built (no catalog imports) so
-the two layers cannot share a mistake.  Oracle sources, computed outside
+Families and candidates are hand-built (no catalog imports beyond the
+weights) so the two layers cannot share a mistake; the weights are the
+catalog's power_weight(k), whose formulas test_catalog checks against
+closed forms written out there.  Oracle sources, computed outside
 the package: scipy quadrature of explicitly written integrands, the
 exponential-integral closed form 1/(1 - (e^{1/2}/2) E_1(1/2)) for the
 n=2 gaussian curvature integral, and Gamma-function moment identities
@@ -34,6 +36,7 @@ from specgap.bounds_engine import (
     weighted_curvature,
     weighted_curvature_lower,
 )
+from specgap.catalog import power_weight
 from specgap.errors import (
     DegenerateFunction,
     HypothesisFailed,
@@ -41,7 +44,8 @@ from specgap.errors import (
     NonIntegrable,
     TruncationWarning,
 )
-from specgap.radial_model import (RadialPotential, Weight, build_measure,
+from specgap.radial_model import (RadialPotential, build_measure,
+                                  diagnostic_grid, effective_potential,
                                   moment, truncation_radius)
 from specgap.sl_eigensolver import spectral_gap
 
@@ -74,37 +78,6 @@ def exp_power_pot(alpha):
         dv=lambda r: np.asarray(r, float) ** (a - 1.0),
         d2v=lambda r: (a - 1.0) * np.asarray(r, float) ** (a - 2.0),
         name=f"exp-power({a})", convex=a >= 1.0)
-
-
-def unit_weight():
-    one = lambda r: np.ones_like(np.asarray(r, float))
-    zero = lambda r: np.zeros_like(np.asarray(r, float))
-    return Weight(s2=one, ds2=zero, d2s2=zero, s=one, ds=zero, d2s=zero,
-                  name="unit", to_metric=lambda s: s, from_metric=lambda s: s)
-
-
-def one_plus_weight():
-    arr = lambda r: np.asarray(r, float)
-    return Weight(
-        s2=lambda r: 1.0 + arr(r) ** 2,
-        ds2=lambda r: 2.0 * arr(r),
-        d2s2=lambda r: 2.0 * np.ones_like(arr(r)),
-        s=lambda r: np.sqrt(1.0 + arr(r) ** 2),
-        ds=lambda r: arr(r) / np.sqrt(1.0 + arr(r) ** 2),
-        d2s=lambda r: (1.0 + arr(r) ** 2) ** -1.5,
-        name="one-plus-r2", to_metric=np.arcsinh, from_metric=np.sinh)
-
-
-def inv_one_plus_weight():
-    arr = lambda r: np.asarray(r, float)
-    return Weight(
-        s2=lambda r: 1.0 / (1.0 + arr(r) ** 2),
-        ds2=lambda r: -2.0 * arr(r) / (1.0 + arr(r) ** 2) ** 2,
-        d2s2=lambda r: (6.0 * arr(r) ** 2 - 2.0) / (1.0 + arr(r) ** 2) ** 3,
-        s=lambda r: (1.0 + arr(r) ** 2) ** -0.5,
-        ds=lambda r: -arr(r) * (1.0 + arr(r) ** 2) ** -1.5,
-        d2s=lambda r: (2.0 * arr(r) ** 2 - 1.0) * (1.0 + arr(r) ** 2) ** -2.5,
-        name="inv-one-plus-r2")
 
 
 def r2_candidate():
@@ -142,9 +115,7 @@ def power_1pr2_candidate(p):
 
 
 GAUSS = {n: build_measure(n, gaussian_pot()) for n in range(2, 9)}
-UNIT = unit_weight()
-ONEP = one_plus_weight()
-INVW = inv_one_plus_weight()
+UNIT, ONEP, INVW = (power_weight(k) for k in (0, 1, -1))
 CAU34 = build_measure(3, cauchy_pot(4.0))
 RGRID = np.geomspace(1e-3, 1e3, 301)
 
@@ -251,6 +222,26 @@ def test_radial_moment_lower_rejects(n, m2):
 
 
 # ------------------------------------------- weighted curvature + bound
+
+
+@pytest.mark.parametrize("case, k", [
+    ("gaussian", 0), ("gaussian", 1), ("gaussian", -1), ("cauchy", 1)])
+def test_weighted_curvature_summands_match_sigma_form(case, k):
+    # the summands, written in sigma^2, against
+    # sigma^2 U'' + sigma sigma' U' - sigma sigma'' with sigma = (1+r^2)^(k/2)
+    # and its derivatives in closed form
+    mu = {"gaussian": GAUSS[3], "cauchy": CAU34}[case]
+    r = diagnostic_grid(mu)
+    q = 1.0 + r * r
+    s = q ** (0.5 * k)
+    ds = k * r * q ** (0.5 * k - 1.0)
+    d2s = k * q ** (0.5 * k - 2.0) * (1.0 + (k - 1.0) * r * r)
+    _, du, d2u = effective_potential(mu)
+    want = np.array([s * s * d2u(r), s * ds * du(r), -s * d2s])
+    got = np.array(bounds_engine._weighted_curvature_terms(
+        mu, power_weight(k))(r))
+    size = np.sum(np.abs(want), axis=0)
+    assert np.all(np.abs(got - want) <= 1e-13 * size)
 
 
 def test_weighted_curvature_closed_forms():

@@ -13,13 +13,20 @@ import numpy as np
 import pytest
 
 from specgap import sl_eigensolver
-from specgap.bounds_engine import rayleigh_upper, validate_candidate
+from specgap.bounds_engine import (exp_power_explicit, gamma_ratio_bounds,
+                                   moment_bracket, radial_moment_lower,
+                                   rayleigh_upper, spectral_comparison,
+                                   validate_candidate)
 from specgap.catalog import (
     FamilySpec,
     ReferenceGap,
     catalog_grid,
-    inv_one_plus_r2_weight,
+    cauchy_potential,
+    exp_power_potential,
     make_family,
+    power_candidate,
+    power_law_candidate,
+    power_weight,
     reference_gap,
 )
 from specgap.errors import InvalidInput
@@ -85,6 +92,61 @@ def test_family_spec_normalization_and_label():
     sp = FamilySpec("generalized_cauchy", 3, "one_plus_r2", beta=4)
     assert isinstance(sp.beta, float)
     assert sp.label() == "generalized_cauchy beta=4 n=3 weight=one_plus_r2"
+
+
+# ------------------------------------------------- real-valued parameters
+
+
+@pytest.mark.parametrize("bad", ("2", True, None, [2.0]), ids=repr)
+@pytest.mark.parametrize("call", [
+    exp_power_potential,
+    cauchy_potential,
+    power_candidate,
+    power_law_candidate,
+    power_weight,
+    lambda x: exp_power_explicit(3, x),
+    lambda x: moment_bracket(3, x),
+    lambda x: radial_moment_lower(3, x),
+    lambda x: spectral_comparison(x, 3, 1.0),
+    lambda x: gamma_ratio_bounds(x, 1),
+], ids=["exp_power_potential", "cauchy_potential", "power_candidate",
+        "power_law_candidate", "power_weight", "exp_power_explicit",
+        "moment_bracket", "radial_moment_lower", "spectral_comparison",
+        "gamma_ratio_bounds"])
+def test_real_parameters_reject_non_reals(call, bad):
+    # each raises InvalidInput rather than coercing "2" or True through
+    # float() or leaking a TypeError
+    with pytest.raises(InvalidInput):
+        call(bad)
+
+
+# ----------------------------------------------------------------- weights
+
+
+@pytest.mark.parametrize("k", (0, 1, -1))
+def test_power_weight_reproduces_closed_forms(k):
+    # sigma^2 = 1, 1+r^2, 1/(1+r^2) and their derivatives written out: bit
+    # for bit at k = 0, 1, within 4 ulp at k = -1, and nan only where the
+    # written-out forms give nan (r^2 overflows past r ~ 1.3e154)
+    r = np.geomspace(1e-300, 1e300, 4001)
+    with np.errstate(all="ignore"):
+        q = 1.0 + r ** 2
+        closed = {
+            0: (np.ones_like(r), np.zeros_like(r), np.zeros_like(r)),
+            1: (1.0 + r ** 2, 2.0 * r, 2.0 * np.ones_like(r)),
+            -1: (1.0 / q, -2.0 * r / q ** 2, (6.0 * r ** 2 - 2.0) / q ** 3),
+        }[k]
+        w = power_weight(k)
+        got = [np.asarray(f(r), dtype=float) for f in (w.s2, w.ds2, w.d2s2)]
+    for new, old in zip(got, closed):
+        assert not np.any(np.isnan(new) & ~np.isnan(old))
+        if k in (0, 1):
+            assert new.tobytes() == old.tobytes()
+        else:
+            ok = ~np.isnan(old)
+            ulp = np.spacing(np.maximum(np.abs(new), np.abs(old)))
+            assert np.all(np.abs(new - old)[ok] <= 4.0 * ulp[ok])
+    assert (w.to_metric is None) == (k == -1)
 
 
 # ----------------------------------------------------------- ReferenceGap
@@ -258,7 +320,7 @@ def test_inv_weight_tabulated_metric_maps(n):
     measure, _, _ = make_family(FamilySpec("gaussian", n, "inv_one_plus_r2"))
     r_hi = sl_eigensolver._radii(measure)[1]
     to_metric, from_metric = sl_eigensolver._metric_maps(
-        inv_one_plus_r2_weight(), r_hi)
+        power_weight(-1), r_hi)
     rs = np.geomspace(1e-8, r_hi, 2001)
     exact = 0.5 * (rs * np.sqrt(1.0 + rs * rs) + np.arcsinh(rs))
     assert np.max(np.abs(to_metric(rs) - exact) / exact) < 3e-4
@@ -321,12 +383,31 @@ def test_heavy_tail_solver_matches_radial_reference(n, beta, want, gap_of):
         f"{est.value!r} vs {want}")
 
 
+def _inv_weight_to_metric(r):
+    # natural coordinate of sigma^2 = 1/(1+r^2): int_0^r sqrt(1+u^2) du
+    r = np.asarray(r, dtype=float)
+    return 0.5 * (r * np.sqrt(1.0 + r * r) + np.arcsinh(r))
+
+
+def _inv_weight_from_metric(s):
+    # s(r) >= r, so the root lies in [0, s]; 200 bisections of the bracket
+    s = np.asarray(s, dtype=float)
+    lo, hi = np.zeros_like(s), s.copy()
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        below = _inv_weight_to_metric(mid) < s
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
 def test_gaussian_inv_analytic_vs_quadrature_metric():
     spec = FamilySpec("gaussian", 3, "inv_one_plus_r2")
     measure, weight, _ = make_family(spec)
-    est_a = spectral_gap(measure, weight)
-    est_q = spectral_gap(measure,
-                         replace(weight, to_metric=None, from_metric=None))
+    assert weight.to_metric is None and weight.from_metric is None
+    est_a = spectral_gap(measure, replace(
+        weight, to_metric=_inv_weight_to_metric,
+        from_metric=_inv_weight_from_metric))
+    est_q = spectral_gap(measure, weight)
     tol = (est_a.error_estimate + est_q.error_estimate
            + 1e-9 * (1.0 + est_a.value))
     assert abs(est_a.value - est_q.value) <= tol, (

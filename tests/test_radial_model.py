@@ -33,7 +33,7 @@ from specgap import (
     gaussian_potential,
     make_weight,
     moment,
-    one_plus_r2_weight,
+    power_weight,
     tail_mass,
     truncation_radius,
     validate_weight,
@@ -100,7 +100,7 @@ def test_moment_rejects_bad_order():
 
 def test_weighted_moments_gaussian_one_plus():
     mu = _gaussian(3)
-    w = one_plus_r2_weight()
+    w = power_weight(1)
     # independent quadrature oracles against the chi_3 radial density
     dens = lambda r: mu.density(r)
     ref_r2s2, _ = integrate.quad(lambda r: r * r / (1 + r * r) * dens(r),
@@ -133,14 +133,14 @@ def test_drift_formulas():
     r = np.linspace(0.3, 5.0, 30)
     b_unit = drift(mu, make_weight("unit"))
     assert np.allclose(b_unit(r), -(r - 2 / r), rtol=1e-12)
-    b_w = drift(mu, one_plus_r2_weight())
+    b_w = drift(mu, power_weight(1))
     expect = 2 * r - (1 + r * r) * (r - 2 / r)
     assert np.allclose(b_w(r), expect, rtol=1e-12)
 
 
 def test_drift_derivative_matches_finite_differences():
     mu = build_measure(3, cauchy_potential(4.0))
-    w = one_plus_r2_weight()
+    w = power_weight(1)
     b = drift(mu, w)
     db = drift_derivative(mu, w)
     h = 1e-6
@@ -165,9 +165,9 @@ def test_drift_rejects_nonpositive_radius():
 
 def test_validate_weight_catches_wrong_derivative():
     mu = _gaussian(3)
-    w = one_plus_r2_weight()
+    w = power_weight(1)
     broken = Weight(s2=w.s2, ds2=lambda r: 3.0 * np.asarray(r), d2s2=w.d2s2,
-                    s=w.s, ds=w.ds, d2s=w.d2s, name="broken")
+                    name="broken")
     with pytest.raises(InvalidInput):
         validate_weight(mu, broken)
     # the genuine weight passes

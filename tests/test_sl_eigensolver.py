@@ -1,8 +1,9 @@
 """Eigensolver vs. independent oracles.
 
-Families, weights, and candidates are hand-built here rather than taken
-from the catalog, so a catalog bug cannot mask a solver bug.  Oracle
-sources:
+Families and candidates are hand-built here rather than taken from the
+catalog, so a catalog bug cannot mask a solver bug; the weights are the
+catalog's power_weight(k), whose formulas test_catalog checks against
+closed forms written out there.  Oracle sources:
 
   ball          lambda = j_{n/2,1}^2, the squared first positive zero of
                 the Bessel function J_{n/2} (Neumann radial problem on
@@ -23,8 +24,9 @@ from scipy.optimize import brentq
 from scipy.special import gammainc, gammaln
 
 from specgap import sl_eigensolver
+from specgap.catalog import power_weight
 from specgap.errors import HypothesisFailed, InvalidInput, TruncationWarning
-from specgap.radial_model import (RadialPotential, Weight, build_measure,
+from specgap.radial_model import (RadialPotential, build_measure,
                                   truncation_radius)
 from specgap.sl_eigensolver import (GridSpec, _ground_state, residual_check,
                                     spectral_gap)
@@ -59,33 +61,16 @@ def exp_power_pot(alpha):
 
 
 def unit_w():
-    one = lambda r: np.ones_like(np.asarray(r, float))
-    zero = lambda r: np.zeros_like(np.asarray(r, float))
-    ident = lambda x: np.asarray(x, float)
-    return Weight(s2=one, ds2=zero, d2s2=zero, s=one, ds=zero, d2s=zero,
-                  name="unit", to_metric=ident, from_metric=ident)
+    return power_weight(0)
 
 
 def one_plus_w():
-    return Weight(
-        s2=lambda r: 1.0 + r * r, ds2=lambda r: 2.0 * np.asarray(r, float),
-        d2s2=lambda r: 2.0 * np.ones_like(np.asarray(r, float)),
-        s=lambda r: np.sqrt(1.0 + r * r),
-        ds=lambda r: r / np.sqrt(1.0 + r * r),
-        d2s=lambda r: (1.0 + r * r) ** -1.5,
-        name="one-plus-r2", to_metric=np.arcsinh, from_metric=np.sinh)
+    return power_weight(1)
 
 
 def inv_one_plus_w():
-    # no closed-form metric maps: exercises the quadrature fallback
-    return Weight(
-        s2=lambda r: 1.0 / (1.0 + r * r),
-        ds2=lambda r: -2.0 * r / (1.0 + r * r) ** 2,
-        d2s2=lambda r: (6.0 * r * r - 2.0) / (1.0 + r * r) ** 3,
-        s=lambda r: 1.0 / np.sqrt(1.0 + r * r),
-        ds=lambda r: -r * (1.0 + r * r) ** -1.5,
-        d2s=lambda r: (2.0 * r * r - 1.0) * (1.0 + r * r) ** -2.5,
-        name="inv-one-plus-r2")
+    # no closed-form metric maps: exercises the tabulated fallback
+    return power_weight(-1)
 
 
 class Cand:

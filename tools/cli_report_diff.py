@@ -25,7 +25,12 @@ A refactor that claims to keep behaviour shows it on this list:
   variational candidate's f' overflows at the grid's first radius;
 - ``bounds`` on cauchy beta=2 n=3 with the unit weight, whose second
   moment diverges, so every bound that needs it reports why it is
-  unavailable.
+  unavailable;
+- the weight pairings the catalog leaves out (it weights only gaussian
+  and cauchy): ``bounds`` and ``eigen`` on ball n=3 and on exp-power
+  alpha=1.5 n=4, each with sigma^2 = 1+r^2 and with sigma^2 = 1/(1+r^2),
+  and ``sample --function linear`` on gaussian n=3 with
+  sigma^2 = 1/(1+r^2).
 
     python3 tools/cli_report_diff.py run SRC_TREE OUT_DIR
     python3 tools/cli_report_diff.py compare DIR_A DIR_B
@@ -67,6 +72,8 @@ _GAUSSIAN = ["--family", "gaussian", "--n", "3"]
 _CAUCHY = ["--family", "cauchy", "--beta", "4", "--n", "3",
            "--weight", "one-plus-r2"]
 _BALL128 = ["--family", "ball", "--n", "128"]
+_OFF_CATALOG = (["--family", "ball", "--n", "3"],
+                ["--family", "exp-power", "--alpha", "1.5", "--n", "4"])
 _STRETCHED = (["--family", "cauchy", "--beta", "7.5", "--n", "6",
                "--weight", "one-plus-r2"],
               ["--family", "gaussian", "--n", "2",
@@ -92,6 +99,11 @@ _VARIANTS = (
       for function in ("linear", "radial-quadratic")),
     ["bounds"] + _BALL128,
     ["bounds", "--family", "cauchy", "--beta", "2", "--n", "3"],
+    *([command] + case + ["--weight", weight]
+      for command in ("bounds", "eigen") for case in _OFF_CATALOG
+      for weight in ("one-plus-r2", "inv-one-plus-r2")),
+    ["sample"] + _GAUSSIAN + ["--weight", "inv-one-plus-r2",
+                              "--function", "linear"],
     ["table", "--id", "ball", "--dims", "2,4,8"],
     ["table", "--id", "gaussian-weighted", "--dims", "2..4"],
     ["table", "--id", "ball", "--dims", "3..2"],
