@@ -28,6 +28,7 @@ from .errors import (
     NonIntegrable,
 )
 from .loggamma import log_gamma
+from .quadrature import _PROBE_POINTS, _U_CAP
 from .radial_model import (
     BoundBracket,
     _fd_check,
@@ -77,10 +78,6 @@ _TIE_REL = 1e-12
 # a curvature below this multiple of its summands' total size is
 # rounding noise (see _resolution_radius)
 _CURV_RESOLUTION = 1e3 * np.finfo(float).eps
-# probe of the resolution radius: the representable half-line, uniform in
-# log(1+r) like the tail probe of the quadrature
-_PROBE_U_CAP = 708.0
-_PROBE_POINTS = 8193
 
 
 # ---------------------------------------------------------------------
@@ -281,7 +278,8 @@ def weighted_comparison(lambda_nu_sigma, n, m_r2_over_s2, m_s2, m2):
 
 def _resolution_radius(terms):
     """First probed radius where the summed curvature terms no longer
-    resolve the curvature, or None.
+    resolve the curvature, or None.  The probe is the quadrature's tail
+    probe: the representable half-line, uniform in log(1+r).
 
     A curvature assembled from terms of total size S carries a rounding
     error of order eps * S; where |curv| falls below
@@ -294,7 +292,7 @@ def _resolution_radius(terms):
     every term underflows are left to the integral's own handling of
     non-finite and non-positive values.
     """
-    radii = np.expm1(np.linspace(0.0, _PROBE_U_CAP, _PROBE_POINTS))[1:]
+    radii = np.expm1(np.linspace(0.0, _U_CAP, _PROBE_POINTS))[1:]
     with np.errstate(all="ignore"):
         parts = np.array(terms(radii), dtype=float)
         size = np.sum(np.abs(parts), axis=0)

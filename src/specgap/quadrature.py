@@ -11,11 +11,14 @@ Two layers are used throughout the package:
   polynomial and every integrable tail (power law or faster) becomes an
   exponential decay, and the integrand is assembled as
   sign * exp(log-magnitude - peak) so that partial under/overflow of its
-  factors cannot corrupt it;
+  factors cannot corrupt it.  The probe that locates the peak and the
+  tail also seeds the engine's starting partition, a breakpoint every
+  few e-folds of the live integrand, so few refinement rounds remain;
 * variation-adaptive Gauss-Legendre panels for many cell integrals of
   the form exp(g) with g of large dynamic range (finite-volume cell
   masses, cumulative distribution tables), carried out entirely on the
-  log scale.
+  log scale.  Each cell's one-panel rule doubles as its variation probe,
+  and only the cells that vary too much are evaluated again, split.
 """
 
 import math
@@ -94,17 +97,18 @@ def _gk_panels(fn, lo, hi):
 def gauss_kronrod(fn, a, b, rel_tol, abs_tol=0.0, points=()):
     """Adaptive G10K21 integral of a vectorized ``fn`` over [a, b].
 
-    ``points`` are interior breakpoints (a peak, say) that start the
-    subdivision.  Every round bisects the panels carrying the largest
-    error estimates -- as few as can bring the total under
-    max(abs_tol, rel_tol * |value|) if each bisection removed its
+    ``points`` are breakpoints (a peak, say) that start the subdivision;
+    those outside (a, b) are ignored.  Every round bisects the panels
+    carrying the largest error estimates -- as few as can bring the total
+    under max(abs_tol, rel_tol * |value|) if each bisection removed its
     panel's error -- and evaluates all of their new nodes in one call of
     ``fn`` on a 1-d array.  Stops when the tolerance is met, the value
     is not finite, or the 400-subinterval budget is spent.  Returns
     (value, error_estimate) unchecked; callers judge acceptance.
     """
-    edges = np.unique(np.concatenate(([a, b], [p for p in points
-                                                 if a < p < b])))
+    points = np.asarray(points, dtype=float)
+    edges = np.unique(np.concatenate(
+        ([a, b], points[(points > a) & (points < b)])))
     lo, hi = edges[:-1], edges[1:]
     vals, errs = _gk_panels(fn, lo, hi)
     while True:
@@ -145,6 +149,24 @@ _U_PEAK_SANE = 30.0
 
 # probe grid of the integrand, uniform in u
 _PROBE_POINTS = 8193
+# seed of the Gauss-Kronrod partition: a breakpoint wherever the probe's
+# log-integrand has varied by another _SEED_EFOLDS, counting only steps
+# between probe points within _SEED_FLOOR e-folds of the peak, and at most
+# _SEED_CAP of them (the step widens instead)
+_SEED_FLOOR = 40.0
+_SEED_EFOLDS = 4.0
+_SEED_CAP = 64
+
+
+def _seed_points(us, rel_li):
+    """Probe abscissae that cut the live part of the integrand into
+    panels of about _SEED_EFOLDS of log-variation each."""
+    live = rel_li >= -_SEED_FLOOR
+    steps = np.abs(np.diff(np.where(live, rel_li, 0.0)))
+    steps[~(live[1:] & live[:-1])] = 0.0
+    walked = np.cumsum(np.concatenate(([0.0], steps)))
+    step = max(_SEED_EFOLDS, float(walked[-1]) / _SEED_CAP)
+    return us[1 + np.nonzero(np.diff(np.floor(walked / step)))[0]]
 
 
 def tail_integral(log_abs_fn, r_lo=0.0, r_hi=math.inf, *, sign_fn=None,
@@ -169,13 +191,18 @@ def tail_integral(log_abs_fn, r_lo=0.0, r_hi=math.inf, *, sign_fn=None,
     peak; mass beyond the window (or beyond the probe's end) is estimated
     from the fitted log-linear tail slope and the estimate is charged to
     the error bound, so near-threshold tails fail the acceptance check
-    honestly instead of being silently dropped.
+    honestly instead of being silently dropped.  The window's adaptive
+    Gauss-Kronrod integral starts from the probe's peak plus a breakpoint
+    wherever the probe's log-integrand has varied by another
+    ``_SEED_EFOLDS`` within ``_SEED_FLOOR`` e-folds of the peak (at most
+    ``_SEED_CAP`` of them).
 
     Raises NonIntegrable when no integrable decay is established while the
     integrand is still live at an open end (slope above ``_LIVE_SLOPE`` at
     the probe's end, a peak at the representability cap, or a float-range
     overflow), and ConvergenceError when the final error violates
-    max(abs_floor, accept_rel * |value|).
+    max(abs_floor, accept_rel * |value|); its message gives the
+    quadrature error and the extrapolated-tail charge apart.
     """
     if accept_rel is None:
         accept_rel = 100.0 * rel_tol
@@ -251,24 +278,27 @@ def tail_integral(log_abs_fn, r_lo=0.0, r_hi=math.inf, *, sign_fn=None,
                 val = np.where(val != 0.0, val * sign_fn(r), 0.0)
         return val
 
-    pts = (float(us[i_pk]),)
+    pts = np.append(_seed_points(us, rel_li), us[i_pk])
     abs_floor_scaled = 0.0
     if abs_floor > 0.0:
         abs_floor_scaled = min(abs_floor * math.exp(min(-shift, 690.0)), 1e280)
     val, qerr = gauss_kronrod(integrand, u0, u_hi, rel_tol, abs_floor_scaled,
                               pts)
     total = val + sg_corr * corr
-    err = qerr + 0.6 * corr
+    charge = 0.6 * corr
+    err = qerr + charge
     if not math.isfinite(total):
         raise ConvergenceError("tail integral did not converge")
     if err > max(abs_floor_scaled, accept_rel * abs(total)) + 1e-300:
-        unresolved = ""
+        past = ""
         if live and r_stop is not None:
-            unresolved = (f"; the integrand is resolved only up to "
-                          f"r = {r_stop:.6g}")
+            past = f" past the integrand's resolution limit r = {r_stop:.6g}"
+        elif charge > 0.0:
+            past = f" past r = {r_last:.6g}"
         raise ConvergenceError(
-            f"tail-integral error {err:.3e} exceeds tolerance for value "
-            f"{total:.6e} (log scale {shift:.3f}){unresolved}")
+            f"tail-integral error exceeds tolerance for value {total:.6e} "
+            f"(log scale {shift:.3f}): quadrature error {qerr:.1e}, "
+            f"extrapolated-tail charge {charge:.1e}{past}")
     return total, err, shift
 
 
@@ -282,11 +312,14 @@ _MAX_PANELS = 64
 def log_integrals_exp(log_f, lo, hi):
     """log of integral_{lo_i}^{hi_i} exp(log_f(t)) dt for many intervals.
 
-    ``log_f`` is a vectorized callable.  Each interval is probed at five
-    points and split into enough equal panels (at most 64) that the
-    variation of log_f per panel is about 2; an 8-point Gauss-Legendre
-    rule is then applied per panel.  All arithmetic on the integrand
-    happens relative to the per-interval maximum of log_f, so the dynamic
+    ``log_f`` is a vectorized callable.  Every interval first gets the
+    8-point Gauss-Legendre rule on one panel.  Its nodes are also the
+    variation probe: the summed |jumps| of log_f between them, scaled from
+    the nodes' span to the whole interval, decide.  Intervals varying by
+    at most 2 keep the one-panel sum; the rest are split into enough equal
+    panels (at most 64) that log_f varies by about 2 per panel, and the
+    rule is applied per panel.  All arithmetic on the integrand happens
+    relative to the largest log_f summed for the interval, so the dynamic
     range of exp(log_f) never matters; only the *log* of each integral is
     returned.
     """
@@ -295,33 +328,34 @@ def log_integrals_exp(log_f, lo, hi):
     m = lo.size
     if m == 0:
         return np.empty(0)
+    x, w = gl_rule(_PANEL_ORDER)
+    width = hi - lo
 
-    # probe the variation of log_f on every interval
-    probe_x = np.linspace(0.0, 1.0, 5)
-    probe_t = lo[:, None] + (hi - lo)[:, None] * probe_x[None, :]
-    probe_g = log_f(probe_t.ravel()).reshape(m, 5)
-    variation = np.sum(np.abs(np.diff(probe_g, axis=1)), axis=1)
+    # the one-panel rule of every interval; its nodes span x[-1] - x[0] of
+    # the interval, so their variation is scaled up to all of it
+    g = log_f((lo[:, None] + width[:, None] * x[None, :]).ravel()).reshape(
+        m, _PANEL_ORDER)
+    variation = np.sum(np.abs(np.diff(g, axis=1)), axis=1) / (x[-1] - x[0])
     variation = np.where(np.isfinite(variation), variation,
                          _MAX_PANELS * _PANEL_VARIATION)
     panels = np.clip(np.ceil(variation / _PANEL_VARIATION).astype(int), 1,
                      _MAX_PANELS)
+    shift = np.max(g, axis=1)
+    sums = width * (np.exp(g - shift[:, None]) @ w)
 
-    # flatten all panels of all intervals into one node array
-    x, w = gl_rule(_PANEL_ORDER)
-    total = int(panels.sum())
-    interval_of_panel = np.repeat(np.arange(m), panels)
-    # index of each panel within its interval
-    starts = np.concatenate(([0], np.cumsum(panels)))[:-1]
-    within = np.arange(total) - np.repeat(starts, panels)
-    pw = ((hi - lo) / panels)[interval_of_panel]          # panel widths
-    p_lo = lo[interval_of_panel] + within * pw            # panel left edges
-    nodes = p_lo[:, None] + pw[:, None] * x[None, :]
-    g = log_f(nodes.ravel()).reshape(total, _PANEL_ORDER)
-
-    shift = np.max(probe_g, axis=1)                        # per-interval scale
-    g_shifted = g - shift[interval_of_panel, None]
-    panel_vals = pw * (np.exp(g_shifted) @ w)
-    interval_vals = np.zeros(m)
-    np.add.at(interval_vals, interval_of_panel, panel_vals)
+    # re-split the intervals that vary too much into equal panels
+    split = np.nonzero(panels > 1)[0]
+    if split.size:
+        count = panels[split]
+        owner = np.repeat(np.arange(split.size), count)
+        first = np.cumsum(count) - count
+        pw = (width[split] / count)[owner]                 # panel widths
+        p_lo = lo[split][owner] + (np.arange(owner.size) - first[owner]) * pw
+        gs = log_f((p_lo[:, None] + pw[:, None] * x[None, :]).ravel()
+                   ).reshape(owner.size, _PANEL_ORDER)
+        shift[split] = np.maximum.reduceat(np.max(gs, axis=1), first)
+        sums[split] = np.bincount(
+            owner, weights=pw * (np.exp(gs - shift[split][owner, None]) @ w),
+            minlength=split.size)
     with np.errstate(divide="ignore"):
-        return shift + np.log(interval_vals)
+        return shift + np.log(sums)

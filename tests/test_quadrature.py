@@ -1,10 +1,16 @@
-"""The Gauss-Kronrod engine against an independent oracle.
+"""Both quadrature layers against an independent oracle, and their work.
 
 Oracle: mpmath.quad at 30 significant digits on explicitly written
-integrands (tanh-sinh, nothing shared with the package).  Each package
-value must agree with the oracle to 1e-12 relative and lie within the
-error the engine reported for it; the reported errors are read by
-wrapping tail_integral where radial_model looks it up.
+integrands (tanh-sinh, nothing shared with the package).  Each
+Gauss-Kronrod value must agree with the oracle to 1e-12 relative and lie
+within the error the engine reported for it; the reported errors are read
+by wrapping tail_integral where radial_model looks it up.  Each
+Gauss-Legendre cell log-integral must agree with the oracle to 1e-13
+absolute (2 ulp where that is finer than a double resolves); its oracles
+are closed forms evaluated by mpmath (incomplete gamma, exponential),
+because tanh-sinh misjudges integrands as steep as u^127.  The work
+counts (refinement rounds, integrand points) are
+read by spies, not timers.
 """
 
 import math
@@ -23,10 +29,11 @@ from specgap import (
     moment,
     tail_mass,
 )
-from specgap import radial_model
+from specgap import quadrature, radial_model
 from specgap.errors import NonIntegrable
 from specgap.quadrature import (GK_GAUSS, GK_KRONROD, GK_NODES,
-                                gauss_kronrod, tail_integral)
+                                gauss_kronrod, log_integrals_exp,
+                                tail_integral)
 
 mpmath.mp.dps = 30
 
@@ -153,3 +160,150 @@ def test_gauss_kronrod_bisects_a_kink_to_tolerance():
                              rel_tol=1e-12)
     exact = 5.0 / 18.0
     assert abs(val - exact) <= err <= 1e-12 * exact
+
+
+# ---------------------------------------------------------------------
+# log_integrals_exp: variation-adaptive Gauss-Legendre cells
+# ---------------------------------------------------------------------
+
+
+def _table_cells(monkeypatch, n, potential):
+    """(log_f, lo, hi) of the CDF table build_measure makes, in
+    u = log(1+r)."""
+    calls = []
+
+    def spy(log_f, lo, hi):
+        calls.append((log_f, np.array(lo), np.array(hi)))
+        return log_integrals_exp(log_f, lo, hi)
+
+    with monkeypatch.context() as m:
+        m.setattr(radial_model, "log_integrals_exp", spy)
+        build_measure(n, potential)
+    call, = calls
+    return call
+
+
+def _gaussian_log_f(n):
+    """log of r^{n-1} exp(-r^2/2) dr/du in u = log(1+r)."""
+    def log_f(u):
+        r = np.expm1(u)
+        with np.errstate(divide="ignore"):
+            return (n - 1) * np.log(r) - r * r / 2.0 + u
+    return log_f
+
+
+def _gaussian_oracle(n, lo, hi):
+    # u = log(1+r) carries the cell to r-space, where it is an
+    # incomplete gamma: 2^{n/2-1} (gamma(n/2, r_b^2/2) - gamma(n/2, r_a^2/2))
+    ra, rb = mpmath.expm1(lo), mpmath.expm1(hi)
+    return float((n / 2 - 1) * mpmath.log(2) + mpmath.log(
+        mpmath.gammainc(mpmath.mpf(n) / 2, ra ** 2 / 2, rb ** 2 / 2)))
+
+
+def _check_cells(log_f, lo, hi, oracle):
+    got = log_integrals_exp(log_f, lo, hi)
+    for g, a, b in zip(got, lo, hi):
+        want = oracle(mpmath.mpf(float(a)), mpmath.mpf(float(b)))
+        # 1e-13, or 2 ulp where a log-integral is too large in magnitude
+        # (beyond about 450) for 1e-13 to be resolved in a double
+        assert abs(g - want) <= max(1e-13, 2.0 * np.spacing(abs(want))), (
+            a, b, g, want)
+
+
+def _points(log_f, lo, hi):
+    """Integrand points log_integrals_exp evaluates on the cells."""
+    count = [0]
+
+    def counted(t):
+        count[0] += np.size(t)
+        return log_f(t)
+
+    log_integrals_exp(counted, lo, hi)
+    return count[0]
+
+
+def test_log_integrals_gaussian_table_cells(monkeypatch):
+    # every 128th cell of the 4096-cell table, its first and last
+    # included; the first starts at u = 0, where log_f is -inf
+    _, lo, hi = _table_cells(monkeypatch, 3, gaussian_potential())
+    pick = np.linspace(0, lo.size - 1, 33).astype(int)
+    log_f = _gaussian_log_f(3)
+    assert lo[0] == 0.0 and log_f(np.array([0.0]))[0] == -np.inf
+    _check_cells(log_f, lo[pick], hi[pick],
+                 lambda a, b: _gaussian_oracle(3, a, b))
+
+
+def test_log_integrals_wide_first_cell_from_zero():
+    # a first cell from u = 0 wide enough to be split into panels
+    log_f = _gaussian_log_f(3)
+    lo, hi = np.array([0.0, 0.0]), np.array([0.25, 1.5])
+    assert _points(log_f, lo, hi) > 8 * lo.size
+    _check_cells(log_f, lo, hi, lambda a, b: _gaussian_oracle(3, a, b))
+
+
+def test_log_integrals_ball_cell_at_the_wall():
+    # the solver's cell masses in t = log r; the ball's density is -inf
+    # at the wall r = 1 (t = 0), where the last cell ends
+    n = 8
+    measure = build_measure(n, ball_potential())
+
+    def log_f(t):
+        return np.asarray(measure.log_weight(np.exp(t)), dtype=float) + t
+
+    assert log_f(np.array([0.0]))[0] == -np.inf
+    lo, hi = np.log([0.999, 0.9, 0.5, 1e-3]), np.zeros(4)
+    _check_cells(log_f, lo, hi, lambda a, b: float(
+        mpmath.log((mpmath.exp(n * b) - mpmath.exp(n * a)) / n)))
+
+
+def test_log_integrals_steep_cells_at_the_panel_clip(monkeypatch):
+    # the n = 128 table starts with r^127: its first cells, and wider
+    # cells from or near u = 0, vary by hundreds of e-folds and are cut
+    # into the full 64 panels
+    n = 128
+    _, lo, hi = _table_cells(monkeypatch, n, gaussian_potential())
+    lo = np.concatenate((lo[:16], [0.0, 0.0, 1e-3]))
+    hi = np.concatenate((hi[:16], [0.01, 1.0, 0.5]))
+    log_f = _gaussian_log_f(n)
+    clipped = [k for k in range(lo.size)
+               if _points(log_f, lo[k:k + 1], hi[k:k + 1]) >= 64 * 8]
+    assert len(clipped) >= 5, clipped
+    _check_cells(log_f, lo[clipped], hi[clipped],
+                 lambda a, b: _gaussian_oracle(n, a, b))
+
+
+_NORMALIZED = ((3, gaussian_potential()), (4, exp_power_potential(1.5)),
+               (3, cauchy_potential(4.0)))
+
+
+def test_normalization_takes_at_most_two_rounds(monkeypatch):
+    # the probe seeds the Gauss-Kronrod partition, so the starting panels
+    # (nearly) meet the tolerance; unseeded it took 3 to 8 rounds
+    rounds = []
+    real_panels = quadrature._gk_panels
+
+    def spy_panels(fn, lo, hi):
+        rounds[-1] += 1
+        return real_panels(fn, lo, hi)
+
+    def spy_tail(*args, **kwargs):
+        rounds.append(0)
+        return tail_integral(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_gk_panels", spy_panels)
+    monkeypatch.setattr(radial_model, "tail_integral", spy_tail)
+    for n, potential in _NORMALIZED:
+        rounds.clear()
+        build_measure(n, potential)
+        # the first engine call of build_measure is the normalization
+        assert 1 <= rounds[0] <= 2, (potential.name, rounds)
+
+
+def test_cdf_table_evaluates_few_points_per_cell(monkeypatch):
+    # each cell's one-panel rule is its own variation probe: 8 points for
+    # most cells (a separate 5-point probe made it 13.1)
+    for n, potential in _NORMALIZED:
+        log_f, lo, hi = _table_cells(monkeypatch, n, potential)
+        assert lo.size == 4096
+        points = _points(log_f, lo, hi)
+        assert points <= 8.5 * lo.size, (potential.name, points / lo.size)

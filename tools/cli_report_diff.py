@@ -30,7 +30,12 @@ A refactor that claims to keep behaviour shows it on this list:
   and cauchy): ``bounds`` and ``eigen`` on ball n=3 and on exp-power
   alpha=1.5 n=4, each with sigma^2 = 1+r^2 and with sigma^2 = 1/(1+r^2),
   and ``sample --function linear`` on gaussian n=3 with
-  sigma^2 = 1/(1+r^2).
+  sigma^2 = 1/(1+r^2);
+- the tail-acceptance error path: ``bounds`` on cauchy beta=1.01 n=2 and
+  ``eigen`` on cauchy beta=2.51 n=5 with sigma^2 = 1+r^2, just above the
+  integrability threshold beta = n/2, whose normalization raises a
+  ``ConvergenceError`` (exit 1) with its quadrature error and
+  extrapolated-tail charge.
 
     python3 tools/cli_report_diff.py run SRC_TREE OUT_DIR
     python3 tools/cli_report_diff.py compare DIR_A DIR_B
@@ -104,6 +109,9 @@ _VARIANTS = (
       for weight in ("one-plus-r2", "inv-one-plus-r2")),
     ["sample"] + _GAUSSIAN + ["--weight", "inv-one-plus-r2",
                               "--function", "linear"],
+    ["bounds", "--family", "cauchy", "--beta", "1.01", "--n", "2"],
+    ["eigen", "--family", "cauchy", "--beta", "2.51", "--n", "5",
+     "--weight", "one-plus-r2"],
     ["table", "--id", "ball", "--dims", "2,4,8"],
     ["table", "--id", "gaussian-weighted", "--dims", "2..4"],
     ["table", "--id", "ball", "--dims", "3..2"],
