@@ -414,17 +414,18 @@ def _candidate_for(spec):
     return quadratic_candidate()
 
 
-def make_family(spec):
+def make_family(spec, tail_tol=1e-12):
     """Materialize a catalog case: (measure, weight, designated candidate).
 
-    The measure carries the analytic potential derivatives; the weight
+    The measure carries the analytic potential derivatives and is
+    truncated at tail mass ``tail_tol`` (see build_measure); the weight
     carries sigma^2 = (1+r^2)^k, its derivatives, and closed-form natural
     coordinates where available; the candidate is the family's standard
     probe for the variational lower bound and the Rayleigh upper bound.
     """
     if not isinstance(spec, FamilySpec):
         raise InvalidInput("make_family expects a FamilySpec")
-    measure = build_measure(spec.n, _potential_for(spec),
+    measure = build_measure(spec.n, _potential_for(spec), tail_tol=tail_tol,
                             name=spec.label())
     return measure, make_weight(spec.weight_choice), _candidate_for(spec)
 

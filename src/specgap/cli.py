@@ -58,7 +58,7 @@ from .errors import (ConvergenceError, DegenerateFunction,
 from .loggamma import log_gamma
 from .mc_sampler import (radial_rayleigh_estimate, rayleigh_estimate,
                          sample_mu, sample_radius)
-from .radial_model import build_measure, moment, weighted_moment
+from .radial_model import moment, weighted_moment
 from .sl_eigensolver import GridSpec, spectral_gap
 
 _CSV_HEADER = ("record", "name", "family", "weight", "n", "alpha", "beta",
@@ -208,12 +208,7 @@ class _Case:
     @functools.cached_property
     def law(self):
         """(measure, weight, candidate) at the run's --tail-tol."""
-        measure, weight, cand = catalog.make_family(self.spec)
-        if self.args.tail_tol != _DEFAULT_TAIL_TOL:
-            measure = build_measure(self.spec.n, measure.potential,
-                                    tail_tol=self.args.tail_tol,
-                                    name=measure.name)
-        return measure, weight, cand
+        return catalog.make_family(self.spec, tail_tol=self.args.tail_tol)
 
     @functools.cached_property
     def refs(self):

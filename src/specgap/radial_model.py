@@ -4,15 +4,19 @@ A spherically symmetric probability measure on R^n with density
 proportional to exp(-V(||x||)) pushes forward, under x -> ||x||, to the
 one-dimensional measure with density proportional to r^{n-1} exp(-V(r))
 on (0, R).  This module owns that one-dimensional object: normalization,
-truncation radius, a tabulated quantile function (for inverse sampling),
-moments and tail masses by adaptive quadrature, the effective potential
-U = V - (n-1) log r, and the drift coefficient of the weighted radial
-generator.
+truncation radius, tabulated quantile functions (for inverse sampling
+and for diagnostic grids), moments and tail masses by adaptive
+quadrature, the effective potential U = V - (n-1) log r, and the drift
+coefficient of the weighted radial generator.
 
-The quantile table is a PCHIP monotone cubic (_MonotoneCubic, numpy
-only, also used by the eigensolver's coordinate maps and mesh placement)
+A quantile table is a PCHIP monotone cubic (_MonotoneCubic, numpy only,
+also used by the eigensolver's coordinate maps and mesh placement)
 through the CDF values of a graded grid, and a guide table maps a
-uniform draw straight to its knot interval.
+uniform draw straight to its knot interval.  Each measure carries two,
+from one builder: a 256-cell table, built with the measure, that
+places the diagnostic grids, and the 4096-cell table that sampling
+reads, built on the first ``RadialMeasure.quantile`` call.  Commands
+that never sample (bounds, the eigensolver) never build the large one.
 
 All callables supplied in a RadialPotential or Weight must accept floats
 and numpy arrays and be analytically correct derivatives of each other: a
@@ -39,7 +43,11 @@ _HORIZON = 1e120
 # integrability requires the log-density log-log slope below -1 - margin
 _SLOPE_MARGIN = 5e-3
 
+# cells of the sampling quantile table, and of the diagnostic table that
+# only places check radii (on the catalog its quantiles agree with the
+# sampling table's to 1e-4 relative outside its first and last cells)
 _CDF_CELLS = 4096
+_GRID_CELLS = 256
 _FD_REL_STEP = 1e-5
 _FD_REL_TOL = 1e-5
 _CONVEXITY_SLACK = 1e-10
@@ -206,7 +214,13 @@ class BoundBracket:
 
 @dataclass(frozen=True)
 class RadialMeasure:
-    """Normalized radial law nu with cached truncation and quantile table."""
+    """Normalized radial law nu with cached truncation and quantile tables.
+
+    ``_grid_spline`` is the diagnostic quantile table that build_measure
+    makes; ``_tables`` caches, per measure object, the sampling quantile
+    table and the diagnostic grids, each built on first use.  It is not
+    an __init__ field, so ``dataclasses.replace`` starts it empty.
+    """
 
     n: int
     potential: RadialPotential
@@ -214,7 +228,18 @@ class RadialMeasure:
     log_z: float
     r_max: float
     name: str = ""
-    _quantile_spline: object = field(default=None, repr=False, compare=False)
+    _grid_spline: object = field(default=None, repr=False, compare=False)
+    _tables: dict = field(init=False, default_factory=dict, repr=False,
+                          compare=False)
+
+    def _cached(self, key, build):
+        """The table under ``key``, built once per measure.  Two threads
+        that race on a first use build the same bits, and both return
+        the one that was stored first."""
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables.setdefault(key, build())
+        return table
 
     # -- densities ---------------------------------------------------
 
@@ -247,20 +272,19 @@ class RadialMeasure:
         """Generalized inverse of the CDF (used for sampling).
 
         A PCHIP interpolant of u = log(1+r) against the CDF values of a
-        graded grid, from probability 1e-18 up; p outside the table's
-        probability range is clipped into it, and the interpolant's guide
-        table finds each p's knot interval without a binary search."""
+        4096-cell graded grid, from probability 1e-18 up, built on the
+        first call; p outside the table's probability range is clipped
+        into it, and the interpolant's guide table finds each p's knot
+        interval without a binary search."""
         arr = np.asarray(p, dtype=float)
         outside = ~((arr >= 0.0) & (arr <= 1.0))
         if np.any(outside):
             raise InvalidInput(
                 "quantile probabilities p must lie in [0, 1], got "
                 f"{float(arr[outside].flat[0])}")
-        lo = self._quantile_spline.x[0]
-        hi = self._quantile_spline.x[-1]
-        clipped = np.clip(arr, lo, hi)
-        u = self._quantile_spline(clipped)
-        vals = np.clip(np.expm1(u), 0.0, self.r_max)
+        table = self._cached(
+            "quantile", lambda: _quantile_table(self, _CDF_CELLS))
+        vals = _invert(table, arr, self.r_max)
         if arr.ndim == 0:
             return float(vals)
         return vals
@@ -316,14 +340,53 @@ def _check_tail_tol(tail_tol):
         raise InvalidInput(f"tail_tol must lie in (0, 1e-3), got {tail_tol!r}")
 
 
+def _quantile_table(measure, cells):
+    """PCHIP table of u = log(1+r) against the CDF values of a grid of
+    ``cells`` cells in u, graded denser near both ends.  Raises
+    ConvergenceError when the cells' masses do not add up to the
+    normalization."""
+    # CDF values: Chebyshev-extrema grading in u = log(1+r) clusters nodes
+    # at both ends, where the density factor r^{n-1} and the tail live
+    u_max = math.log1p(measure.r_max)
+    x = np.linspace(0.0, 1.0, cells + 1)
+    u_nodes = u_max * (1.0 - np.cos(math.pi * x)) / 2.0
+    u_nodes[0], u_nodes[-1] = 0.0, u_max
+
+    def log_dens_u(u):
+        # density of nu transported to u = log(1+r); jacobian dr/du = 1+r = e^u
+        return measure.log_density(np.expm1(u)) + u
+
+    masses = np.exp(log_integrals_exp(log_dens_u, u_nodes[:-1], u_nodes[1:]))
+    f_nodes = np.concatenate(([0.0], np.cumsum(masses)))
+    f_nodes = np.minimum(f_nodes, 1.0)
+    if (f_nodes[-1] < 1.0 - max(100.0 * measure.tail_tol, 1e-9)
+            or f_nodes[-1] > 1.0):
+        raise ConvergenceError(
+            f"CDF table mass {f_nodes[-1]!r} inconsistent with normalization")
+
+    # in high dimension the CDF is astronomically flat at the left end
+    # (r^{n-1} vanishing) and the inverse slopes there break the monotone
+    # interpolant; uniform doubles never resolve probabilities below 2^-53,
+    # so the quantile table starts at 1e-18 and clips below it
+    keep = (f_nodes >= 1e-18) & np.concatenate(([False],
+                                                np.diff(f_nodes) > 0.0))
+    return _MonotoneCubic(f_nodes[keep], u_nodes[keep])
+
+
+def _invert(table, p, r_max):
+    """Radii at probabilities p (in [0, 1]) by a quantile table."""
+    u = table(np.clip(p, table.x[0], table.x[-1]))
+    return np.clip(np.expm1(u), 0.0, r_max)
+
+
 def build_measure(n, potential, tail_tol=1e-12, name=""):
     """Construct the radial measure nu for dimension n and potential V.
 
     The log-normalization log_z, the truncation radius r_max (estimated
-    tail mass below tail_tol) and the quantile table over the CDF values
-    of a 4096-cell grid (graded in log(1+r), denser near both ends) are
-    computed here; the supplied derivatives are finite-difference checked
-    on a quantile grid.
+    tail mass below tail_tol) and the 256-cell diagnostic quantile table
+    are computed here, and the supplied derivatives are
+    finite-difference checked on a grid from that table.  The 4096-cell
+    sampling table is left to the first ``quantile`` call.
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise InvalidInput(f"dimension n must be an integer >= 2, got {n!r}")
@@ -356,35 +419,9 @@ def build_measure(n, potential, tail_tol=1e-12, name=""):
         raise NonIntegrable("normalization integral did not converge")
     log_z = shift + math.log(val)
     measure = replace(measure, log_z=log_z)
-    r_max = truncation_radius(measure, tail_tol)
-
-    # CDF values: Chebyshev-extrema grading in u = log(1+r) clusters nodes
-    # at both ends, where the density factor r^{n-1} and the tail live
-    u_max = math.log1p(r_max)
-    x = np.linspace(0.0, 1.0, _CDF_CELLS + 1)
-    u_nodes = u_max * (1.0 - np.cos(math.pi * x)) / 2.0
-    u_nodes[0], u_nodes[-1] = 0.0, u_max
-
-    def log_dens_u(u):
-        # density of nu transported to u = log(1+r); jacobian dr/du = 1+r = e^u
-        return measure.log_density(np.expm1(u)) + u
-
-    masses = np.exp(log_integrals_exp(log_dens_u, u_nodes[:-1], u_nodes[1:]))
-    f_nodes = np.concatenate(([0.0], np.cumsum(masses)))
-    f_nodes = np.minimum(f_nodes, 1.0)
-    if f_nodes[-1] < 1.0 - max(100.0 * tail_tol, 1e-9) or f_nodes[-1] > 1.0:
-        raise ConvergenceError(
-            f"CDF table mass {f_nodes[-1]!r} inconsistent with normalization")
-
-    # in high dimension the CDF is astronomically flat at the left end
-    # (r^{n-1} vanishing) and the inverse slopes there break the monotone
-    # interpolant; uniform doubles never resolve probabilities below 2^-53,
-    # so the quantile table starts at 1e-18 and clips below it
-    keep = (f_nodes >= 1e-18) & np.concatenate(([False],
-                                                np.diff(f_nodes) > 0.0))
-    quantile_spline = _MonotoneCubic(f_nodes[keep], u_nodes[keep])
-
-    measure = replace(measure, r_max=r_max, _quantile_spline=quantile_spline)
+    measure = replace(measure, r_max=truncation_radius(measure, tail_tol))
+    measure = replace(
+        measure, _grid_spline=_quantile_table(measure, _GRID_CELLS))
 
     _check_potential_derivatives(measure)
     return measure
@@ -429,12 +466,21 @@ def truncation_radius(measure, tail_tol, poly_power=0):
 
 def diagnostic_grid(measure, count=201, p_lo=1e-4):
     """Quantile-based radii covering the bulk of nu, from probability p_lo
-    to 1 - p_lo (used for pointwise positivity/consistency checks)."""
-    r = measure.quantile(np.linspace(p_lo, 1.0 - p_lo, count))
-    r = np.unique(r[r > 0.0])
-    if r.size < 8:
-        raise ConvergenceError("diagnostic grid degenerate")
-    return r
+    to 1 - p_lo (used for pointwise positivity/consistency checks).
+
+    The radii come from the measure's 256-cell diagnostic table, not the
+    sampling table, and each (count, p_lo) grid is computed once per
+    measure and returned as a read-only array."""
+    def build():
+        r = _invert(measure._grid_spline,
+                    np.linspace(p_lo, 1.0 - p_lo, count), measure.r_max)
+        r = np.unique(r[r > 0.0])
+        if r.size < 8:
+            raise ConvergenceError("diagnostic grid degenerate")
+        r.flags.writeable = False
+        return r
+
+    return measure._cached(("grid", count, p_lo), build)
 
 
 def _fd_reject(name, r, got, expect):

@@ -13,6 +13,7 @@ import subprocess
 import sys
 from importlib import resources
 
+import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 from scipy.special import jn_zeros
@@ -341,6 +342,48 @@ def test_table_heavy_tail_default_betas_no_solve():
     assert by_beta[2.5]["lower"] == 1.0 and by_beta[2.5]["upper"] == 1.0
     assert rel(by_beta[6.0]["lower"], 8.0) < 1e-12
     assert rel(by_beta[6.0]["upper"], 10.0) < 1e-12
+
+
+# ------------------------------------------------------------------ tables
+
+_CAUCHY_WEIGHTED = ["--family", "cauchy", "--beta", "4", "--n", "3",
+                    "--weight", "one-plus-r2"]
+
+
+@pytest.mark.parametrize("command, tables", [
+    ("bounds", 0), ("eigen", 0), ("sample", 1)])
+def test_only_sample_builds_the_sampling_table(monkeypatch, command, tables):
+    # the 4096-cell quantile table is integrated on the first draw
+    built = []
+    real = radial_model.log_integrals_exp
+
+    def spy(log_f, lo, hi):
+        if len(lo) == 4096:
+            built.append(lo)
+        return real(log_f, lo, hi)
+
+    monkeypatch.setattr(radial_model, "log_integrals_exp", spy)
+    extra = ["--count", "2000"] if command == "sample" else []
+    code, _ = run_json([command] + _CAUCHY_WEIGHTED + extra)
+    assert code == 0
+    assert len(built) == tables
+
+
+def test_bounds_computes_each_diagnostic_grid_once(monkeypatch):
+    # bounds never samples, so every quantile-table evaluation places a
+    # diagnostic grid; keyed by its probabilities, none is repeated
+    grids = []
+    real = radial_model._MonotoneCubic.__call__
+
+    def spy(self, v):
+        v = np.asarray(v, dtype=float)
+        grids.append((v.size, float(v.flat[0]), float(v.flat[-1])))
+        return real(self, v)
+
+    monkeypatch.setattr(radial_model._MonotoneCubic, "__call__", spy)
+    code, _ = run_json(["bounds"] + _CAUCHY_WEIGHTED)
+    assert code == 0
+    assert 0 < len(grids) == len(set(grids)) <= 4
 
 
 # ------------------------------------------------------------------ sample

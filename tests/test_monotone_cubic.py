@@ -60,11 +60,15 @@ def _assert_matches_scipy(made):
 @pytest.mark.parametrize("spec", CASES, ids=lambda s: s.label())
 def test_cdf_and_quantile_tables_match_scipy_bit_for_bit(built, spec):
     measure, _, _ = make_family(spec)
-    # one table per measure: the quantile, whose knots are the CDF values
-    assert [fn for fn, _, _ in built] == [measure._quantile_spline]
-    probs = built[0][1]
-    assert probs[0] >= 1e-18 and probs[-1] <= 1.0
-    assert np.all(np.diff(probs) > 0.0)
+    # two tables per measure, both quantiles whose knots are CDF values:
+    # the diagnostic one with the measure, the sampling one on first draw
+    assert [fn for fn, _, _ in built] == [measure._grid_spline]
+    measure.quantile(0.5)
+    assert [fn for fn, _, _ in built] == [measure._grid_spline,
+                                          measure._tables["quantile"]]
+    for _, probs, _ in built:
+        assert probs[0] >= 1e-18 and probs[-1] <= 1.0
+        assert np.all(np.diff(probs) > 0.0)
     _assert_matches_scipy(built)
 
 
@@ -86,7 +90,8 @@ def test_mesh_placement_and_metric_tables_match_scipy_bit_for_bit(built):
 
 def test_guide_lookup_equals_searchsorted():
     measure, _, _ = make_family(FamilySpec("gaussian", 3))
-    table = measure._quantile_spline
+    measure.quantile(0.5)
+    table = measure._tables["quantile"]
     x = table.x
     m = table._buckets
     edges = x[0] + (x[-1] - x[0]) * np.arange(m + 1) / m

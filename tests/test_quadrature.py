@@ -168,17 +168,18 @@ def test_gauss_kronrod_bisects_a_kink_to_tolerance():
 
 
 def _table_cells(monkeypatch, n, potential):
-    """(log_f, lo, hi) of the CDF table build_measure makes, in
-    u = log(1+r)."""
+    """(log_f, lo, hi) of the 4096-cell CDF table that a measure's first
+    quantile call makes, in u = log(1+r)."""
     calls = []
 
     def spy(log_f, lo, hi):
         calls.append((log_f, np.array(lo), np.array(hi)))
         return log_integrals_exp(log_f, lo, hi)
 
+    measure = build_measure(n, potential)
     with monkeypatch.context() as m:
         m.setattr(radial_model, "log_integrals_exp", spy)
-        build_measure(n, potential)
+        measure.quantile(0.5)
     call, = calls
     return call
 

@@ -11,17 +11,21 @@ Moment oracles are closed forms computed independently of the package:
 """
 
 import math
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from specgap import radial_model
 from specgap import (
     BoundBracket,
     InvalidInput,
     NonIntegrable,
     RadialPotential,
     Weight,
+    ball_potential,
     build_measure,
     cauchy_potential,
     diagnostic_grid,
@@ -294,12 +298,49 @@ def test_bool_orders_are_invalid_input():
 
 
 def test_diagnostic_grid_inside_support():
-    from specgap import ball_potential
     ball = build_measure(4, ball_potential())
     g = diagnostic_grid(ball, count=101)
     assert g.shape == (101,)
     assert np.all(g > 0) and np.all(g <= 1.0)
     assert np.all(np.diff(g) > 0)
+
+
+def test_diagnostic_grid_is_computed_once_and_read_only():
+    mu = _gaussian(3)
+    grid = diagnostic_grid(mu, count=101)
+    assert diagnostic_grid(mu, count=101) is grid
+    assert diagnostic_grid(mu, count=101, p_lo=1e-3) is not grid
+    with pytest.raises(ValueError):
+        grid[0] = 1.0
+    # a replaced measure caches nothing of the original's
+    assert replace(mu, name="copy")._tables == {}
+
+
+@pytest.mark.parametrize("n, potential", [
+    (3, gaussian_potential()), (16, ball_potential()),
+    (3, cauchy_potential(2.0))], ids=["gaussian", "ball", "cauchy"])
+def test_diagnostic_table_tracks_the_sampling_table(n, potential):
+    # the 256-cell table against the 4096-cell one on the densest grid;
+    # the end points sit in the first and last cells, where the coarse
+    # cubic is loosest (up to 0.14 relative at p = 1e-6 on n = 2 cauchy)
+    mu = build_measure(n, potential)
+    p = np.linspace(1e-6, 1.0 - 1e-6, 401)
+    got = radial_model._invert(mu._grid_spline, p, mu.r_max)
+    want = mu.quantile(p)
+    rel = np.abs(got - want) / want
+    assert np.max(rel[1:-1]) <= 2e-4
+    assert np.max(rel) <= 1e-2
+
+
+def test_sampling_table_is_the_same_whichever_thread_builds_it():
+    p = np.linspace(0.0, 1.0, 1001)
+    want = build_measure(3, cauchy_potential(4.0)).quantile(p)
+    mu = build_measure(3, cauchy_potential(4.0))
+    assert "quantile" not in mu._tables
+    with ThreadPoolExecutor(2) as pool:
+        got = list(pool.map(lambda _: mu.quantile(p), range(4)))
+    assert all(np.array_equal(g, want) for g in got)
+    assert "quantile" in mu._tables
 
 
 def test_expectation_log_scale_heavy_tail():

@@ -54,7 +54,10 @@ Run it once per tree, in a fresh process each time.
   numbers are masked;
 - the largest relative delta per numeric field, where a field is a JSON
   path with records keyed by their ``name`` and numbers inside text
-  collected under the path of that text;
+  collected under the path of that text.  A record's ``value`` is left
+  out where the record's ``error`` exceeds it: such a value is itself a
+  deviation inside its own error (``verify``'s |solver - exact|, say),
+  so its relative delta is noise, and the next list ranks its shift;
 - per record name, the largest value shift in units of the record's own
   reported error.
 It exits 1 when anything other than numbers differs, else 0.
@@ -161,6 +164,12 @@ def _is_number(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _inside_error(rec):
+    """True for a record whose value is smaller than its reported error."""
+    value, error = rec.get("value"), rec.get("error")
+    return _is_number(value) and _is_number(error) and error > abs(value)
+
+
 class _Diff:
     """What differs between two reports, accumulated over many files."""
 
@@ -197,7 +206,11 @@ class _Diff:
                 self.other.append(
                     f"{where}: {path}: keys {sorted(set(a) ^ set(b))}")
                 return
+            noise = _inside_error(a) or _inside_error(b)
             for key in sorted(a):
+                if (key == "value" and noise and _is_number(a[key])
+                        and _is_number(b[key])):
+                    continue
                 self.walk(a[key], b[key], f"{path}.{key}", where)
             self.record(a, b, where)
         elif isinstance(a, list):
