@@ -24,12 +24,10 @@ from .errors import (ConvergenceError, DegenerateFunction,
                      DiscretizationError, DomainError, HypothesisFailed,
                      InvalidInput, NonIntegrable, SpecGapError,
                      TruncationWarning)
-from .loggamma import log_gamma
 from .mc_sampler import (RayleighResult, SampleBatch, rayleigh_estimate,
                          sample_mu, sample_radius)
 from .radial_model import (BoundBracket, RadialMeasure, RadialPotential,
-                           Weight, build_measure, diagnostic_grid, drift,
-                           drift_derivative, effective_potential,
+                           Weight, build_measure, diagnostic_grid,
                            expectation, moment, tail_mass,
                            truncation_radius, validate_weight,
                            weighted_moment)

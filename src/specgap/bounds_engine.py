@@ -23,11 +23,11 @@ import numpy as np
 
 from .errors import (
     DegenerateFunction,
+    DomainError,
     HypothesisFailed,
     InvalidInput,
     NonIntegrable,
 )
-from .loggamma import log_gamma
 from .quadrature import _PROBE_POINTS, _U_CAP
 from .radial_model import (
     BoundBracket,
@@ -35,9 +35,6 @@ from .radial_model import (
     _finite_real,
     _log_s2,
     diagnostic_grid,
-    drift,
-    drift_derivative,
-    effective_potential,
     expectation,
     truncation_radius,
     validate_weight,
@@ -394,12 +391,14 @@ def radial_moment_lower(n, m2):
 
 
 def _weighted_curvature_terms(measure, weight):
-    _, du, d2u = effective_potential(measure)
+    pot = measure.potential
+    nm1 = measure.n - 1
 
     def terms(r):
         rr = np.asarray(r, dtype=float)
         s2, ds2 = weight.s2(rr), weight.ds2(rr)
-        return (s2 * d2u(rr), 0.5 * ds2 * du(rr),
+        return (s2 * (pot.d2v(rr) + nm1 / (rr * rr)),
+                0.5 * ds2 * (pot.dv(rr) - nm1 / rr),
                 0.25 * ds2 * ds2 / s2 - 0.5 * weight.d2s2(rr))
 
     return terms
@@ -422,7 +421,7 @@ def weighted_curvature(measure, weight):
     terms = _weighted_curvature_terms(measure, weight)
 
     def curv(r):
-        return sum(terms(r))
+        return sum(terms(_require_positive_radii(r)))
 
     return curv
 
@@ -449,28 +448,40 @@ def weighted_curvature_lower(measure, weight):
 # ---------------------------------------------------------------------
 
 
+def _require_positive_radii(r):
+    arr = np.asarray(r, dtype=float)
+    if np.any(arr <= 0.0):
+        raise DomainError("radial coefficients are defined for r > 0 only")
+    return arr
+
+
 def variational_potential(measure, weight, cand):
     """The local decay rate -(L f)'/f' of a monotone candidate, callable.
 
-    L is the weighted radial generator sigma^2 d^2/dr^2 + b d/dr.  For
-    any candidate with f' > 0 the infimum of this quantity over the
-    domain is a lower bound for the gap, with equality at the gap
-    eigenfunction when one exists.
+    L is the weighted radial generator sigma^2 d^2/dr^2 + b d/dr, with
+    drift b = (sigma^2)' - sigma^2 U' and U(r) = V(r) - (n-1) log r the
+    effective potential.  For any candidate with f' > 0 the infimum of
+    this quantity over the domain is a lower bound for the gap, with
+    equality at the gap eigenfunction when one exists.  The callable
+    raises DomainError at radii r <= 0.
     """
     if cand.d3f is None:
         raise InvalidInput(
             "variational bounds differentiate L f and need d3f; "
             f"candidate {cand.name or '<anon>'} does not supply it")
-    b = drift(measure, weight)
-    db = drift_derivative(measure, weight)
+    pot = measure.potential
+    nm1 = measure.n - 1
 
     def vf(r):
-        rr = np.asarray(r, dtype=float)
+        rr = _require_positive_radii(r)
+        s2, ds2 = weight.s2(rr), weight.ds2(rr)
+        du = pot.dv(rr) - nm1 / rr
+        b = ds2 - s2 * du
+        db = weight.d2s2(rr) - ds2 * du - s2 * (pot.d2v(rr) + nm1 / (rr * rr))
         f1 = np.asarray(cand.df(rr), dtype=float)
-        return -(weight.s2(rr) * np.asarray(cand.d3f(rr), dtype=float)
-                 + (weight.ds2(rr) + b(rr))
-                 * np.asarray(cand.d2f(rr), dtype=float)
-                 + db(rr) * f1) / f1
+        return -(s2 * np.asarray(cand.d3f(rr), dtype=float)
+                 + (ds2 + b) * np.asarray(cand.d2f(rr), dtype=float)
+                 + db * f1) / f1
 
     return vf
 
@@ -611,7 +622,7 @@ def gamma_ratio_bounds(a, b):
     if not 0.0 <= b <= 2.0:
         raise InvalidInput(
             f"gamma_ratio_bounds requires b in [0, 2], got {b!r}")
-    value = math.exp(log_gamma(a) + b * math.log(a) - log_gamma(a + b))
+    value = math.exp(math.lgamma(a) + b * math.log(a) - math.lgamma(a + b))
     if b <= 1.0:
         lower = 1.0
         upper = ((a + b) / a) ** (1.0 - b)
@@ -640,7 +651,7 @@ def exp_power_explicit(n, alpha):
     if not alpha >= 1.0:
         raise InvalidInput(f"alpha must be >= 1, got {alpha!r}")
     log_m2 = ((2.0 / alpha) * math.log(alpha)
-              + log_gamma((n + 2.0) / alpha) - log_gamma(n / alpha))
+              + math.lgamma((n + 2.0) / alpha) - math.lgamma(n / alpha))
     m2 = math.exp(log_m2)
     exact = BoundBracket(
         (n - 1.0) / m2, float(n) / m2,

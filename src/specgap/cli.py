@@ -55,7 +55,6 @@ from .bounds_engine import (LowerBound, curvature_lower, exp_power_explicit,
 from .errors import (ConvergenceError, DegenerateFunction,
                      DiscretizationError, DomainError, HypothesisFailed,
                      InvalidInput, NonIntegrable, SpecGapError)
-from .loggamma import log_gamma
 from .mc_sampler import (radial_rayleigh_estimate, rayleigh_estimate,
                          sample_mu, sample_radius)
 from .radial_model import moment, weighted_moment
@@ -463,10 +462,10 @@ def _verify_gamma(records, failures):
                    failure=f"{where}: slack {slack!r}", alpha=a, beta=b,
                    value=value, lower=lower, upper=upper, source=source)
 
-    # log-Gamma against exact factorials (independent of the math.lgamma
-    # evaluation that log_gamma wraps): Gamma(k) = (k-1)!, and
-    # Gamma(k + 1/2) = (2k)! sqrt(pi) / (4^k k!), reduced in exact integer
-    # arithmetic before a single log.
+    # math.lgamma, which the Gamma-ratio brackets call, against exact
+    # factorials: Gamma(k) = (k-1)!, and Gamma(k + 1/2) =
+    # (2k)! sqrt(pi) / (4^k k!), reduced in exact integer arithmetic
+    # before a single log.
     half_log_pi = 0.5 * math.log(math.pi)
     suites = (
         ("integers", "Gamma(k) = (k-1)! for k = 1..60", range(1, 61),
@@ -481,7 +480,7 @@ def _verify_gamma(records, failures):
         worst = 0.0
         for k in ks:
             want = exact(k)
-            rel = abs(log_gamma(arg(k)) - want) / max(1.0, abs(want))
+            rel = abs(math.lgamma(arg(k)) - want) / max(1.0, abs(want))
             worst = max(worst, rel)
         _check(records, failures, f"log_gamma_{which}", ok=worst <= 1e-13,
                detail="worst relative error",
@@ -572,7 +571,8 @@ def cmd_verify(args, case_of):
     if args.scope in ("all", "bracketing"):
         notes.extend(
             _verify_bracketing(args, case_of, records, failures, notes))
-    return records, notes, failures
+    # sweeps that solve the same case report its warnings once
+    return records, list(dict.fromkeys(notes)), failures
 
 
 # ---------------------------------------------------------------------

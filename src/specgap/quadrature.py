@@ -191,9 +191,11 @@ def tail_integral(log_abs_fn, r_lo=0.0, r_hi=math.inf, *, sign_fn=None,
     peak; mass beyond the window (or beyond the probe's end) is estimated
     from the fitted log-linear tail slope and the estimate is charged to
     the error bound, so near-threshold tails fail the acceptance check
-    honestly instead of being silently dropped.  The window's adaptive
-    Gauss-Kronrod integral starts from the probe's peak plus a breakpoint
-    wherever the probe's log-integrand has varied by another
+    honestly instead of being silently dropped.  That estimate matters
+    where the window ends because the integrand's own evaluation
+    overflows (r^2 past 1.3e154) while it is still live.  The window's
+    adaptive Gauss-Kronrod integral starts from the probe's peak plus a
+    breakpoint wherever the probe's log-integrand has varied by another
     ``_SEED_EFOLDS`` within ``_SEED_FLOOR`` e-folds of the peak (at most
     ``_SEED_CAP`` of them).
 

@@ -6,8 +6,7 @@ one-dimensional measure with density proportional to r^{n-1} exp(-V(r))
 on (0, R).  This module owns that one-dimensional object: normalization,
 truncation radius, tabulated quantile functions (for inverse sampling
 and for diagnostic grids), moments and tail masses by adaptive
-quadrature, the effective potential U = V - (n-1) log r, and the drift
-coefficient of the weighted radial generator.
+quadrature.
 
 A quantile table is a PCHIP monotone cubic (_MonotoneCubic, numpy only,
 also used by the eigensolver's coordinate maps and mesh placement)
@@ -261,10 +260,6 @@ class RadialMeasure:
     def log_density(self, r):
         """log of the normalized density of nu."""
         return self.log_weight(r) - self.log_z
-
-    def density(self, r):
-        with np.errstate(over="ignore"):
-            return np.exp(self.log_density(r))
 
     # -- inverse sampling ---------------------------------------------
 
@@ -626,60 +621,3 @@ def tail_mass(measure, r):
         accept_rel=1e-9, abs_floor=1e-15)
     return min(max(val * math.exp(log_scale), 0.0), 1.0)
 
-
-# ---------------------------------------------------------------------
-# generator coefficients
-# ---------------------------------------------------------------------
-
-
-def _require_positive_radii(r):
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr <= 0.0):
-        raise DomainError("radial coefficients are defined for r > 0 only")
-    return arr
-
-
-def effective_potential(measure):
-    """(U, U', U'') with U(r) = V(r) - (n-1) log r, as callables."""
-    pot = measure.potential
-    nm1 = measure.n - 1
-
-    def u(r):
-        rr = _require_positive_radii(r)
-        return pot.v(rr) - nm1 * np.log(rr)
-
-    def du(r):
-        rr = _require_positive_radii(r)
-        return pot.dv(rr) - nm1 / rr
-
-    def d2u(r):
-        rr = _require_positive_radii(r)
-        return pot.d2v(rr) + nm1 / (rr * rr)
-
-    return u, du, d2u
-
-
-def drift(measure, weight):
-    """b(r) = (sigma^2)'(r) - sigma^2(r) (V'(r) - (n-1)/r)."""
-    pot = measure.potential
-    nm1 = measure.n - 1
-
-    def b(r):
-        rr = _require_positive_radii(r)
-        return weight.ds2(rr) - weight.s2(rr) * (pot.dv(rr) - nm1 / rr)
-
-    return b
-
-
-def drift_derivative(measure, weight):
-    """b'(r), differentiating the displayed drift formula term by term."""
-    pot = measure.potential
-    nm1 = measure.n - 1
-
-    def db(r):
-        rr = _require_positive_radii(r)
-        return (weight.d2s2(rr)
-                - weight.ds2(rr) * (pot.dv(rr) - nm1 / rr)
-                - weight.s2(rr) * (pot.d2v(rr) + nm1 / (rr * rr)))
-
-    return db

@@ -53,7 +53,7 @@ from .errors import (ConvergenceError, DiscretizationError, DomainError,
                      HypothesisFailed, InvalidInput, NonIntegrable,
                      TruncationWarning)
 from .quadrature import gl_rule, log_integrals_exp
-from .radial_model import (_MonotoneCubic, diagnostic_grid, drift,
+from .radial_model import (_MonotoneCubic, _finite_real, diagnostic_grid,
                            expectation, truncation_radius, validate_weight)
 
 # width ratio cap of the graded mesh (widest cell / narrowest cell)
@@ -539,19 +539,21 @@ def residual_check(measure, weight, f, lam):
     over the quantile grid of nu.  For lam > 0 the additive constant is
     pinned by the eigenvalue equation itself, so c is the nu-mean of f
     (the mean-zero representative); for lam = 0 the equation only sees
-    f up to affine shifts and c minimizes the sup norm directly.
+    f up to affine shifts and c minimizes the sup norm directly.  The
+    drift b is written out here from V and sigma^2, independently of the
+    bounds engine.
     """
-    lam = float(lam)
-    if not math.isfinite(lam) or lam < 0.0:
-        raise InvalidInput("lam must be a finite nonnegative real")
+    lam = _finite_real("lam", lam)
+    if lam < 0.0:
+        raise InvalidInput(f"lam must be nonnegative, got {lam!r}")
     grid = diagnostic_grid(measure, count=401)
-    b = drift(measure, weight)
     with np.errstate(all="ignore"):
         s2 = np.asarray(weight.s2(grid), dtype=float)
         f0 = np.asarray(f.f(grid), dtype=float)
         f1 = np.asarray(f.df(grid), dtype=float)
         f2 = np.asarray(f.d2f(grid), dtype=float)
-        bv = np.asarray(b(grid), dtype=float)
+        du = measure.potential.dv(grid) - (measure.n - 1) / grid
+        bv = np.asarray(weight.ds2(grid) - s2 * du, dtype=float)
     pieces = (s2, f0, f1, f2, bv)
     if any(np.any(~np.isfinite(p)) for p in pieces):
         raise DomainError(

@@ -45,8 +45,7 @@ from specgap.errors import (
     TruncationWarning,
 )
 from specgap.radial_model import (RadialPotential, build_measure,
-                                  diagnostic_grid, effective_potential,
-                                  moment, truncation_radius)
+                                  diagnostic_grid, moment, truncation_radius)
 from specgap.sl_eigensolver import spectral_gap
 
 
@@ -236,8 +235,9 @@ def test_weighted_curvature_summands_match_sigma_form(case, k):
     s = q ** (0.5 * k)
     ds = k * r * q ** (0.5 * k - 1.0)
     d2s = k * q ** (0.5 * k - 2.0) * (1.0 + (k - 1.0) * r * r)
-    _, du, d2u = effective_potential(mu)
-    want = np.array([s * s * d2u(r), s * ds * du(r), -s * d2s])
+    du = mu.potential.dv(r) - 2.0 / r
+    d2u = mu.potential.d2v(r) + 2.0 / (r * r)
+    want = np.array([s * s * d2u, s * ds * du, -s * d2s])
     got = np.array(bounds_engine._weighted_curvature_terms(
         mu, power_weight(k))(r))
     size = np.sum(np.abs(want), axis=0)

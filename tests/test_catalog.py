@@ -31,7 +31,7 @@ from specgap.catalog import (
 )
 from specgap.errors import InvalidInput
 from specgap.radial_model import validate_weight
-from specgap.sl_eigensolver import spectral_gap
+from specgap.sl_eigensolver import residual_check, spectral_gap
 
 
 # ------------------------------------------------------------ FamilySpec
@@ -109,10 +109,11 @@ def test_family_spec_normalization_and_label():
     lambda x: radial_moment_lower(3, x),
     lambda x: spectral_comparison(x, 3, 1.0),
     lambda x: gamma_ratio_bounds(x, 1),
+    lambda x: residual_check(*make_family(FamilySpec("gaussian", 3)), x),
 ], ids=["exp_power_potential", "cauchy_potential", "power_candidate",
         "power_law_candidate", "power_weight", "exp_power_explicit",
         "moment_bracket", "radial_moment_lower", "spectral_comparison",
-        "gamma_ratio_bounds"])
+        "gamma_ratio_bounds", "residual_check"])
 def test_real_parameters_reject_non_reals(call, bad):
     # each raises InvalidInput rather than coercing "2" or True through
     # float() or leaking a TypeError

@@ -280,12 +280,15 @@ def test_verify_bracketing_subset():
 
 
 def test_verify_all_solves_each_case_once(monkeypatch):
-    # 20 cauchy-exact cases and the 62 catalog cases share 16 specs
+    # 20 cauchy-exact cases and the 62 catalog cases share 16 specs, and
+    # a warning of a shared case is reported once
     calls = spy_on(monkeypatch, "spectral_gap")
     code, rep = run_json(["verify", "--scope", "all"])
     assert code == 0
     assert len(recs(rep, "cauchy_exact")) == 20
     assert len(calls) == 66
+    warnings = rep["warnings"]
+    assert warnings and len(set(warnings)) == len(warnings)
 
 
 def test_eigen_solves_once_per_call(monkeypatch):

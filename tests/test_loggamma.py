@@ -1,9 +1,12 @@
-"""Log-Gamma accuracy against exact combinatorial oracles.
+"""Log-Gamma where the package calls it, against exact oracles.
 
-The oracles are computed in exact integer arithmetic before the single
-final float conversion: log Gamma(k) = log (k-1)!  and
-log Gamma(k + 1/2) = log (2k)! + log(sqrt(pi)) - k log 4 - log k!,
-so the reference values carry only the rounding of math.log itself.
+The exponential-power brackets and gamma_ratio_bounds form Gamma ratios
+as exp of math.lgamma differences, on arguments they have checked
+themselves.  Oracles: with V = r^alpha/alpha the second moment is
+m2 = alpha^(2/alpha) Gamma((n+2)/alpha) / Gamma(n/alpha), which is
+n (n+1) at alpha = 1 (integer arguments) and n at alpha = 2 (half-integer
+arguments for odd n).  Each ratio is allowed REL of the log-scale
+magnitudes it cancels, the log of the exact factorial forms.
 """
 
 import math
@@ -11,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from specgap import InvalidInput, log_gamma
+from specgap import InvalidInput, exp_power_explicit, gamma_ratio_bounds
 
 REL = 1e-13
 
@@ -23,51 +26,34 @@ def _half_integer_log_gamma(k):
 
 
 def test_integer_factorial_oracle():
-    for k in range(1, 171):
-        exact = math.log(math.factorial(k - 1))
-        got = log_gamma(float(k))
-        if k in (1, 2):
-            assert abs(got) <= 1e-14, f"log Gamma({k}) should vanish, got {got}"
-        else:
-            assert abs(got - exact) <= REL * abs(exact), (
-                f"log Gamma({k}) = {got!r} vs factorial oracle {exact!r}")
+    # Gamma(n+2) / Gamma(n) = (n+1)! / (n-1)!, up to Gamma(170)
+    for n in range(2, 169):
+        exact = exp_power_explicit(n, 1.0).exact
+        tol = REL * (math.log(math.factorial(n + 1))
+                     + math.log(math.factorial(n - 1)))
+        assert abs(exact.upper * (n + 1) - 1.0) <= tol, (n, exact.upper)
+        assert abs(exact.lower * n * (n + 1) / (n - 1) - 1.0) <= tol, n
 
 
 def test_half_integer_oracle():
-    for k in range(0, 171):
-        exact = _half_integer_log_gamma(k)
-        got = log_gamma(k + 0.5)
-        assert abs(got - exact) <= REL * max(1.0, abs(exact)), (
-            f"log Gamma({k}+1/2) = {got!r} vs closed form {exact!r}")
-
-
-def test_agrees_with_math_lgamma():
-    # independent implementation; allow a little slack for its own error
-    grid = np.concatenate([
-        np.geomspace(1e-3, 1e12, 97),
-        np.array([0.5, 1.0 + 1e-9, 2.0 - 1e-9, 2.0 + 1e-9, 7.25, 33.125]),
-    ])
-    for x in grid:
-        got = log_gamma(float(x))
-        ref = math.lgamma(float(x))
-        assert abs(got - ref) <= 2e-13 * (1.0 + abs(ref)), (
-            f"log_gamma({x}) = {got!r} disagrees with math.lgamma {ref!r}")
-
-
-def test_vectorized_matches_scalar():
-    xs = np.array([0.25, 1.0, 2.5, 10.0, 1e4])
-    vec = log_gamma(xs)
-    assert vec.shape == xs.shape
-    for x, v in zip(xs, vec):
-        assert v == log_gamma(float(x))
+    # 2 Gamma(k + 3/2) / Gamma(k + 1/2) = n for n = 2k + 1, up to k = 169
+    for k in range(1, 170):
+        n = 2 * k + 1
+        upper = exp_power_explicit(n, 2.0).exact.upper
+        tol = REL * (abs(_half_integer_log_gamma(k + 1))
+                     + abs(_half_integer_log_gamma(k)))
+        assert abs(upper - 1.0) <= tol, (n, upper)
 
 
 def test_rejects_nonpositive_and_nonfinite():
     for bad in (0.0, -1.0, -0.5, math.inf, math.nan):
         with pytest.raises(InvalidInput):
-            log_gamma(bad)
+            gamma_ratio_bounds(bad, 1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(InvalidInput):
+            exp_power_explicit(3, bad)
     with pytest.raises(InvalidInput):
-        log_gamma(np.array([1.0, -2.0]))
+        gamma_ratio_bounds(np.array([1.0, -2.0]), 1.0)
 
 
 @pytest.mark.parametrize("bad", [
@@ -76,12 +62,12 @@ def test_rejects_nonpositive_and_nonfinite():
 ], ids=["str", "true", "false", "np-bool", "none", "complex", "bool-array",
         "str-array", "complex-array"])
 def test_rejects_non_real(bad):
-    # a float conversion first would read "2.5" as 2.5 and True as Gamma(1)
-    with pytest.raises(InvalidInput, match="requires real x > 0"):
-        log_gamma(bad)
+    # a float conversion first would read "2.5" as 2.5 and True as 1
+    with pytest.raises(InvalidInput, match="a must be a real number"):
+        gamma_ratio_bounds(bad, 1.0)
 
 
 def test_integer_input_is_real():
-    assert log_gamma(3) == log_gamma(np.int64(3)) == math.lgamma(3.0)
-    assert log_gamma(np.array([3, 4])).tolist() == [math.lgamma(3.0),
-                                                     math.lgamma(4.0)]
+    assert (gamma_ratio_bounds(3, 1) == gamma_ratio_bounds(np.int64(3), 1)
+            == gamma_ratio_bounds(3.0, 1.0))
+    assert exp_power_explicit(3, 2) == exp_power_explicit(np.int64(3), 2.0)

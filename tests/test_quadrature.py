@@ -30,7 +30,7 @@ from specgap import (
     tail_mass,
 )
 from specgap import quadrature, radial_model
-from specgap.errors import NonIntegrable
+from specgap.errors import ConvergenceError, NonIntegrable
 from specgap.quadrature import (GK_GAUSS, GK_KRONROD, GK_NODES,
                                 gauss_kronrod, log_integrals_exp,
                                 tail_integral)
@@ -141,6 +141,20 @@ def test_tail_integral_hard_end_takes_no_tail_charge():
         assert err * math.exp(log_scale) <= 1e-13 * exact
     with pytest.raises(NonIntegrable):
         tail_integral(lambda r: 2.0 * np.log(r), 0.5, rel_tol=1e-13)
+
+
+def test_tail_integral_charges_the_mass_past_an_overflow_cut():
+    # r^2 overflows past r ~ 1.34e154, so r (1+r^2)^(-1.01), whose
+    # integral is 50, vanishes there abruptly while still within ~7
+    # e-folds of its peak.  The window ends at that cut, and the 2% of the
+    # mass past it is extrapolated and charged to the error, not dropped
+    def log_abs(r):
+        return np.log(r) - 1.01 * np.log1p(r * r)
+
+    with pytest.raises(ConvergenceError, match=(
+            r"value 4\.22\d*e\+01 \(log scale 0\.169\).*"
+            r"extrapolated-tail charge 2\.1e-02 past r = 1\.30494e\+154")):
+        tail_integral(log_abs, rel_tol=1e-12)
 
 
 def test_kronrod_rule_exact_to_degree_31():

@@ -21,6 +21,7 @@ from scipy import integrate
 from specgap import radial_model
 from specgap import (
     BoundBracket,
+    DomainError,
     InvalidInput,
     NonIntegrable,
     RadialPotential,
@@ -29,18 +30,19 @@ from specgap import (
     build_measure,
     cauchy_potential,
     diagnostic_grid,
-    drift,
-    drift_derivative,
-    effective_potential,
     exp_power_potential,
     expectation,
     gaussian_potential,
     make_weight,
     moment,
+    power_law_candidate,
     power_weight,
+    quadratic_candidate,
     tail_mass,
     truncation_radius,
     validate_weight,
+    variational_potential,
+    weighted_curvature,
     weighted_moment,
 )
 
@@ -106,7 +108,7 @@ def test_weighted_moments_gaussian_one_plus():
     mu = _gaussian(3)
     w = power_weight(1)
     # independent quadrature oracles against the chi_3 radial density
-    dens = lambda r: mu.density(r)
+    dens = lambda r: math.exp(mu.log_density(r))
     ref_r2s2, _ = integrate.quad(lambda r: r * r / (1 + r * r) * dens(r),
                                  0, 60, limit=300)
     ref_s2, _ = integrate.quad(lambda r: (1 + r * r) * dens(r),
@@ -119,47 +121,41 @@ def test_weighted_moments_gaussian_one_plus():
 
 
 # ---------------------------------------------------------------------
-# generator coefficients
+# generator coefficients, as the bounds engine evaluates them
 # ---------------------------------------------------------------------
 
 
-def test_effective_potential_gaussian():
-    mu = _gaussian(5)
-    u, du, d2u = effective_potential(mu)
-    r = np.linspace(0.2, 6.0, 40)
-    assert np.allclose(u(r), r * r / 2 - 4 * np.log(r), rtol=1e-12)
-    assert np.allclose(du(r), r - 4 / r, rtol=1e-12)
-    assert np.allclose(d2u(r), 1 + 4 / (r * r), rtol=1e-12)
-
-
-def test_drift_formulas():
-    mu = _gaussian(3)
-    r = np.linspace(0.3, 5.0, 30)
-    b_unit = drift(mu, make_weight("unit"))
-    assert np.allclose(b_unit(r), -(r - 2 / r), rtol=1e-12)
-    b_w = drift(mu, power_weight(1))
-    expect = 2 * r - (1 + r * r) * (r - 2 / r)
-    assert np.allclose(b_w(r), expect, rtol=1e-12)
-
-
-def test_drift_derivative_matches_finite_differences():
-    mu = build_measure(3, cauchy_potential(4.0))
-    w = power_weight(1)
-    b = drift(mu, w)
-    db = drift_derivative(mu, w)
-    h = 1e-6
+@pytest.mark.parametrize("case", ["cauchy", "gaussian"])
+def test_variational_potential_matches_generator_differences(case):
+    # -(Lf)'/f' for f = r^2.5, with L f = sigma^2 f'' + b f' written out
+    # here (n = 3, b = (sigma^2)' - sigma^2 (V' - 2/r)) and its derivative
+    # taken by central differences: this checks the drift b and b'
+    if case == "cauchy":
+        mu, w = build_measure(3, cauchy_potential(4.0)), power_weight(1)
+        s2 = lambda r: 1.0 + r * r
+        b = lambda r: 2.0 * r - (1.0 + r * r) * (8.0 * r / (1.0 + r * r)
+                                                 - 2.0 / r)
+    else:
+        mu, w = _gaussian(3), make_weight("unit")
+        s2 = lambda r: 1.0
+        b = lambda r: -(r - 2.0 / r)
+    lf = lambda r: s2(r) * 3.75 * r ** 0.5 + b(r) * 2.5 * r ** 1.5
+    vf = variational_potential(mu, w, power_law_candidate(2.5))
     for r in (0.4, 1.0, 3.7, 20.0):
-        fd = (b(r + h) - b(r - h)) / (2 * h)
-        assert abs(db(r) - fd) <= 1e-5 * (1 + abs(fd))
+        h = 1e-5 * r
+        want = -(lf(r + h) - lf(r - h)) / (2.0 * h) / (2.5 * r ** 1.5)
+        assert abs(vf(r) - want) <= 1e-7 * (1.0 + abs(want)), (r, want)
 
 
 def test_drift_rejects_nonpositive_radius():
-    from specgap import DomainError
-    b = drift(_gaussian(2), make_weight("unit"))
-    with pytest.raises(DomainError):
-        b(np.array([0.5, -1.0]))
-    with pytest.raises(DomainError):
-        b(0.0)
+    # the coefficient callables a caller can hand radii to
+    mu, w = _gaussian(2), make_weight("unit")
+    for fn in (variational_potential(mu, w, quadratic_candidate()),
+               weighted_curvature(mu, w)):
+        with pytest.raises(DomainError):
+            fn(np.array([0.5, -1.0]))
+        with pytest.raises(DomainError):
+            fn(0.0)
 
 
 # ---------------------------------------------------------------------
@@ -206,8 +202,8 @@ def test_normalization_and_cdf():
                     (cauchy_potential(4.0), None)):
         mu = build_measure(3, pot)
         top = hi if hi is not None else mu.r_max
-        total, _ = integrate.quad(lambda r: mu.density(r), 0, top,
-                                  limit=400)
+        total, _ = integrate.quad(lambda r: math.exp(mu.log_density(r)),
+                                  0, top, limit=400)
         assert abs(total - 1.0) <= 1e-7, f"density of {pot.name} not normalized"
         # the quantile table spans the law, with CDF = 1 - tail_mass
         assert tail_mass(mu, mu.quantile(1.0)) <= 1e-9
