@@ -15,11 +15,10 @@ from .bounds_engine import (CandidateFunction, ExpPowerBrackets, LowerBound,
                             weighted_comparison, weighted_curvature,
                             weighted_curvature_lower)
 from .catalog import (FAMILY_NAMES, WEIGHT_NAMES, FamilySpec, ReferenceGap,
-                      ball_candidate, ball_potential, catalog_grid,
-                      cauchy_potential, exp_power_potential,
-                      gaussian_potential, make_family, make_weight,
+                      ball_potential, catalog_grid, cauchy_potential,
+                      exp_power_potential, make_family, make_weight,
                       power_candidate, power_law_candidate, power_weight,
-                      quadratic_candidate, reference_gap)
+                      reference_gap)
 from .errors import (ConvergenceError, DegenerateFunction,
                      DiscretizationError, DomainError, HypothesisFailed,
                      InvalidInput, NonIntegrable, SpecGapError,

@@ -32,6 +32,7 @@ from .quadrature import _PROBE_POINTS, _U_CAP
 from .radial_model import (
     BoundBracket,
     _fd_check,
+    _fd_grid,
     _finite_real,
     _log_s2,
     diagnostic_grid,
@@ -187,10 +188,7 @@ def validate_candidate(measure, cand):
     """
     if not isinstance(cand, CandidateFunction):
         raise InvalidInput("candidate must be a CandidateFunction")
-    grid = diagnostic_grid(measure, count=41, p_lo=1e-3)
-    end = measure.potential.domain_end
-    if math.isfinite(end):
-        grid = grid[grid * 1.01 < end]
+    grid = _fd_grid(measure)
     _fd_check(cand.f, cand.df, f"{cand.name or 'candidate'} f'", grid)
     _fd_check(cand.df, cand.d2f, f"{cand.name or 'candidate'} f''", grid)
     if cand.d3f is not None:

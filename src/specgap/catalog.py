@@ -23,9 +23,12 @@ Families
     beta > n/2.  Heavy-tailed, so all gap statements use the weight
     sigma^2 = 1 + r^2.
 ``gaussian``
-    alias family for the alpha = 2 case, provided separately because
-    the weighted variants (sigma^2 = 1 + r^2 and 1/(1 + r^2)) are
-    studied on it.
+    the alpha = 2 exponential power (``exp_power_potential(2.0)``), named
+    apart because the weighted variants are studied on it.
+
+One probe, ``power_law_candidate(a)`` (f = r^a/a), serves every family
+but heavy tails with t = beta - n/2 <= 2 (``power_candidate``): a = alpha
+for exponential power, 2 for the Gaussian and t > 2, (3-n)/2 for the ball.
 
 For the heavy-tailed family an alternative lower bound of the form
 2(beta-1)/(sqrt(1 + 2/(beta-1)) + sqrt(2/(beta-1)))^2 is known in the
@@ -49,16 +52,13 @@ __all__ = [
     "ReferenceGap",
     "FAMILY_NAMES",
     "WEIGHT_NAMES",
-    "gaussian_potential",
     "cauchy_potential",
     "ball_potential",
     "exp_power_potential",
     "power_weight",
     "make_weight",
-    "quadratic_candidate",
     "power_candidate",
     "power_law_candidate",
-    "ball_candidate",
     "make_family",
     "reference_gap",
     "catalog_grid",
@@ -189,15 +189,6 @@ class ReferenceGap:
 # ---------------------------------------------------------------------
 
 
-def gaussian_potential():
-    """V(r) = r^2/2: the standard Gaussian radial potential."""
-    return RadialPotential(
-        v=lambda r: 0.5 * np.asarray(r, dtype=float) ** 2,
-        dv=lambda r: np.asarray(r, dtype=float),
-        d2v=lambda r: np.ones_like(np.asarray(r, dtype=float)),
-        convex=True, name="gaussian")
-
-
 def cauchy_potential(beta):
     """V(r) = beta log(1 + r^2): polynomial tails of index 2 beta."""
     b = _finite_real("beta", beta)
@@ -289,18 +280,6 @@ def make_weight(weight_choice):
 # ---------------------------------------------------------------------
 
 
-def quadratic_candidate():
-    """f = r^2, the eigenfunction of the light-tailed radial dynamics."""
-    return CandidateFunction(
-        f=lambda r: np.asarray(r, dtype=float) ** 2,
-        df=lambda r: 2.0 * np.asarray(r, dtype=float),
-        d2f=lambda r: 2.0 * np.ones_like(np.asarray(r, dtype=float)),
-        d3f=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-        monotone=True, name="r^2",
-        log_abs_f=lambda r: 2.0 * np.log(np.asarray(r, dtype=float)),
-        log_abs_df=lambda r: np.log(2.0 * np.asarray(r, dtype=float)))
-
-
 def power_candidate(p):
     """f = (1 + r^2)^p with exact derivatives up to third order.
 
@@ -337,53 +316,29 @@ def power_candidate(p):
                               + (p - 1.0) * np.log1p(np.asarray(r, dtype=float) ** 2)))
 
 
-def power_law_candidate(alpha):
-    """f = r^alpha, the variational probe matched to the light-tailed family."""
-    a = _finite_real("alpha", alpha)
-    if a <= 0.0:
-        raise InvalidInput(f"power-law candidate needs alpha > 0, got {alpha!r}")
-    return CandidateFunction(
-        f=lambda r: np.asarray(r, dtype=float) ** a,
-        df=lambda r: a * np.asarray(r, dtype=float) ** (a - 1.0),
-        d2f=lambda r: a * (a - 1.0) * np.asarray(r, dtype=float) ** (a - 2.0),
-        d3f=lambda r: a * (a - 1.0) * (a - 2.0)
-        * np.asarray(r, dtype=float) ** (a - 3.0),
-        monotone=True, name=f"r^{a:g}",
-        log_abs_f=lambda r: a * np.log(np.asarray(r, dtype=float)),
-        log_abs_df=lambda r: math.log(a)
-        + (a - 1.0) * np.log(np.asarray(r, dtype=float)))
+def power_law_candidate(a):
+    """f = r^a/a (log r at a = 0), the antiderivative of f' = r^(a-1).
 
-
-def ball_candidate(n):
-    """Antiderivative of r^(-(n-1)/2): the ball's slow-increase probe.
-
-    Its decay-rate potential is (n^2 - 1)/(4 r^2), whose infimum over
-    (0, 1) is attained at the wall and equals (n^2 - 1)/4.  At n = 3 the
-    antiderivative is the logarithm.
+    a = 2 is the light-tailed eigenfunction, a = alpha the exp-power probe
+    and a = (3-n)/2 the ball's slow-increase probe, whose decay rate
+    (n^2 - 1)/(4 r^2) is least, (n^2 - 1)/4, at the wall.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
-        raise InvalidInput(f"dimension must be an integer >= 2, got {n!r}")
-    n = int(n)
-    if n == 3:
-        return CandidateFunction(
-            f=lambda r: np.log(np.asarray(r, dtype=float)),
-            df=lambda r: 1.0 / np.asarray(r, dtype=float),
-            d2f=lambda r: -np.asarray(r, dtype=float) ** -2.0,
-            d3f=lambda r: 2.0 * np.asarray(r, dtype=float) ** -3.0,
-            monotone=True, name="log r",
-            log_abs_f=lambda r: np.log(np.abs(np.log(np.asarray(r, dtype=float)))),
-            log_abs_df=lambda r: -np.log(np.asarray(r, dtype=float)))
-    p = (3.0 - n) / 2.0  # antiderivative exponent; nonzero since n != 3
+    a = _finite_real("a", a)
+    if a == 0.0:
+        f = lambda r: np.log(np.asarray(r, dtype=float))
+        log_abs_f = lambda r: np.log(np.abs(f(r)))
+    else:
+        f = lambda r: np.asarray(r, dtype=float) ** a / a
+        log_abs_f = lambda r: (a * np.log(np.asarray(r, dtype=float))
+                               - math.log(abs(a)))
     return CandidateFunction(
-        f=lambda r: np.asarray(r, dtype=float) ** p / p,
-        df=lambda r: np.asarray(r, dtype=float) ** (-(n - 1.0) / 2.0),
-        d2f=lambda r: (-(n - 1.0) / 2.0)
-        * np.asarray(r, dtype=float) ** (-(n + 1.0) / 2.0),
-        d3f=lambda r: ((n - 1.0) * (n + 1.0) / 4.0)
-        * np.asarray(r, dtype=float) ** (-(n + 3.0) / 2.0),
-        monotone=True, name=f"r^{p:g}/{p:g}",
-        log_abs_f=lambda r: p * np.log(np.asarray(r, dtype=float)) - math.log(abs(p)),
-        log_abs_df=lambda r: (-(n - 1.0) / 2.0) * np.log(np.asarray(r, dtype=float)))
+        f=f, df=lambda r: np.asarray(r, dtype=float) ** (a - 1.0),
+        d2f=lambda r: (a - 1.0) * np.asarray(r, dtype=float) ** (a - 2.0),
+        d3f=lambda r: (a - 1.0) * (a - 2.0)
+        * np.asarray(r, dtype=float) ** (a - 3.0),
+        monotone=True, name="log r" if a == 0.0 else f"r^{a:g}/{a:g}",
+        log_abs_f=log_abs_f,
+        log_abs_df=lambda r: (a - 1.0) * np.log(np.asarray(r, dtype=float)))
 
 
 # ---------------------------------------------------------------------
@@ -392,26 +347,21 @@ def ball_candidate(n):
 
 
 def _potential_for(spec):
-    if spec.family == "exponential_power":
-        return exp_power_potential(spec.alpha)
     if spec.family == "uniform_ball":
         return ball_potential()
     if spec.family == "generalized_cauchy":
         return cauchy_potential(spec.beta)
-    return gaussian_potential()
+    return exp_power_potential(spec.alpha or 2.0)  # gaussian: alpha = 2
 
 
 def _candidate_for(spec):
-    if spec.family == "exponential_power":
-        return power_law_candidate(spec.alpha)
     if spec.family == "uniform_ball":
-        return ball_candidate(spec.n)
+        return power_law_candidate((3.0 - spec.n) / 2.0)
     if spec.family == "generalized_cauchy":
         t = spec.beta - spec.n / 2.0
         if t <= 2.0:
             return power_candidate(t / 2.0)
-        return quadratic_candidate()
-    return quadratic_candidate()
+    return power_law_candidate(spec.alpha or 2.0)  # gaussian, t > 2: a = 2
 
 
 def make_family(spec, tail_tol=1e-12):

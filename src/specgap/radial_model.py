@@ -351,13 +351,16 @@ def _quantile_table(measure, cells):
         # density of nu transported to u = log(1+r); jacobian dr/du = 1+r = e^u
         return measure.log_density(np.expm1(u)) + u
 
-    masses = np.exp(log_integrals_exp(log_dens_u, u_nodes[:-1], u_nodes[1:]))
+    with np.errstate(over="ignore"):
+        masses = np.exp(log_integrals_exp(log_dens_u, u_nodes[:-1],
+                                          u_nodes[1:]))
     f_nodes = np.concatenate(([0.0], np.cumsum(masses)))
-    f_nodes = np.minimum(f_nodes, 1.0)
-    if (f_nodes[-1] < 1.0 - max(100.0 * measure.tail_tol, 1e-9)
-            or f_nodes[-1] > 1.0):
+    # a total a little above 1 is rounding; an infinite or nan one is not
+    if not 1.0 - max(100.0 * measure.tail_tol, 1e-9) <= f_nodes[-1] < math.inf:
         raise ConvergenceError(
-            f"CDF table mass {f_nodes[-1]!r} inconsistent with normalization")
+            f"CDF table mass {float(f_nodes[-1])!r} inconsistent with "
+            f"normalization")
+    f_nodes = np.minimum(f_nodes, 1.0)
 
     # in high dimension the CDF is astronomically flat at the left end
     # (r^{n-1} vanishing) and the inverse slopes there break the monotone
@@ -365,6 +368,10 @@ def _quantile_table(measure, cells):
     # so the quantile table starts at 1e-18 and clips below it
     keep = (f_nodes >= 1e-18) & np.concatenate(([False],
                                                 np.diff(f_nodes) > 0.0))
+    if np.count_nonzero(keep) < 2:
+        raise ConvergenceError(
+            f"no quantile table: the law (n = {measure.n}) sits in fewer "
+            f"than two of its {cells} cells in log(1+r)")
     return _MonotoneCubic(f_nodes[keep], u_nodes[keep])
 
 
@@ -494,11 +501,15 @@ def _fd_check(fn, dfn, name, grid):
         _fd_reject(name, grid[int(np.argmax(err))], fd, exact)
 
 
+def _fd_grid(measure):
+    """The 41-point diagnostic grid, less radii whose stencil crosses a wall."""
+    grid = diagnostic_grid(measure, count=41, p_lo=1e-3)
+    return grid[grid * (1.0 + _FD_REL_STEP) < measure.potential.domain_end]
+
+
 def _check_potential_derivatives(measure):
     pot = measure.potential
-    grid = diagnostic_grid(measure, count=41, p_lo=1e-3)
-    if math.isfinite(pot.domain_end):
-        grid = grid[grid * (1.0 + _FD_REL_STEP) < pot.domain_end]
+    grid = _fd_grid(measure)
     _fd_check(pot.v, pot.dv, "V'", grid)
     _fd_check(pot.dv, pot.d2v, "V''", grid)
     if pot.convex:

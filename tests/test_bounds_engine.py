@@ -592,6 +592,18 @@ def test_validate_candidate_catches_wrong_derivative():
         validate_candidate(GAUSS[3], bad)
 
 
+def test_validate_candidate_checks_up_to_the_wall():
+    # on ball n=1000 the law sits within 1% of the wall; a wrong f' (3r
+    # given for r^2) must still be caught there
+    mub = build_measure(1000, ball_pot())
+    arr = lambda r: np.asarray(r, float)
+    bad = CandidateFunction(f=lambda r: arr(r) ** 2, df=lambda r: 3.0 * arr(r),
+                            d2f=lambda r: 3.0 * np.ones_like(arr(r)),
+                            monotone=True, name="wrong")
+    with pytest.raises(InvalidInput):
+        validate_candidate(mub, bad)
+
+
 def test_validate_candidate_catches_false_monotone_claim():
     arr = lambda r: np.asarray(r, float)
     dec = CandidateFunction(f=lambda r: -arr(r),

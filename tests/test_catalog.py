@@ -7,6 +7,7 @@ cases closes the loop between the table and the eigensolver.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -29,7 +30,7 @@ from specgap.catalog import (
     power_weight,
     reference_gap,
 )
-from specgap.errors import InvalidInput
+from specgap.errors import InvalidInput, SpecGapError
 from specgap.radial_model import validate_weight
 from specgap.sl_eigensolver import residual_check, spectral_gap
 
@@ -358,6 +359,76 @@ def test_ball_candidate_rayleigh_closed_form(n):
         want = n / ((n / p ** 2) * (1.0 / 3.0 - n / (p + n) ** 2))
     got = rayleigh_upper(measure, weight, cand)
     assert abs(got - want) <= 1e-12 * want, (got, want)
+
+
+@pytest.mark.parametrize("n", (2, 4, 8, 16, 128))
+def test_power_law_candidate_is_the_ball_probe_bit_for_bit(n):
+    # the ball's slow-increase probe as it was written, exponents in n
+    p = (3.0 - n) / 2.0
+    old = (lambda r: r ** p / p,
+           lambda r: r ** (-(n - 1.0) / 2.0),
+           lambda r: (-(n - 1.0) / 2.0) * r ** (-(n + 1.0) / 2.0),
+           lambda r: ((n - 1.0) * (n + 1.0) / 4.0) * r ** (-(n + 3.0) / 2.0),
+           lambda r: p * np.log(r) - math.log(abs(p)),
+           lambda r: (-(n - 1.0) / 2.0) * np.log(r))
+    cand = power_law_candidate(p)
+    new = (cand.f, cand.df, cand.d2f, cand.d3f, cand.log_abs_f,
+           cand.log_abs_df)
+    r = np.geomspace(1e-6, 1.0, 2001)
+    with np.errstate(over="ignore"):
+        for got, want in zip(new, old):
+            assert np.asarray(got(r)).tobytes() == want(r).tobytes()
+    assert cand.monotone and cand.name == f"r^{p:g}/{p:g}"
+
+
+def test_power_law_candidate_is_log_at_zero():
+    cand = power_law_candidate(0.0)
+    r = np.geomspace(1e-3, 1e3, 100)  # even count: r = 1, where f = 0, is out
+    assert cand.f(r).tobytes() == np.log(r).tobytes()
+    assert cand.log_abs_f(r).tobytes() == np.log(np.abs(np.log(r))).tobytes()
+    assert np.array_equal(cand.df(r), 1.0 / r)
+    assert cand.name == "log r"
+
+
+@pytest.mark.parametrize("a", (-6.5, -1.0, -0.5, 0.0, 0.5, 1.5, 2.0, 16.0))
+def test_power_law_candidate_derivatives(a):
+    # f = r^a/a for every finite a: the finite-difference checks of
+    # validate_candidate hold, f' = r^(a-1) > 0, and the log forms agree
+    measure, _, _ = make_family(FamilySpec("gaussian", 3))
+    cand = power_law_candidate(a)
+    validate_candidate(measure, cand)
+    r = np.geomspace(1e-2, 1e2, 200)  # even count: r = 1 is out
+    df = cand.df(r)
+    assert np.all(df > 0.0) and np.allclose(df, r ** (a - 1.0), rtol=1e-15)
+    assert np.allclose(cand.log_abs_df(r), np.log(df), rtol=1e-13, atol=1e-13)
+    assert np.allclose(cand.log_abs_f(r), np.log(np.abs(cand.f(r))),
+                       rtol=1e-13, atol=1e-13)
+
+
+def test_exp_power_two_is_the_gaussian_potential_bit_for_bit():
+    # V = r^2/2, V' = r, V'' = 1 as the Gaussian builder wrote them
+    r = np.concatenate(([0.0, math.inf], np.geomspace(1e-200, 1e200, 10 ** 5)))
+    pot = exp_power_potential(2.0)
+    with np.errstate(over="ignore"):
+        for got, want in ((pot.v, 0.5 * r ** 2), (pot.dv, r),
+                          (pot.d2v, np.ones_like(r))):
+            assert np.asarray(got(r)).tobytes() == want.tobytes()
+    assert pot.convex and math.isinf(pot.domain_end)
+
+
+@pytest.mark.parametrize("spec", [
+    FamilySpec("uniform_ball", 10 ** 6),
+    FamilySpec("uniform_ball", 10 ** 7),
+    FamilySpec("exponential_power", 10 ** 6, alpha=4.0),
+], ids=["ball-1e6", "ball-1e7", "exp-power-4-1e6"])
+def test_law_too_narrow_for_the_table_raises_typed_error(spec):
+    # a law inside one table cell (or whose cell masses overflow) cannot
+    # give a quantile table; the build says so in a SpecGapError and
+    # emits no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SpecGapError):
+            make_family(spec)
 
 
 def test_catalog_grid_materializes_and_validates():

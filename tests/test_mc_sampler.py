@@ -12,7 +12,7 @@ import pytest
 
 from specgap import mc_sampler
 from specgap.bounds_engine import rayleigh_upper
-from specgap.catalog import FamilySpec, make_family, quadratic_candidate
+from specgap.catalog import FamilySpec, make_family, power_law_candidate
 from specgap.cli import _POINT_FUNCTIONS, _RADIAL_FUNCTIONS
 from specgap.errors import DegenerateFunction, InvalidInput
 from specgap.mc_sampler import (
@@ -144,7 +144,7 @@ def test_mc_matches_quadrature_route_and_solver(gauss_batch, gap_of):
     f = lambda x: np.sum(np.asarray(x, dtype=float) ** 2, axis=1)  # noqa: E731
     df = lambda x: 2.0 * np.asarray(x, dtype=float)  # noqa: E731
     res = rayleigh_estimate(gauss_batch, f, df, UNIT)
-    exact = rayleigh_upper(GAUSS3, UNIT, quadratic_candidate())
+    exact = rayleigh_upper(GAUSS3, UNIT, power_law_candidate(2.0))
     assert abs(res.ratio - float(exact)) <= res.ci_half_width, (
         f"{res.ratio:.5f} vs {float(exact):.8f}")
     est = gap_of(FamilySpec("gaussian", 3))

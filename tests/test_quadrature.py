@@ -25,7 +25,6 @@ from specgap import (
     cauchy_potential,
     exp_power_potential,
     expectation,
-    gaussian_potential,
     moment,
     tail_mass,
 )
@@ -59,7 +58,7 @@ def _check(got, oracle, value_err):
 
 
 def test_gaussian_normalization(reported):
-    mu = build_measure(3, gaussian_potential())
+    mu = build_measure(3, exp_power_potential(2.0))
     oracle = float(mpmath.quad(lambda r: r ** 2 * mpmath.exp(-r ** 2 / 2),
                                [0, mpmath.inf]))
     _check(math.exp(mu.log_z), oracle, reported[0])
@@ -106,7 +105,7 @@ def test_signed_expectation(reported):
     dens = lambda r: r ** 2 * mpmath.exp(-r ** 2 / 2)
     oracle = float(mpmath.quad(lambda r: (r - 1.5) * dens(r), [0, mpmath.inf])
                    / mpmath.quad(dens, [0, mpmath.inf]))
-    mu = build_measure(3, gaussian_potential())
+    mu = build_measure(3, exp_power_potential(2.0))
     reported.clear()
     _check(expectation(mu, lambda r: r - 1.5), oracle, reported[-1])
 
@@ -240,7 +239,7 @@ def _points(log_f, lo, hi):
 def test_log_integrals_gaussian_table_cells(monkeypatch):
     # every 128th cell of the 4096-cell table, its first and last
     # included; the first starts at u = 0, where log_f is -inf
-    _, lo, hi = _table_cells(monkeypatch, 3, gaussian_potential())
+    _, lo, hi = _table_cells(monkeypatch, 3, exp_power_potential(2.0))
     pick = np.linspace(0, lo.size - 1, 33).astype(int)
     log_f = _gaussian_log_f(3)
     assert lo[0] == 0.0 and log_f(np.array([0.0]))[0] == -np.inf
@@ -276,7 +275,7 @@ def test_log_integrals_steep_cells_at_the_panel_clip(monkeypatch):
     # cells from or near u = 0, vary by hundreds of e-folds and are cut
     # into the full 64 panels
     n = 128
-    _, lo, hi = _table_cells(monkeypatch, n, gaussian_potential())
+    _, lo, hi = _table_cells(monkeypatch, n, exp_power_potential(2.0))
     lo = np.concatenate((lo[:16], [0.0, 0.0, 1e-3]))
     hi = np.concatenate((hi[:16], [0.01, 1.0, 0.5]))
     log_f = _gaussian_log_f(n)
@@ -287,7 +286,7 @@ def test_log_integrals_steep_cells_at_the_panel_clip(monkeypatch):
                  lambda a, b: _gaussian_oracle(n, a, b))
 
 
-_NORMALIZED = ((3, gaussian_potential()), (4, exp_power_potential(1.5)),
+_NORMALIZED = ((3, exp_power_potential(2.0)), (4, exp_power_potential(1.5)),
                (3, cauchy_potential(4.0)))
 
 

@@ -32,12 +32,10 @@ from specgap import (
     diagnostic_grid,
     exp_power_potential,
     expectation,
-    gaussian_potential,
     make_weight,
     moment,
     power_law_candidate,
     power_weight,
-    quadratic_candidate,
     tail_mass,
     truncation_radius,
     validate_weight,
@@ -48,7 +46,7 @@ from specgap import (
 
 
 def _gaussian(n):
-    return build_measure(n, gaussian_potential())
+    return build_measure(n, exp_power_potential(2.0))
 
 
 # ---------------------------------------------------------------------
@@ -150,7 +148,7 @@ def test_variational_potential_matches_generator_differences(case):
 def test_drift_rejects_nonpositive_radius():
     # the coefficient callables a caller can hand radii to
     mu, w = _gaussian(2), make_weight("unit")
-    for fn in (variational_potential(mu, w, quadratic_candidate()),
+    for fn in (variational_potential(mu, w, power_law_candidate(2.0)),
                weighted_curvature(mu, w)):
         with pytest.raises(DomainError):
             fn(np.array([0.5, -1.0]))
@@ -198,7 +196,7 @@ def test_radial_potential_validation():
 
 
 def test_normalization_and_cdf():
-    for pot, hi in ((gaussian_potential(), 40.0),
+    for pot, hi in ((exp_power_potential(2.0), 40.0),
                     (cauchy_potential(4.0), None)):
         mu = build_measure(3, pot)
         top = hi if hi is not None else mu.r_max
@@ -212,7 +210,7 @@ def test_normalization_and_cdf():
 
 def test_quantile_cdf_round_trip():
     # the CDF at the quantile of p, by quadrature: 1 - tail_mass = p
-    for mu in (build_measure(4, gaussian_potential()),
+    for mu in (build_measure(4, exp_power_potential(2.0)),
                build_measure(3, cauchy_potential(4.0))):
         for p in np.linspace(0.001, 0.999, 41):
             assert abs(tail_mass(mu, mu.quantile(p)) - (1.0 - p)) <= 1e-8
@@ -282,7 +280,7 @@ def test_truncation_radius_rejects_non_scalar_tail_tol(tail_tol):
                          ids=["str", "array1", "array"])
 def test_build_measure_rejects_non_scalar_tail_tol(tail_tol):
     with pytest.raises(InvalidInput, match="tail_tol must lie"):
-        build_measure(3, gaussian_potential(), tail_tol=tail_tol)
+        build_measure(3, exp_power_potential(2.0), tail_tol=tail_tol)
 
 
 def test_bool_orders_are_invalid_input():
@@ -313,7 +311,7 @@ def test_diagnostic_grid_is_computed_once_and_read_only():
 
 
 @pytest.mark.parametrize("n, potential", [
-    (3, gaussian_potential()), (16, ball_potential()),
+    (3, exp_power_potential(2.0)), (16, ball_potential()),
     (3, cauchy_potential(2.0))], ids=["gaussian", "ball", "cauchy"])
 def test_diagnostic_table_tracks_the_sampling_table(n, potential):
     # the 256-cell table against the 4096-cell one on the densest grid;
@@ -351,6 +349,6 @@ def test_expectation_log_scale_heavy_tail():
 
 def test_build_measure_rejects_bad_dimension():
     with pytest.raises(InvalidInput):
-        build_measure(1, gaussian_potential())
+        build_measure(1, exp_power_potential(2.0))
     with pytest.raises(InvalidInput):
-        build_measure(True, gaussian_potential())
+        build_measure(True, exp_power_potential(2.0))

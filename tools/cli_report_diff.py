@@ -23,6 +23,9 @@ A refactor that claims to keep behaviour shows it on this list:
   rejected ``sample --count 15`` under each function;
 - ``bounds`` on ball n=128, past the catalog's dimensions, where the
   variational candidate's f' overflows at the grid's first radius;
+- ``bounds`` on power-law exponents the catalog does not use: exp-power
+  alpha=3 n=4 and alpha=16 n=3 (the probe r^alpha/alpha), and ball n=5
+  and n=6 (the slow-increase probe r^a/a at a = -1 and -1.5);
 - ``bounds`` on cauchy beta=2 n=3 with the unit weight, whose second
   moment diverges, so every bound that needs it reports why it is
   unavailable;
@@ -48,7 +51,6 @@ reporting is recorded with its traceback.
 Run it once per tree, in a fresh process each time.
 
 ``compare`` counts byte-identical reports and lists the rest with
-- CSV reports that differ at all;
 - exit codes that differ;
 - non-numeric differences: keys, list lengths, types, and text once its
   numbers are masked;
@@ -57,13 +59,17 @@ Run it once per tree, in a fresh process each time.
   collected under the path of that text.  A record's ``value`` is left
   out where the record's ``error`` exceeds it: such a value is itself a
   deviation inside its own error (``verify``'s |solver - exact|, say),
-  so its relative delta is noise, and the next list ranks its shift;
+  so its relative delta is noise, and the next list ranks its shift.
+  A CSV report is read as a list of records keyed by its header, so its
+  cells are text with numbers inside;
 - per record name, the largest value shift in units of the record's own
   reported error.
 It exits 1 when anything other than numbers differs, else 0.
 """
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -82,6 +88,10 @@ _CAUCHY = ["--family", "cauchy", "--beta", "4", "--n", "3",
 _BALL128 = ["--family", "ball", "--n", "128"]
 _OFF_CATALOG = (["--family", "ball", "--n", "3"],
                 ["--family", "exp-power", "--alpha", "1.5", "--n", "4"])
+_OFF_EXPONENT = (["--family", "exp-power", "--alpha", "3", "--n", "4"],
+                 ["--family", "exp-power", "--alpha", "16", "--n", "3"],
+                 ["--family", "ball", "--n", "5"],
+                 ["--family", "ball", "--n", "6"])
 _STRETCHED = (["--family", "cauchy", "--beta", "7.5", "--n", "6",
                "--weight", "one-plus-r2"],
               ["--family", "gaussian", "--n", "2",
@@ -106,6 +116,7 @@ _VARIANTS = (
     *(["sample"] + _GAUSSIAN + ["--count", "15", "--function", function]
       for function in ("linear", "radial-quadratic")),
     ["bounds"] + _BALL128,
+    *(["bounds"] + case for case in _OFF_EXPONENT),
     ["bounds", "--family", "cauchy", "--beta", "2", "--n", "3"],
     *([command] + case + ["--weight", weight]
       for command in ("bounds", "eigen") for case in _OFF_CATALOG
@@ -266,9 +277,11 @@ def compare(dir_a, dir_b):
             continue
         changed.append(name)
         if name.endswith(".csv"):
-            diff.other.append(f"{name}: CSV report differs")
-            continue
-        diff.walk(json.loads(raw[0]), json.loads(raw[1]), "", name)
+            reports = [list(csv.DictReader(io.StringIO(r.decode())))
+                       for r in raw]
+        else:
+            reports = [json.loads(r) for r in raw]
+        diff.walk(reports[0], reports[1], "", name)
 
     print(f"{same} of {len(codes_a)} reports byte-identical; "
           f"{len(changed)} differ")
