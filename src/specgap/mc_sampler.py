@@ -9,9 +9,13 @@ confidence interval.
 
 A radial test function F(x) = f(|x|) needs no directions: its quotient
 E[sigma^2(r) f'(r)^2] / Var f(r) depends on the law of the radius alone,
-so ``radial_rayleigh_estimate`` reads the radii only, and its draws and
-memory are O(count) at any n.  A non-radial function such as the linear
-one still needs the n-dimensional points of ``sample_mu``.
+so ``radial_rayleigh_estimate`` reads the radii only, and its draws are
+O(count) at any n.  Its memory is a handful of count-sized arrays: the
+uniforms, the radii, f, f' and the energy.  The quantile lookup runs in
+fixed blocks and the estimator squares and scales in place, because
+every fresh count-sized temporary is a new memory mapping whose pages
+fault on first touch.  A non-radial function such as the linear one
+still needs the n-dimensional points of ``sample_mu``.
 
 Randomness comes from the counter-based Philox4x64-10 bit generator keyed
 by the caller's 64-bit seed: radii use the base stream, directions the
@@ -144,7 +148,8 @@ def _batch_means(fv, energy):
         raise InvalidInput(
             "f and sigma^2 |grad f|^2 must be finite at all sample points")
 
-    centered_sq = (fv - fv.mean()) ** 2
+    centered_sq = fv - fv.mean()
+    np.square(centered_sq, out=centered_sq)
     denominator = float(centered_sq.mean())
     if denominator < _VARIANCE_FLOOR:
         raise DegenerateFunction(
@@ -190,7 +195,9 @@ def rayleigh_estimate(batch, f, grad_f, weight):
         raise InvalidInput(
             f"grad_f must map (count, n) points to (count, n) gradients, "
             f"got shape {gv.shape}")
-    return _batch_means(fv, s2 * np.einsum("ij,ij->i", gv, gv))
+    energy = np.einsum("ij,ij->i", gv, gv)
+    energy *= s2
+    return _batch_means(fv, energy)
 
 
 def radial_rayleigh_estimate(radii, f, df, weight):
@@ -215,4 +222,8 @@ def radial_rayleigh_estimate(radii, f, df, weight):
         raise InvalidInput(
             f"f and df must map (count,) radii to (count,) values, "
             f"got shapes {fv.shape} and {dv.shape}")
-    return _batch_means(fv, s2 * (dv * dv))
+    energy = dv * dv
+    energy *= s2
+    # drop s2 and f' before _batch_means adds its centred copy of f
+    del s2, dv
+    return _batch_means(fv, energy)

@@ -52,6 +52,10 @@ _FD_REL_TOL = 1e-5
 _CONVEXITY_SLACK = 1e-10
 # guide-table buckets per knot interval of a _MonotoneCubic
 _GUIDE_DENSITY = 8
+# points per block of a per-point kernel: a float temporary is 64 KiB, half
+# of glibc's default 128 KiB mmap threshold, so a block reuses heap memory
+# instead of mapping (and page-faulting) fresh pages on every call
+_BLOCK = 8192
 
 
 # ---------------------------------------------------------------------
@@ -99,6 +103,12 @@ class _MonotoneCubic:
     interval directly, and only points whose bucket holds a knot fall
     back to a binary search.  The bucket map is monotone and applied to
     knots and points alike, so the lookup is exact.
+
+    Lookup and power sum run in blocks of ``_BLOCK`` points, each written
+    into one output array: a fresh temporary per operation the size of a
+    100k-point input would be mapped and page-faulted anew on every call,
+    while a block's temporaries reuse heap memory.  Every operation is
+    elementwise, so the bits do not depend on the blocking.
     """
 
     def __init__(self, x, y):
@@ -143,18 +153,22 @@ class _MonotoneCubic:
     def __call__(self, v):
         v = np.asarray(v, dtype=float)
         flat = v.ravel()
-        i = self._interval(flat)
-        c0, c1, c2, c3 = (c.take(i) for c in self._c)
-        # PPoly's power sum: res += c[3-k] * s^k, the powers by z *= s
-        with np.errstate(all="ignore"):
-            s = flat - self.x.take(i)
-            res = 0.0 + c3
-            res += c2 * s
-            z = s * s
-            res += c1 * z
-            z *= s
-            res += c0 * z
-        return res.reshape(v.shape)
+        out = np.empty(flat.shape)
+        c0, c1, c2, c3 = self._c
+        for start in range(0, flat.size, _BLOCK):
+            blk = flat[start:start + _BLOCK]
+            res = out[start:start + _BLOCK]
+            i = self._interval(blk)
+            # PPoly's power sum: res += c[3-k] * s^k, the powers by z *= s
+            with np.errstate(all="ignore"):
+                s = blk - self.x.take(i)
+                np.add(0.0, c3.take(i), out=res)
+                res += c2.take(i) * s
+                z = s * s
+                res += c1.take(i) * z
+                z *= s
+                res += c0.take(i) * z
+        return out.reshape(v.shape)
 
 
 @dataclass(frozen=True)
@@ -270,7 +284,10 @@ class RadialMeasure:
         4096-cell graded grid, from probability 1e-18 up, built on the
         first call; p outside the table's probability range is clipped
         into it, and the interpolant's guide table finds each p's knot
-        interval without a binary search."""
+        interval without a binary search.  Clip, table, expm1 and clip
+        run per block of ``_BLOCK`` probabilities into one array of
+        radii, so a large draw makes no count-sized temporaries (each
+        would cost fresh page faults); the radii are the same bits."""
         arr = np.asarray(p, dtype=float)
         outside = ~((arr >= 0.0) & (arr <= 1.0))
         if np.any(outside):
@@ -377,8 +394,14 @@ def _quantile_table(measure, cells):
 
 def _invert(table, p, r_max):
     """Radii at probabilities p (in [0, 1]) by a quantile table."""
-    u = table(np.clip(p, table.x[0], table.x[-1]))
-    return np.clip(np.expm1(u), 0.0, r_max)
+    p = np.asarray(p, dtype=float)
+    flat = p.ravel()
+    r = np.empty(flat.shape)
+    for start in range(0, flat.size, _BLOCK):
+        u = table(np.clip(flat[start:start + _BLOCK], table.x[0], table.x[-1]))
+        np.expm1(u, out=u)
+        np.clip(u, 0.0, r_max, out=r[start:start + _BLOCK])
+    return r.reshape(p.shape)
 
 
 def build_measure(n, potential, tail_tol=1e-12, name=""):

@@ -38,6 +38,10 @@ def built(monkeypatch):
     return made
 
 
+_B = radial_model._BLOCK
+_BLOCK_SHAPES = (1, _B - 1, _B, _B + 1, 3 * _B + 5, (3, _B + 1))
+
+
 def _probe_points(x, rng):
     return np.concatenate([
         x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
@@ -55,6 +59,13 @@ def _assert_matches_scipy(made):
             f"{int(np.sum(got != want))} of {pts.size} values differ")
         assert np.array_equal(fn(x[3]), ref(x[3]))
         assert fn(x[3]).shape == ()
+        # the evaluation runs in blocks: sizes at and across a boundary,
+        # and a 2-D input whose rows straddle one
+        for shape in _BLOCK_SHAPES:
+            v = np.resize(pts, shape)
+            got = fn(v)
+            assert got.shape == v.shape
+            assert np.array_equal(got, ref(v)), f"shape {shape}"
 
 
 @pytest.mark.parametrize("spec", CASES, ids=lambda s: s.label())
@@ -70,6 +81,17 @@ def test_cdf_and_quantile_tables_match_scipy_bit_for_bit(built, spec):
         assert probs[0] >= 1e-18 and probs[-1] <= 1.0
         assert np.all(np.diff(probs) > 0.0)
     _assert_matches_scipy(built)
+    # the blocked inversion keeps quantile's scalar and array shapes and
+    # the bits of clip, table, expm1 and clip over the whole array
+    assert isinstance(measure.quantile(0.5), float)
+    table = measure._tables["quantile"]
+    ref = PchipInterpolator(table.x, built[1][2])
+    p = np.linspace(0.0, 1.0, 3 * (_B + 1)).reshape(3, _B + 1)
+    want = np.clip(np.expm1(ref(np.clip(p, table.x[0], table.x[-1]))),
+                   0.0, measure.r_max)
+    got = measure.quantile(p)
+    assert got.shape == p.shape
+    assert np.array_equal(got, want)
 
 
 def test_mesh_placement_and_metric_tables_match_scipy_bit_for_bit(built):

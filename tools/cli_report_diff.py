@@ -21,6 +21,10 @@ A refactor that claims to keep behaviour shows it on this list:
   (the default radial function reads radii only), on gaussian n=3, on
   cauchy beta=4 n=3 with sigma^2 = 1+r^2 and on ball n=128, and the
   rejected ``sample --count 15`` under each function;
+- ``sample --count`` 8191, 8193 and 24581 on gaussian n=3, under the
+  default function and under ``--function linear``: one point short of
+  the quantile kernels' 8192-point block, one past it, and three blocks
+  and five points;
 - ``bounds`` on ball n=128, past the catalog's dimensions, where the
   variational candidate's f' overflows at the grid's first radius;
 - ``bounds`` on power-law exponents the catalog does not use: exp-power
@@ -115,6 +119,9 @@ _VARIANTS = (
       for case in (_GAUSSIAN, _CAUCHY, _BALL128)),
     *(["sample"] + _GAUSSIAN + ["--count", "15", "--function", function]
       for function in ("linear", "radial-quadratic")),
+    *(["sample"] + _GAUSSIAN + ["--count", count] + function
+      for count in ("8191", "8193", "24581")
+      for function in ([], ["--function", "linear"])),
     ["bounds"] + _BALL128,
     *(["bounds"] + case for case in _OFF_EXPONENT),
     ["bounds", "--family", "cauchy", "--beta", "2", "--n", "3"],
