@@ -273,8 +273,11 @@ def weighted_comparison(lambda_nu_sigma, n, m_r2_over_s2, m_s2, m2):
 
 def _resolution_radius(terms):
     """First probed radius where the summed curvature terms no longer
-    resolve the curvature, or None.  The probe is the quadrature's tail
-    probe: the representable half-line, uniform in log(1+r).
+    resolve the curvature, or None.  The probe is every point of the
+    quadrature's probe grid: the representable half-line, uniform in
+    log(1+r).  (The quadrature itself reads that grid in full only
+    inside its integrand's live window; a first-hit rule like this one
+    has no such window.)
 
     A curvature assembled from terms of total size S carries a rounding
     error of order eps * S; where |curv| falls below

@@ -248,6 +248,12 @@ def power_weight(k):
     def q(r):
         return 1.0 + np.asarray(r, dtype=float) ** 2
 
+    def s2(r):
+        if k == 0.0:
+            # the unit weight: pow(x, 0) = 1 even for inf and nan
+            return np.ones_like(np.asarray(r, dtype=float))[()]
+        return q(r) ** k
+
     def d2s2(r):
         x = np.asarray(r, dtype=float) ** 2
         out = (c + c1 * x) / (1.0 + x) ** (2.0 - k)
@@ -261,7 +267,7 @@ def power_weight(k):
     maps = {0.0: (_identity, _identity), 1.0: (np.arcsinh, np.sinh)}
     to_metric, from_metric = maps.get(k, (None, None))
     return Weight(
-        s2=lambda r: q(r) ** k,
+        s2=s2,
         ds2=lambda r: c * np.asarray(r, dtype=float) / q(r) ** (1.0 - k),
         d2s2=d2s2, name=f"(1+r^2)^{k:g}",
         to_metric=to_metric, from_metric=from_metric)

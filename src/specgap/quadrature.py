@@ -13,7 +13,11 @@ Two layers are used throughout the package:
   sign * exp(log-magnitude - peak) so that partial under/overflow of its
   factors cannot corrupt it.  The probe that locates the peak and the
   tail also seeds the engine's starting partition, a breakpoint every
-  few e-folds of the live integrand, so few refinement rounds remain;
+  few e-folds of the live integrand, so few refinement rounds remain.
+  It works in two levels: every 8th point of its grid first, then the
+  whole grid only inside the window where that coarse pass found the
+  integrand live.  Its one assumption is that no live feature narrower
+  than a coarse step sits outside that window;
 * variation-adaptive Gauss-Legendre panels for many cell integrals of
   the form exp(g) with g of large dynamic range (finite-volume cell
   masses, cumulative distribution tables), carried out entirely on the
@@ -149,6 +153,9 @@ _U_PEAK_SANE = 30.0
 
 # probe grid of the integrand, uniform in u
 _PROBE_POINTS = 8193
+# the probe's first pass reads every _COARSE_STRIDE-th grid point (it
+# divides _PROBE_POINTS - 1, so both ends are read)
+_COARSE_STRIDE = 8
 # seed of the Gauss-Kronrod partition: a breakpoint wherever the probe's
 # log-integrand has varied by another _SEED_EFOLDS, counting only steps
 # between probe points within _SEED_FLOOR e-folds of the peak, and at most
@@ -167,6 +174,27 @@ def _seed_points(us, rel_li):
     walked = np.cumsum(np.concatenate(([0.0], steps)))
     step = max(_SEED_EFOLDS, float(walked[-1]) / _SEED_CAP)
     return us[1 + np.nonzero(np.diff(np.floor(walked / step)))[0]]
+
+
+def _probe(log_abs_fn, us):
+    """(abscissae, log u-integrand) of the probe grid ``us`` inside its
+    live window, found by a coarse first pass (see tail_integral).  The
+    points left out sit more than _DROP e-folds below the peak at their
+    coarse neighbours, so every rule of tail_integral reads them as dead.
+    """
+    def log_u_integrand(u):
+        with np.errstate(all="ignore"):
+            la = np.asarray(log_abs_fn(np.expm1(u)), dtype=float)
+        return np.where(np.isnan(la), -np.inf, la) + u
+
+    coarse = log_u_integrand(us[::_COARSE_STRIDE])
+    top = float(np.max(coarse))
+    if math.isfinite(top):
+        live = np.nonzero(coarse >= top - _DROP)[0]
+        lo = max(int(live[0]) - 1, 0) * _COARSE_STRIDE
+        hi = min(int(live[-1]) + 1, coarse.size - 1) * _COARSE_STRIDE + 1
+        us = us[lo:hi]
+    return us, log_u_integrand(us)
 
 
 def tail_integral(log_abs_fn, r_lo=0.0, r_hi=math.inf, *, sign_fn=None,
@@ -199,6 +227,14 @@ def tail_integral(log_abs_fn, r_lo=0.0, r_hi=math.inf, *, sign_fn=None,
     ``_SEED_EFOLDS`` within ``_SEED_FLOOR`` e-folds of the peak (at most
     ``_SEED_CAP`` of them).
 
+    The probe evaluates ``log_abs_fn`` on every ``_COARSE_STRIDE``-th
+    grid point first, and on the whole grid only from one coarse step
+    before the first to one coarse step after the last coarse point
+    within ``_DROP`` e-folds of the coarse maximum (everywhere when that
+    maximum is -inf or +inf).  Peak, cut, tail slope and seeds read only
+    that window, so they are the whole grid's, provided no live feature
+    narrower than a coarse step (a spike, or a +inf) lies outside it.
+
     Raises NonIntegrable when no integrable decay is established while the
     integrand is still live at an open end (slope above ``_LIVE_SLOPE`` at
     the probe's end, a peak at the representability cap, or a float-range
@@ -215,10 +251,7 @@ def tail_integral(log_abs_fn, r_lo=0.0, r_hi=math.inf, *, sign_fn=None,
         u_end = math.log1p(r_hi)
     if u0 >= u_end:
         return 0.0, 0.0, 0.0
-    us = np.linspace(u0, u_end, _PROBE_POINTS)
-    with np.errstate(all="ignore"):
-        la = np.asarray(log_abs_fn(np.expm1(us)), dtype=float)
-    li = np.where(np.isnan(la), -np.inf, la) + us
+    us, li = _probe(log_abs_fn, np.linspace(u0, u_end, _PROBE_POINTS))
     shift = float(np.max(li))
     if shift == -np.inf:
         return 0.0, 0.0, 0.0
@@ -235,7 +268,7 @@ def tail_integral(log_abs_fn, r_lo=0.0, r_hi=math.inf, *, sign_fn=None,
     cut = (i_pk + 1 + dead[0]) if dead.size else None
 
     # decay slope on the (post-peak) approach to the window end
-    stop = cut if cut is not None else _PROBE_POINTS
+    stop = cut if cut is not None else us.size
     approach = np.arange(i_pk + 1, stop)
     approach = approach[np.isfinite(rel_li[approach])][-32:]
     slope = None

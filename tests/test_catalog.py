@@ -149,6 +149,11 @@ def test_power_weight_reproduces_closed_forms(k):
             ulp = np.spacing(np.maximum(np.abs(new), np.abs(old)))
             assert np.all(np.abs(new - old)[ok] <= 4.0 * ulp[ok])
     assert (w.to_metric is None) == (k == -1)
+    if k == 0:
+        # ones of the radius' shape, a numpy scalar for a scalar radius,
+        # and 1 at inf and nan as pow(x, 0) gives
+        assert type(w.s2(2.0)) is np.float64 and w.s2(2.0) == 1.0
+        assert w.s2(np.array([[np.inf], [np.nan]])).tolist() == [[1.0], [1.0]]
 
 
 # ----------------------------------------------------------- ReferenceGap

@@ -10,7 +10,8 @@ absolute (2 ulp where that is finer than a double resolves); its oracles
 are closed forms evaluated by mpmath (incomplete gamma, exponential),
 because tanh-sinh misjudges integrands as steep as u^127.  The work
 counts (refinement rounds, integrand points) are
-read by spies, not timers.
+read by spies, not timers.  The probe's live window is checked bit for
+bit against the same call probing its whole grid (coarse stride 1).
 """
 
 import math
@@ -22,14 +23,20 @@ import pytest
 from specgap import (
     ball_potential,
     build_measure,
+    catalog_grid,
     cauchy_potential,
+    curvature_lower,
     exp_power_potential,
     expectation,
+    make_family,
     moment,
+    rayleigh_upper,
     tail_mass,
+    weighted_curvature_lower,
+    weighted_moment,
 )
 from specgap import quadrature, radial_model
-from specgap.errors import ConvergenceError, NonIntegrable
+from specgap.errors import ConvergenceError, NonIntegrable, SpecGapError
 from specgap.quadrature import (GK_GAUSS, GK_KRONROD, GK_NODES,
                                 gauss_kronrod, log_integrals_exp,
                                 tail_integral)
@@ -154,6 +161,182 @@ def test_tail_integral_charges_the_mass_past_an_overflow_cut():
             r"value 4\.22\d*e\+01 \(log scale 0\.169\).*"
             r"extrapolated-tail charge 2\.1e-02 past r = 1\.30494e\+154")):
         tail_integral(log_abs, rel_tol=1e-12)
+
+
+# ---------------------------------------------------------------------
+# the probe's live window: the same bits as the full-grid probe
+# ---------------------------------------------------------------------
+
+
+def _bits(outcome):
+    """An engine outcome as comparable bits: (value, error, log_scale) in
+    hex, or the exception's type and text."""
+    if isinstance(outcome, SpecGapError):
+        return f"{type(outcome).__name__}: {outcome}"
+    return tuple(float(x).hex() for x in outcome)
+
+
+def _probe_outcomes(monkeypatch, stride, run):
+    """Outcome bits of every engine call ``run`` makes through
+    radial_model, with the probe's coarse pass reading every ``stride``-th
+    grid point (stride 1 reads the whole grid, as the full probe does)."""
+    outcomes = []
+
+    def spy_tail(*args, **kwargs):
+        try:
+            out = tail_integral(*args, **kwargs)
+        except SpecGapError as exc:
+            outcomes.append(_bits(exc))
+            raise
+        outcomes.append(_bits(out))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "_COARSE_STRIDE", stride)
+        m.setattr(radial_model, "tail_integral", spy_tail)
+        run()
+    return outcomes
+
+
+def _catalog_integrals(spec):
+    """The normalization, moments 2 and 4, both weighted moments, the
+    Rayleigh quotient's three expectations and both curvature integrals
+    (the r_stop path) of one catalog law."""
+    try:
+        measure, weight, cand = make_family(spec)
+    except SpecGapError:
+        return
+    for bound in (lambda: moment(measure, 2), lambda: moment(measure, 4),
+                  lambda: weighted_moment(measure, weight, "r2_over_s2"),
+                  lambda: weighted_moment(measure, weight, "s2"),
+                  lambda: rayleigh_upper(measure, weight, cand),
+                  lambda: curvature_lower(measure),
+                  lambda: weighted_curvature_lower(measure, weight)):
+        try:
+            bound()
+        except SpecGapError:
+            pass
+
+
+def test_windowed_probe_matches_full_probe_on_the_catalog(monkeypatch):
+    calls = 0
+    for spec in catalog_grid():
+        windowed = _probe_outcomes(monkeypatch, 8,
+                                   lambda: _catalog_integrals(spec))
+        full = _probe_outcomes(monkeypatch, 1,
+                               lambda: _catalog_integrals(spec))
+        assert windowed == full, spec.label()
+        calls += len(full)
+    assert calls >= 62 * 9
+
+
+def _spike_log_abs(u_c, width=1e-3, reach=math.inf):
+    """log of a Gaussian bump of ``width`` in u = log(1+r) at ``u_c``,
+    dead (-inf) farther than ``reach`` from it.  The engine's u-integrand
+    exp(L + u) then peaks at log scale u_c."""
+    def log_abs(r):
+        d = (np.log1p(r) - u_c) / width
+        return np.where(np.abs(d) * width < reach, -0.5 * d * d, -np.inf)
+    return log_abs
+
+
+def _sizes_and_bits(monkeypatch, stride, log_abs):
+    """(sizes of the integrand calls, outcome bits) of one open-ended
+    tail_integral with the coarse stride ``stride``."""
+    sizes = []
+
+    def counted(r):
+        sizes.append(np.size(r))
+        return log_abs(r)
+
+    monkeypatch.setattr(quadrature, "_COARSE_STRIDE", stride)
+    try:
+        out = tail_integral(counted, rel_tol=1e-12)
+    except SpecGapError as exc:
+        out = exc
+    return sizes, _bits(out)
+
+
+def test_windowed_probe_matches_full_probe_on_synthetic_integrands(
+        monkeypatch):
+    grid = np.linspace(0.0, quadrature._U_CAP, quadrature._PROBE_POINTS)
+    # on a grid point halfway between two coarse points, so only the
+    # full pass sees the bump's top
+    u_c = float(grid[8 * 10 + 4])
+
+    # a spike narrower than a fine step: its coarse neighbours are still
+    # the coarse maximum, so the window holds it
+    sizes, bits = _sizes_and_bits(monkeypatch, 8, _spike_log_abs(u_c))
+    assert sizes[0] == 1025 and sizes[1] < 64
+    assert bits == _sizes_and_bits(monkeypatch, 1, _spike_log_abs(u_c))[1]
+    value, _, log_scale = (float.fromhex(b) for b in bits)
+    assert value > 0.0 and abs(log_scale - u_c) <= 1e-9
+
+    # dead at every coarse point: the full grid is probed
+    dead_coarse = _spike_log_abs(u_c, reach=0.01)
+    sizes, bits = _sizes_and_bits(monkeypatch, 8, dead_coarse)
+    assert sizes[:2] == [1025, quadrature._PROBE_POINTS]
+    assert bits == _sizes_and_bits(monkeypatch, 1, dead_coarse)[1]
+    value, _, log_scale = (float.fromhex(b) for b in bits)
+    assert value > 0.0 and abs(log_scale - u_c) <= 1e-9
+
+    # dead near the origin and still live at the probe's end (u-slope
+    # -0.4): the window starts past the origin, runs to the end, and the
+    # extrapolated tail is read from its last points
+    def late_heavy_tail(r):
+        with np.errstate(divide="ignore"):
+            return 500.0 * np.log(r / (1.0 + r)) - 1.4 * np.log1p(r)
+
+    sizes, bits = _sizes_and_bits(monkeypatch, 8, late_heavy_tail)
+    assert sizes[0] == 1025 and sizes[1] < quadrature._PROBE_POINTS
+    assert bits == _sizes_and_bits(monkeypatch, 1, late_heavy_tail)[1]
+    assert float.fromhex(bits[0]) > 0.0
+
+    # +inf far out, past a live bulk: still rejected, with the same text
+    def overflow(r):
+        return np.where(r > 1e250, np.inf, -r)
+
+    sizes, bits = _sizes_and_bits(monkeypatch, 8, overflow)
+    assert sizes == [1025, quadrature._PROBE_POINTS]
+    assert bits.startswith("NonIntegrable: integrand log-magnitude reaches "
+                           "+inf"), bits
+    assert bits == _sizes_and_bits(monkeypatch, 1, overflow)[1]
+
+
+def test_normalization_probes_only_the_live_window(monkeypatch):
+    # gaussian n = 3 is live (within _DROP e-folds of its peak) on 37 of
+    # the 8193 probe points: the probe reads the 1025 coarse points and a
+    # window of those plus a coarse step or two on either side, not the
+    # whole grid
+    points, nodes = [], []
+    real_panels = quadrature._gk_panels
+
+    def spy_panels(fn, lo, hi):
+        nodes[-1] += 21 * np.size(lo)
+        return real_panels(fn, lo, hi)
+
+    def spy_tail(log_abs_fn, *args, **kwargs):
+        points.append(0)
+        nodes.append(0)
+
+        def counted(r):
+            points[-1] += np.size(r)
+            return log_abs_fn(r)
+
+        return tail_integral(counted, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_gk_panels", spy_panels)
+    monkeypatch.setattr(radial_model, "tail_integral", spy_tail)
+    build_measure(3, exp_power_potential(2.0))
+    grid = np.linspace(0.0, quadrature._U_CAP, quadrature._PROBE_POINTS)
+    r = np.expm1(grid)
+    with np.errstate(divide="ignore", over="ignore"):
+        li = 2.0 * np.log(r) - 0.5 * r * r + grid
+    live = np.nonzero(li >= np.max(li) - quadrature._DROP)[0]
+    assert live.size == 37
+    window = live[-1] - live[0] + 1 + 4 * 8
+    # the first engine call of build_measure is the normalization
+    assert points[0] <= 1025 + window + nodes[0], (points[0], nodes[0])
 
 
 def test_kronrod_rule_exact_to_degree_31():

@@ -27,6 +27,9 @@ A refactor that claims to keep behaviour shows it on this list:
   and five points;
 - ``bounds`` on ball n=128, past the catalog's dimensions, where the
   variational candidate's f' overflows at the grid's first radius;
+- ``bounds`` on gaussian n=1024 and n=4096 and on exp-power alpha=16
+  n=64, and ``sample`` on gaussian n=1024: laws narrower than one step
+  of the quadrature probe's coarse pass (0.69 in log(1+r));
 - ``bounds`` on power-law exponents the catalog does not use: exp-power
   alpha=3 n=4 and alpha=16 n=3 (the probe r^alpha/alpha), and ball n=5
   and n=6 (the slow-increase probe r^a/a at a = -1 and -1.5);
@@ -90,6 +93,9 @@ _GAUSSIAN = ["--family", "gaussian", "--n", "3"]
 _CAUCHY = ["--family", "cauchy", "--beta", "4", "--n", "3",
            "--weight", "one-plus-r2"]
 _BALL128 = ["--family", "ball", "--n", "128"]
+_NARROW = (["--family", "gaussian", "--n", "1024"],
+           ["--family", "gaussian", "--n", "4096"],
+           ["--family", "exp-power", "--alpha", "16", "--n", "64"])
 _OFF_CATALOG = (["--family", "ball", "--n", "3"],
                 ["--family", "exp-power", "--alpha", "1.5", "--n", "4"])
 _OFF_EXPONENT = (["--family", "exp-power", "--alpha", "3", "--n", "4"],
@@ -123,6 +129,8 @@ _VARIANTS = (
       for count in ("8191", "8193", "24581")
       for function in ([], ["--function", "linear"])),
     ["bounds"] + _BALL128,
+    *(["bounds"] + case for case in _NARROW),
+    ["sample"] + _NARROW[0],
     *(["bounds"] + case for case in _OFF_EXPONENT),
     ["bounds", "--family", "cauchy", "--beta", "2", "--n", "3"],
     *([command] + case + ["--weight", weight]
