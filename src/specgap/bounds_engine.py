@@ -16,7 +16,7 @@ meaningful cross-check rather than a shared-code tautology.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -208,7 +208,7 @@ def moment_bracket(n, m2):
 
     For a spherically symmetric log-concave law in dimension n with
     m2 = E[|x|^2], the gap of the full dynamics lies in
-    [(n-1)/m2, n/m2].
+    [(n-1)/m2, n/m2].  The other routes read both ends from here.
     """
     n = _check_dimension(n)
     m2 = _check_positive("m2", m2)
@@ -231,16 +231,13 @@ def spectral_comparison(lambda_nu, n, m2):
     [min(lambda_nu, (n-1)/m2), min(lambda_nu, n/m2)].
     """
     lam = _check_gap("lambda_nu", lambda_nu)
-    n = _check_dimension(n)
-    m2 = _check_positive("m2", m2)
-    term_lo = (n - 1.0) / m2
-    term_hi = float(n) / m2
+    angular = moment_bracket(n, m2)
     return BoundBracket(
-        min(lam, term_lo), min(lam, term_hi),
-        lower_source=("radial gap" if _gap_wins(lam, term_lo)
-                      else "(n-1)/m2 second-moment bound"),
-        upper_source=("radial gap" if _gap_wins(lam, term_hi)
-                      else "n/m2 second-moment bound"))
+        min(lam, angular.lower), min(lam, angular.upper),
+        lower_source=("radial gap" if _gap_wins(lam, angular.lower)
+                      else angular.lower_source),
+        upper_source=("radial gap" if _gap_wins(lam, angular.upper)
+                      else angular.upper_source))
 
 
 def weighted_comparison(lambda_nu_sigma, n, m_r2_over_s2, m_s2, m2):
@@ -383,12 +380,10 @@ def radial_moment_lower(n, m2):
     """Lower bound (n-1)/m2 for the radial gap in dimension n.
 
     Like moment_bracket, it takes the second moment m2 = E[|x|^2] of the
-    law rather than integrating it.
+    law rather than integrating it: it is that bracket's lower end.
     """
-    n = _check_dimension(n)
-    m2 = _check_positive("m2", m2)
-    return LowerBound((n - 1.0) / m2, informative=True,
-                      method="(n-1)/m2 second-moment bound")
+    bracket = moment_bracket(n, m2)
+    return LowerBound(bracket.lower, method=bracket.lower_source)
 
 
 def _weighted_curvature_terms(measure, weight):
@@ -653,9 +648,8 @@ def exp_power_explicit(n, alpha):
         raise InvalidInput(f"alpha must be >= 1, got {alpha!r}")
     log_m2 = ((2.0 / alpha) * math.log(alpha)
               + math.lgamma((n + 2.0) / alpha) - math.lgamma(n / alpha))
-    m2 = math.exp(log_m2)
-    exact = BoundBracket(
-        (n - 1.0) / m2, float(n) / m2,
+    exact = replace(
+        moment_bracket(n, math.exp(log_m2)),
         lower_source="(n-1)/m2 with the exact Gamma-ratio second moment",
         upper_source="n/m2 with the exact Gamma-ratio second moment")
     scale = float(n) ** (1.0 - 2.0 / alpha)

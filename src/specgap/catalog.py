@@ -211,16 +211,17 @@ def ball_potential():
 
 
 def exp_power_potential(alpha):
-    """V(r) = r^alpha / alpha; convex (log-concave measure) for alpha >= 1."""
+    """V(r) = r^alpha / alpha; convex (log-concave measure) for alpha >= 1.
+
+    V, V' and V'' are the f, f' and f'' of ``power_law_candidate(alpha)``.
+    """
     a = _finite_real("alpha", alpha)
     if a < 1.0:
         raise InvalidInput(
             f"exponential_power requires alpha >= 1, got {alpha!r}")
-    return RadialPotential(
-        v=lambda r: np.asarray(r, dtype=float) ** a / a,
-        dv=lambda r: np.asarray(r, dtype=float) ** (a - 1.0),
-        d2v=lambda r: (a - 1.0) * np.asarray(r, dtype=float) ** (a - 2.0),
-        convex=True, name=f"exponential_power(alpha={a:g})")
+    probe = power_law_candidate(a)
+    return RadialPotential(v=probe.f, dv=probe.df, d2v=probe.d2f, convex=True,
+                           name=f"exponential_power(alpha={a:g})")
 
 
 # ---------------------------------------------------------------------
@@ -289,6 +290,8 @@ def make_weight(weight_choice):
 def power_candidate(p):
     """f = (1 + r^2)^p with exact derivatives up to third order.
 
+    f, f' and f'' are the sigma^2 and its derivatives of ``power_weight(p)``.
+
     For the heavy-tailed family with weight 1 + r^2 and p = (beta - n/2)/2
     this is the slow-growth candidate whose decay-rate infimum reaches the
     essential-spectrum bottom.
@@ -297,17 +300,7 @@ def power_candidate(p):
     if p == 0.0:
         raise InvalidInput(f"power candidate needs a finite nonzero p, got {p!r}")
 
-    def f(r):
-        return (1.0 + np.asarray(r, dtype=float) ** 2) ** p
-
-    def df(r):
-        rr = np.asarray(r, dtype=float)
-        return 2.0 * p * rr * (1.0 + rr * rr) ** (p - 1.0)
-
-    def d2f(r):
-        rr = np.asarray(r, dtype=float)
-        q = rr * rr
-        return 2.0 * p * (1.0 + q) ** (p - 2.0) * (1.0 + (2.0 * p - 1.0) * q)
+    weight = power_weight(p)
 
     def d3f(r):
         rr = np.asarray(r, dtype=float)
@@ -316,7 +309,8 @@ def power_candidate(p):
                 * (3.0 + (2.0 * p - 1.0) * q))
 
     return CandidateFunction(
-        f=f, df=df, d2f=d2f, d3f=d3f, monotone=p > 0.0, name=f"(1+r^2)^{p:g}",
+        f=weight.s2, df=weight.ds2, d2f=weight.d2s2, d3f=d3f,
+        monotone=p > 0.0, name=weight.name,
         log_abs_f=lambda r: p * np.log1p(np.asarray(r, dtype=float) ** 2),
         log_abs_df=lambda r: (np.log(2.0 * abs(p) * np.asarray(r, dtype=float))
                               + (p - 1.0) * np.log1p(np.asarray(r, dtype=float) ** 2)))
@@ -446,11 +440,7 @@ def _cauchy_full_reference(spec):
 def _gaussian_reference(spec, which):
     n = spec.n
     if spec.weight_choice == "unit":
-        if which == "radial":
-            return ReferenceGap(kind="exact", value=2.0,
-                                source="radial quadratic eigenfunction r^2 - n")
-        return ReferenceGap(kind="exact", value=1.0,
-                            source="coordinate linear eigenfunctions")
+        return _exp_power_reference(spec, which)
     if spec.weight_choice == "one_plus_r2":
         if which == "radial":
             return ReferenceGap(
@@ -471,7 +461,7 @@ def _gaussian_reference(spec, which):
 
 
 def _exp_power_reference(spec, which):
-    n, alpha = spec.n, spec.alpha
+    n, alpha = spec.n, spec.alpha or 2.0  # gaussian: alpha = 2
     if spec.weight_choice != "unit":
         raise InvalidInput(
             "exponential_power references are recorded for the unit weight only")

@@ -370,12 +370,17 @@ def log_integrals_exp(log_f, lo, hi):
     # the interval, so their variation is scaled up to all of it
     g = log_f((lo[:, None] + width[:, None] * x[None, :]).ravel()).reshape(
         m, _PANEL_ORDER)
-    variation = np.sum(np.abs(np.diff(g, axis=1)), axis=1) / (x[-1] - x[0])
-    variation = np.where(np.isfinite(variation), variation,
-                         _MAX_PANELS * _PANEL_VARIATION)
+    with np.errstate(invalid="ignore"):  # -inf - -inf between dead nodes
+        variation = np.sum(np.abs(np.diff(g, axis=1)), axis=1) / (x[-1] - x[0])
+    # nan (dead nodes), inf and cliffs (up to ~1e300) get the whole panel
+    # budget, capped before the int cast
+    variation = np.fmin(variation, _MAX_PANELS * _PANEL_VARIATION)
     panels = np.clip(np.ceil(variation / _PANEL_VARIATION).astype(int), 1,
                      _MAX_PANELS)
+    # an interval dead (-inf) at every node is shifted by 0, so its log-mass
+    # is log 0 = -inf, not the nan of -inf - -inf
     shift = np.max(g, axis=1)
+    shift[np.isneginf(shift)] = 0.0
     sums = width * (np.exp(g - shift[:, None]) @ w)
 
     # re-split the intervals that vary too much into equal panels
@@ -388,7 +393,9 @@ def log_integrals_exp(log_f, lo, hi):
         p_lo = lo[split][owner] + (np.arange(owner.size) - first[owner]) * pw
         gs = log_f((p_lo[:, None] + pw[:, None] * x[None, :]).ravel()
                    ).reshape(owner.size, _PANEL_ORDER)
-        shift[split] = np.maximum.reduceat(np.max(gs, axis=1), first)
+        top = np.maximum.reduceat(np.max(gs, axis=1), first)
+        top[np.isneginf(top)] = 0.0
+        shift[split] = top
         sums[split] = np.bincount(
             owner, weights=pw * (np.exp(gs - shift[split][owner, None]) @ w),
             minlength=split.size)

@@ -170,17 +170,36 @@ def _default_radius(measure):
 def _representable_radius(measure):
     """Largest radius the solver is willing to mesh: the density must not
     have decayed more than _DENSITY_DROP e-folds below its peak, and the
-    radius must leave sigma^2 and face conductances inside double range."""
+    radius must leave sigma^2 and face conductances inside double range.
+
+    The grid's steps (0.042 in log(1+r)) can be far wider than the wall
+    of a steep law.  A last live point whose density is still above the
+    tail budget _SOLVER_TAIL_TOL of the peak lies in the bulk, so its step
+    is narrowed 64-fold per round, four rounds, to the drop radius."""
+    def log_weight(r):
+        with np.errstate(all="ignore"):
+            lw = np.asarray(measure.log_weight(r), dtype=float)
+        return np.where(np.isnan(lw), -np.inf, lw)
+
     u = np.linspace(0.0, math.log1p(_R_CAP), 8193)
     r = np.expm1(u[1:])
-    with np.errstate(all="ignore"):
-        lw = np.asarray(measure.log_weight(r), dtype=float)
-    lw = np.where(np.isnan(lw), -np.inf, lw)
+    lw = log_weight(r)
     peak = float(np.max(lw))
-    alive = np.nonzero(lw >= peak - _DENSITY_DROP)[0]
+    floor = peak - _DENSITY_DROP
+    alive = np.nonzero(lw >= floor)[0]
     if alive.size == 0:
         raise DiscretizationError("density peak is not representable")
-    return float(r[alive[-1]])
+    k = int(alive[-1])
+    if k + 1 == r.size or lw[k] <= peak + math.log(_SOLVER_TAIL_TOL):
+        return float(r[k])
+    lo, hi = r[k], r[k + 1]
+    for _ in range(4):
+        t = np.linspace(lo, hi, 65)
+        live = log_weight(t) >= floor
+        live[0], live[-1] = True, False  # as lo and hi were found
+        j = int(np.nonzero(live)[0][-1])
+        lo, hi = t[j], t[j + 1]
+    return float(lo)
 
 
 def _radii(measure):

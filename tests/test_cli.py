@@ -19,7 +19,7 @@ from jsonschema import Draft202012Validator
 from scipy.special import jn_zeros
 
 from specgap import cli, radial_model
-from specgap.errors import ConvergenceError
+from specgap.errors import ConvergenceError, InvalidInput
 
 SCHEMA = json.loads(
     (resources.files("specgap") / "schema" / "run_report.schema.json")
@@ -432,6 +432,31 @@ def test_sample_tiny_count_same_report_under_both_functions():
     assert texts["radial-quadratic"].replace(
         '"function": "radial-quadratic"', '"function": "linear"') == (
         texts["linear"])
+
+
+def test_steep_power_laws_approach_the_ball():
+    # exp-power alpha -> inf tends to the ball, whose n=2 radial gap is
+    # j_{1,1}^2; the solver's radius grid is coarser than these density
+    # walls, the plain central difference misjudges r^m for |m| > ~775,
+    # and the CDF table meets cells where the density underflows to 0
+    ball = float(jn_zeros(1, 1)[0]) ** 2
+    gaps = []
+    for alpha in ("260", "300", "500", "1024", "4096", "1e6"):
+        code, rep = run_json(["eigen", "--family", "exp-power", "--alpha",
+                              alpha, "--n", "2"])
+        assert code == 0, rep["error"]
+        gaps.append(recs(rep, "spectral_gap")[0]["value"])
+    assert all(a < b for a, b in zip(gaps, gaps[1:])), gaps
+    assert gaps[-1] < ball and abs(gaps[-1] / ball - 1.0) <= 1e-4, gaps
+    for n in ("2048", "4096"):
+        assert run_json(["bounds", "--family", "ball", "--n", n])[0] == 0
+    assert run_json(["sample", "--family", "exp-power", "--alpha", "1e6",
+                     "--n", "2"])[0] == 0
+    grid = np.linspace(0.5, 1.01, 41)
+    with pytest.raises(InvalidInput, match="finite differences"):
+        radial_model._fd_check(lambda r: r ** 1024 / 1024,
+                               lambda r: (1.0 + 1e-4) * r ** 1023,
+                               "f'", grid)
 
 
 # -------------------------------------------------------------- exit codes

@@ -33,6 +33,11 @@ A refactor that claims to keep behaviour shows it on this list:
 - ``bounds`` on power-law exponents the catalog does not use: exp-power
   alpha=3 n=4 and alpha=16 n=3 (the probe r^alpha/alpha), and ball n=5
   and n=6 (the slow-increase probe r^a/a at a = -1 and -1.5);
+- ``eigen`` on exp-power alpha=300 and alpha=1024 n=2, ``bounds`` on
+  ball n=2048 and ``sample`` on exp-power alpha=1e6 n=2: near-ball laws
+  whose density wall is narrower than a step of the solver's radius
+  grid, power laws steep enough to strain a plain central difference,
+  and a CDF table with cells where the density underflows to 0;
 - ``bounds`` on cauchy beta=2 n=3 with the unit weight, whose second
   moment diverges, so every bound that needs it reports why it is
   unavailable;
@@ -132,6 +137,10 @@ _VARIANTS = (
     *(["bounds"] + case for case in _NARROW),
     ["sample"] + _NARROW[0],
     *(["bounds"] + case for case in _OFF_EXPONENT),
+    *(["eigen", "--family", "exp-power", "--alpha", alpha, "--n", "2"]
+      for alpha in ("300", "1024")),
+    ["bounds", "--family", "ball", "--n", "2048"],
+    ["sample", "--family", "exp-power", "--alpha", "1e6", "--n", "2"],
     ["bounds", "--family", "cauchy", "--beta", "2", "--n", "3"],
     *([command] + case + ["--weight", weight]
       for command in ("bounds", "eigen") for case in _OFF_CATALOG
