@@ -167,10 +167,17 @@ def _check_gap(name, x):
 
 
 def _require_increasing(cand, radii, claim):
-    """HypothesisFailed naming the first radius where f' > 0 fails."""
+    """HypothesisFailed naming the first radius where f' > 0 fails.
+
+    An f' of exactly 0 where the candidate's log_abs_df is finite is
+    positive: only its double underflowed."""
     with np.errstate(over="ignore"):
         dvals = np.asarray(cand.df(radii), dtype=float)
     bad = ~np.isfinite(dvals) | (dvals <= 0.0)
+    if np.any(dvals == 0.0) and cand.log_abs_df is not None:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_df = np.asarray(cand.log_abs_df(radii), dtype=float)
+        bad &= ~((dvals == 0.0) & np.isfinite(log_df))
     if np.any(bad):
         k = int(np.argmax(bad))
         found = ("is not finite" if not np.isfinite(dvals[k])
@@ -459,7 +466,8 @@ def variational_potential(measure, weight, cand):
     effective potential.  For any candidate with f' > 0 the infimum of
     this quantity over the domain is a lower bound for the gap, with
     equality at the gap eigenfunction when one exists.  The callable
-    raises DomainError at radii r <= 0.
+    raises DomainError at radii r <= 0, and gives NaN (not evaluable)
+    where f' underflows to 0.
     """
     if cand.d3f is None:
         raise InvalidInput(
@@ -475,9 +483,12 @@ def variational_potential(measure, weight, cand):
         b = ds2 - s2 * du
         db = weight.d2s2(rr) - ds2 * du - s2 * (pot.d2v(rr) + nm1 / (rr * rr))
         f1 = np.asarray(cand.df(rr), dtype=float)
-        return -(s2 * np.asarray(cand.d3f(rr), dtype=float)
-                 + (ds2 + b) * np.asarray(cand.d2f(rr), dtype=float)
-                 + db * f1) / f1
+        num = -(s2 * np.asarray(cand.d3f(rr), dtype=float)
+                + (ds2 + b) * np.asarray(cand.d2f(rr), dtype=float)
+                + db * f1)
+        # where f' underflowed to 0 the rate is not evaluable
+        return np.divide(num, f1, out=np.full(np.shape(num), np.nan),
+                         where=f1 != 0.0)
 
     return vf
 

@@ -141,9 +141,9 @@ class ReferenceGap:
     kind "exact" carries ``value``; kind "bracket" carries ``lower`` and
     ``upper`` (upper may be +inf for a one-sided statement); kind
     "order_only" carries just ``order_exponent``: the gap grows like
-    n**order_exponent with the dimension, constant unknown.  A bracket
-    may additionally carry an order exponent when the growth rate is
-    known on top of the one-sided bound.
+    n**order_exponent with the dimension, constant unknown.  An exact
+    value or a bracket may additionally carry the order exponent of its
+    growth in the dimension.
     """
 
     kind: str
@@ -469,6 +469,10 @@ def _exp_power_reference(spec, which):
         if alpha == 2.0:
             return ReferenceGap(kind="exact", value=2.0,
                                 source="radial quadratic eigenfunction r^2 - n")
+        if alpha == 1.0:
+            return ReferenceGap(
+                kind="exact", value=n / (n + 1.0) ** 2, order_exponent=-1.0,
+                source="radial eigenfunction (1 - r/(n+1)) e^(r/(n+1))")
         return ReferenceGap(
             kind="order_only", order_exponent=1.0 - 2.0 / alpha,
             source="large-dimension radial scaling")

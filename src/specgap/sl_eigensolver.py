@@ -37,9 +37,10 @@ representable range (a bounded law's whole domain) is reached.  The
 growth doubles the *natural length* of the domain rather than the
 radius -- for sigma^2 = 1 + r^2 a radius doubling moves the wall by only
 log 2 in the natural coordinate, which can never resolve the 1/S^2
-truncation bias of a law whose generator has essential spectrum.  When
-the truncation bias is algebraic, the limit is recovered from the last
-domain doublings by fitting lambda(S) = lambda_inf + A/(S + phi)^2.
+truncation bias of a law whose generator has essential spectrum.  The
+estimate is the last domain solved; when the truncation bias is
+algebraic, the limit is recovered from the last three domains by fitting
+lambda(S) = lambda_inf + A/(S + phi)^2.
 """
 
 import math
@@ -103,10 +104,13 @@ class GridSpec:
 class GapEstimate:
     """Spectral-gap estimate with its own error model.
 
-    value is the Richardson-extrapolated eigenvalue; error_estimate is
+    value is the Richardson-extrapolated eigenvalue of the last domain
+    solved, or the inverse-square limit of the last three domains (see
+    spectral_gap).  error_estimate is that domain's mesh error
     |lambda_N - lambda_2N| / 3 (the size of the correction the
-    extrapolation applied), plus a truncation term when the domain had
-    to be escalated.
+    extrapolation applied) plus a truncation term: the shift of the last
+    domain doubling, or 0.05 |limit - last domain| for a fitted limit.
+    r_max_used is the radius of the last domain.
     """
 
     value: float
@@ -176,14 +180,9 @@ def _representable_radius(measure):
     of a steep law.  A last live point whose density is still above the
     tail budget _SOLVER_TAIL_TOL of the peak lies in the bulk, so its step
     is narrowed 64-fold per round, four rounds, to the drop radius."""
-    def log_weight(r):
-        with np.errstate(all="ignore"):
-            lw = np.asarray(measure.log_weight(r), dtype=float)
-        return np.where(np.isnan(lw), -np.inf, lw)
-
     u = np.linspace(0.0, math.log1p(_R_CAP), 8193)
     r = np.expm1(u[1:])
-    lw = log_weight(r)
+    lw = measure.log_weight(r)
     peak = float(np.max(lw))
     floor = peak - _DENSITY_DROP
     alive = np.nonzero(lw >= floor)[0]
@@ -195,7 +194,7 @@ def _representable_radius(measure):
     lo, hi = r[k], r[k + 1]
     for _ in range(4):
         t = np.linspace(lo, hi, 65)
-        live = log_weight(t) >= floor
+        live = measure.log_weight(t) >= floor
         live[0], live[-1] = True, False  # as lo and hi were found
         j = int(np.nonzero(live)[0][-1])
         lo, hi = t[j], t[j + 1]
@@ -453,11 +452,12 @@ def spectral_gap(measure, weight, opts=None):
     natural length: a shift exceeding ten times the mesh error raises
     TruncationWarning.  The domain grows until the shift settles or the
     representable range is reached; a bounded law starts there, so its
-    whole domain is solved once.  The result is then the inverse-square
-    extrapolation in the natural length when the domain
-    trace admits it, or else the least-error domain: of a settled trace
-    the one whose mesh error plus remaining wall bias is least, of an
-    unsettled one the last, with the last shift added to its error.
+    whole domain is solved once.  The estimate is the last domain solved,
+    with its mesh error plus the shift of the last doubling as its error.
+    When three or more domains were solved and the last three admit
+    lambda(S) = lam_inf + A/(S + phi)^2 in the natural length S, the
+    estimate is that lam_inf instead, with the last domain's mesh error
+    plus 0.05 |lam_inf - lambda_last| as its error.
 
     Raises HypothesisFailed ("no spectral gap") when the estimate does
     not exceed its own error, as for heavy tails whose generator has no
@@ -483,12 +483,13 @@ def spectral_gap(measure, weight, opts=None):
                            r_max_used=float(r_used))
 
     # the domain trace: (natural length, value, mesh error, radius) per
-    # solve, and the shift each doubling caused
+    # solve; shift is what the last doubling moved the eigenvalue (0 for a
+    # single domain)
     value, err = _solve_domain(measure, weight, r0, spec, to_metric,
                                from_metric)
     solves = [(s0, value, err, r0)]
-    shifts = []
-    warned = settled = False
+    shift = 0.0
+    warned = False
     # the Neumann wall is trusted only if doubling the natural length of
     # the domain barely moves the eigenvalue; the warning fires at the
     # first doubling that fails this audit.  The domain grows, up to the
@@ -511,39 +512,21 @@ def spectral_gap(measure, weight, opts=None):
                 f"{mesh_err:.3e}"))
             warned = True
         solves.append((s_next, val_n, err_n, r_next))
-        shifts.append(shift)
         if shift <= max(0.01 * err_n, 1e-12 * (1.0 + abs(val_n))):
-            settled = True
             break
 
-    # when the eigenvalue still drifts algebraically with the wall the
-    # drift follows lambda(S) ~ lam_inf + A/(S + phi)^2, and fitting it
-    # removes the remaining bias; traces that have genuinely converged
-    # (exponential tails) do not admit the model and fall through
-    points = [solve[:2] for solve in solves]
-    fits = []
-    for k in (len(points) - 4, len(points) - 3):
-        if k >= 0:
-            lam_inf = _fit_inverse_square(points[k:k + 3])
-            if lam_inf is not None:
-                fits.append(lam_inf)
-    if fits:
-        _, val_last, err_last, r_last = solves[-1]
-        spread = abs(fits[-1] - fits[0]) if len(fits) == 2 else 0.0
-        err_domain = max(spread, 0.05 * abs(fits[-1] - val_last))
-        return estimate(fits[-1], err_last + err_domain, r_last)
-
-    # the residual wall bias of solve k is bounded by what the later
-    # doublings moved, plus the last shift (0 for a single domain).  Once
-    # settled, every domain is valid, so return the one with the least
-    # total error (larger domains stretch the mesh and can only lose
-    # accuracy); an unsettled trace can only trust its last domain
-    tail_bias = np.cumsum(np.append(shifts, 0.0)[::-1])[::-1]
-    tail_bias += shifts[-1] if shifts else 0.0
-    errors = np.array([solve[2] for solve in solves]) + tail_bias
-    k = int(np.argmin(errors)) if settled else len(solves) - 1
-    _, val_k, err_k, r_k = solves[k]
-    return estimate(val_k, err_k + tail_bias[k], r_k)
+    # the estimate is the last domain, charged its mesh error and the last
+    # shift.  When the eigenvalue still drifts algebraically with the wall,
+    # the last three domains follow lambda(S) ~ lam_inf + A/(S + phi)^2 and
+    # the fitted limit removes the remaining bias; traces that have
+    # converged (exponential tails) do not admit the model
+    _, val_last, err_last, r_last = solves[-1]
+    lam_inf = (_fit_inverse_square([solve[:2] for solve in solves[-3:]])
+               if len(solves) >= 3 else None)
+    if lam_inf is not None:
+        return estimate(lam_inf, err_last + 0.05 * abs(lam_inf - val_last),
+                        r_last)
+    return estimate(val_last, err_last + shift, r_last)
 
 
 # ---------------------------------------------------------------------

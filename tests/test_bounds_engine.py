@@ -614,6 +614,35 @@ def test_validate_candidate_catches_false_monotone_claim():
         validate_candidate(GAUSS[3], dec)
 
 
+def test_only_an_underflowed_derivative_counts_as_positive():
+    # f' = 0 passes the monotonicity check only where log|f'| is finite,
+    # i.e. where f' is positive and merely below double range; a finite
+    # log|f'| never excuses a negative f'
+    arr = lambda r: np.asarray(r, float)
+    zeros = lambda r: np.zeros_like(arr(r))
+
+    def flat(log_abs_df):
+        return CandidateFunction(f=lambda r: np.ones_like(arr(r)), df=zeros,
+                                 d2f=zeros, d3f=zeros, monotone=True,
+                                 log_abs_df=log_abs_df)
+
+    validate_candidate(GAUSS[3], flat(lambda r: -800.0 + np.log(arr(r))))
+    for log_abs_df in (None, lambda r: np.full_like(arr(r), -np.inf)):
+        with pytest.raises(HypothesisFailed, match="is <= 0"):
+            validate_candidate(GAUSS[3], flat(log_abs_df))
+    dec = CandidateFunction(f=lambda r: -arr(r),
+                            df=lambda r: -np.ones_like(arr(r)),
+                            d2f=zeros, d3f=zeros, monotone=True,
+                            log_abs_df=lambda r: np.zeros_like(arr(r)))
+    with pytest.raises(HypothesisFailed, match="is <= 0"):
+        validate_candidate(GAUSS[3], dec)
+    # where f' underflowed the decay rate is not evaluable: NaN, and no
+    # RuntimeWarning (the suite turns those into errors)
+    rate = variational_potential(GAUSS[3], UNIT, flat(
+        lambda r: -800.0 + np.log(arr(r))))(np.array([0.5, 2.0]))
+    assert np.all(np.isnan(rate))
+
+
 
 def _grid_minimum(measure, weight, cand):
     """The variational potential's least value on variational_lower's grid,

@@ -218,6 +218,11 @@ def test_recorded_reference_spot_values():
     assert abs(r.lower - 1.0 / 6.0) < 1e-12 and abs(r.upper - 0.25) < 1e-12
     r = reference_gap(FamilySpec("exponential_power", 3, alpha=4.0), "radial")
     assert r.kind == "order_only" and abs(r.order_exponent - 0.5) < 1e-15
+    # n/(n+1)^2, eigenfunction (1 - r/(n+1)) e^(r/(n+1)); the exponent
+    # keeps the tables' scaling column
+    r = reference_gap(FamilySpec("exponential_power", 3, alpha=1.0), "radial")
+    assert r.kind == "exact" and r.value == 3.0 / 16.0
+    assert r.order_exponent == -1.0
 
     r = reference_gap(FamilySpec("uniform_ball", 5), "full")
     assert abs(r.lower - 28.0 / 5.0) < 1e-12 and r.upper == 7.0

@@ -9,6 +9,7 @@ the modules a cold ``import specgap.cli`` loads.
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 from importlib import resources
@@ -457,6 +458,25 @@ def test_steep_power_laws_approach_the_ball():
         radial_model._fd_check(lambda r: r ** 1024 / 1024,
                                lambda r: (1.0 + 1e-4) * r ** 1023,
                                "f'", grid)
+
+
+@pytest.mark.parametrize("alpha", ["64", "1024"])
+def test_underflowed_candidate_derivative_keeps_both_one_sided_bounds(alpha):
+    # f' = r^(alpha-1) of the probe r^alpha/alpha underflows to 0 on the
+    # bounds' grids, yet is positive there: both one-sided bounds are
+    # reported, the variational one as non-informative (as for every
+    # exp-power alpha >= 4), and no monotonicity failure is noted
+    case = ["--family", "exp-power", "--alpha", alpha, "--n", "2"]
+    code, rep = run_json(["bounds"] + case)
+    assert code == 0 and rep["status"] == "ok", rep["warnings"]
+    assert not any("is <= 0" in note for note in rep["warnings"])
+    lower = recs(rep, "variational_lower")
+    upper = recs(rep, "rayleigh_upper")
+    assert len(lower) == 1 and lower[0]["value"] == 0.0
+    assert len(upper) == 1 and math.isfinite(upper[0]["upper"])
+    code, rep = run_json(["eigen"] + case)
+    assert code == 0, rep["error"]
+    assert upper[0]["upper"] >= recs(rep, "spectral_gap")[0]["value"]
 
 
 # -------------------------------------------------------------- exit codes

@@ -38,6 +38,11 @@ A refactor that claims to keep behaviour shows it on this list:
   whose density wall is narrower than a step of the solver's radius
   grid, power laws steep enough to strain a plain central difference,
   and a CDF table with cells where the density underflows to 0;
+- ``bounds`` on exp-power alpha=64 and alpha=1024 n=2, whose candidate
+  r^alpha/alpha has an f' that underflows to 0 on the bounds' grids;
+- ``eigen --cells 2048`` on gaussian n=6 with sigma^2 = 1/(1+r^2), whose
+  gap lies just below the essential-spectrum edge 1/4: the domain the
+  solver returns, seen at a second mesh;
 - ``bounds`` on cauchy beta=2 n=3 with the unit weight, whose second
   moment diverges, so every bound that needs it reports why it is
   unavailable;
@@ -140,6 +145,8 @@ _VARIANTS = (
     *(["eigen", "--family", "exp-power", "--alpha", alpha, "--n", "2"]
       for alpha in ("300", "1024")),
     ["bounds", "--family", "ball", "--n", "2048"],
+    *(["bounds", "--family", "exp-power", "--alpha", alpha, "--n", "2"]
+      for alpha in ("64", "1024")),
     ["sample", "--family", "exp-power", "--alpha", "1e6", "--n", "2"],
     ["bounds", "--family", "cauchy", "--beta", "2", "--n", "3"],
     *([command] + case + ["--weight", weight]
@@ -150,6 +157,8 @@ _VARIANTS = (
     ["bounds", "--family", "cauchy", "--beta", "1.01", "--n", "2"],
     ["eigen", "--family", "cauchy", "--beta", "2.51", "--n", "5",
      "--weight", "one-plus-r2"],
+    ["eigen", "--family", "gaussian", "--n", "6",
+     "--weight", "inv-one-plus-r2", "--cells", "2048"],
     ["table", "--id", "ball", "--dims", "2,4,8"],
     ["table", "--id", "gaussian-weighted", "--dims", "2..4"],
     ["table", "--id", "ball", "--dims", "3..2"],
