@@ -111,10 +111,11 @@ class CandidateFunction:
 class LowerBound:
     """One-sided lower bound on a spectral gap; float(x) gives the value.
 
-    ``informative=False`` marks the zero returned when the defining
-    integral diverges: no information, by design not an error.
-    ``grid_inf`` marks values certified only as the infimum over a
-    finite evaluation grid (plus one local refinement), not over the
+    ``informative=False`` marks the zero returned when the bound holds
+    no information (a defining integral diverges, or a grid infimum is
+    not positive): by design not an error, and ``void_reason`` says
+    which.  ``grid_inf`` marks values certified only as the infimum over
+    a finite evaluation grid (plus one local refinement), not over the
     whole half-line.
     """
 
@@ -122,6 +123,7 @@ class LowerBound:
     informative: bool = True
     grid_inf: bool = False
     method: str = ""
+    void_reason: str = ""
 
     def __post_init__(self):
         if not (math.isfinite(self.value) and self.value >= 0.0):
@@ -360,7 +362,8 @@ def _inverse_curvature_bound(measure, terms, label):
         integral = expectation(measure, inv, positive=True,
                                log_abs_g=log_inv, r_stop=r_stop)
     except NonIntegrable:
-        return LowerBound(0.0, informative=False, method=label)
+        return LowerBound(0.0, informative=False, method=label,
+                          void_reason="defining integral diverges")
     return LowerBound(1.0 / integral, informative=True, method=label)
 
 
@@ -534,7 +537,9 @@ def variational_lower(measure, weight, cand):
     label = "grid infimum of the candidate's local decay rate"
     if not math.isfinite(inf_val) or inf_val <= 0.0:
         return LowerBound(0.0, informative=False, grid_inf=True,
-                          method=label)
+                          method=label,
+                          void_reason=("grid infimum of the decay rate is not "
+                                       "finite and positive"))
     return LowerBound(inf_val, informative=True, grid_inf=True, method=label)
 
 

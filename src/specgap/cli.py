@@ -58,7 +58,7 @@ from .errors import (ConvergenceError, DegenerateFunction,
 from .mc_sampler import (radial_rayleigh_estimate, rayleigh_estimate,
                          sample_mu, sample_radius)
 from .radial_model import moment, weighted_moment
-from .sl_eigensolver import GridSpec, spectral_gap
+from .sl_eigensolver import GridSpec, essential_edge, spectral_gap
 
 _CSV_HEADER = ("record", "name", "family", "weight", "n", "alpha", "beta",
                "value", "error", "lower", "upper", "scaling", "source",
@@ -286,7 +286,7 @@ def _one_sided_record(name, spec, bound, detail):
                        detail=detail)
     extra = []
     if not bound.informative:
-        extra.append("non-informative (defining integral diverges)")
+        extra.append(f"non-informative ({bound.void_reason})")
     if bound.grid_inf:
         extra.append("grid infimum, not a certified global infimum")
     if extra:
@@ -518,6 +518,15 @@ def _verify_bracketing(args, case_of, records, failures, warn_notes):
                    source="catalog sweep")
             continue
         gap = est.value
+        # no gap lies above the bottom of the essential spectrum
+        edge, edge_err = essential_edge(*case.law[:2])
+        _check(records, failures, "edge", spec,
+               ok=gap <= edge + est.error_estimate + edge_err,
+               detail=f"solver={gap!r} edge={edge!r}",
+               failure=(f"solver defect on {spec.label()}: gap {gap!r} "
+                        f"above the essential-spectrum edge {edge!r}"),
+               value=gap, upper=edge, error=est.error_estimate,
+               source="essential-spectrum edge of the radial generator")
         tol = max(3.0 * est.error_estimate, 1e-9 * (1.0 + gap))
         for which, ref in case.refs.items():
             if ref is None:

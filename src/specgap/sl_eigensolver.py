@@ -41,6 +41,13 @@ truncation bias of a law whose generator has essential spectrum.  The
 estimate is the last domain solved; when the truncation bias is
 algebraic, the limit is recovered from the last three domains by fitting
 lambda(S) = lambda_inf + A/(S + phi)^2.
+
+Essential spectrum.  In the natural coordinate the generator is
+unitarily equivalent to -d^2/ds^2 + W, and the bottom of its essential
+spectrum is W_inf = lim W (Persson).  essential_edge reads W_inf from
+the closed-form coefficients.  A W_inf of zero means no gap, raised
+before any domain is solved; when the inverse-square limit of the domain
+trace meets a finite W_inf, the gap is that edge and the loop stops.
 """
 
 import math
@@ -73,6 +80,9 @@ _MAX_GROWTH = 8
 _AUDIT_FACTOR = 10.0
 # dyadic panels of the first cell's mass rule (see _first_cell_log_mass)
 _FIRST_CELL_HALVINGS = 40
+# radii at which essential_edge reads the Schroedinger potential W: far
+# past every bulk, and far below 1e150, where its closed-form terms cancel
+_EDGE_LADDER = np.array([1e5, 1e6, 1e7, 1e8])
 
 
 # ---------------------------------------------------------------------
@@ -105,11 +115,14 @@ class GapEstimate:
     """Spectral-gap estimate with its own error model.
 
     value is the Richardson-extrapolated eigenvalue of the last domain
-    solved, or the inverse-square limit of the last three domains (see
+    solved, the inverse-square limit of the last three domains, or the
+    essential-spectrum edge W_inf when that limit meets it (see
     spectral_gap).  error_estimate is that domain's mesh error
     |lambda_N - lambda_2N| / 3 (the size of the correction the
     extrapolation applied) plus a truncation term: the shift of the last
     domain doubling, or 0.05 |limit - last domain| for a fitted limit.
+    An edge value is charged the fitted limit's error, the edge's own
+    error and the distance between the two.
     r_max_used is the radius of the last domain.
     """
 
@@ -380,7 +393,8 @@ def _ground_state(cond, masses):
             "range than doubles can carry")
     try:
         vals = eigh_tridiagonal(d, e, select="i", select_range=(0, 0),
-                                lapack_driver="stebz", eigvals_only=True)
+                                lapack_driver="stebz", eigvals_only=True,
+                                check_finite=False)
     except (LinAlgError, ValueError) as exc:
         raise ConvergenceError(
             f"tridiagonal eigenvalue iteration failed: {exc}") from None
@@ -444,6 +458,45 @@ def _fit_inverse_square(points):
     return l3 - a * w3
 
 
+def essential_edge(measure, weight):
+    """(w_inf, err): the bottom of the essential spectrum of the radial
+    generator, read from its Schroedinger potential.
+
+    In the natural coordinate the ground-state transform of the generator
+    is -d^2/ds^2 + W with
+        W = sigma^2 psi'^2 / 4 + (sigma^2)' psi' / 4 + sigma^2 psi'' / 2,
+    psi' = (n-1)/r - V' + (sigma^2)'/(2 sigma^2) and
+    psi'' = -(n-1)/r^2 - V'' + (sigma^2)''/(2 sigma^2)
+            - ((sigma^2)')^2 / (2 (sigma^2)^2),
+    and the essential spectrum starts at W_inf = lim W.  W is evaluated on
+    the decade ladder _EDGE_LADDER: w_inf is its last rung and err the
+    change over the last decade, which covers an approach as slow as 1/r.
+    Returns (inf, 0) for a bounded law, where the spectrum is discrete,
+    and wherever the ladder does not show a limit: W overflows, or one of
+    its increments is not at most half the one before (nor lost in
+    rounding), so W grows or settles too slowly to be read.  An infinite
+    edge leaves spectral_gap as it would be without one.
+    """
+    if math.isfinite(measure.potential.domain_end):
+        return math.inf, 0.0
+    r, nm1, pot = _EDGE_LADDER, measure.n - 1, measure.potential
+    with np.errstate(all="ignore"):
+        s2, ds2 = weight.s2(r), weight.ds2(r)
+        g = ds2 / s2
+        psi1 = nm1 / r - pot.dv(r) + 0.5 * g
+        psi2 = (-nm1 / (r * r) - pot.d2v(r) + 0.5 * weight.d2s2(r) / s2
+                - 0.5 * g * g)
+        w = np.asarray(0.25 * s2 * psi1 * psi1 + 0.25 * ds2 * psi1
+                       + 0.5 * s2 * psi2, dtype=float)
+    if not np.all(np.isfinite(w)):
+        return math.inf, 0.0
+    steps = np.abs(np.diff(w))
+    noise = 1e-12 * float(np.max(np.abs(w)))
+    if np.any(steps[1:] > np.maximum(0.5 * steps[:-1], noise)):
+        return math.inf, 0.0
+    return float(w[-1]), float(steps[-1])
+
+
 def spectral_gap(measure, weight, opts=None):
     """Spectral gap of the weighted radial generator, with error control.
 
@@ -459,7 +512,16 @@ def spectral_gap(measure, weight, opts=None):
     estimate is that lam_inf instead, with the last domain's mesh error
     plus 0.05 |lam_inf - lambda_last| as its error.
 
-    Raises HypothesisFailed ("no spectral gap") when the estimate does
+    The essential-spectrum edge W_inf (see essential_edge) is read before
+    any domain is solved.  Whenever three or more domains are solved and
+    the fitted lam_inf lies within its error plus W_inf's error of a
+    finite W_inf, the loop stops: the estimate is W_inf, charged both
+    errors plus |lam_inf - W_inf|.  No gap lies above the edge, and the
+    fit places the gap within its error of lam_inf, so that charge covers
+    the distance from W_inf down to the fit's lower end.
+
+    Raises HypothesisFailed ("no spectral gap") when W_inf is zero within
+    its error, before any domain is solved, and when the estimate does
     not exceed its own error, as for heavy tails whose generator has no
     gap: the eigenvalue then only shrinks as the domain grows.
     """
@@ -467,6 +529,11 @@ def spectral_gap(measure, weight, opts=None):
     if not isinstance(spec, GridSpec):
         raise InvalidInput("opts must be a GridSpec")
     validate_weight(measure, weight)
+    edge, edge_err = essential_edge(measure, weight)
+    if abs(edge) <= edge_err:
+        raise HypothesisFailed(
+            f"no spectral gap: the essential spectrum starts at "
+            f"{edge:.3e}, zero within its error {edge_err:.3e}")
     r0, r_cap = _radii(measure)
     to_metric, from_metric = _metric_maps(weight, min(r_cap, _R_CAP))
     s0, s_cap = float(to_metric(r0)), float(to_metric(r_cap))
@@ -482,6 +549,12 @@ def spectral_gap(measure, weight, opts=None):
                            n_cells_used=2 * spec.n_cells,
                            r_max_used=float(r_used))
 
+    def fit_error(lam):
+        # a fitted limit is charged the last domain's mesh error and a
+        # twentieth of its distance from that domain
+        _, val_last, err_last, _ = solves[-1]
+        return err_last + 0.05 * abs(lam - val_last)
+
     # the domain trace: (natural length, value, mesh error, radius) per
     # solve; shift is what the last doubling moved the eigenvalue (0 for a
     # single domain)
@@ -489,11 +562,13 @@ def spectral_gap(measure, weight, opts=None):
                                from_metric)
     solves = [(s0, value, err, r0)]
     shift = 0.0
+    lam_inf = None
     warned = False
     # the Neumann wall is trusted only if doubling the natural length of
     # the domain barely moves the eigenvalue; the warning fires at the
     # first doubling that fails this audit.  The domain grows, up to the
-    # representable cap, until the eigenvalue stops moving
+    # representable cap, until the eigenvalue stops moving or its
+    # inverse-square limit meets the essential-spectrum edge
     for _ in range(_MAX_GROWTH):
         s_prev, val_prev, err_prev = solves[-1][:3]
         if s_prev >= s_cap * (1.0 - 1e-9):
@@ -512,20 +587,24 @@ def spectral_gap(measure, weight, opts=None):
                 f"{mesh_err:.3e}"))
             warned = True
         solves.append((s_next, val_n, err_n, r_next))
+        # when the eigenvalue still drifts algebraically with the wall, the
+        # last three domains follow lambda(S) ~ lam_inf + A/(S + phi)^2 and
+        # the fitted limit removes the remaining bias; traces that have
+        # converged (exponential tails) do not admit the model
+        if len(solves) >= 3:
+            lam_inf = _fit_inverse_square([sv[:2] for sv in solves[-3:]])
+        if lam_inf is not None:
+            apart, spread = abs(lam_inf - edge), fit_error(lam_inf) + edge_err
+            if apart <= spread:
+                return estimate(edge, spread + apart, r_next)
         if shift <= max(0.01 * err_n, 1e-12 * (1.0 + abs(val_n))):
             break
 
-    # the estimate is the last domain, charged its mesh error and the last
-    # shift.  When the eigenvalue still drifts algebraically with the wall,
-    # the last three domains follow lambda(S) ~ lam_inf + A/(S + phi)^2 and
-    # the fitted limit removes the remaining bias; traces that have
-    # converged (exponential tails) do not admit the model
+    # the estimate is the fitted limit, or else the last domain, charged
+    # its mesh error and the last shift
     _, val_last, err_last, r_last = solves[-1]
-    lam_inf = (_fit_inverse_square([solve[:2] for solve in solves[-3:]])
-               if len(solves) >= 3 else None)
     if lam_inf is not None:
-        return estimate(lam_inf, err_last + 0.05 * abs(lam_inf - val_last),
-                        r_last)
+        return estimate(lam_inf, fit_error(lam_inf), r_last)
     return estimate(val_last, err_last + shift, r_last)
 
 

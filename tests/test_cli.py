@@ -154,6 +154,8 @@ def test_bounds_divergent_moment_warning_path():
     assert wcl and wcl[0]["value"] == 0.0
     assert "non-informative" in wcl[0]["detail"]
 
+    assert "defining integral diverges" in wcl[0]["detail"]
+
     rr = recs(rep, "reference_radial")
     assert rr and rel(rr[0]["value"], 0.09) < 1e-12
     ru = recs(rep, "rayleigh_upper")
@@ -241,7 +243,10 @@ def test_eigen_ball():
      "DiscretizationError: "),
     (["--family", "cauchy", "--beta", "4.1", "--n", "8"],
      "HypothesisFailed: no spectral gap"),
-], ids=["normalization-past-double-range", "no-gap"])
+    (["--family", "exp-power", "--alpha", "1.5", "--n", "4",
+      "--weight", "inv-one-plus-r2"],
+     "HypothesisFailed: no spectral gap"),
+], ids=["normalization-past-double-range", "no-gap", "no-gap-at-the-edge"])
 def test_eigen_failures_are_typed(argv, error):
     # the report names the failure; no raw exception reaches the CLI
     code, rep = run_json(["eigen"] + argv)
@@ -288,8 +293,24 @@ def test_verify_all_solves_each_case_once(monkeypatch):
     assert code == 0
     assert len(recs(rep, "cauchy_exact")) == 20
     assert len(calls) == 66
+    edge = recs(rep, "edge")
+    assert len(edge) == 62
+    assert all(r["detail"].startswith("pass") for r in edge)
     warnings = rep["warnings"]
     assert warnings and len(set(warnings)) == len(warnings)
+
+
+def test_verify_names_a_gap_above_the_edge_a_solver_defect(monkeypatch):
+    # the first catalog case, exp-power alpha = 1 n = 2, solves to 0.2222;
+    # an edge below that must fail the edge check
+    monkeypatch.setattr(cli, "essential_edge", lambda measure, weight:
+                        (0.1, 0.0))
+    code, rep = run_json(["verify", "--scope", "bracketing",
+                          "--max-cases", "1"])
+    assert code == 1
+    (edge,) = recs(rep, "edge")
+    assert edge["detail"].startswith("FAIL") and edge["upper"] == 0.1
+    assert "solver defect on exponential_power" in rep["error"], rep["error"]
 
 
 def test_eigen_solves_once_per_call(monkeypatch):
@@ -477,6 +498,19 @@ def test_underflowed_candidate_derivative_keeps_both_one_sided_bounds(alpha):
     code, rep = run_json(["eigen"] + case)
     assert code == 0, rep["error"]
     assert upper[0]["upper"] >= recs(rep, "spectral_gap")[0]["value"]
+
+
+def test_non_positive_grid_infimum_names_its_own_reason():
+    # no integral defines the variational bound: it is non-informative
+    # because its grid infimum is not positive
+    code, rep = run_json(["bounds", "--family", "exp-power", "--alpha", "4",
+                          "--n", "3"])
+    assert code == 0
+    (lower,) = recs(rep, "variational_lower")
+    assert lower["value"] == 0.0
+    assert ("non-informative (grid infimum of the decay rate is not finite "
+            "and positive)") in lower["detail"]
+    assert "diverges" not in lower["detail"]
 
 
 # -------------------------------------------------------------- exit codes

@@ -12,6 +12,11 @@ closed forms written out there.  Oracle sources:
   gaussian      radial gap 2, eigenfunction r^2 - n
   heavy tail    weighted gap (beta - n/2)^2 for beta <= n/2 + 2, else
                 4 (beta - n/2 - 1) with eigenfunction r^2 - const
+  edge          essential-spectrum bottom lim W: (beta - n/2)^2 for the
+                heavy tail with sigma^2 = 1+r^2, 1/4 for the gaussian
+                with sigma^2 = 1/(1+r^2) and for exp-power alpha = 1,
+                0 for exp-power alpha = 1.5 with sigma^2 = 1/(1+r^2),
+                and +inf where W grows or the law is bounded
 """
 
 import math
@@ -256,6 +261,83 @@ def test_heavy_tail_without_gap_is_a_typed_outcome(label, builder, weight):
     assert "no spectral gap" in str(exc.value), label
 
 
+# --- essential-spectrum edge ---------------------------------------------
+
+
+@pytest.mark.parametrize("label,builder,weight,want", [
+    ("cauchy n=2 b=1.5", lambda: build_measure(2, cauchy_pot(1.5)),
+     one_plus_w, 0.25),
+    ("cauchy n=3 b=3", lambda: build_measure(3, cauchy_pot(3.0)),
+     one_plus_w, 2.25),
+    ("cauchy n=6 b=3.5", lambda: build_measure(6, cauchy_pot(3.5)),
+     one_plus_w, 0.25),
+    ("cauchy n=4 b=4.5", lambda: build_measure(4, cauchy_pot(4.5)),
+     one_plus_w, 6.25),
+    ("gaussian n=2", lambda: build_measure(2, gaussian_pot()),
+     inv_one_plus_w, 0.25),
+    ("gaussian n=6", lambda: build_measure(6, gaussian_pot()),
+     inv_one_plus_w, 0.25),
+    ("exp-power a=1 n=2", lambda: build_measure(2, exp_power_pot(1.0)),
+     unit_w, 0.25),
+    ("exp-power a=1 n=8", lambda: build_measure(8, exp_power_pot(1.0)),
+     unit_w, 0.25),
+])
+def test_essential_edge_finite_limits(label, builder, weight, want):
+    # cauchy with sigma^2 = 1+r^2: W -> t^2, t = beta - n/2, like 1/r^2;
+    # gaussian with sigma^2 = 1/(1+r^2) -> 1/4 like 1/r^2; exp-power
+    # alpha = 1 -> 1/4 only like (n-1)/(2r), which its error must cover
+    edge, err = sl_eigensolver.essential_edge(builder(), weight())
+    assert abs(edge - want) <= err, (label, edge, err)
+    assert err <= 1e-5 * want, (label, err)
+
+
+@pytest.mark.parametrize("label,builder,weight", [
+    ("exp-power a=1.2 n=3", lambda: build_measure(3, exp_power_pot(1.2)),
+     unit_w),
+    ("exp-power a=1.5 n=4", lambda: build_measure(4, exp_power_pot(1.5)),
+     unit_w),
+    ("exp-power a=4 n=2", lambda: build_measure(2, exp_power_pot(4.0)),
+     unit_w),
+    ("gaussian n=3", lambda: build_measure(3, gaussian_pot()), unit_w),
+    ("gaussian n=3 1+r^2", lambda: build_measure(3, gaussian_pot()),
+     one_plus_w),
+    ("ball n=4", lambda: build_measure(4, ball_pot()), unit_w),
+])
+def test_essential_edge_infinite(label, builder, weight):
+    # W grows along the ladder (like r^0.4 for alpha = 1.2, r/4 for
+    # alpha = 1.5), or the law is bounded: the spectrum is discrete
+    assert sl_eigensolver.essential_edge(builder(), weight()) == (
+        math.inf, 0.0), label
+
+
+def test_gapless_edge_raises_before_any_domain_solve(monkeypatch):
+    # exp-power alpha = 1.5 with sigma^2 = 1/(1+r^2): W ~ 1/(4r) -> 0, so
+    # the essential spectrum reaches 0 and the law has no gap
+    mu, w = build_measure(4, exp_power_pot(1.5)), inv_one_plus_w()
+    edge, err = sl_eigensolver.essential_edge(mu, w)
+    assert 0.0 <= edge <= err
+    calls = []
+    monkeypatch.setattr(sl_eigensolver, "_solve_domain",
+                        lambda *args: calls.append(args))
+    with pytest.raises(HypothesisFailed, match="no spectral gap"):
+        spectral_gap(mu, w)
+    assert calls == []
+
+
+def test_ground_state_skips_the_repeated_finite_check(monkeypatch):
+    # d and e are checked finite before LAPACK is called
+    kwargs = []
+    real = sl_eigensolver.eigh_tridiagonal
+
+    def spy(*args, **kw):
+        kwargs.append(kw)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(sl_eigensolver, "eigh_tridiagonal", spy)
+    spectral_gap(build_measure(4, ball_pot()), unit_w(), GridSpec(n_cells=64))
+    assert [kw["check_finite"] for kw in kwargs] == [False] * 3
+
+
 # --- convergence order -------------------------------------------------
 
 
@@ -454,8 +536,9 @@ def test_residual_check_flags_wrong_eigenvalue():
 
 
 def test_truncation_audit_warns_once():
-    # this essential-spectrum case doubles its domain four times and the
-    # first two doublings fail the audit; the warning fires only once
+    # this essential-spectrum case doubles its domain until its fitted
+    # limit meets the edge, and the first doubling fails the audit; the
+    # warning fires only once
     mu = build_measure(3, cauchy_pot(2.0), tail_tol=1e-12)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

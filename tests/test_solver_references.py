@@ -19,6 +19,11 @@ Every solve must contain its reference within its reported error.  The
 closed forms and the gaussian n=6 value are smooth-law cases that the
 solver resolves to far below its error, so they are also held to 1e-7
 relative.
+
+The eight heavy tails with t = beta - n/2 <= 2 have their gap at the
+essential-spectrum edge t^2; the solver stops there after three domain
+solves.  Laws whose fitted limit lies near an edge it does not meet keep
+their values bit for bit.
 """
 
 import math
@@ -30,6 +35,7 @@ import pytest
 from specgap import TruncationWarning
 from specgap.catalog import FamilySpec, catalog_grid, make_family, reference_gap
 from specgap.errors import InvalidInput
+from specgap import sl_eigensolver
 from specgap.sl_eigensolver import GridSpec, spectral_gap
 
 _GAUSS6_INV = FamilySpec("gaussian", 6, "inv_one_plus_r2")
@@ -90,3 +96,56 @@ def test_gaussian_n6_inverse_weight_returns_one_domain_at_two_meshes(gap_of):
     default = gap_of(_GAUSS6_INV)
     assert math.isclose(default.r_max_used, fine.r_max_used, rel_tol=1e-12)
     assert abs(fine.value - _GAUSS6_INV_REF) <= 1e-8 * _GAUSS6_INV_REF
+
+
+_EDGE_LAWS = [spec for spec in catalog_grid()
+              if spec.family == "generalized_cauchy"
+              and spec.beta - spec.n / 2.0 <= 2.0]
+
+
+@pytest.mark.parametrize("spec", _EDGE_LAWS,
+                         ids=[spec.label() for spec in _EDGE_LAWS])
+def test_edge_law_stops_at_the_edge_in_three_domains(monkeypatch, spec):
+    solves = []
+    real = sl_eigensolver._solve_domain
+
+    def spy(*args):
+        solves.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(sl_eigensolver, "_solve_domain", spy)
+    measure, weight, _ = make_family(spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        est = spectral_gap(measure, weight)
+    t = spec.beta - spec.n / 2.0
+    assert len(solves) == 3
+    assert abs(est.value - t * t) <= 1e-12 * t * t, est
+    assert est.r_max_used == solves[-1]
+
+
+# (value, error) at the commit before the edge rule: each of these laws
+# ends on a fitted limit or a settled domain near an edge it lies below
+# (gaussian sigma^2 = 1/(1+r^2) and exp-power alpha = 1: 1/4; cauchy
+# t = 2.5: 6.25)
+_BELOW_THE_EDGE = {
+    FamilySpec("gaussian", 2, "inv_one_plus_r2"):
+        (0.24621129055300742, 0.0002090560938602252),
+    FamilySpec("exponential_power", 2, "unit", alpha=1.0):
+        (0.22222221767239106, 6.710560782914599e-05),
+    FamilySpec("generalized_cauchy", 2, "one_plus_r2", beta=3.5):
+        (5.9999948244342, 0.0032190955640449084),
+    FamilySpec("generalized_cauchy", 3, "one_plus_r2", beta=4.0):
+        (5.999995294767909, 0.0033060439831625508),
+    FamilySpec("generalized_cauchy", 4, "one_plus_r2", beta=4.5):
+        (5.999994215340448, 0.003346744631285148),
+    FamilySpec("generalized_cauchy", 6, "one_plus_r2", beta=5.5):
+        (5.99999439916387, 0.0033874488300599617),
+}
+
+
+@pytest.mark.parametrize("spec", list(_BELOW_THE_EDGE),
+                         ids=[spec.label() for spec in _BELOW_THE_EDGE])
+def test_law_below_the_edge_keeps_its_value(gap_of, spec):
+    est = gap_of(spec)
+    assert (est.value, est.error_estimate) == _BELOW_THE_EDGE[spec]

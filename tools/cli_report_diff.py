@@ -43,6 +43,11 @@ A refactor that claims to keep behaviour shows it on this list:
 - ``eigen --cells 2048`` on gaussian n=6 with sigma^2 = 1/(1+r^2), whose
   gap lies just below the essential-spectrum edge 1/4: the domain the
   solver returns, seen at a second mesh;
+- ``eigen --cells 64`` and ``--cells 256`` on cauchy beta=3.5 n=4 with
+  sigma^2 = 1+r^2, whose gap is the essential-spectrum edge t^2 = 2.25:
+  the solver stops at that edge on a looser fit than at the default mesh;
+- ``eigen`` on exp-power alpha=1.2 n=3, whose Schroedinger potential
+  grows only like r^0.4, so its essential-spectrum edge is infinite;
 - ``bounds`` on cauchy beta=2 n=3 with the unit weight, whose second
   moment diverges, so every bound that needs it reports why it is
   unavailable;
@@ -159,6 +164,10 @@ _VARIANTS = (
      "--weight", "one-plus-r2"],
     ["eigen", "--family", "gaussian", "--n", "6",
      "--weight", "inv-one-plus-r2", "--cells", "2048"],
+    *(["eigen", "--family", "cauchy", "--beta", "3.5", "--n", "4",
+       "--weight", "one-plus-r2", "--cells", cells]
+      for cells in ("64", "256")),
+    ["eigen", "--family", "exp-power", "--alpha", "1.2", "--n", "3"],
     ["table", "--id", "ball", "--dims", "2,4,8"],
     ["table", "--id", "gaussian-weighted", "--dims", "2..4"],
     ["table", "--id", "ball", "--dims", "3..2"],
