@@ -30,7 +30,7 @@ from .radial_model import (BoundBracket, RadialMeasure, RadialPotential,
                            expectation, moment, tail_mass,
                            truncation_radius, validate_weight,
                            weighted_moment)
-from .sl_eigensolver import (GapEstimate, GridSpec, essential_edge,
-                             residual_check, spectral_gap)
+from .sl_eigensolver import (GapEstimate, GridSpec, residual_check,
+                             spectral_gap)
 
 __version__ = "0.1.0"

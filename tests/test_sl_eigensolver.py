@@ -261,6 +261,26 @@ def test_heavy_tail_without_gap_is_a_typed_outcome(label, builder, weight):
     assert "no spectral gap" in str(exc.value), label
 
 
+def test_unresolved_gap_raises_after_the_domain_loop(monkeypatch):
+    # cauchy t = 2.5 with sigma^2 = 1+r^2 has gap 6 below the edge 6.25,
+    # but 64 cells cannot resolve it: the domains are solved, and the
+    # estimate is refused because it does not exceed its own error
+    solves = []
+    real = sl_eigensolver._solve_domain
+
+    def spy(*args):
+        solves.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(sl_eigensolver, "_solve_domain", spy)
+    with pytest.raises(HypothesisFailed,
+                       match="does not exceed its error") as exc:
+        _quiet_gap(build_measure(4, cauchy_pot(4.5)), one_plus_w(),
+                   GridSpec(n_cells=64))
+    assert "no spectral gap" in str(exc.value)
+    assert len(solves) >= 3, solves
+
+
 # --- essential-spectrum edge ---------------------------------------------
 
 
@@ -535,14 +555,25 @@ def test_residual_check_flags_wrong_eigenvalue():
 # --- truncation control -------------------------------------------------
 
 
-def test_truncation_audit_warns_once():
+def test_truncation_audit_warns_once(monkeypatch):
     # this essential-spectrum case doubles its domain until its fitted
-    # limit meets the edge, and the first doubling fails the audit; the
+    # limit meets the edge, and both doublings fail the audit; the
     # warning fires only once
+    trace = []
+    real = sl_eigensolver._solve_domain
+
+    def spy(*args):
+        trace.append(real(*args))
+        return trace[-1]
+
+    monkeypatch.setattr(sl_eigensolver, "_solve_domain", spy)
     mu = build_measure(3, cauchy_pot(2.0), tail_tol=1e-12)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         spectral_gap(mu, one_plus_w(), GridSpec(n_cells=1024))
+    failed = [abs(v1 - v0) > sl_eigensolver._AUDIT_FACTOR * max(e0, e1)
+              for (v0, e0), (v1, e1) in zip(trace, trace[1:])]
+    assert sum(failed) >= 2, trace
     trunc = [w for w in caught if issubclass(w.category, TruncationWarning)]
     assert len(trunc) == 1, f"{len(trunc)} truncation warnings"
 
