@@ -326,9 +326,10 @@ def test_full_reference_never_exceeds_radial_reference():
 def test_inv_weight_tabulated_metric_maps(n):
     # sigma^2 = 1/(1+r^2) has no closed-form inverse natural coordinate,
     # so the solver tabulates s(r) = int_0^r sqrt(1+u^2) du on the case's
-    # domain.  Measured: 1.64e-4 relative at worst (at r = 1e-8, deep in
-    # the table's first cell) and 1.20e-8 on the round trip; the bounds
-    # leave a margin of 1.8x and 2.5x.
+    # domain.  Measured on the 2049-point table graded toward r = 0:
+    # 3.7e-6 relative at worst (near r_hi) and 2.8e-9 on the round trip.
+    # The bounds date from a 16385-point uniform table, whose first cell
+    # gave 1.64e-4 and 1.20e-8 at r = 1e-8.
     measure, _, _ = make_family(FamilySpec("gaussian", n, "inv_one_plus_r2"))
     r_hi = sl_eigensolver._radii(measure)[1]
     to_metric, from_metric = sl_eigensolver._metric_maps(

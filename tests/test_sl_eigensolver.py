@@ -345,7 +345,8 @@ def test_gapless_edge_raises_before_any_domain_solve(monkeypatch):
 
 
 def test_ground_state_skips_the_repeated_finite_check(monkeypatch):
-    # d and e are checked finite before LAPACK is called
+    # d and e are checked finite before LAPACK is called, on the cold
+    # first pencil of a solve and on a warm start that falls back
     kwargs = []
     real = sl_eigensolver.eigh_tridiagonal
 
@@ -355,7 +356,161 @@ def test_ground_state_skips_the_repeated_finite_check(monkeypatch):
 
     monkeypatch.setattr(sl_eigensolver, "eigh_tridiagonal", spy)
     spectral_gap(build_measure(4, ball_pot()), unit_w(), GridSpec(n_cells=64))
-    assert [kw["check_finite"] for kw in kwargs] == [False] * 3
+    assert [kw["check_finite"] for kw in kwargs] == [False]
+    _, c, m = _first_domain_pencil(build_measure(4, ball_pot()), unit_w(), 64)
+    _ground_state(c, m, 1e6, 0.0)
+    assert [kw["check_finite"] for kw in kwargs] == [False] * 2
+
+
+# --- warm-started Newton ------------------------------------------------
+
+
+def _stebz_spy(monkeypatch):
+    """Count the bisection calls _ground_state makes."""
+    calls = []
+    real = sl_eigensolver.eigh_tridiagonal
+
+    def spy(*args, **kw):
+        calls.append(np.size(args[0]))
+        return real(*args, **kw)
+
+    monkeypatch.setattr(sl_eigensolver, "eigh_tridiagonal", spy)
+    return calls
+
+
+def _tridiagonal(cond, masses):
+    lo = cond / masses[:-1]
+    hi = cond / masses[1:]
+    return lo + hi, -np.sqrt(hi[:-1]) * np.sqrt(lo[1:])
+
+
+def _tight_spectrum(cond, masses):
+    """((lambda_1, lambda_2, lambda_3) of the flux pencil, bisected to the
+    underflow threshold; eps |T|_1)."""
+    d, e = _tridiagonal(cond, masses)
+    vals = scipy.linalg.eigh_tridiagonal(
+        d, e, select="i", select_range=(0, 2), lapack_driver="stebz",
+        eigvals_only=True, tol=2.0 * np.finfo(float).tiny)
+    off = np.abs(e)
+    norm1 = np.max(d + np.append(off, 0.0) + np.append(0.0, off))
+    return vals, np.finfo(float).eps * norm1
+
+
+_WARM_LAWS = [
+    ("ball n=4", lambda: build_measure(4, ball_pot()), unit_w),
+    ("gaussian n=3", lambda: build_measure(3, gaussian_pot()), unit_w),
+    ("exp-power a=1 n=2", lambda: build_measure(2, exp_power_pot(1.0)),
+     unit_w),
+    ("gaussian n=2 inv", lambda: build_measure(2, gaussian_pot()),
+     inv_one_plus_w),
+    ("cauchy n=4 b=4.5", lambda: build_measure(4, cauchy_pot(4.5)),
+     one_plus_w),
+    ("cauchy n=4 b=2.5", lambda: build_measure(4, cauchy_pot(2.5)),
+     one_plus_w),
+]
+
+
+@pytest.mark.parametrize("n_cells", [64, 1024])
+@pytest.mark.parametrize("name,builder,weight", _WARM_LAWS,
+                         ids=[law[0] for law in _WARM_LAWS])
+def test_warm_ground_state_matches_tight_bisection(monkeypatch, name, builder,
+                                                   weight, n_cells):
+    # every pencil of a solve, warm-started or not, lands within
+    # eps |T|_1 of lambda_1 resolved to the underflow threshold
+    pencils = []
+    real = sl_eigensolver._ground_state
+
+    def spy(cond, masses, *guess):
+        lam = real(cond, masses, *guess)
+        pencils.append((cond, masses, guess, lam))
+        return lam
+
+    monkeypatch.setattr(sl_eigensolver, "_ground_state", spy)
+    stebz = _stebz_spy(monkeypatch)
+    try:
+        _quiet_gap(builder(), weight(), GridSpec(n_cells=n_cells))
+    except HypothesisFailed:
+        pass  # cauchy b=4.5 at 64 cells: its pencils are still solved
+    # only the first pencil is solved cold.  At 64 cells the cauchy
+    # pencils are unresolved, with lambda_2/lambda_1 - 1 down to 4e-7, and
+    # Newton hands them all to bisection; at 1024 cells it solves at least
+    # half of every law's pencils
+    assert [bool(p[2]) for p in pencils] == [False] + [True] * (
+        len(pencils) - 1), name
+    if n_cells == 1024:
+        assert 2 * len(stebz) <= len(pencils), (name, stebz)
+    for cond, masses, guess, lam in pencils:
+        (lam1, _, _), tol = _tight_spectrum(cond, masses)
+        assert abs(lam - lam1) <= tol, (name, masses.size, guess, lam, lam1)
+
+
+def _factorization_spy(monkeypatch):
+    """Record the info of every LDL^T factorization Newton makes."""
+    infos = []
+    real = sl_eigensolver.dpttrf
+
+    def spy(*args, **kw):
+        out = real(*args, **kw)
+        infos.append(out[-1])
+        return out
+
+    monkeypatch.setattr(sl_eigensolver, "dpttrf", spy)
+    return infos
+
+
+def test_warm_start_past_the_ground_state_falls_back(monkeypatch):
+    # a prediction between lambda_2 and lambda_3 must not converge to a
+    # higher state: T - sigma I is indefinite there, so the first
+    # factorization fails, no pivot is read, and bisection returns lambda_1
+    _, c, m = _first_domain_pencil(build_measure(3, gaussian_pot()), unit_w(),
+                                   256)
+    (lam1, lam2, lam3), tol = _tight_spectrum(c, m)
+    stebz = _stebz_spy(monkeypatch)
+    infos = _factorization_spy(monkeypatch)
+    lam = _ground_state(c, m, 0.5 * (lam2 + lam3), 0.0)
+    assert len(infos) == 1 and infos[0] > 0, infos
+    assert stebz == [c.size]
+    assert abs(lam - lam1) <= tol, (lam, lam1)
+
+
+def test_warm_start_margin_that_fails_certification_falls_back(monkeypatch):
+    # a margin too small to put sigma below lambda_1 fails at once
+    _, c, m = _first_domain_pencil(build_measure(4, ball_pot()), unit_w(), 256)
+    (lam1, _, _), tol = _tight_spectrum(c, m)
+    stebz = _stebz_spy(monkeypatch)
+    infos = _factorization_spy(monkeypatch)
+    lam = _ground_state(c, m, 1.01 * lam1, 0.005 * lam1)
+    assert len(infos) == 1 and infos[0] > 0, infos
+    assert stebz == [c.size]
+    assert abs(lam - lam1) <= tol, (lam, lam1)
+
+
+def test_warm_start_that_hits_the_step_cap_falls_back(monkeypatch):
+    # Newton always takes two steps before it can stop, so a cap of one
+    # step hands every warm start to bisection
+    _, c, m = _first_domain_pencil(build_measure(4, ball_pot()), unit_w(), 256)
+    (lam1, _, _), tol = _tight_spectrum(c, m)
+    stebz = _stebz_spy(monkeypatch)
+    assert abs(_ground_state(c, m, lam1, 0.01 * lam1) - lam1) <= tol
+    assert stebz == []
+    monkeypatch.setattr(sl_eigensolver, "_NEWTON_CAP", 1)
+    assert abs(_ground_state(c, m, lam1, 0.01 * lam1) - lam1) <= tol
+    assert stebz == [c.size]
+
+
+@pytest.mark.parametrize("prediction,margin", [
+    (1e300, 0.0), (-1e308, 1e308), (0.0, -1e308), (1e-300, 0.0),
+    (0.0, 0.0)])
+def test_warm_start_raises_no_floating_point_warning(prediction, margin):
+    # extreme starts either certify and climb, or fall back; no numpy
+    # warning escapes (the suite also turns RuntimeWarning into errors)
+    _, c, m = _first_domain_pencil(build_measure(3, gaussian_pot()), unit_w(),
+                                   64)
+    (lam1, _, _), tol = _tight_spectrum(c, m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam = _ground_state(c, m, prediction, margin)
+    assert abs(lam - lam1) <= tol, (prediction, margin, lam, lam1)
 
 
 # --- convergence order -------------------------------------------------
@@ -389,9 +544,9 @@ def test_every_domain_solve_uses_three_nested_meshes(monkeypatch):
     calls = []
     real = sl_eigensolver._ground_state
 
-    def spy(cond, masses):
+    def spy(cond, masses, *guess):
         calls.append(masses.size)
-        return real(cond, masses)
+        return real(cond, masses, *guess)
 
     monkeypatch.setattr(sl_eigensolver, "_ground_state", spy)
     est = spectral_gap(build_measure(4, ball_pot()), unit_w(),
@@ -448,9 +603,9 @@ def test_one_mass_integration_per_domain_solve(monkeypatch):
         intervals.append(np.size(lo))
         return real_integrals(log_f, lo, hi)
 
-    def spy_ground(cond, masses):
+    def spy_ground(cond, masses, *guess):
         solves.append(masses.size)
-        return real_ground(cond, masses)
+        return real_ground(cond, masses, *guess)
 
     monkeypatch.setattr(sl_eigensolver, "log_integrals_exp", spy_integrals)
     monkeypatch.setattr(sl_eigensolver, "_ground_state", spy_ground)
