@@ -378,16 +378,12 @@ def _stebz_spy(monkeypatch):
     return calls
 
 
-def _tridiagonal(cond, masses):
-    lo = cond / masses[:-1]
-    hi = cond / masses[1:]
-    return lo + hi, -np.sqrt(hi[:-1]) * np.sqrt(lo[1:])
-
-
 def _tight_spectrum(cond, masses):
     """((lambda_1, lambda_2, lambda_3) of the flux pencil, bisected to the
     underflow threshold; eps |T|_1)."""
-    d, e = _tridiagonal(cond, masses)
+    lo = cond / masses[:-1]
+    hi = cond / masses[1:]
+    d, e = lo + hi, -np.sqrt(hi[:-1]) * np.sqrt(lo[1:])
     vals = scipy.linalg.eigh_tridiagonal(
         d, e, select="i", select_range=(0, 2), lapack_driver="stebz",
         eigvals_only=True, tol=2.0 * np.finfo(float).tiny)
