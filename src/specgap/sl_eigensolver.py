@@ -11,7 +11,9 @@ removes the O(h^2) and O(h^4) mesh errors by Richardson extrapolation
 across three nested meshes.  Only the finest mesh of a domain is
 integrated; the coarser two are its restrictions, whose cell masses are
 pair and quadruple sums of its cell masses and whose faces are a subset
-of its edges.
+of its edges.  The pencil is assembled from the logs of the conductances
+and cell masses of the unnormalized density r^{n-1} e^{-V}, and only the
+ratios c/m are exponentiated: Z never enters, and n up to 1024 solves.
 
 Intertwining.  The derivative of the gap eigenfunction is the ground
 state of a Schroedinger-type operator (the Markovian approach of
@@ -19,9 +21,9 @@ Bonnefont & Joulin).  Discretely, the nonzero spectrum of M^{-1} K is
 the spectrum of the flux pencil C^{1/2} B M^{-1} B^T C^{1/2}, so the gap
 is that pencil's lowest eigenvalue, and the constant mode never enters.
 A domain's first mesh is solved by LAPACK's bisection.  Every other
-pencil has a neighbour -- the coarser mesh, or the previous domain --
-that predicts its eigenvalue, and Newton's method on the determinant
-climbs to it from below, each step certified below it by the inertia of
+pencil starts from a neighbour's eigenvalue -- the coarser mesh's, or
+the previous domain's -- and Newton's method on the determinant climbs
+to its own from below, each step certified below it by the inertia of
 an LDL^T factorization; bisection remains the fallback.
 
 Coordinates.  Meshes are laid out in the natural coordinate of the
@@ -74,10 +76,13 @@ _RATIO_CLIP = 50.0
 # tail-mass budget used to pick the default truncation radius
 _SOLVER_TAIL_TOL = 1e-10
 # the domain never extends past the radius where the density has decayed
-# this many e-folds below its peak (cell masses stay representable) ...
+# this many e-folds below its peak (a policy cap: the domains it sets fix
+# the solver's values, though the log assembly carries any range) ...
 _DENSITY_DROP = 600.0
-# ... nor past this radius (sigma^2, conductances stay within range)
+# ... nor past this radius (sigma^2 stays within range)
 _R_CAP = 1e150
+# largest GridSpec n_cells: memory grows with it (~100 MB at this cap)
+_MAX_CELLS = 65536
 # domain-escalation budget (metric-length doublings)
 _MAX_GROWTH = 8
 # |lambda(2S) - lambda(S)| <= this multiple of the mesh error passes the
@@ -107,8 +112,8 @@ class GridSpec:
     """Mesh resolution of one eigensolve.
 
     n_cells must be a power of two times 64, so that the n_cells/2,
-    n_cells and 2 n_cells meshes of every domain solve nest; the cells
-    are graded (see _mesh_family).
+    n_cells and 2 n_cells meshes of every domain solve nest, and at most
+    _MAX_CELLS; the cells are graded (see _mesh_family).
     """
 
     n_cells: int = 1024
@@ -120,6 +125,9 @@ class GridSpec:
         if self.n_cells < 64 or rem or (k & (k - 1)):
             raise InvalidInput(
                 f"n_cells must be a power of two times 64, got {self.n_cells}")
+        if self.n_cells > _MAX_CELLS:
+            raise InvalidInput(
+                f"n_cells must be at most {_MAX_CELLS}, got {self.n_cells}")
 
 
 @dataclass(frozen=True)
@@ -200,8 +208,8 @@ def _default_radius(measure):
 
 def _representable_radius(measure):
     """Largest radius the solver is willing to mesh: the density must not
-    have decayed more than _DENSITY_DROP e-folds below its peak, and the
-    radius must leave sigma^2 and face conductances inside double range.
+    have decayed more than _DENSITY_DROP e-folds below its peak (a domain
+    cap), and the radius must leave sigma^2 inside double range.
 
     The grid's steps (0.042 in log(1+r)) can be far wider than the wall
     of a steep law.  A last live point whose density is still above the
@@ -315,68 +323,54 @@ def _require_increasing(r, floor=-math.inf):
 
 
 def _mesh_terms(measure, weight, edges, from_metric):
-    """(face_flux, masses) of one mesh, given by its natural-coordinate
-    edges: the numerators sigma^2(r_f) w(r_f) of the interior face
-    conductances, and the cell masses -- every integral and density
-    evaluation of an assembly."""
+    """(log_flux, log_m) of one mesh, given by its natural-coordinate
+    edges: the logs of the numerators sigma^2(r_f) w(r_f) of the interior
+    face conductances and of the cell masses, both of the unnormalized
+    density -- every integral and density evaluation of an assembly."""
     r_edges = np.asarray(from_metric(edges), dtype=float)
     r_edges[0] = 0.0
     _require_increasing(r_edges)
     faces = r_edges[1:-1]
-    with np.errstate(over="ignore", under="ignore"):
-        log_w_face = (np.asarray(measure.log_weight(faces), dtype=float)
-                      - measure.log_z)
-        face_flux = np.asarray(weight.s2(faces), dtype=float) * np.exp(
-            log_w_face)
+    log_flux = np.log(weight.s2(faces)) + measure.log_weight(faces)
 
     log_m = np.empty(edges.size - 1)
-    log_m[0] = _first_cell_log_mass(measure, r_edges[1]) - measure.log_z
+    log_m[0] = _first_cell_log_mass(measure, r_edges[1])
     t_lo = np.log(r_edges[1:-1])
     t_hi = np.log(r_edges[2:])
 
     def log_f(t):
         return np.asarray(measure.log_weight(np.exp(t)), dtype=float) + t
 
-    log_m[1:] = log_integrals_exp(log_f, t_lo, t_hi) - measure.log_z
-    with np.errstate(under="ignore"):
-        masses = np.exp(log_m)
-    return face_flux, masses
+    log_m[1:] = log_integrals_exp(log_f, t_lo, t_hi)
+    return log_flux, log_m
 
 
-def _pencil(edges, face_flux, masses, from_metric):
-    """(conductances, masses) of one mesh from its _mesh_terms, checked:
-    the midpoint-face conductances sigma^2(r_f) w(r_f) / (center
-    distance) of K = B^T C B, and the cell masses of M."""
+def _pencil(edges, log_flux, from_metric):
+    """The log conductances of one mesh from its _mesh_terms' log_flux:
+    the midpoint-face conductances sigma^2(r_f) w(r_f) / (center distance)
+    of K = B^T C B."""
     r_centers = np.asarray(from_metric(0.5 * (edges[:-1] + edges[1:])),
                            dtype=float)
     _require_increasing(r_centers, floor=0.0)
-    with np.errstate(over="ignore", under="ignore"):
-        cond = face_flux / np.diff(r_centers)
-    if np.any(~np.isfinite(cond)) or np.any(cond <= 0.0):
-        raise DiscretizationError(
-            "a face conductance underflowed to zero or overflowed; the "
-            "domain extends past the representable range of the density")
-    if np.any(~np.isfinite(masses)) or np.any(masses <= 0.0):
-        raise DiscretizationError(
-            "a cell mass underflowed to zero; refine the grading or "
-            "shrink the domain")
-    return cond, masses
+    return log_flux - np.log(np.diff(r_centers))
 
 
 def _nested_pencils(measure, weight, edges, from_metric):
-    """(conductances, masses) of the meshes edges[::4], edges[::2] and
-    edges, coarsest first, from one assembly of the finest.
+    """(log conductances, log masses) of the meshes edges[::4], edges[::2]
+    and edges, coarsest first, from one assembly of the finest.
 
-    Each coarse cell is a pair (or quadruple) of fine cells and each
+    Each coarse cell is a pair (or a pair of pairs) of fine cells and each
     coarse face a fine edge, so the coarse pencils are restrictions: the
-    coarse masses are sums of fine masses and the coarse face numerators
-    a subset of the fine ones.  Only the coarse cell centers, and with
-    them the conductances' center distances, are computed anew.
+    coarse log masses are logaddexp of fine ones and the coarse face
+    numerators a subset of the fine ones.  Only the coarse cell centers,
+    and with them the conductances' center distances, are computed anew.
     """
-    face_flux, masses = _mesh_terms(measure, weight, edges, from_metric)
-    return [_pencil(edges[::step], face_flux[step - 1::step],
-                    masses.reshape(-1, step).sum(axis=1), from_metric)
-            for step in (4, 2, 1)]
+    log_flux, log_m = _mesh_terms(measure, weight, edges, from_metric)
+    log_m2 = np.logaddexp(log_m[0::2], log_m[1::2])
+    log_m4 = np.logaddexp(log_m2[0::2], log_m2[1::2])
+    return [(_pencil(edges[::step], log_flux[step - 1::step], from_metric),
+             masses)
+            for step, masses in ((4, log_m4), (2, log_m2), (1, log_m))]
 
 
 # ---------------------------------------------------------------------
@@ -431,33 +425,36 @@ def _newton_from_below(d, e, sigma):
     return None
 
 
-def _ground_state(cond, masses, prediction=None, margin=0.0):
+def _ground_state(log_c, log_m, start=None):
     """The spectral gap lambda_1 of K g = lambda M g, as the ground state
-    of the flux pencil.
+    of the flux pencil, given the logs of the conductances C and of the
+    cell masses M.
 
     With K = B^T C B, the nonzero spectrum of M^{-1} K is the spectrum
     of the positive definite (N-1)x(N-1) pencil
     T = C^{1/2} B M^{-1} B^T C^{1/2}, which acts on face fluxes: the
     discrete form of the intertwining that makes the derivative of the
     gap eigenfunction the ground state of a Schroedinger-type operator.
+    T needs only the ratios c/m, so the density's normalization cancels.
 
-    Given a prediction of lambda_1, Newton's method climbs to it from
-    prediction - margin (see _newton_from_below).  Without one, or when
-    Newton gives up, LAPACK's bisection (stebz) finds it to eps |T|_1.
+    Given a start below lambda_1, Newton's method climbs to it from there
+    (see _newton_from_below).  Without one, or when Newton gives up,
+    LAPACK's bisection (stebz) finds it to eps |T|_1.
     """
-    # T_ii = c_i (1/m_i + 1/m_{i+1}), T_{i,i+1} = -sqrt(c_i c_{i+1})/m_{i+1},
-    # assembled from the ratios c/m, which stay in range when c and m
-    # are both tiny
-    lo = cond / masses[:-1]
-    hi = cond / masses[1:]
+    # T_ii = c_i (1/m_i + 1/m_{i+1}), T_{i,i+1} = -sqrt(c_i c_{i+1})/m_{i+1}
+    with np.errstate(over="ignore", under="ignore"):
+        lo = np.exp(log_c - log_m[:-1])
+        hi = np.exp(log_c - log_m[1:])
     d = lo + hi
     e = -np.sqrt(hi[:-1]) * np.sqrt(lo[1:])
-    if np.any(~np.isfinite(d)) or np.any(~np.isfinite(e)):
+    # the one range check: a ratio below the smallest normal double can
+    # make e zero, which decouples T; a NaN fails it through d
+    if not (min(lo.min(), hi.min()) >= np.finfo(float).tiny
+            and d.max() < math.inf):
         raise DiscretizationError(
-            "pencil entries overflowed; the mesh spans a wider dynamic "
-            "range than doubles can carry")
-    if prediction is not None:
-        lam = _newton_from_below(d, e, prediction - margin)
+            "a ratio c/m of the flux pencil left the normal double range")
+    if start is not None:
+        lam = _newton_from_below(d, e, start)
         if lam is not None:
             return lam
     try:
@@ -471,7 +468,7 @@ def _ground_state(cond, masses, prediction=None, margin=0.0):
 
 
 def _solve_domain(measure, weight, r_hi, spec, to_metric, from_metric,
-                  level0=None):
+                  start=None):
     """Mesh-extrapolated eigensolve on one domain.
 
     Solves on the nested n_cells/2, n_cells and 2 n_cells meshes.  Only
@@ -482,30 +479,21 @@ def _solve_domain(measure, weight, r_hi, spec, to_metric, from_metric,
     of the nested-mesh expansion.  The mesh error is the two-mesh formula
     |lambda_N - lambda_2N| / 3, so it is conservative for the value.
 
-    Each mesh but the first is warm-started (see _ground_state).  The
-    n_cells mesh starts from the n_cells/2 one's eigenvalue l0, which lies
-    below its own on every catalog pencil, and the 2 n_cells mesh from the
-    O(h^2) law l1 + (l1 - l0)/4, with that correction as its margin.
-    level0, when given, lists the n_cells/2 eigenvalues of the domains
-    solved before: its last entry, less _WARM_MARGIN of itself, starts
-    this domain's n_cells/2 mesh, and this domain's is appended.
-    Returns (value, mesh_error).
+    Each mesh starts Newton's method (see _ground_state) from the
+    eigenvalue of the mesh before it, which lies below its own on every
+    catalog pencil; the n_cells/2 mesh starts from start, or cold.
+    Returns (value, mesh_error, l0), l0 the n_cells/2 eigenvalue.
     """
     mesh = _mesh_family(measure, weight, from_metric, float(to_metric(r_hi)))
     coarse, middle, fine = _nested_pencils(
         measure, weight, mesh(2 * spec.n_cells), from_metric)
-    if level0:
-        l0 = _ground_state(*coarse, level0[-1], _WARM_MARGIN * level0[-1])
-    else:
-        l0 = _ground_state(*coarse)
-    if level0 is not None:
-        level0.append(l0)
+    l0 = _ground_state(*coarse, start)
     l1 = _ground_state(*middle, l0)
-    l2 = _ground_state(*fine, l1 + (l1 - l0) / 4.0, abs(l1 - l0) / 4.0)
+    l2 = _ground_state(*fine, l1)
     rich_lo = l1 + (l1 - l0) / 3.0
     rich_hi = l2 + (l2 - l1) / 3.0
     value = rich_hi + (rich_hi - rich_lo) / 15.0
-    return value, abs(l2 - l1) / 3.0
+    return value, abs(l2 - l1) / 3.0, l0
 
 
 def _fit_inverse_square(points):
@@ -642,11 +630,10 @@ def spectral_gap(measure, weight, opts=None):
 
     # the domain trace: (natural length, value, mesh error, radius) per
     # solve; shift is what the last doubling moved the eigenvalue (0 for a
-    # single domain); level0 holds each solve's coarsest-mesh eigenvalue,
-    # which warm-starts the next one's
-    level0 = []
-    value, err = _solve_domain(measure, weight, r0, spec, to_metric,
-                               from_metric, level0)
+    # single domain); l0, each solve's coarsest-mesh eigenvalue less
+    # _WARM_MARGIN of itself, starts the next one's
+    value, err, l0 = _solve_domain(measure, weight, r0, spec, to_metric,
+                                   from_metric)
     solves = [(s0, value, err, r0)]
     shift = 0.0
     lam_inf = None
@@ -662,8 +649,9 @@ def spectral_gap(measure, weight, opts=None):
             break
         s_next = min(2.0 * s_prev, s_cap)
         r_next = float(from_metric(s_next))
-        val_n, err_n = _solve_domain(
-            measure, weight, r_next, spec, to_metric, from_metric, level0)
+        val_n, err_n, l0 = _solve_domain(measure, weight, r_next, spec,
+                                         to_metric, from_metric,
+                                         l0 - _WARM_MARGIN * l0)
         shift = abs(val_n - val_prev)
         mesh_err = max(err_prev, err_n, 1e-300)
         if shift > _AUDIT_FACTOR * mesh_err and not warned:

@@ -239,14 +239,13 @@ def test_eigen_ball():
 
 
 @pytest.mark.parametrize("argv,error", [
-    (["--family", "exp-power", "--alpha", "1.01", "--n", "192"],
-     "DiscretizationError: "),
+    (["--family", "ball", "--n", "2048"], "DiscretizationError: "),
     (["--family", "cauchy", "--beta", "4.1", "--n", "8"],
      "HypothesisFailed: no spectral gap"),
     (["--family", "exp-power", "--alpha", "1.5", "--n", "4",
       "--weight", "inv-one-plus-r2"],
      "HypothesisFailed: no spectral gap"),
-], ids=["normalization-past-double-range", "no-gap", "no-gap-at-the-edge"])
+], ids=["density-past-double-range", "no-gap", "no-gap-at-the-edge"])
 def test_eigen_failures_are_typed(argv, error):
     # the report names the failure; no raw exception reaches the CLI
     code, rep = run_json(["eigen"] + argv)
@@ -522,6 +521,8 @@ def test_non_positive_grid_infimum_names_its_own_reason():
     ["bounds", "--family", "gaussian", "--n", "1"],
     ["table", "--id", "cauchy-n3", "--betas", "xyz"],
     ["eigen", "--family", "gaussian", "--n", "3", "--cells", "100"],
+    # twice the cell cap: harmless even if the guard failed
+    ["eigen", "--family", "gaussian", "--n", "3", "--cells", "131072"],
     ["verify", "--scope", "cauchy-exact", "--max-cases", "0"],
     ["verify", "--scope", "cauchy-exact", "--max-cases", "-1"],
     # non-finite flags are echoed as null, so the report still renders
@@ -530,8 +531,8 @@ def test_non_positive_grid_infimum_names_its_own_reason():
     ["bounds", "--family", "exp-power", "--alpha", "nan", "--n", "3"],
     ["bounds", "--family", "cauchy", "--beta", "inf", "--n", "3"],
 ], ids=["no-beta", "beta-at-threshold", "n1", "bad-betas", "bad-cells",
-        "max-cases-0", "max-cases-negative", "tail-tol-nan", "tail-tol-inf",
-        "alpha-nan", "beta-inf"])
+        "cells-over-cap", "max-cases-0", "max-cases-negative", "tail-tol-nan",
+        "tail-tol-inf", "alpha-nan", "beta-inf"])
 def test_usage_errors_exit_2(argv):
     code, text = run_cli(argv)
     assert code == 2

@@ -8,8 +8,10 @@ closed forms written out there.  Oracle sources:
   ball          lambda = j_{n/2,1}^2, the squared first positive zero of
                 the Bessel function J_{n/2} (Neumann radial problem on
                 the unit ball); values frozen from scipy.special.jn_zeros
-                at build time of this suite
+                at build time of this suite, and computed by it for the
+                large-dimension sweep
   gaussian      radial gap 2, eigenfunction r^2 - n
+  exp-power     alpha = 1: radial gap n/(n+1)^2
   heavy tail    weighted gap (beta - n/2)^2 for beta <= n/2 + 2, else
                 4 (beta - n/2 - 1) with eigenfunction r^2 - const
   edge          essential-spectrum bottom lim W: (beta - n/2)^2 for the
@@ -26,11 +28,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 from scipy.optimize import brentq
-from scipy.special import gammainc, gammaln
+from scipy.special import gammainc, gammaln, jn_zeros, logsumexp
 
 from specgap import sl_eigensolver
 from specgap.catalog import power_weight
-from specgap.errors import HypothesisFailed, InvalidInput, TruncationWarning
+from specgap.errors import (DiscretizationError, HypothesisFailed,
+                            InvalidInput, TruncationWarning)
 from specgap.radial_model import (RadialPotential, build_measure,
                                   truncation_radius)
 from specgap.sl_eigensolver import (GridSpec, _ground_state, residual_check,
@@ -183,26 +186,27 @@ def _first_domain_mesh(mu, w):
 
 
 def _first_domain_pencil(mu, w, n_cells):
-    """(edges, conductances, masses) of the n_cells mesh of the first
-    domain, assembled directly."""
+    """(edges, log conductances, log masses) of the n_cells mesh of the
+    first domain, assembled directly."""
     mesh, from_metric = _first_domain_mesh(mu, w)
     edges = mesh(n_cells)
-    cond, masses = sl_eigensolver._nested_pencils(mu, w, edges,
+    log_c, log_m = sl_eigensolver._nested_pencils(mu, w, edges,
                                                   from_metric)[-1]
-    return edges, cond, masses
+    return edges, log_c, log_m
 
 
 def test_discretize_conserves_mass():
-    # under the unit weight the natural-coordinate edges are radii
-    edges, cond, masses = _first_domain_pencil(
-        build_measure(2, ball_pot()), unit_w(), 128)
-    assert cond.size == masses.size - 1
-    assert np.all(cond > 0.0)
+    # under the unit weight the natural-coordinate edges are radii; the
+    # masses are of the unnormalized density, so they sum to Z
+    mu = build_measure(2, ball_pot())
+    edges, log_c, log_m = _first_domain_pencil(mu, unit_w(), 128)
+    assert log_c.size == log_m.size - 1
+    assert np.all(np.isfinite(log_c))
     assert edges[0] == 0.0
     assert abs(edges[-1] - 1.0) < 1e-12
     assert np.all(np.diff(edges) > 0.0)
-    assert np.all(masses > 0.0)
-    assert abs(masses.sum() - 1.0) < 1e-9
+    assert np.all(np.isfinite(log_m))
+    assert abs(logsumexp(log_m) - mu.log_z) < 1e-9
 
 
 @pytest.mark.parametrize("r1", [1e-3, 0.5, 2.0])
@@ -220,8 +224,9 @@ def test_first_cell_mass_matches_incomplete_gamma(alpha, n, r1):
 
 
 def test_coarse_rayleigh_quotient_near_gap():
-    edges, cond, masses = _first_domain_pencil(
+    edges, log_c, log_m = _first_domain_pencil(
         build_measure(3, gaussian_pot()), unit_w(), 64)
+    cond, masses = np.exp(log_c), np.exp(log_m)
     # under the unit weight the cell centers are the edge midpoints
     v = (0.5 * (edges[:-1] + edges[1:])) ** 2
     v = v - (masses @ v) / masses.sum()
@@ -238,12 +243,32 @@ def test_coarse_rayleigh_quotient_near_gap():
 def test_ground_state_matches_dense_generalized_eigh(name, builder, weight):
     # oracle: the second eigenvalue of the dense Neumann pencil
     # K g = lambda M g, with K = B^T C B built from the same conductances
-    _, c, m = _first_domain_pencil(builder(), weight(), 64)
+    _, log_c, log_m = _first_domain_pencil(builder(), weight(), 64)
+    c, m = np.exp(log_c), np.exp(log_m)
     b = np.diff(np.eye(m.size), axis=0)
     vals = scipy.linalg.eigh(b.T @ (c[:, None] * b), np.diag(m),
                              eigvals_only=True)
-    lam = _ground_state(c, m)
+    lam = _ground_state(log_c, log_m)
     assert abs(lam - vals[1]) <= 1e-10 * vals[1], (name, lam, vals[1])
+
+
+@pytest.mark.parametrize("term,shift", [
+    (1, 800.0), (0, -800.0), (0, 800.0), (0, math.nan)],
+    ids=["mass-up", "conductance-down", "conductance-up", "conductance-nan"])
+def test_pencil_out_of_double_range_is_refused(term, shift):
+    # one log mass or log conductance moved out of range.  A huge mass
+    # leaves every diagonal entry positive and finite, but both ratios c/m
+    # at that cell underflow, and the zero off-diagonal would decouple T
+    # and give a silently wrong value; ratios that underflow, overflow or
+    # are NaN are refused by the one range check
+    pencil = [terms.copy() for terms in _first_domain_pencil(
+        build_measure(4, ball_pot()), unit_w(), 64)[1:]]
+    pencil[term][pencil[term].size // 2] += shift
+    log_c, log_m = pencil
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DiscretizationError, match="normal double range"):
+            _ground_state(log_c, log_m)
 
 
 @pytest.mark.parametrize("label,builder,weight", [
@@ -358,7 +383,7 @@ def test_ground_state_skips_the_repeated_finite_check(monkeypatch):
     spectral_gap(build_measure(4, ball_pot()), unit_w(), GridSpec(n_cells=64))
     assert [kw["check_finite"] for kw in kwargs] == [False]
     _, c, m = _first_domain_pencil(build_measure(4, ball_pot()), unit_w(), 64)
-    _ground_state(c, m, 1e6, 0.0)
+    _ground_state(c, m, 1e6)
     assert [kw["check_finite"] for kw in kwargs] == [False] * 2
 
 
@@ -378,11 +403,11 @@ def _stebz_spy(monkeypatch):
     return calls
 
 
-def _tight_spectrum(cond, masses):
+def _tight_spectrum(log_c, log_m):
     """((lambda_1, lambda_2, lambda_3) of the flux pencil, bisected to the
     underflow threshold; eps |T|_1)."""
-    lo = cond / masses[:-1]
-    hi = cond / masses[1:]
+    lo = np.exp(log_c - log_m[:-1])
+    hi = np.exp(log_c - log_m[1:])
     d, e = lo + hi, -np.sqrt(hi[:-1]) * np.sqrt(lo[1:])
     vals = scipy.linalg.eigh_tridiagonal(
         d, e, select="i", select_range=(0, 2), lapack_driver="stebz",
@@ -416,9 +441,9 @@ def test_warm_ground_state_matches_tight_bisection(monkeypatch, name, builder,
     pencils = []
     real = sl_eigensolver._ground_state
 
-    def spy(cond, masses, *guess):
-        lam = real(cond, masses, *guess)
-        pencils.append((cond, masses, guess, lam))
+    def spy(log_c, log_m, start=None):
+        lam = real(log_c, log_m, start)
+        pencils.append((log_c, log_m, start, lam))
         return lam
 
     monkeypatch.setattr(sl_eigensolver, "_ground_state", spy)
@@ -431,13 +456,13 @@ def test_warm_ground_state_matches_tight_bisection(monkeypatch, name, builder,
     # pencils are unresolved, with lambda_2/lambda_1 - 1 down to 4e-7, and
     # Newton hands them all to bisection; at 1024 cells it solves at least
     # half of every law's pencils
-    assert [bool(p[2]) for p in pencils] == [False] + [True] * (
+    assert [p[2] is not None for p in pencils] == [False] + [True] * (
         len(pencils) - 1), name
     if n_cells == 1024:
         assert 2 * len(stebz) <= len(pencils), (name, stebz)
-    for cond, masses, guess, lam in pencils:
-        (lam1, _, _), tol = _tight_spectrum(cond, masses)
-        assert abs(lam - lam1) <= tol, (name, masses.size, guess, lam, lam1)
+    for log_c, log_m, start, lam in pencils:
+        (lam1, _, _), tol = _tight_spectrum(log_c, log_m)
+        assert abs(lam - lam1) <= tol, (name, log_m.size, start, lam, lam1)
 
 
 def _factorization_spy(monkeypatch):
@@ -463,19 +488,19 @@ def test_warm_start_past_the_ground_state_falls_back(monkeypatch):
     (lam1, lam2, lam3), tol = _tight_spectrum(c, m)
     stebz = _stebz_spy(monkeypatch)
     infos = _factorization_spy(monkeypatch)
-    lam = _ground_state(c, m, 0.5 * (lam2 + lam3), 0.0)
+    lam = _ground_state(c, m, 0.5 * (lam2 + lam3))
     assert len(infos) == 1 and infos[0] > 0, infos
     assert stebz == [c.size]
     assert abs(lam - lam1) <= tol, (lam, lam1)
 
 
 def test_warm_start_margin_that_fails_certification_falls_back(monkeypatch):
-    # a margin too small to put sigma below lambda_1 fails at once
+    # a start above lambda_1 fails at once
     _, c, m = _first_domain_pencil(build_measure(4, ball_pot()), unit_w(), 256)
     (lam1, _, _), tol = _tight_spectrum(c, m)
     stebz = _stebz_spy(monkeypatch)
     infos = _factorization_spy(monkeypatch)
-    lam = _ground_state(c, m, 1.01 * lam1, 0.005 * lam1)
+    lam = _ground_state(c, m, 1.01 * lam1 - 0.005 * lam1)
     assert len(infos) == 1 and infos[0] > 0, infos
     assert stebz == [c.size]
     assert abs(lam - lam1) <= tol, (lam, lam1)
@@ -487,10 +512,10 @@ def test_warm_start_that_hits_the_step_cap_falls_back(monkeypatch):
     _, c, m = _first_domain_pencil(build_measure(4, ball_pot()), unit_w(), 256)
     (lam1, _, _), tol = _tight_spectrum(c, m)
     stebz = _stebz_spy(monkeypatch)
-    assert abs(_ground_state(c, m, lam1, 0.01 * lam1) - lam1) <= tol
+    assert abs(_ground_state(c, m, lam1 - 0.01 * lam1) - lam1) <= tol
     assert stebz == []
     monkeypatch.setattr(sl_eigensolver, "_NEWTON_CAP", 1)
-    assert abs(_ground_state(c, m, lam1, 0.01 * lam1) - lam1) <= tol
+    assert abs(_ground_state(c, m, lam1 - 0.01 * lam1) - lam1) <= tol
     assert stebz == [c.size]
 
 
@@ -505,7 +530,7 @@ def test_warm_start_raises_no_floating_point_warning(prediction, margin):
     (lam1, _, _), tol = _tight_spectrum(c, m)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        lam = _ground_state(c, m, prediction, margin)
+        lam = _ground_state(c, m, prediction - margin)
     assert abs(lam - lam1) <= tol, (prediction, margin, lam, lam1)
 
 
@@ -526,7 +551,7 @@ def test_richardson_error_shrinks_by_factor_three(name, builder, weight):
     maps = sl_eigensolver._metric_maps(weight(), r_hi)
     errs = []
     for cells in (64, 128, 256, 512):
-        _, err = sl_eigensolver._solve_domain(
+        _, err, _ = sl_eigensolver._solve_domain(
             mu, weight(), r_hi, GridSpec(n_cells=cells), *maps)
         errs.append(err)
     ratios = [errs[i] / errs[i + 1] for i in range(3) if errs[i + 1] > 0]
@@ -540,9 +565,9 @@ def test_every_domain_solve_uses_three_nested_meshes(monkeypatch):
     calls = []
     real = sl_eigensolver._ground_state
 
-    def spy(cond, masses, *guess):
-        calls.append(masses.size)
-        return real(cond, masses, *guess)
+    def spy(log_c, log_m, *start):
+        calls.append(log_m.size)
+        return real(log_c, log_m, *start)
 
     monkeypatch.setattr(sl_eigensolver, "_ground_state", spy)
     est = spectral_gap(build_measure(4, ball_pot()), unit_w(),
@@ -566,22 +591,23 @@ def test_restricted_pencils_match_direct_assembly(name, builder, weight,
     mesh, from_metric = _first_domain_mesh(mu, w)
     fine = mesh(2 * n_cells)
     pencils = sl_eigensolver._nested_pencils(mu, w, fine, from_metric)
-    for step, (cond, masses) in zip((4, 2, 1), pencils):
+    for step, (log_c, log_m) in zip((4, 2, 1), pencils):
         edges = mesh(2 * n_cells // step)
         assert np.array_equal(fine[::step], edges), (name, step)
-        cond_d, masses_d = sl_eigensolver._pencil(
-            edges, *sl_eigensolver._mesh_terms(mu, w, edges, from_metric),
-            from_metric)
-        assert np.array_equal(cond, cond_d), (name, step)
-        np.testing.assert_allclose(masses, masses_d, rtol=1e-12, atol=0.0,
+        log_flux_d, log_m_d = sl_eigensolver._mesh_terms(mu, w, edges,
+                                                         from_metric)
+        log_c_d = sl_eigensolver._pencil(edges, log_flux_d, from_metric)
+        assert np.array_equal(log_c, log_c_d), (name, step)
+        # a relative mass error of 1e-12 is a log error of 1e-12
+        np.testing.assert_allclose(log_m, log_m_d, rtol=0.0, atol=1e-12,
                                    err_msg=f"{name} step {step}")
-        lam_r = _ground_state(cond, masses)
-        lam_d = _ground_state(cond_d, masses_d)
+        lam_r = _ground_state(log_c, log_m)
+        lam_d = _ground_state(log_c_d, log_m_d)
         # the tridiagonal bisection resolves each eigenvalue to
         # eps |T|_1 absolute, which on ball n=4 at 1024 cells is 2.2e-10
         # relative; two such solves may differ by twice that
-        lo = cond_d / masses_d[:-1]
-        hi = cond_d / masses_d[1:]
+        lo = np.exp(log_c_d - log_m_d[:-1])
+        hi = np.exp(log_c_d - log_m_d[1:])
         off = np.sqrt(hi[:-1] * lo[1:])
         norm1 = np.max(lo + hi + np.append(off, 0.0) + np.append(0.0, off))
         tol = max(1e-10 * lam_d, 2.0 * np.finfo(float).eps * norm1)
@@ -599,9 +625,9 @@ def test_one_mass_integration_per_domain_solve(monkeypatch):
         intervals.append(np.size(lo))
         return real_integrals(log_f, lo, hi)
 
-    def spy_ground(cond, masses, *guess):
-        solves.append(masses.size)
-        return real_ground(cond, masses, *guess)
+    def spy_ground(log_c, log_m, *start):
+        solves.append(log_m.size)
+        return real_ground(log_c, log_m, *start)
 
     monkeypatch.setattr(sl_eigensolver, "log_integrals_exp", spy_integrals)
     monkeypatch.setattr(sl_eigensolver, "_ground_state", spy_ground)
@@ -678,6 +704,56 @@ def test_heavy_tail_eigenvalue_regime_tight(n, beta, exact):
         f"n={n} beta={beta}: {est.value!r} vs exact {exact}")
 
 
+# --- large dimensions --------------------------------------------------
+
+
+def _large_n_laws():
+    """(label, n, potential, weight, closed form or None) over
+    n in {128, 256, 512, 1024}: gaussian 2, exp-power alpha = 1
+    n/(n+1)^2 (and alpha = 2, the gaussian), ball j_{n/2,1}^2, and cauchy
+    with sigma^2 = 1+r^2 at t = beta - n/2: t^2 for t <= 2, else 4(t-1);
+    plus exp-power alpha = 1 at n = 192."""
+    laws = [("exp-power a=1 n=192", 192, exp_power_pot(1.0), unit_w,
+             192.0 / 193.0 ** 2)]
+    for n in (128, 256, 512, 1024):
+        laws += [(f"gaussian n={n}", n, gaussian_pot(), unit_w, 2.0),
+                 (f"ball n={n}", n, ball_pot(), unit_w,
+                  float(jn_zeros(n // 2, 1)[0]) ** 2)]
+        exact = {1.0: n / (n + 1.0) ** 2, 2.0: 2.0}
+        laws += [(f"exp-power a={a:g} n={n}", n, exp_power_pot(a), unit_w,
+                  exact.get(a)) for a in (1.0, 1.5, 2.0, 4.0, 16.0)]
+        laws += [(f"cauchy n={n} t={t:g}", n, cauchy_pot(n / 2.0 + t),
+                  one_plus_w, t * t if t <= 2.0 else 4.0 * (t - 1.0))
+                 for t in (0.5, 1.5, 2.5, 4.5)]
+    return laws
+
+
+_LARGE_N = _large_n_laws()
+
+
+@pytest.mark.parametrize("n_cells", [256, 1024])
+@pytest.mark.parametrize("label,n,pot,weight,exact", _LARGE_N,
+                         ids=[law[0] for law in _LARGE_N])
+def test_large_dimensions_solve(label, n, pot, weight, exact, n_cells):
+    # the pencil is assembled from logs, so no mass or conductance
+    # underflows as n grows; each closed form lies within the error
+    est = _quiet_gap(build_measure(n, pot), weight(),
+                     GridSpec(n_cells=n_cells))
+    assert 0.0 < est.error_estimate < est.value, (label, est)
+    if exact is not None:
+        assert abs(est.value - exact) <= est.error_estimate, (
+            label, n_cells, est, exact)
+
+
+@pytest.mark.parametrize("n,pot", [(2048, ball_pot()),
+                                   (8192, gaussian_pot())],
+                         ids=["ball n=2048", "gaussian n=8192"])
+def test_dimension_past_double_range_is_refused(n, pot):
+    # the ratios c/m of these pencils leave the normal double range
+    with pytest.raises(DiscretizationError, match="normal double range"):
+        spectral_gap(build_measure(n, pot), unit_w())
+
+
 # --- residuals ---------------------------------------------------------
 
 
@@ -723,7 +799,7 @@ def test_truncation_audit_warns_once(monkeypatch):
         warnings.simplefilter("always")
         spectral_gap(mu, one_plus_w(), GridSpec(n_cells=1024))
     failed = [abs(v1 - v0) > sl_eigensolver._AUDIT_FACTOR * max(e0, e1)
-              for (v0, e0), (v1, e1) in zip(trace, trace[1:])]
+              for (v0, e0, _), (v1, e1, _) in zip(trace, trace[1:])]
     assert sum(failed) >= 2, trace
     trunc = [w for w in caught if issubclass(w.category, TruncationWarning)]
     assert len(trunc) == 1, f"{len(trunc)} truncation warnings"
@@ -742,3 +818,11 @@ def test_grid_spec_rejects_non_multiple_of_64(bad):
     with pytest.raises(InvalidInput) as exc:
         GridSpec(n_cells=bad)
     assert "64" in str(exc.value)
+
+
+def test_grid_spec_rejects_more_than_the_cell_cap():
+    # checked before any allocation: memory grows with the cell count
+    cap = sl_eigensolver._MAX_CELLS
+    assert GridSpec(n_cells=cap).n_cells == cap
+    with pytest.raises(InvalidInput, match=f"at most {cap}, got {2 * cap}"):
+        GridSpec(n_cells=2 * cap)

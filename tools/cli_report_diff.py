@@ -61,6 +61,11 @@ A refactor that claims to keep behaviour shows it on this list:
   integrability threshold beta = n/2, whose normalization raises a
   ``ConvergenceError`` (exit 1) with its quadrature error and
   extrapolated-tail charge.
+- ``eigen`` past the catalog's dimensions, where the pencil's masses and
+  conductances span hundreds of decades: ball n=128, gaussian n=1024,
+  exp-power alpha=1 n=1024 and cauchy beta=514.5 n=1024 with
+  sigma^2 = 1+r^2; the refused ball n=2048 (``DiscretizationError``, exit
+  1); and ``eigen --cells 131072``, over the cell cap (exit 2).
 
     python3 tools/cli_report_diff.py run SRC_TREE OUT_DIR
     python3 tools/cli_report_diff.py compare DIR_A DIR_B
@@ -168,6 +173,13 @@ _VARIANTS = (
        "--weight", "one-plus-r2", "--cells", cells]
       for cells in ("64", "256")),
     ["eigen", "--family", "exp-power", "--alpha", "1.2", "--n", "3"],
+    *(["eigen"] + case for case in (
+        _BALL128, _NARROW[0],
+        ["--family", "exp-power", "--alpha", "1", "--n", "1024"],
+        ["--family", "cauchy", "--beta", "514.5", "--n", "1024",
+         "--weight", "one-plus-r2"],
+        ["--family", "ball", "--n", "2048"])),
+    ["eigen"] + _GAUSSIAN + ["--cells", "131072"],
     ["table", "--id", "ball", "--dims", "2,4,8"],
     ["table", "--id", "gaussian-weighted", "--dims", "2..4"],
     ["table", "--id", "ball", "--dims", "3..2"],
