@@ -229,10 +229,10 @@ class BoundBracket:
 class RadialMeasure:
     """Normalized radial law nu with cached truncation and quantile tables.
 
-    ``_grid_spline`` is the diagnostic quantile table that build_measure
-    makes; ``_tables`` caches, per measure object, the sampling quantile
-    table and the diagnostic grids, each built on first use.  It is not
-    an __init__ field, so ``dataclasses.replace`` starts it empty.
+    ``_tables`` caches, per measure object, the diagnostic and sampling
+    quantile tables and the diagnostic grids, each built on first use.
+    It is not an __init__ field, so ``dataclasses.replace`` starts it
+    empty.
     """
 
     n: int
@@ -241,7 +241,6 @@ class RadialMeasure:
     log_z: float
     r_max: float
     name: str = ""
-    _grid_spline: object = field(default=None, repr=False, compare=False)
     _tables: dict = field(init=False, default_factory=dict, repr=False,
                           compare=False)
 
@@ -445,8 +444,6 @@ def build_measure(n, potential, tail_tol=1e-12, name=""):
     log_z = shift + math.log(val)
     measure = replace(measure, log_z=log_z)
     measure = replace(measure, r_max=truncation_radius(measure, tail_tol))
-    measure = replace(
-        measure, _grid_spline=_quantile_table(measure, _GRID_CELLS))
 
     _check_potential_derivatives(measure)
     return measure
@@ -497,7 +494,9 @@ def diagnostic_grid(measure, count=201, p_lo=1e-4):
     sampling table, and each (count, p_lo) grid is computed once per
     measure and returned as a read-only array."""
     def build():
-        r = _invert(measure._grid_spline,
+        table = measure._cached(
+            "grid", lambda: _quantile_table(measure, _GRID_CELLS))
+        r = _invert(table,
                     np.linspace(p_lo, 1.0 - p_lo, count), measure.r_max)
         r = np.unique(r[r > 0.0])
         if r.size < 8:

@@ -44,9 +44,9 @@ growth doubles the *natural length* of the domain rather than the
 radius -- for sigma^2 = 1 + r^2 a radius doubling moves the wall by only
 log 2 in the natural coordinate, which can never resolve the 1/S^2
 truncation bias of a law whose generator has essential spectrum.  The
-estimate is the last domain solved; when the truncation bias is
-algebraic, the limit is recovered from the last three domains by fitting
-lambda(S) = lambda_inf + A/(S + phi)^2.
+estimate is the last domain solved.  When the last three domains fit
+lambda(S) = lambda_inf + A/(S + phi)^2, as an algebraic truncation bias
+does, its error also covers lambda_inf.
 
 Essential spectrum.  In the natural coordinate the generator is
 unitarily equivalent to -d^2/ds^2 + W, and the bottom of its essential
@@ -135,14 +135,12 @@ class GapEstimate:
     """Spectral-gap estimate with its own error model.
 
     value is the Richardson-extrapolated eigenvalue of the last domain
-    solved, the inverse-square limit of the last three domains, or the
-    essential-spectrum edge W_inf when that limit meets it (see
-    spectral_gap).  error_estimate is that domain's mesh error
-    |lambda_N - lambda_2N| / 3 (the size of the correction the
-    extrapolation applied) plus a truncation term: the shift of the last
-    domain doubling, or 0.05 |limit - last domain| for a fitted limit.
-    An edge value is charged the fitted limit's error, the edge's own
-    error and the distance between the two.
+    solved, or the essential-spectrum edge W_inf (see spectral_gap).
+    error_estimate is that domain's mesh error |lambda_N - lambda_2N| / 3
+    (the size of the correction the extrapolation applied) plus a
+    truncation term: the shift of the last domain doubling, or the
+    distance to the inverse-square limit of the last three domains if
+    they fit one and it is larger.
     r_max_used is the radius of the last domain.
     """
 
@@ -578,20 +576,19 @@ def spectral_gap(measure, weight, opts=None):
     natural length: a shift exceeding ten times the mesh error raises
     TruncationWarning.  The domain grows until the shift settles or the
     representable range is reached; a bounded law starts there, so its
-    whole domain is solved once.  The estimate is the last domain solved,
-    with its mesh error plus the shift of the last doubling as its error.
-    When three or more domains were solved and the last three admit
-    lambda(S) = lam_inf + A/(S + phi)^2 in the natural length S, the
-    estimate is that lam_inf instead, with the last domain's mesh error
-    plus 0.05 |lam_inf - lambda_last| as its error.
+    whole domain is solved once.
 
-    The essential-spectrum edge W_inf (see essential_edge) is read before
-    any domain is solved.  Whenever three or more domains are solved and
-    the fitted lam_inf lies within its error plus W_inf's error of a
-    finite W_inf, the loop stops: the estimate is W_inf, charged both
-    errors plus |lam_inf - W_inf|.  No gap lies above the edge, and the
-    fit places the gap within its error of lam_inf, so that charge covers
-    the distance from W_inf down to the fit's lower end.
+    The estimate is one of two values.  It is the last domain solved,
+    charged its mesh error plus the shift of the last doubling; when the
+    last three domains admit lambda(S) = lam_inf + A/(S + phi)^2 in the
+    natural length S, the shift is replaced by |lam_inf - lambda_last|
+    if that is larger, so a trace that has not converged is loose or
+    refused.  Or it is the essential-spectrum edge W_inf (see
+    essential_edge), read before any domain is solved: when lam_inf lies
+    within the last mesh error, 0.05 |lam_inf - lambda_last| and W_inf's
+    error of a finite W_inf, the loop stops, and W_inf is charged that
+    spread plus |lam_inf - W_inf|.  No gap lies above the edge, so that
+    charge covers the distance from W_inf down to the fit's lower end.
 
     Raises HypothesisFailed ("no spectral gap") when W_inf is zero within
     its error, before any domain is solved, and when the estimate does
@@ -621,12 +618,6 @@ def spectral_gap(measure, weight, opts=None):
                            error_estimate=float(error),
                            n_cells_used=2 * spec.n_cells,
                            r_max_used=float(r_used))
-
-    def fit_error(lam):
-        # a fitted limit is charged the last domain's mesh error and a
-        # twentieth of its distance from that domain
-        _, val_last, err_last, _ = solves[-1]
-        return err_last + 0.05 * abs(lam - val_last)
 
     # the domain trace: (natural length, value, mesh error, radius) per
     # solve; shift is what the last doubling moved the eigenvalue (0 for a
@@ -663,23 +654,25 @@ def spectral_gap(measure, weight, opts=None):
             warned = True
         solves.append((s_next, val_n, err_n, r_next))
         # when the eigenvalue still drifts algebraically with the wall, the
-        # last three domains follow lambda(S) ~ lam_inf + A/(S + phi)^2 and
-        # the fitted limit removes the remaining bias; traces that have
-        # converged (exponential tails) do not admit the model
+        # last three domains follow lambda(S) ~ lam_inf + A/(S + phi)^2;
+        # traces that have converged (exponential tails) do not admit the
+        # model.  The limit is charged the last mesh error and a twentieth
+        # of its distance from the last domain
         if len(solves) >= 3:
             lam_inf = _fit_inverse_square([sv[:2] for sv in solves[-3:]])
         if lam_inf is not None:
-            apart, spread = abs(lam_inf - edge), fit_error(lam_inf) + edge_err
+            apart = abs(lam_inf - edge)
+            spread = err_n + 0.05 * abs(lam_inf - val_n) + edge_err
             if apart <= spread:
                 return estimate(edge, spread + apart, r_next)
         if shift <= max(0.01 * err_n, 1e-12 * (1.0 + abs(val_n))):
             break
 
-    # the estimate is the fitted limit, or else the last domain, charged
-    # its mesh error and the last shift
+    # the estimate is the last domain, charged its mesh error and the last
+    # shift, or its distance from the fitted limit if that is larger
     _, val_last, err_last, r_last = solves[-1]
     if lam_inf is not None:
-        return estimate(lam_inf, fit_error(lam_inf), r_last)
+        shift = max(shift, abs(lam_inf - val_last))
     return estimate(val_last, err_last + shift, r_last)
 
 

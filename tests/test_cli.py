@@ -16,10 +16,11 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from jsonschema import Draft202012Validator
 from scipy.special import jn_zeros
 
-from specgap import cli, radial_model
+from specgap import cli, errors, radial_model
 from specgap.errors import ConvergenceError, InvalidInput
 
 SCHEMA = json.loads(
@@ -602,3 +603,58 @@ def test_cli_import_loads_no_scipy_special():
                          text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------- property sweep
+
+_ERROR_NAMES = {name for name, obj in vars(errors).items()
+                if isinstance(obj, type)
+                and issubclass(obj, errors.SpecGapError)}
+# brackets of the unweighted dynamics: they bound the solver's gap only
+# under the unit weight
+_UNWEIGHTED = ("moment_bracket", "exp_power_explicit",
+               "exp_power_simplified")
+# the details of records that do not claim a bound
+_UNCERTIFIED = ("not a certified bound", "for reference only")
+
+
+@st.composite
+def _family_argv(draw):
+    family = draw(st.sampled_from(tuple(cli._CLI_FAMILY)))
+    n = draw(st.integers(2, 256))
+    argv = ["--family", family, "--n", str(n),
+            "--weight", draw(st.sampled_from(tuple(cli._CLI_WEIGHT)))]
+    if family == "exp-power":
+        argv += ["--alpha", repr(draw(st.floats(1.0, 16.0)))]
+    elif family == "cauchy":
+        # t = beta - n/2 in (0, 20], with beta > n/2 after rounding
+        t = draw(st.floats(0.0, 20.0, exclude_min=True)
+                 .filter(lambda t: n / 2.0 + t > n / 2.0))
+        argv += ["--beta", repr(n / 2.0 + t)]
+    return argv
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(_family_argv())
+def test_random_specs_give_typed_exits_and_bounds_on_their_side(argv):
+    reports = {}
+    for command in ("bounds", "eigen"):
+        code, rep = run_json([command] + argv)
+        if code:
+            assert code == 1, (command, argv, rep["error"])
+            assert rep["error"].split(":")[0] in _ERROR_NAMES, rep["error"]
+        reports[command] = rep
+    if reports["eigen"]["error"] is not None:
+        return
+    sg = recs(reports["eigen"], "spectral_gap")[0]
+    value, err = sg["value"], sg["error"]
+    slack = 1e-6 * (1.0 + value)
+    for rec in reports["bounds"]["records"]:
+        if (rec["record"] != "bound"
+                or any(text in rec["detail"] for text in _UNCERTIFIED)
+                or (rec["name"] in _UNWEIGHTED and rec["weight"] != "unit")):
+            continue
+        if rec["lower"] is not None:
+            assert rec["lower"] <= value + err + slack, (argv, rec, sg)
+        if rec["name"] == "rayleigh_upper":
+            assert rec["upper"] >= value - err - slack, (argv, rec, sg)

@@ -73,9 +73,9 @@ def test_cdf_and_quantile_tables_match_scipy_bit_for_bit(built, spec):
     measure, _, _ = make_family(spec)
     # two tables per measure, both quantiles whose knots are CDF values:
     # the diagnostic one with the measure, the sampling one on first draw
-    assert [fn for fn, _, _ in built] == [measure._grid_spline]
+    assert [fn for fn, _, _ in built] == [measure._tables["grid"]]
     measure.quantile(0.5)
-    assert [fn for fn, _, _ in built] == [measure._grid_spline,
+    assert [fn for fn, _, _ in built] == [measure._tables["grid"],
                                           measure._tables["quantile"]]
     for _, probs, _ in built:
         assert probs[0] >= 1e-18 and probs[-1] <= 1.0

@@ -319,7 +319,7 @@ def test_diagnostic_table_tracks_the_sampling_table(n, potential):
     # cubic is loosest (up to 0.14 relative at p = 1e-6 on n = 2 cauchy)
     mu = build_measure(n, potential)
     p = np.linspace(1e-6, 1.0 - 1e-6, 401)
-    got = radial_model._invert(mu._grid_spline, p, mu.r_max)
+    got = radial_model._invert(mu._tables["grid"], p, mu.r_max)
     want = mu.quantile(p)
     rel = np.abs(got - want) / want
     assert np.max(rel[1:-1]) <= 2e-4

@@ -662,6 +662,35 @@ def test_unsettled_trace_returns_last_domain(monkeypatch):
     assert est.error_estimate == err_last + shift
 
 
+def test_fitted_limit_only_widens_the_error(monkeypatch):
+    # a trace that fits the inverse-square model still returns its last
+    # domain; the limit's distance from it is charged when it exceeds the
+    # last doubling shift.  The fake limit lies 10% above each last
+    # domain, so it never meets the edge 1/4
+    solves, fits = [], []
+    real = sl_eigensolver._solve_domain
+
+    def spy(*args):
+        out = real(*args)
+        solves.append(out[:2])
+        return out
+
+    def fake_fit(points):
+        fits.append(1.1 * points[-1][1])
+        return fits[-1]
+
+    monkeypatch.setattr(sl_eigensolver, "_solve_domain", spy)
+    monkeypatch.setattr(sl_eigensolver, "_fit_inverse_square", fake_fit)
+    est = _quiet_gap(build_measure(3, cauchy_pot(2.0), tail_tol=1e-12),
+                     one_plus_w())
+    assert len(fits) == len(solves) - 2 >= 1
+    (val_prev, _), (val_last, err_last) = solves[-2:]
+    charge = max(abs(val_last - val_prev), abs(fits[-1] - val_last))
+    assert est.value == val_last
+    assert est.error_estimate == err_last + charge
+    assert charge > abs(val_last - val_prev)
+
+
 def _brentq_inverse_square(points):
     """The inverse-square fit with scipy's brentq solving for phi: the
     reference for sl_eigensolver's bisection."""

@@ -20,6 +20,10 @@ closed forms and the gaussian n=6 value are smooth-law cases that the
 solver resolves to far below its error, so they are also held to 1e-7
 relative.
 
+The answer is always a value the solver computed: the last domain it
+solved, or the essential-spectrum edge.  A fitted limit of the domain
+trace only widens the error, which keeps coarse-mesh traces honest.
+
 The eight heavy tails with t = beta - n/2 <= 2 have their gap at the
 essential-spectrum edge t^2; the solver stops there after three domain
 solves.  Laws whose fitted limit lies near an edge it does not meet are
@@ -126,12 +130,11 @@ def test_edge_law_stops_at_the_edge_in_three_domains(monkeypatch, spec):
     assert est.r_max_used == solves[-1]
 
 
-# values before the edge rule: each of these laws ends on a fitted limit
-# or a settled domain near an edge it lies below (gaussian
-# sigma^2 = 1/(1+r^2) and exp-power alpha = 1: 1/4; cauchy t = 2.5:
-# 6.25), with its reference where one is known
+# each of these laws ends on its last domain near an edge it lies below
+# (gaussian sigma^2 = 1/(1+r^2) and exp-power alpha = 1: 1/4; cauchy
+# t = 2.5: 6.25), with its reference where one is known
 _BELOW_THE_EDGE = {
-    FamilySpec("gaussian", 2, "inv_one_plus_r2"): (0.24621129055300742, None),
+    FamilySpec("gaussian", 2, "inv_one_plus_r2"): (0.24621129723966395, None),
     FamilySpec("exponential_power", 2, "unit", alpha=1.0):
         (0.22222221767239106, 2.0 / 9.0),
     FamilySpec("generalized_cauchy", 2, "one_plus_r2", beta=3.5):
@@ -174,3 +177,52 @@ def test_coarse_mesh_near_the_edge_covers_the_gap(spec):
         warnings.simplefilter("ignore", TruncationWarning)
         est = spectral_gap(measure, weight, GridSpec(n_cells=256))
     assert abs(est.value - 6.0) <= est.error_estimate, est
+
+
+@pytest.mark.parametrize("n_cells", [1024, 256])
+def test_estimate_is_the_last_domain_or_the_edge(monkeypatch, n_cells):
+    # bit for bit: no extrapolated value is ever returned
+    values = []
+    real = sl_eigensolver._solve_domain
+
+    def spy(*args):
+        out = real(*args)
+        values.append(out[0])
+        return out
+
+    monkeypatch.setattr(sl_eigensolver, "_solve_domain", spy)
+    edges = 0
+    for spec in catalog_grid():
+        measure, weight, _ = make_family(spec)
+        values.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            est = spectral_gap(measure, weight, GridSpec(n_cells=n_cells))
+        edge = sl_eigensolver.essential_edge(measure, weight)[0]
+        assert est.value in (values[-1], edge), (spec.label(), est)
+        edges += est.value == edge != values[-1]
+    # every edge law, and at 256 cells also cauchy beta = 4.5 n = 4
+    assert edges >= len(_EDGE_LAWS)
+
+
+# coarse-mesh traces that end unsettled on an inverse-square fit far
+# from their last domain: (spec, n_cells, exact gap)
+_MENDED = [
+    (FamilySpec("exponential_power", 3, "unit", alpha=1.0), 128, 3.0 / 16.0),
+    (FamilySpec("generalized_cauchy", 6, "one_plus_r2", beta=7.5), 256, 14.0),
+    (FamilySpec("generalized_cauchy", 128, "one_plus_r2", beta=68.5), 128,
+     14.0),
+    (FamilySpec("generalized_cauchy", 256, "one_plus_r2", beta=132.5), 128,
+     14.0),
+]
+
+
+@pytest.mark.parametrize("spec,n_cells,exact", _MENDED,
+                         ids=[f"{spec.label()} cells={c}"
+                              for spec, c, _ in _MENDED])
+def test_unsettled_coarse_trace_covers_its_gap(spec, n_cells, exact):
+    measure, weight, _ = make_family(spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        est = spectral_gap(measure, weight, GridSpec(n_cells=n_cells))
+    assert abs(est.value - exact) <= est.error_estimate, est

@@ -65,7 +65,11 @@ A refactor that claims to keep behaviour shows it on this list:
   conductances span hundreds of decades: ball n=128, gaussian n=1024,
   exp-power alpha=1 n=1024 and cauchy beta=514.5 n=1024 with
   sigma^2 = 1+r^2; the refused ball n=2048 (``DiscretizationError``, exit
-  1); and ``eigen --cells 131072``, over the cell cap (exit 2).
+  1); and ``eigen --cells 131072``, over the cell cap (exit 2);
+- coarse-mesh domain traces that end unsettled: ``eigen --cells 128`` on
+  exp-power alpha=1 n=3 and on cauchy beta=68.5 n=128 with
+  sigma^2 = 1+r^2, and ``eigen --cells 64`` on cauchy beta=4.5 n=4 with
+  sigma^2 = 1+r^2, which raises ``HypothesisFailed`` (exit 1).
 
     python3 tools/cli_report_diff.py run SRC_TREE OUT_DIR
     python3 tools/cli_report_diff.py compare DIR_A DIR_B
@@ -180,6 +184,12 @@ _VARIANTS = (
          "--weight", "one-plus-r2"],
         ["--family", "ball", "--n", "2048"])),
     ["eigen"] + _GAUSSIAN + ["--cells", "131072"],
+    ["eigen", "--family", "exp-power", "--alpha", "1", "--n", "3",
+     "--cells", "128"],
+    ["eigen", "--family", "cauchy", "--beta", "68.5", "--n", "128",
+     "--weight", "one-plus-r2", "--cells", "128"],
+    ["eigen", "--family", "cauchy", "--beta", "4.5", "--n", "4",
+     "--weight", "one-plus-r2", "--cells", "64"],
     ["table", "--id", "ball", "--dims", "2,4,8"],
     ["table", "--id", "gaussian-weighted", "--dims", "2..4"],
     ["table", "--id", "ball", "--dims", "3..2"],
