@@ -321,6 +321,8 @@ def cmd_bounds(args, case_of):
     exact = (radial.value if radial is not None and radial.kind == "exact"
              else None)
 
+    # the second-moment brackets bound the unweighted dynamics only
+    nonunit = spec.weight_choice != "unit"
     m2 = attempt("second-moment bracket", case.second_moment)
     if m2 is not None:
         caveat = ""
@@ -328,6 +330,9 @@ def cmd_bounds(args, case_of):
             caveat = ("; the lower endpoint assumes a convex radial "
                       "potential, which this measure does not satisfy -- "
                       "reported for reference only")
+        elif nonunit:
+            caveat = ("; the weight is not unit -- reported for reference "
+                      "only")
         records.append(_bracket_record(
             "moment_bracket", spec, moment_bracket(spec.n, m2),
             detail=(f"brackets the spectral gap of the unweighted dynamics; "
@@ -335,14 +340,18 @@ def cmd_bounds(args, case_of):
 
     if spec.family == "exponential_power":
         pair = exp_power_explicit(spec.n, spec.alpha)
+        aside = ("; it brackets the unweighted dynamics -- reported for "
+                 "reference only" if nonunit else "")
         records.append(_bracket_record(
             "exp_power_explicit", spec, pair.exact,
-            detail="exact Gamma-ratio form of the second-moment bracket"))
+            detail=("exact Gamma-ratio form of the second-moment bracket"
+                    + aside)))
         records.append(_bracket_record(
             "exp_power_simplified", spec, pair.simplified,
-            detail="dimension-power simplification enclosing the exact form"))
+            detail=("dimension-power simplification enclosing the exact form"
+                    + aside)))
 
-    if spec.weight_choice != "unit":
+    if nonunit:
         if exact is not None:
             def weighted():
                 m_r2s2 = weighted_moment(measure, weight, "r2_over_s2")
@@ -441,6 +450,19 @@ def _check(records, failures, name, spec=None, *, ok, detail, failure,
                            **fields))
 
 
+def _solved(records, failures, name, case, source):
+    """The case's GapEstimate; or, when its solve raised, None, after a
+    failing check record that names the SpecGapError."""
+    est = case.solved[0]
+    if isinstance(est, SpecGapError):
+        _check(records, failures, name, case.spec, ok=False,
+               detail=f"solver raised {type(est).__name__}: {est}",
+               failure=f"solver failed on {case.spec.label()}: {est}",
+               source=source)
+        return None
+    return est
+
+
 def _verify_gamma(records, failures):
     grid_a = (0.25, 0.5, 1.0, 2.0, 5.0, 20.0, 100.0)
     grid_b = tuple(0.25 * k for k in range(9))
@@ -494,15 +516,17 @@ def _verify_cauchy_exact(args, case_of, records, failures):
                 weight_choice="one_plus_r2", beta=n / 2.0 + t))
              for n in (2, 3, 4, 6) for t in (0.5, 1.5, 2.0, 2.5, 4.5)]
     cases = cases[:args.max_cases]
+    source = "solver vs. closed-form weighted radial gap"
     for case in cases:
-        est = case.gap()
+        est = _solved(records, failures, "cauchy_exact", case, source)
+        if est is None:
+            continue
         truth = case.refs["radial"].value
         rel = abs(est.value - truth) / truth
         _check(records, failures, "cauchy_exact", case.spec, ok=rel <= 1e-3,
                detail=f"solver={est.value!r} truth={truth!r}",
                failure=f"cauchy exact {case.spec.label()}: rel err {rel!r}",
-               value=rel, upper=1e-3, error=est.error_estimate,
-               source="solver vs. closed-form weighted radial gap")
+               value=rel, upper=1e-3, error=est.error_estimate, source=source)
     return _notes(cases)
 
 
@@ -510,12 +534,10 @@ def _verify_bracketing(args, case_of, records, failures, warn_notes):
     cases = [case_of(spec) for spec in catalog.catalog_grid()]
     cases = cases[:args.max_cases]
     for case in cases:
-        spec, est = case.spec, case.solved[0]
-        if isinstance(est, SpecGapError):
-            _check(records, failures, "bracket_containment", spec, ok=False,
-                   detail=f"solver raised {type(est).__name__}: {est}",
-                   failure=f"solver failed on {spec.label()}: {est}",
-                   source="catalog sweep")
+        spec = case.spec
+        est = _solved(records, failures, "bracket_containment", case,
+                      "catalog sweep")
+        if est is None:
             continue
         gap = est.value
         # no gap lies above the bottom of the essential spectrum

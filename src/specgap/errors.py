@@ -26,7 +26,8 @@ class NonIntegrable(SpecGapError):
 class HypothesisFailed(SpecGapError):
     """A structural hypothesis (positivity, monotonicity) failed on the
     diagnostic grid, so the requested bound does not apply; or the
-    solver found no spectral gap to estimate."""
+    essential spectrum of the generator reaches zero, so it has no
+    spectral gap to estimate."""
 
 
 class DegenerateFunction(SpecGapError):
@@ -39,10 +40,13 @@ class DiscretizationError(SpecGapError):
 
 
 class ConvergenceError(SpecGapError):
-    """An eigenvalue computation or nonlinear solve failed to converge."""
+    """An eigenvalue computation or nonlinear solve failed to converge,
+    or a spectral gap was not resolved: the estimate did not exceed its
+    own error, though the essential spectrum starts above zero."""
 
 
 class TruncationWarning(UserWarning):
-    """Emitted when the computational window is suspected to dominate the
-    error of an eigenvalue (domain enlargement kept shifting the value and
-    no further enlargement was possible)."""
+    """Emitted when the computational window dominates the error of a
+    returned eigenvalue: its truncation term (the shift of the last domain
+    doubling, or its distance from the fitted limit) exceeds ten times its
+    mesh error.  The message names the case and the domain."""

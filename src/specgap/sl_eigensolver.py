@@ -35,18 +35,17 @@ laws, where no clipped grading in r could resolve both the bulk and the
 reflecting wall, while the natural coordinate stays numerically tame.
 
 Truncation.  Unbounded laws are truncated where the solver's own tail
-budget (1e-10) is met.  Every domain then passes one audit loop: the
-Neumann wall is re-solved on a domain of twice the natural length, and a
-shift larger than ten times the mesh error raises TruncationWarning.  The
-domain grows until a doubling no longer moves the eigenvalue or the
-representable range (a bounded law's whole domain) is reached.  The
-growth doubles the *natural length* of the domain rather than the
-radius -- for sigma^2 = 1 + r^2 a radius doubling moves the wall by only
-log 2 in the natural coordinate, which can never resolve the 1/S^2
-truncation bias of a law whose generator has essential spectrum.  The
-estimate is the last domain solved.  When the last three domains fit
-lambda(S) = lambda_inf + A/(S + phi)^2, as an algebraic truncation bias
-does, its error also covers lambda_inf.
+budget (1e-10) is met, and the domain then grows until a doubling no
+longer moves the eigenvalue or the representable range (a bounded law's
+whole domain) is reached.  The growth doubles the *natural length* of
+the domain rather than the radius -- for sigma^2 = 1 + r^2 a radius
+doubling moves the wall by only log 2 in the natural coordinate, which
+can never resolve the 1/S^2 truncation bias of a law whose generator has
+essential spectrum.  The estimate is the last domain solved.  When the
+last three domains fit lambda(S) = lambda_inf + A/(S + phi)^2, as an
+algebraic truncation bias does, its error also covers lambda_inf.  One
+audit judges the estimate returned: TruncationWarning fires when its
+truncation term exceeds ten times its mesh error.
 
 Essential spectrum.  In the natural coordinate the generator is
 unitarily equivalent to -d^2/ds^2 + W, and the bottom of its essential
@@ -85,8 +84,8 @@ _R_CAP = 1e150
 _MAX_CELLS = 65536
 # domain-escalation budget (metric-length doublings)
 _MAX_GROWTH = 8
-# |lambda(2S) - lambda(S)| <= this multiple of the mesh error passes the
-# truncation audit
+# a returned estimate whose truncation term exceeds this multiple of its
+# mesh error fails the truncation audit
 _AUDIT_FACTOR = 10.0
 # dyadic panels of the first cell's mass rule (see _first_cell_log_mass)
 _FIRST_CELL_HALVINGS = 40
@@ -573,16 +572,15 @@ def spectral_gap(measure, weight, opts=None):
 
     Every domain is solved on three nested meshes (see _solve_domain).
     The truncation is audited by re-solving on a domain of twice the
-    natural length: a shift exceeding ten times the mesh error raises
-    TruncationWarning.  The domain grows until the shift settles or the
-    representable range is reached; a bounded law starts there, so its
+    natural length; the domain grows until the shift settles or the
+    representable range is reached.  A bounded law starts there, so its
     whole domain is solved once.
 
     The estimate is one of two values.  It is the last domain solved,
-    charged its mesh error plus the shift of the last doubling; when the
-    last three domains admit lambda(S) = lam_inf + A/(S + phi)^2 in the
-    natural length S, the shift is replaced by |lam_inf - lambda_last|
-    if that is larger, so a trace that has not converged is loose or
+    charged its mesh error plus a truncation term: the shift of the last
+    doubling, or |lam_inf - lambda_last| if that is larger, when the last
+    three domains admit lambda(S) = lam_inf + A/(S + phi)^2 in the
+    natural length S, so a trace that has not converged is loose or
     refused.  Or it is the essential-spectrum edge W_inf (see
     essential_edge), read before any domain is solved: when lam_inf lies
     within the last mesh error, 0.05 |lam_inf - lambda_last| and W_inf's
@@ -590,10 +588,13 @@ def spectral_gap(measure, weight, opts=None):
     spread plus |lam_inf - W_inf|.  No gap lies above the edge, so that
     charge covers the distance from W_inf down to the fit's lower end.
 
+    An accepted last-domain estimate whose truncation term exceeds ten
+    times its mesh error emits TruncationWarning, naming the case.
+
     Raises HypothesisFailed ("no spectral gap") when W_inf is zero within
-    its error, before any domain is solved, and when the estimate does
-    not exceed its own error, as for heavy tails whose generator has no
-    gap: the eigenvalue then only shrinks as the domain grows.
+    its error, before any domain is solved.  Raises ConvergenceError
+    ("spectral gap not resolved") when the estimate does not exceed its
+    own error: W_inf is then positive, so a gap exists (Persson).
     """
     spec = opts if opts is not None else GridSpec()
     if not isinstance(spec, GridSpec):
@@ -611,69 +612,66 @@ def spectral_gap(measure, weight, opts=None):
     def estimate(val, error, r_used):
         val = max(float(val), 0.0)
         if not val > error:
-            raise HypothesisFailed(
-                f"no spectral gap: lambda_1 = {val:.3e} does not exceed "
-                f"its error {error:.3e} on the domain (0, {r_used:.6g})")
+            raise ConvergenceError(
+                f"spectral gap not resolved: lambda_1 = {val:.3e} does not "
+                f"exceed its error {error:.3e} on the domain "
+                f"(0, {r_used:.6g})")
         return GapEstimate(value=val,
                            error_estimate=float(error),
                            n_cells_used=2 * spec.n_cells,
                            r_max_used=float(r_used))
 
-    # the domain trace: (natural length, value, mesh error, radius) per
-    # solve; shift is what the last doubling moved the eigenvalue (0 for a
-    # single domain); l0, each solve's coarsest-mesh eigenvalue less
-    # _WARM_MARGIN of itself, starts the next one's
-    value, err, l0 = _solve_domain(measure, weight, r0, spec, to_metric,
-                                   from_metric)
-    solves = [(s0, value, err, r0)]
+    # the domain trace: (natural length, value) per solve; shift is what
+    # the last doubling moved the eigenvalue (0 for a single domain); l0,
+    # each solve's coarsest-mesh eigenvalue less _WARM_MARGIN of itself,
+    # starts the next one's
+    r_last = r0
+    val_last, err_last, l0 = _solve_domain(measure, weight, r_last, spec,
+                                           to_metric, from_metric)
+    trace = [(s0, val_last)]
     shift = 0.0
     lam_inf = None
-    warned = False
     # the Neumann wall is trusted only if doubling the natural length of
-    # the domain barely moves the eigenvalue; the warning fires at the
-    # first doubling that fails this audit.  The domain grows, up to the
+    # the domain barely moves the eigenvalue.  The domain grows, up to the
     # representable cap, until the eigenvalue stops moving or its
     # inverse-square limit meets the essential-spectrum edge
     for _ in range(_MAX_GROWTH):
-        s_prev, val_prev, err_prev = solves[-1][:3]
+        s_prev = trace[-1][0]
         if s_prev >= s_cap * (1.0 - 1e-9):
             break
         s_next = min(2.0 * s_prev, s_cap)
-        r_next = float(from_metric(s_next))
-        val_n, err_n, l0 = _solve_domain(measure, weight, r_next, spec,
-                                         to_metric, from_metric,
-                                         l0 - _WARM_MARGIN * l0)
-        shift = abs(val_n - val_prev)
-        mesh_err = max(err_prev, err_n, 1e-300)
-        if shift > _AUDIT_FACTOR * mesh_err and not warned:
-            warnings.warn(TruncationWarning(
-                f"doubling the truncated domain (natural length "
-                f"{s_prev:.3g} -> {s_next:.3g}) moved the spectral gap by "
-                f"{shift:.3e}, more than {_AUDIT_FACTOR:g}x the mesh error "
-                f"{mesh_err:.3e}"))
-            warned = True
-        solves.append((s_next, val_n, err_n, r_next))
+        r_last = float(from_metric(s_next))
+        val_last, err_last, l0 = _solve_domain(measure, weight, r_last,
+                                               spec, to_metric, from_metric,
+                                               l0 - _WARM_MARGIN * l0)
+        shift = abs(val_last - trace[-1][1])
+        trace.append((s_next, val_last))
         # when the eigenvalue still drifts algebraically with the wall, the
         # last three domains follow lambda(S) ~ lam_inf + A/(S + phi)^2;
         # traces that have converged (exponential tails) do not admit the
         # model.  The limit is charged the last mesh error and a twentieth
         # of its distance from the last domain
-        if len(solves) >= 3:
-            lam_inf = _fit_inverse_square([sv[:2] for sv in solves[-3:]])
+        if len(trace) >= 3:
+            lam_inf = _fit_inverse_square(trace[-3:])
         if lam_inf is not None:
             apart = abs(lam_inf - edge)
-            spread = err_n + 0.05 * abs(lam_inf - val_n) + edge_err
+            spread = err_last + 0.05 * abs(lam_inf - val_last) + edge_err
             if apart <= spread:
-                return estimate(edge, spread + apart, r_next)
-        if shift <= max(0.01 * err_n, 1e-12 * (1.0 + abs(val_n))):
+                return estimate(edge, spread + apart, r_last)
+        if shift <= max(0.01 * err_last, 1e-12 * (1.0 + abs(val_last))):
             break
 
     # the estimate is the last domain, charged its mesh error and the last
     # shift, or its distance from the fitted limit if that is larger
-    _, val_last, err_last, r_last = solves[-1]
     if lam_inf is not None:
         shift = max(shift, abs(lam_inf - val_last))
-    return estimate(val_last, err_last + shift, r_last)
+    est = estimate(val_last, err_last + shift, r_last)
+    if shift > _AUDIT_FACTOR * err_last:
+        warnings.warn(TruncationWarning(
+            f"{measure.name or '<anon>'}: the truncation term {shift:.3e} "
+            f"of the spectral gap on the domain (0, {r_last:.6g}) exceeds "
+            f"{_AUDIT_FACTOR:g}x its mesh error {err_last:.3e}"))
+    return est
 
 
 # ---------------------------------------------------------------------

@@ -6,9 +6,9 @@ cache keys on FamilySpec (frozen, hashable), so each case is solved at
 most once per session, serially: the solve is Python-bound and holds
 the GIL, so worker threads only slow it down.
 
-Heavy-tail cases legitimately emit TruncationWarning while the domain
-escalation audits itself; the cache silences it, and tests that care
-about warnings solve directly instead of going through the cache.
+An estimate whose truncation term dominates its error emits
+TruncationWarning; the cache silences it, and tests that care about
+warnings solve directly instead of going through the cache.
 """
 
 import warnings

@@ -32,8 +32,8 @@ from scipy.special import gammainc, gammaln, jn_zeros, logsumexp
 
 from specgap import sl_eigensolver
 from specgap.catalog import power_weight
-from specgap.errors import (DiscretizationError, HypothesisFailed,
-                            InvalidInput, TruncationWarning)
+from specgap.errors import (ConvergenceError, DiscretizationError,
+                            HypothesisFailed, InvalidInput, TruncationWarning)
 from specgap.radial_model import (RadialPotential, build_measure,
                                   truncation_radius)
 from specgap.sl_eigensolver import (GridSpec, _ground_state, residual_check,
@@ -279,17 +279,22 @@ def test_pencil_out_of_double_range_is_refused(term, shift):
      inv_one_plus_w),
 ])
 def test_heavy_tail_without_gap_is_a_typed_outcome(label, builder, weight):
-    # these generators have no spectral gap: the eigenvalue only shrinks
-    # as the domain grows, and no estimate may pass for a gap
+    # these generators have no spectral gap: their essential spectrum
+    # reaches zero, and the refusal says so
+    measure = builder()
+    edge, err = sl_eigensolver.essential_edge(measure, weight())
+    assert abs(edge) <= err, (label, edge, err)
     with pytest.raises(HypothesisFailed) as exc:
-        _quiet_gap(builder(), weight())
+        _quiet_gap(measure, weight())
     assert "no spectral gap" in str(exc.value), label
 
 
 def test_unresolved_gap_raises_after_the_domain_loop(monkeypatch):
     # cauchy t = 2.5 with sigma^2 = 1+r^2 has gap 6 below the edge 6.25,
     # but 64 cells cannot resolve it: the domains are solved, and the
-    # estimate is refused because it does not exceed its own error
+    # estimate is refused because it does not exceed its own error.  The
+    # law has a gap, so the refusal does not deny one, and a refused
+    # estimate is not audited
     solves = []
     real = sl_eigensolver._solve_domain
 
@@ -298,12 +303,17 @@ def test_unresolved_gap_raises_after_the_domain_loop(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(sl_eigensolver, "_solve_domain", spy)
-    with pytest.raises(HypothesisFailed,
-                       match="does not exceed its error") as exc:
-        _quiet_gap(build_measure(4, cauchy_pot(4.5)), one_plus_w(),
-                   GridSpec(n_cells=64))
-    assert "no spectral gap" in str(exc.value)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ConvergenceError,
+                           match="spectral gap not resolved") as exc:
+            spectral_gap(build_measure(4, cauchy_pot(4.5)), one_plus_w(),
+                         GridSpec(n_cells=64))
+    assert "does not exceed its error" in str(exc.value)
+    assert "no spectral gap" not in str(exc.value)
     assert len(solves) >= 3, solves
+    assert not any(issubclass(w.category, TruncationWarning)
+                   for w in caught), [str(w.message) for w in caught]
 
 
 # --- essential-spectrum edge ---------------------------------------------
@@ -450,7 +460,7 @@ def test_warm_ground_state_matches_tight_bisection(monkeypatch, name, builder,
     stebz = _stebz_spy(monkeypatch)
     try:
         _quiet_gap(builder(), weight(), GridSpec(n_cells=n_cells))
-    except HypothesisFailed:
+    except ConvergenceError:
         pass  # cauchy b=4.5 at 64 cells: its pencils are still solved
     # only the first pencil is solved cold.  At 64 cells the cauchy
     # pencils are unresolved, with lambda_2/lambda_1 - 1 down to 4e-7, and
@@ -811,27 +821,48 @@ def test_residual_check_flags_wrong_eigenvalue():
 # --- truncation control -------------------------------------------------
 
 
-def test_truncation_audit_warns_once(monkeypatch):
-    # this essential-spectrum case doubles its domain until its fitted
-    # limit meets the edge, and both doublings fail the audit; the
-    # warning fires only once
-    trace = []
+def _audited_gap(monkeypatch, measure, weight, n_cells):
+    """(estimate, last domain's mesh error, TruncationWarning messages)."""
+    errs = []
     real = sl_eigensolver._solve_domain
 
     def spy(*args):
-        trace.append(real(*args))
-        return trace[-1]
+        out = real(*args)
+        errs.append(out[1])
+        return out
 
     monkeypatch.setattr(sl_eigensolver, "_solve_domain", spy)
-    mu = build_measure(3, cauchy_pot(2.0), tail_tol=1e-12)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        spectral_gap(mu, one_plus_w(), GridSpec(n_cells=1024))
-    failed = [abs(v1 - v0) > sl_eigensolver._AUDIT_FACTOR * max(e0, e1)
-              for (v0, e0, _), (v1, e1, _) in zip(trace, trace[1:])]
-    assert sum(failed) >= 2, trace
-    trunc = [w for w in caught if issubclass(w.category, TruncationWarning)]
-    assert len(trunc) == 1, f"{len(trunc)} truncation warnings"
+        est = spectral_gap(measure, weight, GridSpec(n_cells=n_cells))
+    return est, errs[-1], [str(w.message) for w in caught
+                           if issubclass(w.category, TruncationWarning)]
+
+
+def test_truncation_audit_warns_once(monkeypatch):
+    # with one doubling allowed, this essential-spectrum law cannot reach
+    # its edge, and the estimate it returns is mostly truncation: the
+    # audit of that estimate warns once
+    monkeypatch.setattr(sl_eigensolver, "_MAX_GROWTH", 1)
+    mu = build_measure(3, cauchy_pot(2.0), tail_tol=1e-12)
+    est, mesh_err, trunc = _audited_gap(monkeypatch, mu, one_plus_w(), 1024)
+    assert len(trunc) == 1, trunc
+    term = est.error_estimate - mesh_err
+    assert term > sl_eigensolver._AUDIT_FACTOR * mesh_err, est
+
+
+def test_truncation_audit_reads_the_returned_estimate(monkeypatch):
+    # at 256 cells this trace ends unsettled, and the error it returns is
+    # mostly its distance from the fitted limit; the one warning names
+    # the case, the domain, the term and the mesh error
+    mu = build_measure(6, cauchy_pot(7.5), name="cauchy b=7.5 n=6 1+r^2")
+    est, mesh_err, trunc = _audited_gap(monkeypatch, mu, one_plus_w(), 256)
+    term = est.error_estimate - mesh_err
+    assert term >= 10.0 * mesh_err, est
+    assert len(trunc) == 1, trunc
+    for text in (mu.name, f"(0, {est.r_max_used:.6g})", f"{term:.3e}",
+                 f"{mesh_err:.3e}"):
+        assert text in trunc[0], (text, trunc[0])
 
 
 def test_gaussian_default_solve_is_warning_free():

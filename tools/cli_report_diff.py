@@ -69,7 +69,12 @@ A refactor that claims to keep behaviour shows it on this list:
 - coarse-mesh domain traces that end unsettled: ``eigen --cells 128`` on
   exp-power alpha=1 n=3 and on cauchy beta=68.5 n=128 with
   sigma^2 = 1+r^2, and ``eigen --cells 64`` on cauchy beta=4.5 n=4 with
-  sigma^2 = 1+r^2, which raises ``HypothesisFailed`` (exit 1).
+  sigma^2 = 1+r^2, which raises ``ConvergenceError`` (exit 1);
+- ``verify --scope all --cells 64``, where three cauchy t = 2.5 solves
+  are refused as unresolved and both solver sweeps record the refusal
+  as a failing check (exit 1);
+- ``bounds`` on exp-power alpha=2 n=2 with sigma^2 = 1/(1+r^2), whose
+  second-moment brackets bound the unweighted dynamics only.
 
     python3 tools/cli_report_diff.py run SRC_TREE OUT_DIR
     python3 tools/cli_report_diff.py compare DIR_A DIR_B
@@ -195,6 +200,9 @@ _VARIANTS = (
     ["table", "--id", "ball", "--dims", "3..2"],
     ["verify", "--scope", "bracketing", "--max-cases", "5"],
     ["verify", "--scope", "cauchy-exact", "--max-cases", "3"],
+    ["verify", "--scope", "all", "--cells", "64"],
+    ["bounds", "--family", "exp-power", "--alpha", "2", "--n", "2",
+     "--weight", "inv-one-plus-r2"],
 )
 
 
