@@ -419,14 +419,17 @@ def cmd_bounds(args, case_of):
 # ---------------------------------------------------------------------
 
 
+_SOLVER_SOURCE = ("finite-volume Sturm-Liouville eigensolve with Richardson "
+                  "extrapolation")
+
+
 def cmd_eigen(args, case_of):
     case = case_of(_spec_from_args(args))
     est = case.gap()
     records = [_record(
         "solver", "spectral_gap", case.spec, value=est.value,
         error=est.error_estimate,
-        source=("finite-volume Sturm-Liouville eigensolve with Richardson "
-                "extrapolation"),
+        source=_SOLVER_SOURCE,
         detail=(f"n_cells_used={est.n_cells_used}; "
                 f"r_max_used={est.r_max_used!r}; "
                 "grading=graded"))]
@@ -727,14 +730,18 @@ _TABLES = {
 def cmd_table(args, case_of):
     specs, row = _TABLES[args.id](args)
     cases = [case_of(spec) for spec in specs]
-    ests = [None if args.no_solve else case.gap() for case in cases]
-    records = []
-    for case, est in zip(cases, ests):
+    records, failures = [], []
+    for case in cases:
+        columns = row(case)
+        # a raising solve leaves its row without a value, after a failing
+        # check that names the error; the other rows keep theirs
+        est = None if args.no_solve else _solved(
+            records, failures, args.id, case, _SOLVER_SOURCE)
         solved = {} if est is None else dict(value=est.value,
                                              error=est.error_estimate)
         records.append(_record("row", args.id, case.spec, **solved,
-                               **row(case)))
-    return records, [] if args.no_solve else _notes(cases), []
+                               **columns))
+    return records, [] if args.no_solve else _notes(cases), failures
 
 
 # ---------------------------------------------------------------------

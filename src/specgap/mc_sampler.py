@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; a first draw would pay for it
 
 from .errors import DegenerateFunction, InvalidInput
 

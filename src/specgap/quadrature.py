@@ -28,6 +28,7 @@ Two layers are used throughout the package:
 import math
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .errors import ConvergenceError, NonIntegrable
 
@@ -38,10 +39,18 @@ def gl_rule(order):
     """Gauss-Legendre nodes/weights on [0, 1], cached per order."""
     rule = _GL_CACHE.get(order)
     if rule is None:
-        x, w = np.polynomial.legendre.leggauss(order)
+        x, w = leggauss(order)
         rule = ((x + 1.0) / 2.0, w / 2.0)
         _GL_CACHE[order] = rule
     return rule
+
+
+def sorted_unique(x):
+    """The distinct values of the NaN-free 1-d array x, ascending: what
+    np.unique returns, without its masked-array check (which imports
+    numpy.ma)."""
+    x = np.sort(x)
+    return x[np.append(True, x[1:] != x[:-1])]
 
 
 # 21-point Kronrod extension of the 10-point Gauss rule on [-1, 1]
@@ -111,7 +120,7 @@ def gauss_kronrod(fn, a, b, rel_tol, abs_tol=0.0, points=()):
     (value, error_estimate) unchecked; callers judge acceptance.
     """
     points = np.asarray(points, dtype=float)
-    edges = np.unique(np.concatenate(
+    edges = sorted_unique(np.concatenate(
         ([a, b], points[(points > a) & (points < b)])))
     lo, hi = edges[:-1], edges[1:]
     vals, errs = _gk_panels(fn, lo, hi)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import (ConvergenceError, DomainError, InvalidInput,
                      NonIntegrable)
-from .quadrature import log_integrals_exp, tail_integral
+from .quadrature import log_integrals_exp, sorted_unique, tail_integral
 
 # past this radius no family of interest carries any mass; probing stops here
 _HORIZON = 1e120
@@ -498,7 +498,7 @@ def diagnostic_grid(measure, count=201, p_lo=1e-4):
             "grid", lambda: _quantile_table(measure, _GRID_CELLS))
         r = _invert(table,
                     np.linspace(p_lo, 1.0 - p_lo, count), measure.r_max)
-        r = np.unique(r[r > 0.0])
+        r = sorted_unique(r[r > 0.0])
         if r.size < 8:
             raise ConvergenceError("diagnostic grid degenerate")
         r.flags.writeable = False

@@ -24,7 +24,9 @@ A domain's first mesh is solved by LAPACK's bisection.  Every other
 pencil starts from a neighbour's eigenvalue -- the coarser mesh's, or
 the previous domain's -- and Newton's method on the determinant climbs
 to its own from below, each step certified below it by the inertia of
-an LDL^T factorization; bisection remains the fallback.
+an LDL^T factorization; bisection remains the fallback.  Both LAPACK
+routines (dpttrf, dstebz) are called through scipy's f2py extension
+module, loaded from its file without importing the scipy.linalg package.
 
 Coordinates.  Meshes are laid out in the natural coordinate of the
 diffusion, s(r) = int_0^r du/sigma(u), in which the operator has unit
@@ -55,13 +57,15 @@ before any domain is solved; when the inverse-square limit of the domain
 trace meets a finite W_inf, the gap is that edge and the loop stops.
 """
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal
-from scipy.linalg.lapack import dpttrf
 
 from .errors import (ConvergenceError, DiscretizationError, DomainError,
                      HypothesisFailed, InvalidInput, NonIntegrable,
@@ -69,6 +73,42 @@ from .errors import (ConvergenceError, DiscretizationError, DomainError,
 from .quadrature import gl_rule, log_integrals_exp
 from .radial_model import (_MonotoneCubic, _finite_real, diagnostic_grid,
                            expectation, truncation_radius, validate_weight)
+
+
+def _load_flapack():
+    """scipy's f2py LAPACK extension module, loaded from its file.
+
+    Neither scipy/__init__ nor scipy/linalg/__init__ runs, and sys.modules
+    is left as it was: the scipy.linalg package imports scipy's array-API
+    layer, which clones numpy's namespace (numpy.f2py, numpy.testing,
+    numpy.ma, ...) and costs most of a cold start, while the extension
+    itself loads in a few tens of milliseconds.
+    """
+    root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    stem = os.path.join(root, "linalg", "_flapack")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.isfile(stem + suffix):
+            break
+    else:
+        raise ImportError(f"scipy's LAPACK extension {stem}"
+                          f"{importlib.machinery.EXTENSION_SUFFIXES[0]} "
+                          f"is missing")
+    spec = importlib.util.spec_from_file_location("scipy.linalg._flapack",
+                                                  stem + suffix)
+    held = sys.modules.get(spec.name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # a single-phase extension enters itself in sys.modules as it loads
+    if held is None:
+        sys.modules.pop(spec.name, None)
+    else:
+        sys.modules[spec.name] = held
+    return module
+
+
+_flapack = _load_flapack()
+# the wrapper scipy.linalg.lapack re-exports
+dpttrf = _flapack.dpttrf
 
 # width ratio cap of the graded mesh (widest cell / narrowest cell)
 _RATIO_CLIP = 50.0
@@ -454,14 +494,23 @@ def _ground_state(log_c, log_m, start=None):
         lam = _newton_from_below(d, e, start)
         if lam is not None:
             return lam
-    try:
-        vals = eigh_tridiagonal(d, e, select="i", select_range=(0, 0),
-                                lapack_driver="stebz", eigvals_only=True,
-                                check_finite=False)
-    except (LinAlgError, ValueError) as exc:
+    return eigh_tridiagonal(d, e)
+
+
+def eigh_tridiagonal(d, e):
+    """The lowest eigenvalue of the symmetric tridiagonal matrix with
+    diagonal d and off-diagonal e, by LAPACK's bisection dstebz to its
+    default tolerance eps |T|_1.
+
+    This is the one call that scipy.linalg.eigh_tridiagonal(d, e,
+    select="i", select_range=(0, 0), lapack_driver="stebz",
+    eigvals_only=True) makes; a nonzero info raises ConvergenceError.
+    """
+    _, w, _, _, info = _flapack.dstebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "E")
+    if info:
         raise ConvergenceError(
-            f"tridiagonal eigenvalue iteration failed: {exc}") from None
-    return float(vals[0])
+            f"tridiagonal eigenvalue iteration failed: dstebz info={info}")
+    return float(w[0])
 
 
 def _solve_domain(measure, weight, r_hi, spec, to_metric, from_metric,

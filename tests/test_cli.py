@@ -388,6 +388,25 @@ def test_table_heavy_tail_default_betas_no_solve():
     assert rel(by_beta[6.0]["upper"], 10.0) < 1e-12
 
 
+def test_table_records_a_raising_solve_and_keeps_the_other_rows():
+    # at 64 cells the beta=4 solve is refused as unresolved; the beta=2.5
+    # row keeps its solved value, and the refusal is a failing check
+    code, rep = run_json(["table", "--id", "cauchy-n3", "--betas", "2.5,4",
+                          "--cells", "64"])
+    assert code == 1 and rep["status"] == "error"
+    rows = {r["beta"]: r for r in recs(rep, "cauchy-n3")
+            if r["record"] == "row"}
+    assert sorted(rows) == [2.5, 4.0]
+    assert abs(rows[2.5]["value"] - 1.0) <= rows[2.5]["error"]
+    assert rows[4.0]["value"] is None and rows[4.0]["lower"] > 5.0
+    [check] = [r for r in recs(rep, "cauchy-n3") if r["record"] == "check"]
+    assert check["beta"] == 4.0
+    assert check["detail"].startswith("FAIL: solver raised ConvergenceError: "
+                                      "spectral gap not resolved")
+    assert rep["error"].startswith("1 check(s) failed: solver failed on "
+                                   "generalized_cauchy beta=4 n=3")
+
+
 # ------------------------------------------------------------------ tables
 
 _CAUCHY_WEIGHTED = ["--family", "cauchy", "--beta", "4", "--n", "3",
@@ -605,23 +624,26 @@ def test_console_script_subprocess():
     assert out.stdout.startswith("record,name,family")
 
 
-def test_cli_import_loads_no_scipy_optimize_or_interpolate():
-    code = ("import sys, specgap.cli; print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.optimize', 'scipy.interpolate'))))")
+@pytest.fixture(scope="module")
+def cli_import_modules():
+    """sys.modules after a cold ``import specgap.cli``."""
+    code = "import sys, specgap.cli; print(*sorted(sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    return out.stdout.split()
 
 
-def test_cli_import_loads_no_scipy_special():
-    # log Gamma is math.lgamma; scipy.special would cost ~0.13 s per start
-    code = ("import sys, specgap.cli; print(sorted(m for m in sys.modules "
-            "if m.startswith('scipy.special')))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+# log Gamma is math.lgamma, and scipy.special would cost ~0.13 s per start.
+# The solver loads scipy's LAPACK extension from its file: the scipy.linalg
+# package would import scipy's array-API layer, which clones numpy's
+# namespace, numpy.f2py, numpy.testing and numpy.ma included
+@pytest.mark.parametrize("prefix", [
+    "scipy.optimize", "scipy.interpolate", "scipy.special", "scipy.linalg",
+    "numpy.f2py", "numpy.testing", "numpy.ma"])
+def test_cli_import_loads_no(cli_import_modules, prefix):
+    assert [m for m in cli_import_modules
+            if m == prefix or m.startswith(prefix + ".")] == []
 
 
 # ---------------------------------------------------------- property sweep

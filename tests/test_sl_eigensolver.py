@@ -21,12 +21,14 @@ closed forms written out there.  Oracle sources:
                 and +inf where W grows or the law is bounded
 """
 
+import importlib.machinery
 import math
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 from scipy.optimize import brentq
 from scipy.special import gammainc, gammaln, jn_zeros, logsumexp
 
@@ -380,21 +382,15 @@ def test_gapless_edge_raises_before_any_domain_solve(monkeypatch):
 
 
 def test_ground_state_skips_the_repeated_finite_check(monkeypatch):
-    # d and e are checked finite before LAPACK is called, on the cold
-    # first pencil of a solve and on a warm start that falls back
-    kwargs = []
-    real = sl_eigensolver.eigh_tridiagonal
-
-    def spy(*args, **kw):
-        kwargs.append(kw)
-        return real(*args, **kw)
-
-    monkeypatch.setattr(sl_eigensolver, "eigh_tridiagonal", spy)
+    # d and e are checked finite once, by _ground_state's range check, and
+    # go to LAPACK's bisection as they are: on the cold first pencil of a
+    # solve, and on a warm start that falls back
+    stebz = _stebz_spy(monkeypatch)
     spectral_gap(build_measure(4, ball_pot()), unit_w(), GridSpec(n_cells=64))
-    assert [kw["check_finite"] for kw in kwargs] == [False]
+    assert stebz == [31]
     _, c, m = _first_domain_pencil(build_measure(4, ball_pot()), unit_w(), 64)
     _ground_state(c, m, 1e6)
-    assert [kw["check_finite"] for kw in kwargs] == [False] * 2
+    assert stebz == [31, c.size]
 
 
 # --- warm-started Newton ------------------------------------------------
@@ -413,12 +409,17 @@ def _stebz_spy(monkeypatch):
     return calls
 
 
+def _flux_tridiagonal(log_c, log_m):
+    """(d, e): the diagonal and off-diagonal of the flux pencil."""
+    lo = np.exp(log_c - log_m[:-1])
+    hi = np.exp(log_c - log_m[1:])
+    return lo + hi, -np.sqrt(hi[:-1]) * np.sqrt(lo[1:])
+
+
 def _tight_spectrum(log_c, log_m):
     """((lambda_1, lambda_2, lambda_3) of the flux pencil, bisected to the
     underflow threshold; eps |T|_1)."""
-    lo = np.exp(log_c - log_m[:-1])
-    hi = np.exp(log_c - log_m[1:])
-    d, e = lo + hi, -np.sqrt(hi[:-1]) * np.sqrt(lo[1:])
+    d, e = _flux_tridiagonal(log_c, log_m)
     vals = scipy.linalg.eigh_tridiagonal(
         d, e, select="i", select_range=(0, 2), lapack_driver="stebz",
         eigvals_only=True, tol=2.0 * np.finfo(float).tiny)
@@ -473,6 +474,42 @@ def test_warm_ground_state_matches_tight_bisection(monkeypatch, name, builder,
     for log_c, log_m, start, lam in pencils:
         (lam1, _, _), tol = _tight_spectrum(log_c, log_m)
         assert abs(lam - lam1) <= tol, (name, log_m.size, start, lam, lam1)
+
+
+@pytest.mark.parametrize("name,builder,weight", _WARM_LAWS,
+                         ids=[law[0] for law in _WARM_LAWS])
+def test_lapack_calls_match_scipy_linalg_bit_for_bit(name, builder, weight):
+    # the solver loads scipy's LAPACK extension from its file, past the
+    # scipy.linalg package; its dpttrf and bisection must give the bits
+    # of the scipy.linalg calls they replace
+    _, c, m = _first_domain_pencil(builder(), weight(), 256)
+    d, e = _flux_tridiagonal(c, m)
+    (lam1, lam2, _), _ = _tight_spectrum(c, m)
+    for shift, definite in ((0.5 * lam1, True), (0.5 * (lam1 + lam2), False)):
+        ours = sl_eigensolver.dpttrf(d - shift, e)
+        theirs = scipy.linalg.lapack.dpttrf(d - shift, e)
+        assert (ours[2] == 0) == definite and ours[2] == theirs[2], name
+        for got, want in zip(ours[:2], theirs[:2]):
+            assert got.tobytes() == want.tobytes(), (name, shift)
+    want = scipy.linalg.eigh_tridiagonal(
+        d, e, select="i", select_range=(0, 0), lapack_driver="stebz",
+        eigvals_only=True)[0]
+    got = sl_eigensolver.eigh_tridiagonal(d, e)
+    assert np.float64(got).tobytes() == want.tobytes(), (name, got, want)
+
+
+def test_bisection_failure_is_a_convergence_error():
+    # dstebz gives info 4 on an infinite diagonal entry
+    with pytest.raises(ConvergenceError, match="dstebz info=4"):
+        sl_eigensolver.eigh_tridiagonal(np.array([np.inf, 1.0, 2.0]),
+                                        np.ones(2))
+
+
+def test_missing_lapack_extension_is_an_import_error_naming_it(monkeypatch):
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES",
+                        [".missing.so"])
+    with pytest.raises(ImportError, match=r"linalg.?_flapack\.missing\.so"):
+        sl_eigensolver._load_flapack()
 
 
 def _factorization_spy(monkeypatch):

@@ -74,7 +74,10 @@ A refactor that claims to keep behaviour shows it on this list:
   are refused as unresolved and both solver sweeps record the refusal
   as a failing check (exit 1);
 - ``bounds`` on exp-power alpha=2 n=2 with sigma^2 = 1/(1+r^2), whose
-  second-moment brackets bound the unweighted dynamics only.
+  second-moment brackets bound the unweighted dynamics only;
+- ``table --id cauchy-n3 --betas 2.5,4 --cells 64``, whose beta=4 solve
+  is refused as unresolved: a failing check (exit 1), while the beta=2.5
+  row keeps its value.
 
     python3 tools/cli_report_diff.py run SRC_TREE OUT_DIR
     python3 tools/cli_report_diff.py compare DIR_A DIR_B
@@ -203,6 +206,7 @@ _VARIANTS = (
     ["verify", "--scope", "all", "--cells", "64"],
     ["bounds", "--family", "exp-power", "--alpha", "2", "--n", "2",
      "--weight", "inv-one-plus-r2"],
+    ["table", "--id", "cauchy-n3", "--betas", "2.5,4", "--cells", "64"],
 )
 
 
