@@ -426,12 +426,17 @@ _SOLVER_SOURCE = ("finite-volume Sturm-Liouville eigensolve with Richardson "
 def cmd_eigen(args, case_of):
     case = case_of(_spec_from_args(args))
     est = case.gap()
+    domains = ", ".join(f"{r:.6g}" for r in est.domains)
     records = [_record(
         "solver", "spectral_gap", case.spec, value=est.value,
-        error=est.error_estimate,
+        error=est.error_estimate, lower=est.lower, upper=est.upper,
         source=_SOLVER_SOURCE,
         detail=(f"n_cells_used={est.n_cells_used}; "
                 f"r_max_used={est.r_max_used!r}; "
+                f"domains_solved={len(est.domains)} (r_max {domains}); "
+                "value=" + ("W_inf, the essential-spectrum edge" if est.at_edge
+                            else "the last domain's Dirichlet end")
+                + "; lower and upper are the truncation bracket's ends; "
                 "grading=graded"))]
     records.extend(case.reference_records)
     return records, _notes([case]), []

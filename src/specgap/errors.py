@@ -47,6 +47,6 @@ class ConvergenceError(SpecGapError):
 
 class TruncationWarning(UserWarning):
     """Emitted when the computational window dominates the error of a
-    returned eigenvalue: its truncation term (the shift of the last domain
-    doubling, or its distance from the fitted limit) exceeds ten times its
-    mesh error.  The message names the case and the domain."""
+    returned eigenvalue: the truncation bracket of its last domain is
+    wider than its mesh error.  The message names the case, the bracket
+    and the domain."""

@@ -322,7 +322,14 @@ def tail_integral(log_abs_fn, r_lo=0.0, r_hi=math.inf, *, sign_fn=None,
                 val = np.where(val != 0.0, val * sign_fn(r), 0.0)
         return val
 
-    pts = np.append(_seed_points(us, rel_li), us[i_pk])
+    # a peak whose live neighbour lies more than _SEED_EFOLDS below it is
+    # narrower than a probe step: that neighbour becomes a breakpoint too,
+    # so the panel that ends at the peak is one step wide and its Kronrod
+    # nodes reach the peak (from a wider panel none may)
+    near = us[max(i_pk - 1, 0):i_pk + 2]
+    flank = rel_li[max(i_pk - 1, 0):i_pk + 2]
+    steep = np.isfinite(flank) & (flank < -_SEED_EFOLDS)
+    pts = np.concatenate((_seed_points(us, rel_li), [us[i_pk]], near[steep]))
     abs_floor_scaled = 0.0
     if abs_floor > 0.0:
         abs_floor_scaled = min(abs_floor * math.exp(min(-shift, 690.0)), 1e280)

@@ -20,13 +20,13 @@ state of a Schroedinger-type operator (the Markovian approach of
 Bonnefont & Joulin).  Discretely, the nonzero spectrum of M^{-1} K is
 the spectrum of the flux pencil C^{1/2} B M^{-1} B^T C^{1/2}, so the gap
 is that pencil's lowest eigenvalue, and the constant mode never enters.
-A domain's first mesh is solved by LAPACK's bisection.  Every other
+A domain's first pencil is solved by LAPACK's bisection.  Every other
 pencil starts from a neighbour's eigenvalue -- the coarser mesh's, or
-the previous domain's -- and Newton's method on the determinant climbs
-to its own from below, each step certified below it by the inertia of
-an LDL^T factorization; bisection remains the fallback.  Both LAPACK
-routines (dpttrf, dstebz) are called through scipy's f2py extension
-module, loaded from its file without importing the scipy.linalg package.
+the Robin pencil's below it -- and Newton's method on the determinant
+climbs to its own from below, each step certified below it by the
+inertia of an LDL^T factorization; bisection remains the fallback.  Both
+LAPACK routines (dpttrf, dstebz) are called through scipy's f2py
+extension module, loaded from its file without importing scipy.linalg.
 
 Coordinates.  Meshes are laid out in the natural coordinate of the
 diffusion, s(r) = int_0^r du/sigma(u), in which the operator has unit
@@ -37,24 +37,25 @@ laws, where no clipped grading in r could resolve both the bulk and the
 reflecting wall, while the natural coordinate stays numerically tame.
 
 Truncation.  Unbounded laws are truncated where the solver's own tail
-budget (1e-10) is met, and the domain then grows until a doubling no
-longer moves the eigenvalue or the representable range (a bounded law's
-whole domain) is reached.  The growth doubles the *natural length* of
-the domain rather than the radius -- for sigma^2 = 1 + r^2 a radius
-doubling moves the wall by only log 2 in the natural coordinate, which
-can never resolve the 1/S^2 truncation bias of a law whose generator has
-essential spectrum.  The estimate is the last domain solved.  When the
-last three domains fit lambda(S) = lambda_inf + A/(S + phi)^2, as an
-algebraic truncation bias does, its error also covers lambda_inf.  One
-audit judges the estimate returned: TruncationWarning fires when its
-truncation term exceeds ten times its mesh error.
+budget (1e-10) is met, and one domain brackets the gap (Neumann
+bracketing): the Dirichlet problem for the flux, which is the flux
+pencil, and W_inf bound it from above; the Robin problem at the wall,
+the flux pencil with one more row, capped by the floor of the flux's
+potential past the wall, bounds it from below.  The estimate is the
+upper end, charged the bracket's width and the mesh error.  The domain
+grows only while the width exceeds a hundredth of the mesh error,
+doubling its *natural length* -- for sigma^2 = 1 + r^2 a radius doubling
+moves the wall by only log 2 in the natural coordinate -- up to the
+representable range.  A bounded law's wall is its own end: one domain,
+Dirichlet only.  TruncationWarning fires when the bracket of the
+estimate returned is wider than its mesh error.
 
 Essential spectrum.  In the natural coordinate the generator is
 unitarily equivalent to -d^2/ds^2 + W, and the bottom of its essential
 spectrum is W_inf = lim W (Persson).  essential_edge reads W_inf from
 the closed-form coefficients.  A W_inf of zero means no gap, raised
-before any domain is solved; when the inverse-square limit of the domain
-trace meets a finite W_inf, the gap is that edge and the loop stops.
+before any domain is solved; no gap lies above a finite W_inf, which
+caps the upper end.
 """
 
 import importlib.machinery
@@ -122,21 +123,13 @@ _DENSITY_DROP = 600.0
 _R_CAP = 1e150
 # largest GridSpec n_cells: memory grows with it (~100 MB at this cap)
 _MAX_CELLS = 65536
-# domain-escalation budget (metric-length doublings)
+# domain-growth budget (metric-length doublings)
 _MAX_GROWTH = 8
-# a returned estimate whose truncation term exceeds this multiple of its
-# mesh error fails the truncation audit
-_AUDIT_FACTOR = 10.0
 # dyadic panels of the first cell's mass rule (see _first_cell_log_mass)
 _FIRST_CELL_HALVINGS = 40
 # radii at which essential_edge reads the Schroedinger potential W: far
 # past every bulk, and far below 1e150, where its closed-form terms cancel
 _EDGE_LADDER = np.array([1e5, 1e6, 1e7, 1e8])
-# the coarsest mesh of a doubled domain starts Newton's method this far
-# below the previous domain's, relative: a doubling lowers it by up to
-# 1.1e-2 on the catalog, and by up to 5.2e-2 on the eight laws whose gap
-# is the edge, whose first doubling then falls back to bisection
-_WARM_MARGIN = 0.02
 # Newton's method hands a pencil to bisection after this many steps
 _NEWTON_CAP = 12
 
@@ -173,20 +166,24 @@ class GridSpec:
 class GapEstimate:
     """Spectral-gap estimate with its own error model.
 
-    value is the Richardson-extrapolated eigenvalue of the last domain
-    solved, or the essential-spectrum edge W_inf (see spectral_gap).
-    error_estimate is that domain's mesh error |lambda_N - lambda_2N| / 3
-    (the size of the correction the extrapolation applied) plus a
-    truncation term: the shift of the last domain doubling, or the
-    distance to the inverse-square limit of the last three domains if
-    they fit one and it is larger.
-    r_max_used is the radius of the last domain.
+    value is upper, the top of the truncation bracket [lower, upper] (see
+    spectral_gap): the last domain's Richardson-extrapolated Dirichlet
+    end, or the essential-spectrum edge W_inf where that is lower
+    (at_edge).  A bounded law is not truncated: lower = upper.
+    error_estimate is the width (upper - lower)^+ plus the mesh error
+    |lambda_N - lambda_2N| / 3 of the wider end, plus W_inf's error when
+    at_edge.  r_max_used is the last domain's radius, and domains every
+    domain's, in order.
     """
 
     value: float
     error_estimate: float
     n_cells_used: int
     r_max_used: float
+    lower: float = math.nan
+    upper: float = math.nan
+    domains: tuple = ()
+    at_edge: bool = False
 
 
 # ---------------------------------------------------------------------
@@ -236,7 +233,7 @@ def _default_radius(measure):
     r^4-weighted law (eigenfunctions of the heavy-tailed families grow
     like r^2, so the eigenvalue's truncation bias tracks the r^4 tail),
     falling back to the bare tail mass when r^4 is not integrable --
-    those are essential-spectrum cases that escalate and extrapolate."""
+    those are essential-spectrum cases, whose bracket closes at W_inf."""
     try:
         return truncation_radius(measure, _SOLVER_TAIL_TOL, poly_power=4)
     except NonIntegrable:
@@ -359,15 +356,16 @@ def _require_increasing(r, floor=-math.inf):
             "mesh degenerated: grid radii are not strictly increasing")
 
 
-def _mesh_terms(measure, weight, edges, from_metric):
+def _mesh_terms(measure, weight, edges, from_metric, wall=False):
     """(log_flux, log_m) of one mesh, given by its natural-coordinate
     edges: the logs of the numerators sigma^2(r_f) w(r_f) of the interior
-    face conductances and of the cell masses, both of the unnormalized
-    density -- every integral and density evaluation of an assembly."""
+    face conductances (and, with wall, of the outer wall's face last) and
+    of the cell masses, both of the unnormalized density -- every integral
+    and density evaluation of an assembly."""
     r_edges = np.asarray(from_metric(edges), dtype=float)
     r_edges[0] = 0.0
     _require_increasing(r_edges)
-    faces = r_edges[1:-1]
+    faces = r_edges[1:] if wall else r_edges[1:-1]
     log_flux = np.log(weight.s2(faces)) + measure.log_weight(faces)
 
     log_m = np.empty(edges.size - 1)
@@ -382,17 +380,20 @@ def _mesh_terms(measure, weight, edges, from_metric):
     return log_flux, log_m
 
 
-def _pencil(edges, log_flux, from_metric):
+def _pencil(edges, log_flux, from_metric, wall=False):
     """The log conductances of one mesh from its _mesh_terms' log_flux:
     the midpoint-face conductances sigma^2(r_f) w(r_f) / (center distance)
-    of K = B^T C B."""
-    r_centers = np.asarray(from_metric(0.5 * (edges[:-1] + edges[1:])),
-                           dtype=float)
-    _require_increasing(r_centers, floor=0.0)
-    return log_flux - np.log(np.diff(r_centers))
+    of K = B^T C B.  With wall, the last one is the outer wall's, whose
+    distance runs from the last cell center to the wall."""
+    s = 0.5 * (edges[:-1] + edges[1:])
+    if wall:
+        s = np.append(s, edges[-1])
+    r = np.asarray(from_metric(s), dtype=float)
+    _require_increasing(r, floor=0.0)
+    return log_flux - np.log(np.diff(r))
 
 
-def _nested_pencils(measure, weight, edges, from_metric):
+def _nested_pencils(measure, weight, edges, from_metric, wall=False):
     """(log conductances, log masses) of the meshes edges[::4], edges[::2]
     and edges, coarsest first, from one assembly of the finest.
 
@@ -401,12 +402,13 @@ def _nested_pencils(measure, weight, edges, from_metric):
     coarse log masses are logaddexp of fine ones and the coarse face
     numerators a subset of the fine ones.  Only the coarse cell centers,
     and with them the conductances' center distances, are computed anew.
+    With wall, every conductance vector ends with the outer wall's face.
     """
-    log_flux, log_m = _mesh_terms(measure, weight, edges, from_metric)
+    log_flux, log_m = _mesh_terms(measure, weight, edges, from_metric, wall)
     log_m2 = np.logaddexp(log_m[0::2], log_m[1::2])
     log_m4 = np.logaddexp(log_m2[0::2], log_m2[1::2])
-    return [(_pencil(edges[::step], log_flux[step - 1::step], from_metric),
-             masses)
+    return [(_pencil(edges[::step], log_flux[step - 1::step], from_metric,
+                     wall), masses)
             for step, masses in ((4, log_m4), (2, log_m2), (1, log_m))]
 
 
@@ -430,13 +432,17 @@ def _newton_from_below(d, e, sigma):
     the trace is at least 1/(lambda_1 - sigma).  Once the convergence is
     quadratic, the distance left after a step h that followed a step
     h_prev is about h^3 / h_prev^2; the iteration stops when that is
-    below a quarter of bisection's default tolerance eps |T|_1.  A failed
-    factorization, a step that is not positive or _NEWTON_CAP steps give
-    None.
+    below a quarter of bisection's default tolerance eps |T|_1; an
+    iterate that fails to factor after a step has met lambda_1 within the
+    factorization's backward error, O(eps |T|_1), and is returned too.
+    The start is first lowered by eps |T|_1, so that one equal to lambda_1
+    to rounding certifies.  A start that fails to factor, a step that is
+    not positive or _NEWTON_CAP steps give None.
     """
     abs_e = np.abs(e)
     norm1 = float(np.max(d + np.append(abs_e, 0.0) + np.append(0.0, abs_e)))
     floor = 0.25 * np.finfo(float).eps * norm1
+    sigma -= 4.0 * floor
     e_rev = e[::-1]
     h_prev = 0.0  # no first step stops
     # the pivots of a failed factorization are never read, and gamma must
@@ -446,11 +452,10 @@ def _newton_from_below(d, e, sigma):
         for _ in range(_NEWTON_CAP):
             shifted = d - sigma
             fwd, _, info = dpttrf(shifted, e)
+            if not info:
+                bwd, _, info = dpttrf(shifted[::-1], e_rev)
             if info:
-                return None
-            bwd, _, info = dpttrf(shifted[::-1], e_rev)
-            if info:
-                return None
+                return sigma if h_prev else None
             gamma = fwd + bwd[::-1] - shifted
             h = float(1.0 / np.sum(1.0 / gamma))
             if not (gamma.min() > 0.0 and gamma.max() < math.inf and h > 0.0):
@@ -513,68 +518,103 @@ def eigh_tridiagonal(d, e):
     return float(w[0])
 
 
-def _solve_domain(measure, weight, r_hi, spec, to_metric, from_metric,
-                  start=None):
-    """Mesh-extrapolated eigensolve on one domain.
-
-    Solves on the nested n_cells/2, n_cells and 2 n_cells meshes.  Only
-    the 2 n_cells mesh is assembled (its cell masses integrated); the
-    coarser two are its restrictions (see _nested_pencils).
-    Richardson extrapolation of each finer pair removes the O(h^2) error,
-    and a second step across the two extrapolants removes the O(h^4) term
-    of the nested-mesh expansion.  The mesh error is the two-mesh formula
-    |lambda_N - lambda_2N| / 3, so it is conservative for the value.
-
-    Each mesh starts Newton's method (see _ground_state) from the
-    eigenvalue of the mesh before it, which lies below its own on every
-    catalog pencil; the n_cells/2 mesh starts from start, or cold.
-    Returns (value, mesh_error, l0), l0 the n_cells/2 eigenvalue.
-    """
-    mesh = _mesh_family(measure, weight, from_metric, float(to_metric(r_hi)))
-    coarse, middle, fine = _nested_pencils(
-        measure, weight, mesh(2 * spec.n_cells), from_metric)
-    l0 = _ground_state(*coarse, start)
-    l1 = _ground_state(*middle, l0)
-    l2 = _ground_state(*fine, l1)
+def _richardson(l0, l1, l2):
+    """(value, mesh error) of the eigenvalues of three nested meshes,
+    coarsest first: Richardson extrapolation of each finer pair removes
+    the O(h^2) error, and a second step across the two extrapolants the
+    O(h^4) term.  The mesh error is the two-mesh formula
+    |lambda_N - lambda_2N| / 3, so it is conservative for the value."""
     rich_lo = l1 + (l1 - l0) / 3.0
     rich_hi = l2 + (l2 - l1) / 3.0
-    value = rich_hi + (rich_hi - rich_lo) / 15.0
-    return value, abs(l2 - l1) / 3.0, l0
+    return rich_hi + (rich_hi - rich_lo) / 15.0, abs(l2 - l1) / 3.0
 
 
-def _fit_inverse_square(points):
-    """Fit lambda(S) = lam_inf + A/(S + phi)^2 through three (S, lambda)
-    points; returns lam_inf or None when the data do not admit the model
-    (non-monotone, or decay faster than the model allows).  phi solves the
-    ratio of successive differences by bisection on (-0.999 S1, 100 S3)."""
-    (s1, l1), (s2, l2), (s3, l3) = points
-    d12, d23 = l1 - l2, l2 - l3
-    if d12 == 0.0 or d23 == 0.0 or (d12 > 0.0) != (d23 > 0.0):
-        return None
-    target = d12 / d23
+def _solve_domain(measure, weight, r_hi, spec, to_metric, from_metric,
+                  wall=False):
+    """Mesh-extrapolated eigensolve on one domain (0, r_hi): (value,
+    mesh_error, robin), the Dirichlet end, the larger mesh error of the
+    two ends, and the Robin end or None.
 
-    def mismatch(phi):
-        w1, w2, w3 = (s1 + phi) ** -2, (s2 + phi) ** -2, (s3 + phi) ** -2
-        return (w1 - w2) / (w2 - w3) - target
+    Only the 2 n_cells mesh is assembled; the n_cells/2 and n_cells
+    meshes are its restrictions (see _nested_pencils), and each end is
+    extrapolated across the three (see _richardson).  The flux pencil is
+    the Dirichlet problem for the flux f.  With wall (an outer wall that
+    is not the law's own end) each mesh also solves the Robin pencil, with
+    one more unknown, the flux through the wall: its row is the wall
+    face's conductance against a ghost cell of mass 2 w(R) / |psi'(R)|,
+    the Robin penalty |psi_s| f(S)^2 / (2 rho(S)) written as a mass.
+    Where psi'(R) >= 0 that penalty would be negative, and no Robin end
+    is solved.
 
-    lo = -0.999 * s1
-    hi = 100.0 * s3
-    f_lo, f_hi = mismatch(lo), mismatch(hi)
-    if not (np.isfinite(f_lo) and np.isfinite(f_hi)) or f_lo * f_hi > 0.0:
-        return None
-    # bisection: 64 halvings shrink the bracket below 1e-17 s3
-    for _ in range(64):
-        phi = 0.5 * (lo + hi)
-        f_mid = mismatch(phi)
-        if f_mid == 0.0:
-            break
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = phi, f_mid
-        else:
-            hi = phi
-    w2, w3 = (s2 + phi) ** -2, (s3 + phi) ** -2
-    a = d23 / (w2 - w3)
-    return l3 - a * w3
+    A domain's first pencil is solved cold, every other by Newton's method
+    from the same end's eigenvalue on the mesh before it (below its own on
+    every catalog pencil), and the coarsest Dirichlet pencil from the
+    Robin one, whose leading block it is: by Cauchy interlacing, below it.
+    """
+    mesh = _mesh_family(measure, weight, from_metric, float(to_metric(r_hi)))
+    slope = (float(_potentials(measure, weight, np.array([r_hi]))[2][0])
+             if wall else 0.0)
+    wall = slope < 0.0
+    ghost = (math.log(2.0 / -slope) + float(measure.log_weight(r_hi))
+             if wall else None)
+    pencils = _nested_pencils(measure, weight, mesh(2 * spec.n_cells),
+                              from_metric, wall)
+    dirichlet, robin = [], []
+    for log_c, log_m in pencils:
+        start = dirichlet[-1] if dirichlet else None
+        if wall:
+            robin.append(_ground_state(log_c, np.append(log_m, ghost),
+                                       robin[-1] if robin else None))
+            log_c = log_c[:-1]
+            start = start if dirichlet else robin[0]
+        dirichlet.append(_ground_state(log_c, log_m, start))
+    value, mesh_error = _richardson(*dirichlet)
+    if not robin:
+        return value, mesh_error, None
+    lower, robin_error = _richardson(*robin)
+    return value, max(mesh_error, robin_error), lower
+
+
+def _potentials(measure, weight, r):
+    """(W, W~, psi') at the radii r.  psi = log(w sigma) is the log
+    density of the law in the natural coordinate s, with
+        psi' = (n-1)/r - V' + (sigma^2)'/(2 sigma^2),
+        psi'' = -(n-1)/r^2 - V'' + (sigma^2)''/(2 sigma^2)
+                - ((sigma^2)')^2 / (2 (sigma^2)^2)
+    in r, and W = psi_s^2/4 + psi_ss/2 and W~ = psi_s^2/4 - psi_ss/2 are
+    the Schroedinger potentials of the gap eigenfunction and of its flux:
+    sigma^2 psi'^2/4 +- ((sigma^2)' psi'/4 + sigma^2 psi''/2)."""
+    nm1, pot = measure.n - 1, measure.potential
+    with np.errstate(all="ignore"):
+        s2, ds2 = weight.s2(r), weight.ds2(r)
+        g = ds2 / s2
+        psi1 = nm1 / r - pot.dv(r) + 0.5 * g
+        psi2 = (-nm1 / (r * r) - pot.d2v(r) + 0.5 * weight.d2s2(r) / s2
+                - 0.5 * g * g)
+        kinetic = 0.25 * s2 * psi1 * psi1
+        w = kinetic + 0.25 * ds2 * psi1 + 0.5 * s2 * psi2
+        w_flux = kinetic - 0.25 * ds2 * psi1 - 0.5 * s2 * psi2
+    return np.asarray(w, dtype=float), np.asarray(w_flux, dtype=float), psi1
+
+
+def _tail_floor(measure, weight, r_hi):
+    """inf over r >= r_hi of the flux potential W~, read on steps of at
+    most half a decade from r_hi to max(1e3 r_hi, _EDGE_LADDER's last
+    rung), never past _R_CAP: the least rung, less the last step while W~
+    still falls there, which covers an approach to its limit as slow as
+    1/r.  It assumes W~ has no dip narrower than half a decade past r_hi.
+    Rungs where W~ is NaN or +inf are skipped; with none left the floor
+    is +inf."""
+    top = min(max(1e3 * r_hi, _EDGE_LADDER[-1]), _R_CAP)
+    count = math.ceil(2.0 * math.log10(top / r_hi)) + 1
+    w_flux = _potentials(measure, weight, np.geomspace(r_hi, top, count))[1]
+    w_flux = w_flux[w_flux < math.inf]
+    if w_flux.size == 0:
+        return math.inf
+    floor = float(np.min(w_flux))
+    if w_flux.size >= 2 and w_flux[-1] < w_flux[-2]:
+        floor -= float(w_flux[-2] - w_flux[-1])
+    return floor
 
 
 def essential_edge(measure, weight):
@@ -582,14 +622,10 @@ def essential_edge(measure, weight):
     generator, read from its Schroedinger potential.
 
     In the natural coordinate the ground-state transform of the generator
-    is -d^2/ds^2 + W with
-        W = sigma^2 psi'^2 / 4 + (sigma^2)' psi' / 4 + sigma^2 psi'' / 2,
-    psi' = (n-1)/r - V' + (sigma^2)'/(2 sigma^2) and
-    psi'' = -(n-1)/r^2 - V'' + (sigma^2)''/(2 sigma^2)
-            - ((sigma^2)')^2 / (2 (sigma^2)^2),
-    and the essential spectrum starts at W_inf = lim W.  W is evaluated on
-    the decade ladder _EDGE_LADDER: w_inf is its last rung and err the
-    change over the last decade, which covers an approach as slow as 1/r.
+    is -d^2/ds^2 + W (see _potentials), and the essential spectrum starts
+    at W_inf = lim W.  W is evaluated on the decade ladder _EDGE_LADDER:
+    w_inf is its last rung and err the change over the last decade, which
+    covers an approach as slow as 1/r.
     Returns (inf, 0) for a bounded law, where the spectrum is discrete,
     and wherever the ladder does not show a limit: W overflows, or one of
     its increments is not at most half the one before (nor lost in
@@ -598,15 +634,7 @@ def essential_edge(measure, weight):
     """
     if math.isfinite(measure.potential.domain_end):
         return math.inf, 0.0
-    r, nm1, pot = _EDGE_LADDER, measure.n - 1, measure.potential
-    with np.errstate(all="ignore"):
-        s2, ds2 = weight.s2(r), weight.ds2(r)
-        g = ds2 / s2
-        psi1 = nm1 / r - pot.dv(r) + 0.5 * g
-        psi2 = (-nm1 / (r * r) - pot.d2v(r) + 0.5 * weight.d2s2(r) / s2
-                - 0.5 * g * g)
-        w = np.asarray(0.25 * s2 * psi1 * psi1 + 0.25 * ds2 * psi1
-                       + 0.5 * s2 * psi2, dtype=float)
+    w = _potentials(measure, weight, _EDGE_LADDER)[0]
     if not np.all(np.isfinite(w)):
         return math.inf, 0.0
     steps = np.abs(np.diff(w))
@@ -619,26 +647,23 @@ def essential_edge(measure, weight):
 def spectral_gap(measure, weight, opts=None):
     """Spectral gap of the weighted radial generator, with error control.
 
-    Every domain is solved on three nested meshes (see _solve_domain).
-    The truncation is audited by re-solving on a domain of twice the
-    natural length; the domain grows until the shift settles or the
-    representable range is reached.  A bounded law starts there, so its
-    whole domain is solved once.
-
-    The estimate is one of two values.  It is the last domain solved,
-    charged its mesh error plus a truncation term: the shift of the last
-    doubling, or |lam_inf - lambda_last| if that is larger, when the last
-    three domains admit lambda(S) = lam_inf + A/(S + phi)^2 in the
-    natural length S, so a trace that has not converged is loose or
-    refused.  Or it is the essential-spectrum edge W_inf (see
-    essential_edge), read before any domain is solved: when lam_inf lies
-    within the last mesh error, 0.05 |lam_inf - lambda_last| and W_inf's
-    error of a finite W_inf, the loop stops, and W_inf is charged that
-    spread plus |lam_inf - W_inf|.  No gap lies above the edge, so that
-    charge covers the distance from W_inf down to the fit's lower end.
-
-    An accepted last-domain estimate whose truncation term exceeds ten
-    times its mesh error emits TruncationWarning, naming the case.
+    Every domain is solved on three nested meshes (see _solve_domain).  A
+    bounded law is solved once, on its whole domain.  On an unbounded
+    law, the domain (0, R) of natural length S brackets the gap (Neumann
+    bracketing; Reed & Simon IV, XIII.15):
+      - upper = min(Dirichlet end, W_inf): the flux extended by zero past
+        S lies in the whole line's form domain, and no gap lies above the
+        essential-spectrum edge W_inf (see essential_edge);
+      - lower = min(Robin end, inf_{s >= S} W~): with f = rho^(1/2) h the
+        flux form is int (h_s^2 + W~ h^2) ds, and splitting it at S with
+        free ends leaves the Robin problem f_s = (psi_s / 2) f on (0, S)
+        and the floor of W~ past S (see _tail_floor).
+    While the width upper - lower exceeds a hundredth of the mesh error,
+    the domain doubles its natural length, up to the representable radius
+    and at most _MAX_GROWTH times.  The estimate is upper, charged the
+    width (upper - lower)^+, the mesh error and, when it is W_inf,
+    W_inf's error; TruncationWarning, naming the case, fires when the
+    width of an accepted estimate exceeds its mesh error.
 
     Raises HypothesisFailed ("no spectral gap") when W_inf is zero within
     its error, before any domain is solved.  Raises ConvergenceError
@@ -654,73 +679,43 @@ def spectral_gap(measure, weight, opts=None):
         raise HypothesisFailed(
             f"no spectral gap: the essential spectrum starts at "
             f"{edge:.3e}, zero within its error {edge_err:.3e}")
-    r0, r_cap = _radii(measure)
+    r_last, r_cap = _radii(measure)
     to_metric, from_metric = _metric_maps(weight, min(r_cap, _R_CAP))
-    s0, s_cap = float(to_metric(r0)), float(to_metric(r_cap))
-
-    def estimate(val, error, r_used):
-        val = max(float(val), 0.0)
-        if not val > error:
-            raise ConvergenceError(
-                f"spectral gap not resolved: lambda_1 = {val:.3e} does not "
-                f"exceed its error {error:.3e} on the domain "
-                f"(0, {r_used:.6g})")
-        return GapEstimate(value=val,
-                           error_estimate=float(error),
-                           n_cells_used=2 * spec.n_cells,
-                           r_max_used=float(r_used))
-
-    # the domain trace: (natural length, value) per solve; shift is what
-    # the last doubling moved the eigenvalue (0 for a single domain); l0,
-    # each solve's coarsest-mesh eigenvalue less _WARM_MARGIN of itself,
-    # starts the next one's
-    r_last = r0
-    val_last, err_last, l0 = _solve_domain(measure, weight, r_last, spec,
-                                           to_metric, from_metric)
-    trace = [(s0, val_last)]
-    shift = 0.0
-    lam_inf = None
-    # the Neumann wall is trusted only if doubling the natural length of
-    # the domain barely moves the eigenvalue.  The domain grows, up to the
-    # representable cap, until the eigenvalue stops moving or its
-    # inverse-square limit meets the essential-spectrum edge
-    for _ in range(_MAX_GROWTH):
-        s_prev = trace[-1][0]
-        if s_prev >= s_cap * (1.0 - 1e-9):
+    s_last, s_cap = float(to_metric(r_last)), float(to_metric(r_cap))
+    wall = not math.isfinite(measure.potential.domain_end)
+    domains = []
+    while True:
+        val, mesh_err, robin = _solve_domain(measure, weight, r_last, spec,
+                                             to_metric, from_metric, wall)
+        domains.append(r_last)
+        upper = lower = min(val, edge)
+        if wall:
+            lower = (0.0 if robin is None else
+                     min(robin, _tail_floor(measure, weight, r_last)))
+        width = max(upper - lower, 0.0)
+        if (width <= 0.01 * mesh_err or len(domains) > _MAX_GROWTH
+                or s_last >= s_cap * (1.0 - 1e-9)):
             break
-        s_next = min(2.0 * s_prev, s_cap)
-        r_last = float(from_metric(s_next))
-        val_last, err_last, l0 = _solve_domain(measure, weight, r_last,
-                                               spec, to_metric, from_metric,
-                                               l0 - _WARM_MARGIN * l0)
-        shift = abs(val_last - trace[-1][1])
-        trace.append((s_next, val_last))
-        # when the eigenvalue still drifts algebraically with the wall, the
-        # last three domains follow lambda(S) ~ lam_inf + A/(S + phi)^2;
-        # traces that have converged (exponential tails) do not admit the
-        # model.  The limit is charged the last mesh error and a twentieth
-        # of its distance from the last domain
-        if len(trace) >= 3:
-            lam_inf = _fit_inverse_square(trace[-3:])
-        if lam_inf is not None:
-            apart = abs(lam_inf - edge)
-            spread = err_last + 0.05 * abs(lam_inf - val_last) + edge_err
-            if apart <= spread:
-                return estimate(edge, spread + apart, r_last)
-        if shift <= max(0.01 * err_last, 1e-12 * (1.0 + abs(val_last))):
-            break
+        s_last = min(2.0 * s_last, s_cap)
+        r_last = float(from_metric(s_last))
 
-    # the estimate is the last domain, charged its mesh error and the last
-    # shift, or its distance from the fitted limit if that is larger
-    if lam_inf is not None:
-        shift = max(shift, abs(lam_inf - val_last))
-    est = estimate(val_last, err_last + shift, r_last)
-    if shift > _AUDIT_FACTOR * err_last:
+    at_edge = edge < val
+    error = width + mesh_err + (edge_err if at_edge else 0.0)
+    value = max(float(upper), 0.0)
+    if not value > error:
+        raise ConvergenceError(
+            f"spectral gap not resolved: lambda_1 = {value:.3e} does not "
+            f"exceed its error {error:.3e} on the domain (0, {r_last:.6g})")
+    if width > mesh_err:
         warnings.warn(TruncationWarning(
-            f"{measure.name or '<anon>'}: the truncation term {shift:.3e} "
-            f"of the spectral gap on the domain (0, {r_last:.6g}) exceeds "
-            f"{_AUDIT_FACTOR:g}x its mesh error {err_last:.3e}"))
-    return est
+            f"{measure.name or '<anon>'}: the truncation bracket "
+            f"[{lower:.6g}, {upper:.6g}] of the spectral gap on the domain "
+            f"(0, {r_last:.6g}) is {width:.3e} wide, more than its mesh "
+            f"error {mesh_err:.3e}"))
+    return GapEstimate(value=value, error_estimate=float(error),
+                       n_cells_used=2 * spec.n_cells, r_max_used=r_last,
+                       lower=float(lower), upper=float(upper),
+                       domains=tuple(domains), at_edge=at_edge)
 
 
 # ---------------------------------------------------------------------

@@ -222,6 +222,11 @@ def test_eigen_gaussian():
     assert 0 <= sg["error"] < 1e-4
     assert "n_cells_used=" in sg["detail"]
     assert recs(rep, "reference_radial")[0]["value"] == 2.0
+    # the truncation bracket: one domain, whose Dirichlet end is the value
+    assert sg["lower"] <= sg["value"] == sg["upper"]
+    assert sg["upper"] - sg["lower"] <= sg["error"]
+    assert "domains_solved=1 " in sg["detail"]
+    assert "value=the last domain's Dirichlet end" in sg["detail"]
 
 
 def test_eigen_heavy_tail_essential_edge():
@@ -230,6 +235,9 @@ def test_eigen_heavy_tail_essential_edge():
     assert code == 0
     sg = recs(rep, "spectral_gap")[0]
     assert abs(sg["value"] - 1.0) <= 1e-3 + 3.0 * sg["error"]
+    # t = 1: the value is the edge t^2, the bracket's upper end
+    assert sg["lower"] <= sg["value"] == sg["upper"]
+    assert "value=W_inf, the essential-spectrum edge" in sg["detail"]
 
 
 def test_eigen_ball():
@@ -239,6 +247,8 @@ def test_eigen_ball():
     want = float(jn_zeros(4, 1)[0]) ** 2  # radial gap of the n=8 ball
     assert rel(sg["value"], want) < 1e-6
     assert sg["value"] >= 63.0 / 4.0
+    # a bounded law is not truncated: its bracket is its value
+    assert sg["lower"] == sg["value"] == sg["upper"]
 
 
 @pytest.mark.parametrize("argv,error", [
@@ -315,10 +325,30 @@ def test_verify_names_a_gap_above_the_edge_a_solver_defect(monkeypatch):
     assert "solver defect on exponential_power" in rep["error"], rep["error"]
 
 
-def test_verify_records_a_raising_solve_and_goes_on():
-    # at 64 cells three cauchy t = 2.5 solves are refused as unresolved;
-    # each sweep records the refusal as a failing check, and the report
-    # keeps every other record
+def _refuse_t25_up_to_n4(monkeypatch):
+    """Make cli.spectral_gap refuse the cauchy t = 2.5 laws with n <= 4 as
+    unresolved, as the domain-doubling solver did at 64 cells; every other
+    law is solved."""
+    real = cli.spectral_gap
+
+    def solve(measure, weight, opts=None):
+        est = real(measure, weight, opts)
+        if "generalized_cauchy" in measure.name and abs(
+                est.value - 6.0) <= est.error_estimate and measure.n <= 4:
+            raise ConvergenceError(
+                f"spectral gap not resolved: lambda_1 = {est.value:.3e} "
+                f"does not exceed its error ...")
+        return est
+
+    monkeypatch.setattr(cli, "spectral_gap", solve)
+
+
+def test_verify_records_a_raising_solve_and_goes_on(monkeypatch):
+    # at 64 cells the solver refuses none of the catalog laws (see
+    # test_solver_references), so a solver that refuses the three cauchy
+    # t = 2.5 laws with n <= 4 stands in for a refusal; each sweep records
+    # it as a failing check, and the report keeps every other record
+    _refuse_t25_up_to_n4(monkeypatch)
     code, rep = run_json(["verify", "--scope", "all", "--cells", "64"])
     assert code == 1 and rep["status"] == "error"
     assert len(recs(rep, "gamma_ratio")) == 63
@@ -388,9 +418,17 @@ def test_table_heavy_tail_default_betas_no_solve():
     assert rel(by_beta[6.0]["upper"], 10.0) < 1e-12
 
 
-def test_table_records_a_raising_solve_and_keeps_the_other_rows():
-    # at 64 cells the beta=4 solve is refused as unresolved; the beta=2.5
-    # row keeps its solved value, and the refusal is a failing check
+def test_table_records_a_raising_solve_and_keeps_the_other_rows(
+        monkeypatch):
+    # at 64 cells the beta=4 row now solves, 5.85 +- 0.57 against its gap
+    # 6; refused as unresolved, as it was by the domain-doubling solver,
+    # it is a failing check, and the beta=2.5 row keeps its solved value
+    code, rep = run_json(["table", "--id", "cauchy-n3", "--betas", "2.5,4",
+                          "--cells", "64"])
+    rows = {r["beta"]: r for r in recs(rep, "cauchy-n3")
+            if r["record"] == "row"}
+    assert code == 0 and abs(rows[4.0]["value"] - 6.0) <= rows[4.0]["error"]
+    _refuse_t25_up_to_n4(monkeypatch)
     code, rep = run_json(["table", "--id", "cauchy-n3", "--betas", "2.5,4",
                           "--cells", "64"])
     assert code == 1 and rep["status"] == "error"

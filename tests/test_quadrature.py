@@ -504,3 +504,23 @@ def test_cdf_table_evaluates_few_points_per_cell(monkeypatch):
         assert lo.size == 4096
         points = _points(log_f, lo, hi)
         assert points <= 8.5 * lo.size, (potential.name, points / lo.size)
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.03], ids=["on-grid", "off-grid"])
+def test_tail_integral_keeps_both_halves_of_a_peak_narrower_than_a_step(
+        offset):
+    # a gaussian bump of width 1e-3 in u = log(1+r), 86x narrower than a
+    # probe step, on a probe grid point (index 84) and between two.  On
+    # the grid point the peak is a breakpoint, and the panels that end
+    # there used to read 0 with error 0: log 2 of the mass went missing
+    grid = np.linspace(0.0, quadrature._U_CAP, quadrature._PROBE_POINTS)
+    u_c = float(grid[84]) + offset
+
+    def log_abs(r):
+        u = np.log1p(r)
+        return -(u - u_c) ** 2 / 2e-6 - u
+
+    value, err, log_scale = tail_integral(log_abs)
+    exact = 0.5 * math.log(2.0 * math.pi * 1e-6)
+    assert abs(math.log(value) + log_scale - exact) <= 1e-10
+    assert err <= 1e-10 * value

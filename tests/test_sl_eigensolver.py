@@ -161,9 +161,9 @@ def test_weighted_gaussian_stable_under_refinement():
 
 
 def test_inv_weight_quadrature_metric_solves():
-    # sigma -> 0 at infinity makes the far field slow: the truncation
-    # audit warns and the error model stays conservative, but the value
-    # itself must be stable under refinement
+    # sigma -> 0 at infinity makes the far field slow: the domain grows
+    # until its truncation bracket closes, and the value must be stable
+    # under refinement
     mu = build_measure(3, gaussian_pot())
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
@@ -292,8 +292,11 @@ def test_heavy_tail_without_gap_is_a_typed_outcome(label, builder, weight):
 
 
 def test_unresolved_gap_raises_after_the_domain_loop(monkeypatch):
-    # cauchy t = 2.5 with sigma^2 = 1+r^2 has gap 6 below the edge 6.25,
-    # but 64 cells cannot resolve it: the domains are solved, and the
+    # cauchy t = 2.5 with sigma^2 = 1+r^2 has gap 6 below the edge 6.25.
+    # At 64 cells its first domain now brackets 6 within its error.  A
+    # lower end that cannot rise above 0 (the floor of W~ held there)
+    # keeps the bracket open: the domain grows to the representable
+    # radius, and the
     # estimate is refused because it does not exceed its own error.  The
     # law has a gap, so the refusal does not deny one, and a refused
     # estimate is not audited
@@ -304,16 +307,21 @@ def test_unresolved_gap_raises_after_the_domain_loop(monkeypatch):
         solves.append(args[2])
         return real(*args)
 
+    law = (build_measure(4, cauchy_pot(4.5)), one_plus_w(),
+           GridSpec(n_cells=64))
+    est = spectral_gap(*law)
+    assert abs(est.value - 6.0) <= est.error_estimate < 1.0, est
     monkeypatch.setattr(sl_eigensolver, "_solve_domain", spy)
+    monkeypatch.setattr(sl_eigensolver, "_tail_floor", lambda *args: 0.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(ConvergenceError,
                            match="spectral gap not resolved") as exc:
-            spectral_gap(build_measure(4, cauchy_pot(4.5)), one_plus_w(),
-                         GridSpec(n_cells=64))
+            spectral_gap(*law)
     assert "does not exceed its error" in str(exc.value)
     assert "no spectral gap" not in str(exc.value)
-    assert len(solves) >= 3, solves
+    r_cap = sl_eigensolver._radii(law[0])[1]
+    assert len(solves) >= 3 and solves[-1] == pytest.approx(r_cap), solves
     assert not any(issubclass(w.category, TruncationWarning)
                    for w in caught), [str(w.message) for w in caught]
 
@@ -459,16 +467,14 @@ def test_warm_ground_state_matches_tight_bisection(monkeypatch, name, builder,
 
     monkeypatch.setattr(sl_eigensolver, "_ground_state", spy)
     stebz = _stebz_spy(monkeypatch)
-    try:
-        _quiet_gap(builder(), weight(), GridSpec(n_cells=n_cells))
-    except ConvergenceError:
-        pass  # cauchy b=4.5 at 64 cells: its pencils are still solved
-    # only the first pencil is solved cold.  At 64 cells the cauchy
-    # pencils are unresolved, with lambda_2/lambda_1 - 1 down to 4e-7, and
-    # Newton hands them all to bisection; at 1024 cells it solves at least
-    # half of every law's pencils
-    assert [p[2] is not None for p in pencils] == [False] + [True] * (
-        len(pencils) - 1), name
+    _quiet_gap(builder(), weight(), GridSpec(n_cells=n_cells))
+    # only each domain's first pencil is solved cold: six pencils per
+    # domain of an unbounded law (a Robin and a Dirichlet pencil per
+    # mesh), three on the ball.  At 1024 cells Newton solves at least half
+    # of every law's pencils
+    per_domain = 3 if name.startswith("ball") else 6
+    assert [p[2] is None for p in pencils] == [
+        i % per_domain == 0 for i in range(len(pencils))], name
     if n_cells == 1024:
         assert 2 * len(stebz) <= len(pencils), (name, stebz)
     for log_c, log_m, start, lam in pencils:
@@ -581,6 +587,79 @@ def test_warm_start_raises_no_floating_point_warning(prediction, margin):
     assert abs(lam - lam1) <= tol, (prediction, margin, lam, lam1)
 
 
+def test_start_at_the_ground_state_to_rounding_climbs_without_bisection(
+        monkeypatch):
+    # a start that equals lambda_1 to rounding -- the coarsest Dirichlet
+    # pencil starts from the Robin one, which lies below it only by the
+    # truncation -- certifies once lowered by eps |T|_1, and a
+    # factorization that fails after the first step has met lambda_1
+    _, c, m = _first_domain_pencil(build_measure(4, gaussian_pot()), unit_w(),
+                                   1024)
+    (lam1, _, _), tol = _tight_spectrum(c, m)
+    stebz = _stebz_spy(monkeypatch)
+    for start in (lam1 - tol, lam1, lam1 + 0.5 * tol):
+        assert abs(_ground_state(c, m, start) - lam1) <= tol, start
+    assert stebz == []
+
+
+def _walled_pencils(mu, w, n_cells):
+    """The first domain's three nested pencils with the outer wall's face
+    (coarsest first), those without it, and the ghost cell's log mass."""
+    mesh, from_metric = _first_domain_mesh(mu, w)
+    edges = mesh(2 * n_cells)
+    r_hi = float(from_metric(edges[-1]))
+    slope = sl_eigensolver._potentials(mu, w, np.array([r_hi]))[2][0]
+    ghost = np.log(2.0 / -slope) + mu.log_weight(r_hi)
+    return (sl_eigensolver._nested_pencils(mu, w, edges, from_metric, True),
+            sl_eigensolver._nested_pencils(mu, w, edges, from_metric),
+            ghost)
+
+
+@pytest.mark.parametrize("name,builder,weight", [
+    law for law in _WARM_LAWS if not law[0].startswith("ball")],
+    ids=[law[0] for law in _WARM_LAWS if not law[0].startswith("ball")])
+def test_robin_pencil_interlaces_below_the_dirichlet_one(name, builder,
+                                                         weight):
+    # the wall adds one face and one ghost cell and changes nothing else:
+    # the Dirichlet pencil is the Robin pencil's leading block, so by
+    # Cauchy interlacing the Robin ground state lies below it on every mesh
+    walled, plain, ghost = _walled_pencils(builder(), weight(), 256)
+    for (log_c, log_m), (plain_c, plain_m) in zip(walled, plain):
+        assert np.array_equal(log_c[:-1], plain_c), name
+        assert np.array_equal(log_m, plain_m), name
+        (robin, _, _), tol = _tight_spectrum(log_c, np.append(log_m, ghost))
+        (dirichlet, _, _), _ = _tight_spectrum(plain_c, plain_m)
+        assert robin <= dirichlet + tol, (name, robin, dirichlet)
+
+
+@pytest.mark.parametrize("fraction", [0.5, 0.75])
+@pytest.mark.parametrize("label,builder,weight,gap", [
+    ("exp-power a=1 n=2", lambda: build_measure(2, exp_power_pot(1.0)),
+     unit_w, 2.0 / 9.0),
+    ("gaussian n=3", lambda: build_measure(3, gaussian_pot()), unit_w, 2.0),
+    ("cauchy n=3 b=4", lambda: build_measure(3, cauchy_pot(4.0)),
+     one_plus_w, 6.0),
+    ("cauchy n=4 b=4.5", lambda: build_measure(4, cauchy_pot(4.5)),
+     one_plus_w, 6.0),
+    ("cauchy n=3 b=2", lambda: build_measure(3, cauchy_pot(2.0)),
+     one_plus_w, 0.25),
+])
+def test_a_shorter_domain_still_brackets_the_gap(monkeypatch, label, builder,
+                                                 weight, gap, fraction):
+    # on a domain of 1/2 or 3/4 of the default natural length, with no
+    # growth, the bracket widens but still holds the gap within the mesh
+    # error: the lower end is a bound, not a fit
+    mu, w = builder(), weight()
+    r0, r_cap = sl_eigensolver._radii(mu)
+    to_metric, from_metric = sl_eigensolver._metric_maps(w, r_cap)
+    short = float(from_metric(fraction * float(to_metric(r0))))
+    monkeypatch.setattr(sl_eigensolver, "_radii", lambda m: (short, r_cap))
+    monkeypatch.setattr(sl_eigensolver, "_MAX_GROWTH", 0)
+    est = _quiet_gap(mu, w)
+    assert est.domains == (short,)
+    assert abs(est.value - gap) <= est.error_estimate, (label, est)
+
+
 # --- convergence order -------------------------------------------------
 
 
@@ -684,63 +763,78 @@ def test_one_mass_integration_per_domain_solve(monkeypatch):
     assert intervals == [2 * 64 - 1]
 
 
-def test_unsettled_trace_returns_last_domain(monkeypatch):
-    # without a usable inverse-square model an unsettled trace returns its
-    # last domain, with the last doubling shift added to the mesh error
-    solves = []
-    real = sl_eigensolver._solve_domain
+def _bracket_spy(monkeypatch):
+    """Record each domain solve's (r_hi, value, mesh error, robin) and
+    each tail floor read."""
+    solves, floors = [], []
+    real_solve = sl_eigensolver._solve_domain
+    real_floor = sl_eigensolver._tail_floor
 
-    def spy(measure, weight, r_hi, *rest):
-        out = real(measure, weight, r_hi, *rest)
-        solves.append((r_hi, out[0], out[1]))
+    def solve(measure, weight, r_hi, *rest):
+        out = real_solve(measure, weight, r_hi, *rest)
+        solves.append((r_hi, *out))
         return out
 
-    monkeypatch.setattr(sl_eigensolver, "_solve_domain", spy)
-    monkeypatch.setattr(sl_eigensolver, "_fit_inverse_square",
-                        lambda points: None)
-    est = _quiet_gap(build_measure(3, cauchy_pot(2.0), tail_tol=1e-12),
-                     one_plus_w())
-    assert len(solves) >= 3
-    (_, val_prev, _), (r_last, val_last, err_last) = solves[-2:]
-    shift = abs(val_last - val_prev)
-    assert shift > 0.01 * err_last, "the trace settled"
-    assert est.value == val_last
-    assert est.r_max_used == r_last
-    assert est.error_estimate == err_last + shift
+    def floor(*args):
+        floors.append(real_floor(*args))
+        return floors[-1]
+
+    monkeypatch.setattr(sl_eigensolver, "_solve_domain", solve)
+    monkeypatch.setattr(sl_eigensolver, "_tail_floor", floor)
+    return solves, floors
+
+
+def test_unsettled_trace_returns_last_domain(monkeypatch):
+    # the estimate is the last domain's bracket.  This edge law (t = 1/2,
+    # W_inf = 1/4) closes it on its first domain: the value is W_inf,
+    # below the Dirichlet end, and the error is the width down to the
+    # Robin end or the floor of W~, whichever is lower, plus the mesh
+    # error and W_inf's own error
+    solves, floors = _bracket_spy(monkeypatch)
+    mu = build_measure(3, cauchy_pot(2.0), tail_tol=1e-12)
+    est = spectral_gap(mu, one_plus_w())
+    edge, edge_err = sl_eigensolver.essential_edge(mu, one_plus_w())
+    assert len(solves) == len(floors) == 1
+    [(r_last, val, mesh_err, robin)] = solves
+    assert est.at_edge and est.value == est.upper == edge < val
+    assert est.lower == min(robin, floors[0]) <= est.upper
+    assert est.error_estimate == (est.upper - est.lower) + mesh_err + edge_err
+    assert est.r_max_used == r_last and est.domains == (r_last,)
 
 
 def test_fitted_limit_only_widens_the_error(monkeypatch):
-    # a trace that fits the inverse-square model still returns its last
-    # domain; the limit's distance from it is charged when it exceeds the
-    # last doubling shift.  The fake limit lies 10% above each last
-    # domain, so it never meets the edge 1/4
-    solves, fits = [], []
+    # a modelled tail value -- the floor of W~ past the wall, which stands
+    # where the inverse-square limit of the domain trace used to -- only
+    # widens the error.  Held 10% below each domain's Robin end, it keeps
+    # the bracket open: the domain grows to the representable radius, the
+    # value is still the last domain's upper end (here W_inf, as on one
+    # domain), and the error grows by the width
+    mu = build_measure(3, cauchy_pot(2.0), tail_tol=1e-12)
+    plain = spectral_gap(mu, one_plus_w())
+    solves = []
     real = sl_eigensolver._solve_domain
 
     def spy(*args):
         out = real(*args)
-        solves.append(out[:2])
+        solves.append(out)
         return out
 
-    def fake_fit(points):
-        fits.append(1.1 * points[-1][1])
-        return fits[-1]
-
     monkeypatch.setattr(sl_eigensolver, "_solve_domain", spy)
-    monkeypatch.setattr(sl_eigensolver, "_fit_inverse_square", fake_fit)
-    est = _quiet_gap(build_measure(3, cauchy_pot(2.0), tail_tol=1e-12),
-                     one_plus_w())
-    assert len(fits) == len(solves) - 2 >= 1
-    (val_prev, _), (val_last, err_last) = solves[-2:]
-    charge = max(abs(val_last - val_prev), abs(fits[-1] - val_last))
-    assert est.value == val_last
-    assert est.error_estimate == err_last + charge
-    assert charge > abs(val_last - val_prev)
+    monkeypatch.setattr(sl_eigensolver, "_tail_floor",
+                        lambda *args: 0.9 * solves[-1][2])
+    est = _quiet_gap(mu, one_plus_w())
+    _, edge_err = sl_eigensolver.essential_edge(mu, one_plus_w())
+    val, mesh_err, robin = solves[-1]
+    assert len(solves) > 1
+    assert est.value == plain.value == min(val, est.upper)
+    assert est.lower == 0.9 * robin
+    assert est.error_estimate == (est.upper - est.lower) + mesh_err + edge_err
+    assert est.error_estimate > 0.05 * est.value > plain.error_estimate
 
 
 def _brentq_inverse_square(points):
-    """The inverse-square fit with scipy's brentq solving for phi: the
-    reference for sl_eigensolver's bisection."""
+    """The inverse-square fit lambda_inf + A/(S + phi)^2 through three
+    points, with scipy's brentq solving for phi."""
     (s1, l1), (s2, l2), (s3, l3) = points
     target = (l1 - l2) / (l2 - l3)
 
@@ -758,21 +852,37 @@ def _brentq_inverse_square(points):
     (6.0, 3.0, 0.5, 4.0), (6.0, -3.0, 0.5, 4.0), (0.25, 40.0, -1.2, 2.0),
     (14.0, -0.02, 7.0, 1.5), (2.25, 1e3, 0.0, 30.0), (1e-3, 5e-4, 3.0, 8.0),
 ])
-def test_inverse_square_fit_matches_brentq(lam_inf, amp, phi, s_first):
-    # exact traces lambda(S) = lam_inf + A/(S + phi)^2 over doublings of S
-    points = [(s, lam_inf + amp / (s + phi) ** 2)
-              for s in (s_first, 2.0 * s_first, 4.0 * s_first)]
-    got = sl_eigensolver._fit_inverse_square(points)
-    want = _brentq_inverse_square(points)
-    assert abs(got - want) <= 1e-12 * abs(want)
-    assert abs(got - lam_inf) <= 1e-9 * (abs(lam_inf) + abs(amp))
+def test_inverse_square_fit_matches_brentq(monkeypatch, lam_inf, amp, phi,
+                                           s_first):
+    # inverse-square tails W~(r) = lam_inf + A/(r + phi)^2 from the wall
+    # r = s_first on, the algebraic approach the edge laws' W~ takes.  The
+    # floor the lower end is capped by lies at or below the infimum over
+    # [s_first, inf) -- W~ at the wall when it rises, else the limit that
+    # brentq's inverse-square fit through the first three rungs recovers
+    # -- and within the ladder's last step of it
+    rungs = []
+
+    def tail(measure, weight, r):
+        rungs.append(r)
+        return None, lam_inf + amp / (r + phi) ** 2, None
+
+    monkeypatch.setattr(sl_eigensolver, "_potentials", tail)
+    got = sl_eigensolver._tail_floor(None, None, s_first)
+    [r] = rungs
+    points = [(x, lam_inf + amp / (x + phi) ** 2) for x in r[:3]]
+    limit = _brentq_inverse_square(points)
+    assert abs(limit - lam_inf) <= 1e-9 * (abs(lam_inf) + abs(amp))
+    inf = min(points[0][1], limit)
+    last_step = abs(amp / (r[-2] + phi) ** 2 - amp / (r[-1] + phi) ** 2)
+    assert inf - last_step - 1e-12 * abs(inf) <= got <= inf + 1e-12 * abs(inf)
+    assert r[0] == s_first and r[-1] >= 1e8 and np.all(r <= 1e150)
 
 
 @pytest.mark.parametrize("n,beta,exact", [
     (3, 4.0, 6.0), (3, 6.0, 14.0), (2, 4.0, 8.0), (4, 5.0, 8.0),
     (6, 7.0, 12.0)])
 def test_heavy_tail_eigenvalue_regime_tight(n, beta, exact):
-    # in the eigenfunction regime the escalation audit must leave no
+    # in the eigenfunction regime the truncation bracket must leave no
     # visible truncation bias
     mu = build_measure(n, cauchy_pot(beta), tail_tol=1e-12)
     est = _quiet_gap(mu, one_plus_w())
@@ -877,29 +987,40 @@ def _audited_gap(monkeypatch, measure, weight, n_cells):
 
 
 def test_truncation_audit_warns_once(monkeypatch):
-    # with one doubling allowed, this essential-spectrum law cannot reach
-    # its edge, and the estimate it returns is mostly truncation: the
-    # audit of that estimate warns once
-    monkeypatch.setattr(sl_eigensolver, "_MAX_GROWTH", 1)
+    # with no growth allowed, this essential-spectrum law still closes
+    # its bracket on the first domain, and nothing warns; gaussian n=2
+    # with sigma^2 = 1/(1+r^2) needs three domains, and on its first the
+    # bracket is far wider than the mesh error: the audit of that estimate
+    # warns once, naming the case, the bracket, the domain, the width and
+    # the mesh error
+    monkeypatch.setattr(sl_eigensolver, "_MAX_GROWTH", 0)
     mu = build_measure(3, cauchy_pot(2.0), tail_tol=1e-12)
-    est, mesh_err, trunc = _audited_gap(monkeypatch, mu, one_plus_w(), 1024)
+    _, _, trunc = _audited_gap(monkeypatch, mu, one_plus_w(), 1024)
+    assert trunc == []
+    mu = build_measure(2, gaussian_pot(), name="gaussian n=2 1/(1+r^2)")
+    est, mesh_err, trunc = _audited_gap(monkeypatch, mu, inv_one_plus_w(),
+                                        1024)
     assert len(trunc) == 1, trunc
-    term = est.error_estimate - mesh_err
-    assert term > sl_eigensolver._AUDIT_FACTOR * mesh_err, est
+    width = est.upper - est.lower
+    assert width > mesh_err and len(est.domains) == 1, est
+    assert est.error_estimate == width + mesh_err
+    for text in (mu.name, f"[{est.lower:.6g}, {est.upper:.6g}]",
+                 f"(0, {est.r_max_used:.6g})", f"{width:.3e}",
+                 f"{mesh_err:.3e}"):
+        assert text in trunc[0], (text, trunc[0])
 
 
 def test_truncation_audit_reads_the_returned_estimate(monkeypatch):
-    # at 256 cells this trace ends unsettled, and the error it returns is
-    # mostly its distance from the fitted limit; the one warning names
-    # the case, the domain, the term and the mesh error
+    # at 256 cells this law's domain trace used to end unsettled, and the
+    # audit warned on the estimate it returned.  Its first domain now
+    # brackets the gap 14 within the mesh error: one domain, no warning,
+    # and an error that is the width plus the mesh error
     mu = build_measure(6, cauchy_pot(7.5), name="cauchy b=7.5 n=6 1+r^2")
     est, mesh_err, trunc = _audited_gap(monkeypatch, mu, one_plus_w(), 256)
-    term = est.error_estimate - mesh_err
-    assert term >= 10.0 * mesh_err, est
-    assert len(trunc) == 1, trunc
-    for text in (mu.name, f"(0, {est.r_max_used:.6g})", f"{term:.3e}",
-                 f"{mesh_err:.3e}"):
-        assert text in trunc[0], (text, trunc[0])
+    assert trunc == [] and len(est.domains) == 1, (trunc, est)
+    assert 0.0 <= est.upper - est.lower <= 0.01 * mesh_err, est
+    assert est.error_estimate == est.upper - est.lower + mesh_err
+    assert abs(est.value - 14.0) <= est.error_estimate < 0.05, est
 
 
 def test_gaussian_default_solve_is_warning_free():

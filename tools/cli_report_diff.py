@@ -66,10 +66,14 @@ A refactor that claims to keep behaviour shows it on this list:
   exp-power alpha=1 n=1024 and cauchy beta=514.5 n=1024 with
   sigma^2 = 1+r^2; the refused ball n=2048 (``DiscretizationError``, exit
   1); and ``eigen --cells 131072``, over the cell cap (exit 2);
-- coarse-mesh domain traces that end unsettled: ``eigen --cells 128`` on
-  exp-power alpha=1 n=3 and on cauchy beta=68.5 n=128 with
-  sigma^2 = 1+r^2, and ``eigen --cells 64`` on cauchy beta=4.5 n=4 with
-  sigma^2 = 1+r^2, which raises ``ConvergenceError`` (exit 1);
+- coarse meshes where the domain-doubling solver missed or refused a
+  gap: ``eigen --cells 128`` on exp-power alpha=1 n=3; ``eigen`` at 64,
+  128 and 256 cells on cauchy with sigma^2 = 1+r^2 at t = beta - n/2 =
+  4.5 (n = 128, 256, 1024; gap 14) and t = 2.5 (n = 128, 512; gap 6);
+  ``eigen --cells 64`` and ``--cells 256`` on cauchy beta=4.5 n=4 and
+  ``--cells 64`` on cauchy beta=5.5 n=6, both with sigma^2 = 1+r^2
+  (gap 6); ``eigen --cells 64`` on gaussian n=2 with sigma^2 = 1/(1+r^2),
+  which was snapped to the edge 1/4;
 - ``verify --scope all --cells 64``, where three cauchy t = 2.5 solves
   are refused as unresolved and both solver sweeps record the refusal
   as a failing check (exit 1);
@@ -102,7 +106,9 @@ Run it once per tree, in a fresh process each time.
   A CSV report is read as a list of records keyed by its header, so its
   cells are text with numbers inside;
 - per record name, the largest value shift in units of the record's own
-  reported error.
+  reported error;
+- every record whose value moved, with its two values and the shift in
+  units of the larger reported error.
 It exits 1 when anything other than numbers differs, else 0.
 """
 
@@ -194,10 +200,18 @@ _VARIANTS = (
     ["eigen"] + _GAUSSIAN + ["--cells", "131072"],
     ["eigen", "--family", "exp-power", "--alpha", "1", "--n", "3",
      "--cells", "128"],
-    ["eigen", "--family", "cauchy", "--beta", "68.5", "--n", "128",
-     "--weight", "one-plus-r2", "--cells", "128"],
-    ["eigen", "--family", "cauchy", "--beta", "4.5", "--n", "4",
+    *(["eigen", "--family", "cauchy", "--beta", beta, "--n", n,
+       "--weight", "one-plus-r2", "--cells", cells]
+      for n, beta in (("128", "68.5"), ("256", "132.5"), ("1024", "516.5"),
+                      ("128", "66.5"), ("512", "258.5"))
+      for cells in ("64", "128", "256")),
+    *(["eigen", "--family", "cauchy", "--beta", "4.5", "--n", "4",
+       "--weight", "one-plus-r2", "--cells", cells]
+      for cells in ("64", "256")),
+    ["eigen", "--family", "cauchy", "--beta", "5.5", "--n", "6",
      "--weight", "one-plus-r2", "--cells", "64"],
+    ["eigen", "--family", "gaussian", "--n", "2",
+     "--weight", "inv-one-plus-r2", "--cells", "64"],
     ["table", "--id", "ball", "--dims", "2,4,8"],
     ["table", "--id", "gaussian-weighted", "--dims", "2..4"],
     ["table", "--id", "ball", "--dims", "3..2"],
@@ -263,6 +277,7 @@ class _Diff:
     def __init__(self):
         self.rel = {}           # field -> (largest relative delta, file)
         self.in_error = {}      # record name -> (|dvalue| / error, file)
+        self.moved = []         # (file, record name, a, b, |dvalue|/error)
         self.other = []         # non-numeric differences
 
     def number(self, path, a, b, where):
@@ -320,6 +335,7 @@ class _Diff:
         if shift > 0.0:
             ratio = shift / error if error > 0.0 else math.inf
             name = a.get("name", "?")
+            self.moved.append((where, name, a["value"], b["value"], ratio))
             if ratio >= self.in_error.get(name, (-1.0, None))[0]:
                 self.in_error[name] = (ratio, where)
 
@@ -370,6 +386,9 @@ def compare(dir_a, dir_b):
     print("largest value shift / reported error per record:")
     for name, (ratio, where) in sorted(diff.in_error.items()):
         print(f"  {name}: {ratio:.3g} ({where})")
+    print("every moved value (a -> b, shift / reported error):")
+    for where, name, a, b, ratio in diff.moved:
+        print(f"  {where}: {name}: {a!r} -> {b!r} ({ratio:.3g})")
     print(f"{len(diff.other)} non-numeric difference(s)")
     for line in diff.other:
         print(f"  {line}")
