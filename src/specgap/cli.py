@@ -55,8 +55,8 @@ from .bounds_engine import (LowerBound, curvature_lower, exp_power_explicit,
 from .errors import (ConvergenceError, DegenerateFunction,
                      DiscretizationError, DomainError, HypothesisFailed,
                      InvalidInput, NonIntegrable, SpecGapError)
-from .mc_sampler import (radial_rayleigh_estimate, rayleigh_estimate,
-                         sample_mu, sample_radius)
+from .mc_sampler import (_check_batches, radial_rayleigh_estimate,
+                         rayleigh_estimate, sample_mu)
 from .radial_model import moment, weighted_moment
 from .sl_eigensolver import GridSpec, essential_edge, spectral_gap
 
@@ -768,11 +768,14 @@ _RADIAL_FUNCTIONS = {
 def cmd_sample(args, case_of):
     case = case_of(_spec_from_args(args))
     spec = case.spec
+    # a sample too small for batch means is refused before the law's
+    # tables are built or a point is drawn
+    _check_batches(args.count)
     measure, weight, _ = case.law
     if args.function in _RADIAL_FUNCTIONS:
-        radii = sample_radius(measure, args.count, args.seed)
         result = radial_rayleigh_estimate(
-            radii, *_RADIAL_FUNCTIONS[args.function], weight)
+            measure, args.count, args.seed,
+            *_RADIAL_FUNCTIONS[args.function], weight)
     else:
         batch = sample_mu(measure, args.count, args.seed)
         result = rayleigh_estimate(
@@ -868,8 +871,9 @@ def _build_parser():
                    default="radial-quadratic",
                    help="test function (default radial-quadratic, |x|^2, "
                         "estimated from the radii alone: O(count) draws "
-                        "and memory at any n; linear still draws "
-                        "n-dimensional directions)")
+                        "at any n, in memory that does not grow with "
+                        "count; linear still draws n-dimensional "
+                        "directions)")
     p.add_argument("--count", type=int, default=100000,
                    help="sample size (default 100000)")
     p.set_defaults(func=cmd_sample)

@@ -10,12 +10,13 @@ confidence interval.
 A radial test function F(x) = f(|x|) needs no directions: its quotient
 E[sigma^2(r) f'(r)^2] / Var f(r) depends on the law of the radius alone,
 so ``radial_rayleigh_estimate`` reads the radii only, and its draws are
-O(count) at any n.  Its memory is a handful of count-sized arrays: the
-uniforms, the radii, f, f' and the energy.  The quantile lookup runs in
-fixed blocks and the estimator squares and scales in place, because
-every fresh count-sized temporary is a new memory mapping whose pages
-fault on first touch.  A non-radial function such as the linear one
-still needs the n-dimensional points of ``sample_mu``.
+O(count) at any n.  It streams them: uniforms, radii, f, f' and the
+energy exist one block of at most ``_BLOCK`` points at a time, and each
+batch keeps four running numbers, so no array grows with count.  Every
+fresh count-sized array would be a new memory mapping whose pages fault
+on first touch; a block's temporaries reuse heap memory.  A non-radial
+function such as the linear one still needs the n-dimensional points of
+``sample_mu``.
 
 Randomness comes from the counter-based Philox4x64-10 bit generator keyed
 by the caller's 64-bit seed: radii use the base stream, directions the
@@ -30,6 +31,7 @@ import numpy as np
 import numpy.random  # numpy loads it lazily; a first draw would pay for it
 
 from .errors import DegenerateFunction, InvalidInput
+from .quadrature import _BLOCK
 
 __all__ = [
     "SampleBatch",
@@ -137,37 +139,48 @@ def sample_mu(measure, count, seed):
 
 
 def _check_batches(count):
+    """count as an int; InvalidInput unless it is at least the number of
+    batch means."""
+    count = _check_count(count)
     if count < _BATCHES:
         raise InvalidInput(
             f"need at least {_BATCHES} points for batch means, got {count}")
+    return count
 
 
-def _batch_means(fv, energy):
-    """mean(energy) / Var(fv) with the batch-means half width described
-    in ``rayleigh_estimate``; both estimators end here."""
+def _check_finite(fv, energy):
     if not (np.all(np.isfinite(fv)) and np.all(np.isfinite(energy))):
         raise InvalidInput(
             "f and sigma^2 |grad f|^2 must be finite at all sample points")
 
+
+def _ratio_result(batch_num, batch_den, num, den):
+    """num / den with the 95% delta-method half width from the batch
+    means of numerator and denominator; both estimators end here."""
+    if den < _VARIANCE_FLOOR:
+        raise DegenerateFunction(
+            f"empirical variance {den:.3e} below "
+            f"{_VARIANCE_FLOOR:.0e}; f is constant on the sample")
+    # covariance of the overall means, estimated from the batch spread
+    cov = np.cov(np.vstack([batch_num, batch_den])) / _BATCHES
+    grad = np.array([1.0 / den, -num / den ** 2])
+    var_ratio = float(grad @ cov @ grad)
+    half = _Z95 * math.sqrt(max(var_ratio, 0.0))
+    return RayleighResult(ratio=num / den, ci_half_width=half,
+                          batches=_BATCHES)
+
+
+def _batch_means(fv, energy):
+    """mean(energy) / Var(fv) with the batch-means half width described
+    in ``rayleigh_estimate``."""
+    _check_finite(fv, energy)
     centered_sq = fv - fv.mean()
     np.square(centered_sq, out=centered_sq)
-    denominator = float(centered_sq.mean())
-    if denominator < _VARIANCE_FLOOR:
-        raise DegenerateFunction(
-            f"empirical variance {denominator:.3e} below "
-            f"{_VARIANCE_FLOOR:.0e}; f is constant on the sample")
-    numerator = float(energy.mean())
-
     batch_num = np.array([c.mean() for c in np.array_split(energy, _BATCHES)])
     batch_den = np.array([c.mean() for c in
                           np.array_split(centered_sq, _BATCHES)])
-    # covariance of the overall means, estimated from the batch spread
-    cov = np.cov(np.vstack([batch_num, batch_den])) / _BATCHES
-    grad = np.array([1.0 / denominator, -numerator / denominator ** 2])
-    var_ratio = float(grad @ cov @ grad)
-    half = _Z95 * math.sqrt(max(var_ratio, 0.0))
-    return RayleighResult(ratio=numerator / denominator,
-                          ci_half_width=half, batches=_BATCHES)
+    return _ratio_result(batch_num, batch_den, float(energy.mean()),
+                         float(centered_sq.mean()))
 
 
 def rayleigh_estimate(batch, f, grad_f, weight):
@@ -201,20 +214,9 @@ def rayleigh_estimate(batch, f, grad_f, weight):
     return _batch_means(fv, energy)
 
 
-def radial_rayleigh_estimate(radii, f, df, weight):
-    """Rayleigh quotient of the radial function F(x) = f(|x|), from radii.
-
-    |grad F(x)| = |f'(|x|)|, so the quotient of ``rayleigh_estimate``
-    becomes mean(sigma^2(r) f'(r)^2) / Var(f(r)) over a sample of the
-    radius (``sample_radius``): no direction is drawn.  f and df map the
-    1-D array of radii to (count,) values, finite at every radius; the
-    half width is the same batch-means interval.
-    """
-    if not (isinstance(radii, np.ndarray) and radii.ndim == 1
-            and radii.dtype.kind == "f"):
-        raise InvalidInput(
-            "radial_rayleigh_estimate expects a 1-D float array of radii")
-    _check_batches(radii.shape[0])
+def _radial_block(radii, f, df, weight):
+    """(mean of f, squared deviations of f from that mean summed, and
+    sigma^2 f'^2 summed) over one block of radii."""
     with np.errstate(all="ignore"):
         s2 = np.asarray(weight.s2(radii), dtype=float)
     fv = np.asarray(f(radii), dtype=float)
@@ -225,6 +227,50 @@ def radial_rayleigh_estimate(radii, f, df, weight):
             f"got shapes {fv.shape} and {dv.shape}")
     energy = dv * dv
     energy *= s2
-    # drop s2 and f' before _batch_means adds its centred copy of f
-    del s2, dv
-    return _batch_means(fv, energy)
+    _check_finite(fv, energy)
+    mean = float(fv.mean())
+    dev = fv - mean
+    np.square(dev, out=dev)
+    return mean, float(dev.sum()), float(energy.sum())
+
+
+def radial_rayleigh_estimate(measure, count, seed, f, df, weight):
+    """Rayleigh quotient of the radial function F(x) = f(|x|), streamed.
+
+    |grad F(x)| = |f'(|x|)|, so the quotient of ``rayleigh_estimate``
+    becomes mean(sigma^2(r) f'(r)^2) / Var f(r) over radii of the law:
+    no direction is drawn.  The radii are those of
+    ``sample_radius(measure, count, seed)``, bit for bit, drawn for one
+    of the sixteen batches of ``np.array_split`` at a time, in blocks of
+    at most ``_BLOCK``.  f and df map each block of radii to values of
+    its shape, finite at every radius.  A batch keeps its size, the
+    mean of f, the squared deviations from that mean summed (M2) and the
+    energy summed; blocks merge into it by the pairwise update of Chan,
+    Golub and LeVeque (1983), and the denominator's batch sums are
+    M2 + size (batch mean - overall mean)^2.  So no array grows with
+    count.  The half width is the batch-means interval of
+    ``rayleigh_estimate``.
+    """
+    count = _check_batches(count)
+    seed = _check_seed(seed)
+    draw = _stream(seed, 0).random
+    base, extra = divmod(count, _BATCHES)
+    # per batch: size, mean of f, M2 of f, energy sum
+    size, mean, m2, energy = np.zeros((4, _BATCHES))
+    for b in range(_BATCHES):
+        batch = base + (b < extra)
+        for start in range(0, batch, _BLOCK):
+            k = min(_BLOCK, batch - start)
+            mean_k, m2_k, energy_k = _radial_block(
+                measure.quantile(draw(k)), f, df, weight)
+            n = size[b]
+            delta = mean_k - mean[b]
+            mean[b] += delta * k / (n + k)
+            m2[b] += m2_k + delta * delta * n * k / (n + k)
+            energy[b] += energy_k
+            size[b] = n + k
+    mu = float(size @ mean) / count
+    centred = m2 + size * (mean - mu) ** 2
+    return _ratio_result(energy / size, centred / size,
+                         float(energy.sum()) / count,
+                         float(centred.sum()) / count)

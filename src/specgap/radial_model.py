@@ -35,7 +35,8 @@ import numpy as np
 
 from .errors import (ConvergenceError, DomainError, InvalidInput,
                      NonIntegrable)
-from .quadrature import log_integrals_exp, sorted_unique, tail_integral
+from .quadrature import (_BLOCK, log_integrals_exp, sorted_unique,
+                         tail_integral)
 
 # past this radius no family of interest carries any mass; probing stops here
 _HORIZON = 1e120
@@ -52,10 +53,6 @@ _FD_REL_TOL = 1e-5
 _CONVEXITY_SLACK = 1e-10
 # guide-table buckets per knot interval of a _MonotoneCubic
 _GUIDE_DENSITY = 8
-# points per block of a per-point kernel: a float temporary is 64 KiB, half
-# of glibc's default 128 KiB mmap threshold, so a block reuses heap memory
-# instead of mapping (and page-faulting) fresh pages on every call
-_BLOCK = 8192
 
 
 # ---------------------------------------------------------------------

@@ -532,6 +532,26 @@ def test_sample_tiny_count_same_report_under_both_functions():
         texts["linear"])
 
 
+@pytest.mark.parametrize("function", ["linear", "radial-quadratic"])
+def test_sample_tiny_count_refused_before_any_table(monkeypatch, function):
+    # a sample too small for batch means is refused before the law's
+    # tables are integrated, the 4096-cell sampling table included
+    built = []
+    real = radial_model.log_integrals_exp
+
+    def spy(log_f, lo, hi):
+        built.append(len(lo))
+        return real(log_f, lo, hi)
+
+    monkeypatch.setattr(radial_model, "log_integrals_exp", spy)
+    code, rep = run_json(["sample", "--family", "gaussian", "--n", "3",
+                          "--count", "15", "--function", function])
+    assert code == 2
+    assert rep["error"] == ("InvalidInput: need at least 16 points for "
+                            "batch means, got 15")
+    assert built == []
+
+
 def test_steep_power_laws_approach_the_ball():
     # exp-power alpha -> inf tends to the ball, whose n=2 radial gap is
     # j_{1,1}^2; the solver's radius grid is coarser than these density

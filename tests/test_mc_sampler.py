@@ -215,16 +215,14 @@ _REFERENCE_FUNCTIONS = {
 ], ids=["gauss2", "gauss3", "gauss8", "gauss16", "ball4", "exp-power1-n6"])
 def test_row_kernels_match_reference(spec, function):
     # the CLI's evaluation of each --function against the reference
-    # estimate on reference points: a radial function reads the radii of
-    # sample_radius alone, any other the points of sample_mu
+    # estimate on reference points: a radial function streams the radii
+    # of sample_radius alone, any other reads the points of sample_mu
     count, seed = 20_000, 11
     measure, weight, _ = make_family(spec)
     ref_points, ref_radii = _reference_sample(measure, count, seed)
     if function in _RADIAL_FUNCTIONS:
-        radii = sample_radius(measure, count, seed)
-        assert radii.tobytes() == ref_radii.tobytes()
-        res = radial_rayleigh_estimate(radii, *_RADIAL_FUNCTIONS[function],
-                                       weight)
+        res = radial_rayleigh_estimate(measure, count, seed,
+                                       *_RADIAL_FUNCTIONS[function], weight)
     else:
         batch = sample_mu(measure, count, seed)
         assert batch.radii.tobytes() == ref_radii.tobytes()
@@ -248,7 +246,7 @@ _SQ = (lambda r: r * r, lambda r: 2.0 * r)
 def test_radial_estimate_matches_points_path(gauss_batch):
     # |grad F|^2 = f'(r)^2 for F(x) = f(|x|): on the same radii, the
     # points path's quotient up to rounding, here under a non-unit weight
-    res = radial_rayleigh_estimate(gauss_batch.radii, *_SQ, ONEP)
+    res = radial_rayleigh_estimate(GAUSS3, COUNT, SEED, *_SQ, ONEP)
     ref = rayleigh_estimate(gauss_batch, lambda x: np.sum(x * x, axis=1),
                             lambda x: 2.0 * x, ONEP)
     assert abs(res.ratio - ref.ratio) <= 1e-14 * ref.ratio
@@ -258,29 +256,57 @@ def test_radial_estimate_matches_points_path(gauss_batch):
 
 def test_radial_heavy_tail_ratio():
     # m2 = 1, m4 = 5 give 4 (m2 + m4) / (m4 - m2^2) = 6 under sigma^2 = 1+r^2
-    res = radial_rayleigh_estimate(sample_radius(CAU34, COUNT, SEED), *_SQ,
-                                   ONEP)
+    res = radial_rayleigh_estimate(CAU34, COUNT, SEED, *_SQ, ONEP)
     assert abs(res.ratio - 6.0) <= res.ci_half_width, (
         f"{res.ratio:.5f} +- {res.ci_half_width:.5f}")
 
 
+@pytest.mark.parametrize("count", [16, 8191, 8193, 24581, 100_003, 200_000])
+def test_streamed_radii_are_sample_radius_bits(monkeypatch, count):
+    # the estimator draws batch by batch in blocks of at most _BLOCK; the
+    # blocks joined are the radii of one sample_radius call, bit for bit
+    blocks = []
+    real = type(GAUSS3).quantile
+
+    def spy(measure, p):
+        radii = real(measure, p)
+        blocks.append(radii.copy())
+        return radii
+
+    monkeypatch.setattr(type(GAUSS3), "quantile", spy)
+    radial_rayleigh_estimate(GAUSS3, count, 5, *_SQ, UNIT)
+    monkeypatch.undo()
+    streamed = np.concatenate(blocks)
+    assert streamed.tobytes() == sample_radius(GAUSS3, count, 5).tobytes()
+    # each block lies inside one batch of np.array_split
+    sizes = [b.size for b in blocks]
+    assert max(sizes) <= mc_sampler._BLOCK
+    ends = np.cumsum([c.size for c in np.array_split(np.empty(count), 16)])
+    assert set(ends) <= set(np.cumsum(sizes))
+
+
 @pytest.mark.parametrize("bad_call,exc", [
-    (lambda r: radial_rayleigh_estimate(r, np.ones_like, np.zeros_like, UNIT),
+    (lambda: radial_rayleigh_estimate(GAUSS3, COUNT, 1, np.ones_like,
+                                      np.zeros_like, UNIT),
      DegenerateFunction),
-    (lambda r: radial_rayleigh_estimate(r[:15], *_SQ, UNIT), InvalidInput),
-    (lambda r: radial_rayleigh_estimate(r.tolist(), *_SQ, UNIT),
+    (lambda: radial_rayleigh_estimate(GAUSS3, 15, 1, *_SQ, UNIT),
      InvalidInput),
-    (lambda r: radial_rayleigh_estimate(r.reshape(-1, 2), *_SQ, UNIT),
+    (lambda: radial_rayleigh_estimate(GAUSS3, 100.0, 1, *_SQ, UNIT),
      InvalidInput),
-    (lambda r: radial_rayleigh_estimate(
-        r, lambda x: x[:-1], lambda x: 2.0 * x, UNIT), InvalidInput),
-    (lambda r: radial_rayleigh_estimate(
-        r, lambda x: x * x, lambda x: np.full_like(x, np.inf), UNIT),
+    (lambda: radial_rayleigh_estimate(GAUSS3, COUNT, -1, *_SQ, UNIT),
      InvalidInput),
-], ids=["constant-f", "tiny", "list", "2-d", "short-f", "infinite-df"])
-def test_radial_rejects(gauss_batch, bad_call, exc):
+    (lambda: radial_rayleigh_estimate(
+        GAUSS3, COUNT, 1, lambda x: x[:-1], lambda x: 2.0 * x, UNIT),
+     InvalidInput),
+    (lambda: radial_rayleigh_estimate(
+        GAUSS3, COUNT, 1, lambda x: x * x, lambda x: np.full_like(x, np.inf),
+        UNIT),
+     InvalidInput),
+], ids=["constant-f", "tiny", "float-count", "negseed", "short-f",
+        "infinite-df"])
+def test_radial_rejects(bad_call, exc):
     with pytest.raises(exc):
-        bad_call(gauss_batch.radii)
+        bad_call()
 
 
 # ------------------------------------------------------------------ memory
@@ -297,16 +323,14 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
-def test_sample_path_traced_peak_memory():
-    # the quantile kernels run in fixed blocks, so a 100k-point draw holds
-    # its uniforms and its radii plus block-sized temporaries, not a fresh
-    # count-sized temporary per operation (8.90 MB unblocked); the
-    # estimator squares and scales in place (4.00 MB with temporaries)
+@pytest.mark.parametrize("count", [COUNT, 4 * COUNT])
+def test_sample_path_traced_peak_memory(count):
+    # the radial estimate streams its draws in blocks and keeps four
+    # numbers per batch, so its peak does not grow with count (8.9 MB
+    # for the draw alone, and 4 MB more for the estimator, when every
+    # operation made a count-sized temporary at 100k points)
     GAUSS3.quantile(0.5)  # the sampling table is built once, not counted
-    radii, peak = _traced_peak(lambda: sample_radius(GAUSS3, COUNT, 0))
-    assert peak <= 3.0e6, f"sample_radius peaked at {peak / 1e6:.2f} MB"
-    _, peak = _traced_peak(
-        lambda: radial_rayleigh_estimate(radii, *_RADIAL_FUNCTIONS[
-            "radial-quadratic"], UNIT))
-    assert peak <= 3.5e6, (
+    _, peak = _traced_peak(lambda: radial_rayleigh_estimate(
+        GAUSS3, count, 0, *_RADIAL_FUNCTIONS["radial-quadratic"], UNIT))
+    assert peak <= 1.0e6, (
         f"radial_rayleigh_estimate peaked at {peak / 1e6:.2f} MB")

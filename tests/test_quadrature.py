@@ -15,12 +15,15 @@ bit against the same call probing its whole grid (coarse stride 1).
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
 from specgap import (
+    GridSpec,
+    TruncationWarning,
     ball_potential,
     build_measure,
     catalog_grid,
@@ -31,11 +34,12 @@ from specgap import (
     make_family,
     moment,
     rayleigh_upper,
+    spectral_gap,
     tail_mass,
     weighted_curvature_lower,
     weighted_moment,
 )
-from specgap import quadrature, radial_model
+from specgap import quadrature, radial_model, sl_eigensolver
 from specgap.errors import ConvergenceError, NonIntegrable, SpecGapError
 from specgap.quadrature import (GK_GAUSS, GK_KRONROD, GK_NODES,
                                 gauss_kronrod, log_integrals_exp,
@@ -471,6 +475,51 @@ def test_log_integrals_steep_cells_at_the_panel_clip(monkeypatch):
 
 _NORMALIZED = ((3, exp_power_potential(2.0)), (4, exp_power_potential(1.5)),
                (3, cauchy_potential(4.0)))
+
+
+def _blocks_keep_the_bits(calls):
+    """Every recorded (log_f, lo, hi): the blocked evaluation against one
+    block of all intervals, bit for bit."""
+    assert calls
+    for log_f, lo, hi in calls:
+        assert lo.size > quadrature._BLOCK // quadrature._PANEL_ORDER
+        assert log_integrals_exp(log_f, lo, hi).tobytes() == (
+            quadrature._log_integrals_block(log_f, lo, hi).tobytes())
+
+
+def test_log_integrals_blocks_keep_table_bits(monkeypatch):
+    # the 4096-cell sampling table of every catalog law is four blocks
+    calls = []
+
+    def spy(log_f, lo, hi):
+        if len(lo) == 4096:
+            calls.append((log_f, np.array(lo), np.array(hi)))
+        return log_integrals_exp(log_f, lo, hi)
+
+    monkeypatch.setattr(radial_model, "log_integrals_exp", spy)
+    for spec in catalog_grid():
+        make_family(spec)[0].quantile(0.5)
+    monkeypatch.undo()
+    assert len(calls) == len(catalog_grid())
+    _blocks_keep_the_bits(calls)
+
+
+def test_log_integrals_blocks_keep_mesh_mass_bits(monkeypatch):
+    # the eigensolver's cell masses at 1024 cells: 2047 intervals each
+    calls = []
+
+    def spy(log_f, lo, hi):
+        calls.append((log_f, np.array(lo), np.array(hi)))
+        return log_integrals_exp(log_f, lo, hi)
+
+    monkeypatch.setattr(sl_eigensolver, "log_integrals_exp", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        for spec in catalog_grid():
+            measure, weight, _ = make_family(spec)
+            spectral_gap(measure, weight, GridSpec(n_cells=1024))
+    monkeypatch.undo()
+    _blocks_keep_the_bits(calls)
 
 
 def test_normalization_takes_at_most_two_rounds(monkeypatch):

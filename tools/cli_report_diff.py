@@ -25,6 +25,9 @@ A refactor that claims to keep behaviour shows it on this list:
   default function and under ``--function linear``: one point short of
   the quantile kernels' 8192-point block, one past it, and three blocks
   and five points;
+- ``sample --count 200000`` on gaussian n=3, whose batches of 12,500
+  points are each streamed in two blocks, and ``--count 100003``, whose
+  sixteen batches are uneven (three of 6,251 points, thirteen of 6,250);
 - ``bounds`` on ball n=128, past the catalog's dimensions, where the
   variational candidate's f' overflows at the grid's first radius;
 - ``bounds`` on gaussian n=1024 and n=4096 and on exp-power alpha=16
@@ -108,7 +111,9 @@ Run it once per tree, in a fresh process each time.
 - per record name, the largest value shift in units of the record's own
   reported error;
 - every record whose value moved, with its two values and the shift in
-  units of the larger reported error.
+  units of the larger reported error;
+- every moved ``sample`` value apart, with its shift in units of its
+  95% half-width and its half-width's relative change.
 It exits 1 when anything other than numbers differs, else 0.
 """
 
@@ -166,6 +171,8 @@ _VARIANTS = (
     *(["sample"] + _GAUSSIAN + ["--count", count] + function
       for count in ("8191", "8193", "24581")
       for function in ([], ["--function", "linear"])),
+    *(["sample"] + _GAUSSIAN + ["--count", count]
+      for count in ("200000", "100003")),
     ["bounds"] + _BALL128,
     *(["bounds"] + case for case in _NARROW),
     ["sample"] + _NARROW[0],
@@ -277,7 +284,8 @@ class _Diff:
     def __init__(self):
         self.rel = {}           # field -> (largest relative delta, file)
         self.in_error = {}      # record name -> (|dvalue| / error, file)
-        self.moved = []         # (file, record name, a, b, |dvalue|/error)
+        # (file, record name, a, b, |dvalue| / error, relative error delta)
+        self.moved = []
         self.other = []         # non-numeric differences
 
     def number(self, path, a, b, where):
@@ -335,7 +343,9 @@ class _Diff:
         if shift > 0.0:
             ratio = shift / error if error > 0.0 else math.inf
             name = a.get("name", "?")
-            self.moved.append((where, name, a["value"], b["value"], ratio))
+            half = abs(a["error"] - b["error"]) / error if error > 0.0 else 0.0
+            self.moved.append((where, name, a["value"], b["value"], ratio,
+                               half))
             if ratio >= self.in_error.get(name, (-1.0, None))[0]:
                 self.in_error[name] = (ratio, where)
 
@@ -387,8 +397,13 @@ def compare(dir_a, dir_b):
     for name, (ratio, where) in sorted(diff.in_error.items()):
         print(f"  {name}: {ratio:.3g} ({where})")
     print("every moved value (a -> b, shift / reported error):")
-    for where, name, a, b, ratio in diff.moved:
+    for where, name, a, b, ratio, _ in diff.moved:
         print(f"  {where}: {name}: {a!r} -> {b!r} ({ratio:.3g})")
+    sampled = [m for m in diff.moved if m[0].startswith("sample")]
+    print(f"{len(sampled)} moved sample value(s) "
+          "(shift / half-width; relative half-width change):")
+    for where, _, _, _, ratio, half in sampled:
+        print(f"  {where}: {ratio:.3g}; {half:.3g}")
     print(f"{len(diff.other)} non-numeric difference(s)")
     for line in diff.other:
         print(f"  {line}")
