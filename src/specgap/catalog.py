@@ -7,7 +7,11 @@ map in closed form at k = 0 and 1), and a designated candidate function
 for the variational and Rayleigh routes.  Known
 exact values and two-sided brackets for the spectral gaps are recorded
 as ``ReferenceGap`` entries so the eigensolver and the bound engine can
-be regression-tested against them.
+be regression-tested against them.  The full gap is the lesser of the
+radial gap and the l=1 ground state; it is exact where the coordinates
+carry a closed-form l=1 eigenfunction: x_i for the Gaussian and for heavy
+tails under sigma^2 = 1+r^2, x_i e^(r/(n+1)) for exponential power at
+alpha = 1.
 
 Families
 --------
@@ -384,9 +388,6 @@ def make_family(spec, tail_tol=1e-12):
 # recorded reference gaps
 # ---------------------------------------------------------------------
 
-_N2_FIRST_SPLIT = (3.0 + math.sqrt(5.0)) / 2.0
-
-
 def _cauchy_radial_reference(spec):
     t = spec.beta - spec.n / 2.0
     if t <= 2.0:
@@ -400,41 +401,22 @@ def _cauchy_radial_reference(spec):
 
 
 def _cauchy_full_reference(spec):
-    n, beta = spec.n, spec.beta
-    t = beta - n / 2.0
-    if n == 2:
-        # thresholds written as closed intervals on the right
-        if beta <= _N2_FIRST_SPLIT:
-            return ReferenceGap(
-                kind="exact", value=(beta - 1.0) ** 2,
-                source="equals the weighted radial gap "
-                       "(below the comparison threshold)")
-        if beta <= 3.0:
-            return ReferenceGap(
-                kind="bracket", lower=beta, upper=(beta - 1.0) ** 2,
-                source="weighted comparison lower vs weighted radial gap")
-        return ReferenceGap(
-            kind="bracket", lower=beta, upper=2.0 * (beta - 1.0),
-            source="weighted comparison lower vs linear-probe upper")
-    if beta <= n / 2.0 + 2.0:
-        return ReferenceGap(
-            kind="exact", value=t * t,
-            source="equals the weighted radial gap "
-                   "(below the comparison threshold)")
-    if beta <= n * (n + 2.0) / (n + 1.0):
-        return ReferenceGap(
-            kind="exact", value=4.0 * (t - 1.0),
-            source="equals the weighted radial gap (quadratic eigenfunction)")
-    if beta <= n + 1.0:
-        return ReferenceGap(
-            kind="bracket", lower=2.0 * beta * (n - 1.0) / n,
-            upper=4.0 * (t - 1.0),
-            source="weighted comparison lower vs weighted radial gap; "
-                   "exact value unknown in this band")
-    return ReferenceGap(
-        kind="bracket", lower=2.0 * beta * (n - 1.0) / n,
-        upper=2.0 * (beta - 1.0),
-        source="weighted comparison lower vs linear-probe upper")
+    """The full gap min(radial gap, 2(beta-1)).
+
+    Under sigma^2 = 1+r^2 each coordinate is an exact eigenfunction,
+    L x_i = -2(beta-1) x_i, and its radial part r has no node, so for
+    t = beta - n/2 > 1, where x_i lies in L^2(mu), 2(beta-1) is the l=1
+    ground state.  For t <= 1 the positive solution x_i still holds the
+    l=1 spectrum at or above 2(beta-1) = 2t + n - 2 > t^2, so the full gap
+    is the radial essential-spectrum bottom t^2.
+    """
+    radial = _cauchy_radial_reference(spec)
+    linear = 2.0 * (spec.beta - 1.0)
+    if linear < radial.value:
+        return ReferenceGap(kind="exact", value=linear,
+                            source="coordinate linear eigenfunctions x_i")
+    return ReferenceGap(kind="exact", value=radial.value,
+                        source=f"equals the radial gap ({radial.source})")
 
 
 def _gaussian_reference(spec, which):
@@ -479,6 +461,13 @@ def _exp_power_reference(spec, which):
     if alpha == 2.0:
         return ReferenceGap(kind="exact", value=1.0,
                             source="coordinate linear eigenfunctions")
+    if alpha == 1.0:
+        # V'' = 0, so x_i e^(r/(n+1)), whose radial part r e^(r/(n+1)) has
+        # no node, is the l=1 ground state; it ties with the radial gap
+        return ReferenceGap(
+            kind="exact", value=n / (n + 1.0) ** 2,
+            source="l=1 eigenfunctions x_i e^(r/(n+1)), tied with the "
+                   "radial gap")
     exact = exp_power_explicit(n, alpha).exact
     return ReferenceGap(kind="bracket", lower=exact.lower, upper=exact.upper,
                         source="second-moment comparison (exact Gamma form)")

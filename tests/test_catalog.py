@@ -1,8 +1,8 @@
 """Catalog: case validation, recorded references, metric maps, the grid.
 
 The recorded reference table is cross-checked three ways: spot values
-recomputed by hand, continuity at every regime threshold, and ordering
-consistency over dense parameter sweeps.  Solver agreement for selected
+recomputed by hand, the closed-form eigenfunctions behind the exact full
+gaps, and ordering consistency over dense parameter sweeps.  Solver agreement for selected
 cases closes the loop between the table and the eigensolver.
 """
 
@@ -31,7 +31,7 @@ from specgap.catalog import (
     reference_gap,
 )
 from specgap.errors import InvalidInput, SpecGapError
-from specgap.radial_model import validate_weight
+from specgap.radial_model import moment, validate_weight, weighted_moment
 from specgap.sl_eigensolver import residual_check, spectral_gap
 
 
@@ -188,7 +188,7 @@ def test_recorded_reference_spot_values():
 
     r = reference_gap(FamilySpec("generalized_cauchy", 2, "one_plus_r2",
                                  beta=5), "full")
-    assert r.kind == "bracket" and r.lower == 5.0 and r.upper == 8.0
+    assert r.kind == "exact" and r.value == 8.0  # 2(beta-1), x_i
 
     r = reference_gap(FamilySpec("gaussian", 4, "inv_one_plus_r2"), "full")
     assert r.kind == "bracket"
@@ -214,8 +214,7 @@ def test_recorded_reference_spot_values():
     r = reference_gap(FamilySpec("exponential_power", 3, alpha=2.0), "full")
     assert r.kind == "exact" and r.value == 1.0
     r = reference_gap(FamilySpec("exponential_power", 3, alpha=1.0), "full")
-    assert r.kind == "bracket"
-    assert abs(r.lower - 1.0 / 6.0) < 1e-12 and abs(r.upper - 0.25) < 1e-12
+    assert r.kind == "exact" and r.value == 3.0 / 16.0  # x_i e^(r/(n+1))
     r = reference_gap(FamilySpec("exponential_power", 3, alpha=4.0), "radial")
     assert r.kind == "order_only" and abs(r.order_exponent - 0.5) < 1e-15
     # n/(n+1)^2, eigenfunction (1 - r/(n+1)) e^(r/(n+1)); the exponent
@@ -242,52 +241,70 @@ def test_reference_gap_untabulated_combinations(spec, which):
         reference_gap(spec, which)
 
 
-# ------------------------------------------------- threshold consistency
+# ------------------------------------------------- closed-form full gaps
 
 
-@pytest.mark.parametrize("n", (3, 4, 5, 6, 8))
-def test_heavy_tail_reference_continuity(n):
-    eps = 1e-9
-
-    def full(beta):
-        return reference_gap(FamilySpec("generalized_cauchy", n,
-                                        "one_plus_r2", beta=beta), "full")
-
-    # first threshold: the essential bottom meets the eigenvalue branch
-    b1 = n / 2.0 + 2.0
-    lo, hi = full(b1), full(b1 + eps)
-    hv = hi.value if hi.kind == "exact" else hi.upper
-    assert lo.kind == "exact" and abs(lo.value - 4.0) < 1e-12
-    assert abs(hv - 4.0) < 1e-6
-
-    # second threshold: exact branch opens into a bracket
-    b2 = n * (n + 2.0) / (n + 1.0)
-    lo, hi = full(b2), full(b2 + eps)
-    assert lo.kind == "exact" and hi.kind == "bracket"
-    assert abs(hi.upper - lo.value) < 1e-6
-
-    # third threshold: bracket endpoints stay continuous
-    b3 = n + 1.0
-    lo, hi = full(b3), full(b3 + eps)
-    assert lo.kind == "bracket" and hi.kind == "bracket"
-    assert abs(hi.upper - lo.upper) < 1e-6
-    assert abs(hi.lower - lo.lower) < 1e-6
+def _l1_generator(potential, weight, n, h, dh, d2h, r):
+    """The generator on x_i h(r)/r, read off in h:
+    sigma^2 (h'' + (n-1)h'/r - (n-1)h/r^2) + ((sigma^2)' - sigma^2 V')h',
+    with the sum of its terms' magnitudes, the scale of its rounding.
+    Both closed forms below hold to 2.6e-16 of that scale."""
+    s2, ds2, dv = weight.s2(r), weight.ds2(r), potential.dv(r)
+    terms = (s2 * d2h, s2 * (n - 1) * dh / r, -s2 * (n - 1) * h / r ** 2,
+             ds2 * dh, -s2 * dv * dh)
+    return sum(terms), sum(np.abs(term) for term in terms)
 
 
-def test_heavy_tail_reference_continuity_n2():
-    def full(beta):
-        return reference_gap(FamilySpec("generalized_cauchy", 2,
-                                        "one_plus_r2", beta=beta), "full")
+@pytest.mark.parametrize("n", (2, 3, 4, 6))
+@pytest.mark.parametrize("t", (0.5, 1.0, 1.5, 2.5, 4.5))
+def test_cauchy_full_gap_from_coordinate_eigenfunctions(n, t):
+    # under sigma^2 = 1+r^2, L x_i = -2(beta-1) x_i, and r has no node:
+    # the full gap is min(radial gap, 2(beta-1)); for t <= 1, where x_i
+    # leaves L^2(mu), it is the radial essential-spectrum bottom t^2
+    beta = n / 2.0 + t
+    r = np.geomspace(1e-3, 1e3, 601)
+    got, scale = _l1_generator(cauchy_potential(beta), power_weight(1), n,
+                               r, np.ones_like(r), np.zeros_like(r), r)
+    assert np.all(np.abs(got + 2.0 * (beta - 1.0) * r) <= 1e-14 * scale)
+    spec = FamilySpec("generalized_cauchy", n, "one_plus_r2", beta=beta)
+    full = reference_gap(spec, "full")
+    radial = reference_gap(spec, "radial").value
+    assert full.kind == "exact"
+    assert full.value == min(radial, 2.0 * (beta - 1.0))
+    if t <= 1.0:
+        assert full.value == t * t
 
-    s12 = (3.0 + math.sqrt(5.0)) / 2.0
-    lo, hi = full(s12), full(s12 + 1e-9)
-    assert lo.kind == "exact" and hi.kind == "bracket"
-    assert abs(lo.value - s12) < 1e-12
-    assert abs(hi.lower - hi.upper) < 1e-6  # bracket degenerates at the split
 
-    lo, hi = full(3.0), full(3.0 + 1e-9)
-    assert lo.kind == "bracket" and hi.kind == "bracket"
-    assert abs(lo.upper - 4.0) < 1e-12 and abs(hi.upper - 4.0) < 1e-6
+@pytest.mark.parametrize("n", (2, 3, 4, 6, 8))
+def test_exp_power_alpha1_full_gap_from_l1_eigenfunction(n):
+    # V'' = 0, so h = r e^(r/(n+1)) solves the l=1 equation at n/(n+1)^2,
+    # the radial gap too
+    c = 1.0 / (n + 1.0)
+    r = np.geomspace(1e-3, 40.0 * (n + 1.0), 601)
+    e = np.exp(c * r)
+    h, dh, d2h = r * e, (1.0 + c * r) * e, (2.0 * c + c * c * r) * e
+    got, scale = _l1_generator(exp_power_potential(1.0), power_weight(0), n,
+                               h, dh, d2h, r)
+    gap = n / (n + 1.0) ** 2
+    assert np.all(np.abs(got + gap * h) <= 1e-14 * scale)
+    spec = FamilySpec("exponential_power", n, alpha=1.0)
+    for which in ("full", "radial"):
+        ref = reference_gap(spec, which)
+        assert ref.kind == "exact" and ref.value == gap
+
+
+@pytest.mark.parametrize("spec", [
+    spec for spec in catalog_grid()
+    if spec.family == "generalized_cauchy" and spec.beta - spec.n / 2.0 > 1.0
+], ids=FamilySpec.label)
+def test_cauchy_coordinate_rayleigh_quotient_by_quadrature(spec):
+    # x_i lies in L^2(mu) for t > 1, so its Rayleigh quotient
+    # E[sigma^2 |grad x_i|^2]/E[x_i^2] = n E[sigma^2]/E[r^2] is its
+    # eigenvalue 2(beta-1); measured within 4.5e-16 on all 12 laws
+    measure, weight, _ = make_family(spec)
+    quotient = (spec.n * weighted_moment(measure, weight, "s2")
+                / moment(measure, 2))
+    assert abs(quotient / (2.0 * (spec.beta - 1.0)) - 1.0) <= 1e-12
 
 
 def test_heavy_tail_reference_brackets_ordered_dense_sweep():

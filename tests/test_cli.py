@@ -10,7 +10,6 @@ import contextlib
 import io
 import json
 import math
-import re
 import subprocess
 import sys
 from importlib import resources
@@ -87,8 +86,7 @@ def test_bounds_heavy_tail_weighted():
     assert rel(mb["lower"], 2.0) < 1e-10 and rel(mb["upper"], 3.0) < 1e-10
 
     rf = recs(rep, "reference_full")[0]
-    assert rel(rf["lower"], 16.0 / 3.0) < 1e-12
-    assert rel(rf["upper"], 6.0) < 1e-12
+    assert rf["value"] == rf["lower"] == rf["upper"] == 6.0
     assert recs(rep, "reference_radial")[0]["value"] == 6.0
 
     wcl = recs(rep, "weighted_curvature_lower")
@@ -288,6 +286,19 @@ def test_verify_heavy_tail_exact_subset():
     assert all(r["detail"].startswith("pass") for r in ce)
 
 
+def test_verify_heavy_tail_exact_at_the_coarsest_mesh():
+    # at 64 cells the solves miss their exact gaps by up to 10% relative,
+    # within three of their reported errors: the rule the bracketing
+    # sweep holds radial exact values to
+    code, rep = run_json(["verify", "--scope", "cauchy-exact",
+                          "--cells", "64"])
+    assert code == 0 and rep["status"] == "ok"
+    ce = recs(rep, "cauchy_exact")
+    assert len(ce) == 20
+    assert all(r["detail"].startswith("pass") for r in ce)
+    assert max(r["value"] for r in ce) > 1e-3
+
+
 def test_verify_bracketing_subset():
     code, rep = run_json(["verify", "--scope", "bracketing",
                           "--max-cases", "4"])
@@ -357,9 +368,24 @@ def test_verify_records_a_raising_solve_and_goes_on(monkeypatch):
               "gap not resolved" in r["detail"]]
     assert len(ce) == 20 and len(raised) == 3
     assert all(r["detail"].startswith("FAIL") for r in raised)
+    assert all(r["detail"].startswith("pass") for r in ce if r not in raised)
     assert len(recs(rep, "bracket_containment")) == 3
     assert len(recs(rep, "edge")) == 59
-    assert re.search(r"; \.\.\. and \d+ more$", rep["error"]), rep["error"]
+    # the two sweeps' three refusals are the only failures
+    assert rep["error"].startswith("6 check(s) failed: solver failed on "
+                                   "generalized_cauchy beta=3.5 n=2")
+    assert "more" not in rep["error"], rep["error"]
+
+
+def test_verify_error_names_eight_failures_and_counts_the_rest(monkeypatch):
+    # an edge at 0 puts each of the ten solved gaps above it
+    monkeypatch.setattr(cli, "essential_edge", lambda measure, weight:
+                        (0.0, 0.0))
+    code, rep = run_json(["verify", "--scope", "bracketing",
+                          "--max-cases", "10"])
+    assert code == 1
+    assert rep["error"].startswith("10 check(s) failed: solver defect on ")
+    assert rep["error"].endswith("; ... and 2 more"), rep["error"]
 
 
 def test_eigen_solves_once_per_call(monkeypatch):
@@ -414,8 +440,7 @@ def test_table_heavy_tail_default_betas_no_solve():
     assert len(rows) == 5
     by_beta = {r["beta"]: r for r in rows}
     assert by_beta[2.5]["lower"] == 1.0 and by_beta[2.5]["upper"] == 1.0
-    assert rel(by_beta[6.0]["lower"], 8.0) < 1e-12
-    assert rel(by_beta[6.0]["upper"], 10.0) < 1e-12
+    assert by_beta[6.0]["lower"] == by_beta[6.0]["upper"] == 10.0
 
 
 def test_table_records_a_raising_solve_and_keeps_the_other_rows(

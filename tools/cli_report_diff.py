@@ -77,14 +77,18 @@ A refactor that claims to keep behaviour shows it on this list:
   ``--cells 64`` on cauchy beta=5.5 n=6, both with sigma^2 = 1+r^2
   (gap 6); ``eigen --cells 64`` on gaussian n=2 with sigma^2 = 1/(1+r^2),
   which was snapped to the edge 1/4;
-- ``verify --scope all --cells 64``, where three cauchy t = 2.5 solves
-  are refused as unresolved and both solver sweeps record the refusal
-  as a failing check (exit 1);
+- ``verify --scope all --cells 64``, and ``verify --scope cauchy-exact
+  --cells 64``, whose coarse cauchy solves miss their exact gaps by up
+  to 10% relative, within three of their reported errors;
 - ``bounds`` on exp-power alpha=2 n=2 with sigma^2 = 1/(1+r^2), whose
   second-moment brackets bound the unweighted dynamics only;
 - ``table --id cauchy-n3 --betas 2.5,4 --cells 64``, whose beta=4 solve
-  is refused as unresolved: a failing check (exit 1), while the beta=2.5
-  row keeps its value.
+  was refused as unresolved by the domain-doubling solver;
+- ``table --id cauchy-n3 --betas 2.5,3.5,3.75,3.76,4,6 --no-solve``, whose
+  betas cross each n = 3 regime change the full reference once had
+  (t = 2, beta = n(n+2)/(n+1) = 3.75, beta = n + 1), and ``bounds`` on
+  cauchy beta=2.7 n=2 with sigma^2 = 1+r^2, between the n = 2 changes
+  at (3 + sqrt 5)/2 and 3.
 
     python3 tools/cli_report_diff.py run SRC_TREE OUT_DIR
     python3 tools/cli_report_diff.py compare DIR_A DIR_B
@@ -228,6 +232,11 @@ _VARIANTS = (
     ["bounds", "--family", "exp-power", "--alpha", "2", "--n", "2",
      "--weight", "inv-one-plus-r2"],
     ["table", "--id", "cauchy-n3", "--betas", "2.5,4", "--cells", "64"],
+    ["verify", "--scope", "cauchy-exact", "--cells", "64"],
+    ["table", "--id", "cauchy-n3", "--betas", "2.5,3.5,3.75,3.76,4,6",
+     "--no-solve"],
+    ["bounds", "--family", "cauchy", "--beta", "2.7", "--n", "2",
+     "--weight", "one-plus-r2"],
 )
 
 
