@@ -90,12 +90,12 @@ def _check_seed(seed):
     return seed
 
 
-def _check_count(count, minimum=1):
+def _check_count(count):
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
         raise InvalidInput(f"count must be an integer, got {count!r}")
     count = int(count)
-    if count < minimum:
-        raise InvalidInput(f"count must be >= {minimum}, got {count}")
+    if count < 1:
+        raise InvalidInput(f"count must be >= 1, got {count}")
     return count
 
 

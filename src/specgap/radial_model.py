@@ -303,34 +303,6 @@ class RadialMeasure:
 # ---------------------------------------------------------------------
 
 
-def _tail_slope(potential, n, r):
-    """d log(unnormalized density) / d log r."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = (n - 1) - r * potential.dv(r)
-    return np.where(np.isnan(p), -np.inf, p)
-
-
-def _pick_r_max(measure_logw, potential, n, log_z, tail_tol):
-    """Smallest grid radius whose estimated normalized tail mass is below
-    tail_tol.  The tail is estimated by integrating a log-linear (in
-    log r) extrapolation of the log-density, which over-estimates the
-    tail of any density decaying faster than a power law."""
-    grid = np.expm1(np.linspace(0.0, np.log1p(_HORIZON), 4001))[1:]
-    lw = measure_logw(grid)
-    slopes = _tail_slope(potential, n, grid)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # int_r^inf rho dr ~= rho(r) * r / (-(p+1)) for slope p < -1
-        log_tail = lw + np.log(grid) - np.log(-(slopes + 1.0)) - log_z
-    log_tail = np.where(slopes < -1.0 - _SLOPE_MARGIN, log_tail, np.inf)
-    ok = log_tail < math.log(tail_tol) + math.log(0.5)
-    idx = np.argmax(ok)
-    if not ok[idx]:
-        raise NonIntegrable(
-            "could not locate a truncation radius with tail mass below "
-            f"{tail_tol:g} inside the probe horizon")
-    return float(grid[idx])
-
-
 def _finite_real(name, value):
     """value as a float; bool, non-real and non-finite values raise
     InvalidInput."""
@@ -446,41 +418,38 @@ def build_measure(n, potential, tail_tol=1e-12, name=""):
     return measure
 
 
-def truncation_radius(measure, tail_tol, poly_power=0):
-    """Truncation radius for the given tail mass budget (measure unchanged).
+def truncation_radius(measure, tail_tol):
+    """Smallest probe radius whose estimated tail mass of nu is below
+    tail_tol (the measure's own domain end if it is bounded).
 
-    Same conservative log-linear tail estimate used at build time; lets a
-    consumer (the eigensolver truncates at 1e-10 rather than the measure's
-    own tail_tol) pick its own budget.
-
-    With poly_power = k > 0 the budget applies to the normalized
-    r^k-weighted law instead: the radius where the tail of r^k against nu
-    drops below tail_tol times the k-th moment.  Truncating a domain
-    biases an eigenvalue through the mass its (polynomially growing)
-    eigenfunction sees, not through the bare tail mass, so eigensolvers
-    provision domains this way.  Raises NonIntegrable when the k-th
-    moment diverges or the weighted tail never meets the budget inside
-    the probe horizon.
+    The tail is estimated by integrating a log-linear (in log r)
+    extrapolation of the log-density, which over-estimates the tail of
+    any density decaying faster than a power law.  build_measure reads
+    this at the measure's tail_tol for r_max; the bounds read it at
+    their own budget, and the eigensolver at 1e-10 on the law in
+    dimension n + 4 (see sl_eigensolver._radii).  Raises NonIntegrable
+    when no probe radius inside the horizon meets the budget.
     """
     _check_tail_tol(tail_tol)
-    if (isinstance(poly_power, bool)
-            or not isinstance(poly_power, (int, np.integer)) or poly_power < 0):
-        raise InvalidInput("poly_power must be an integer >= 0")
     pot = measure.potential
     if math.isfinite(pot.domain_end):
         return float(pot.domain_end)
-    if poly_power == 0:
-        return _pick_r_max(measure.log_weight, pot, measure.n,
-                           measure.log_z, tail_tol)
-    log_mk = math.log(moment(measure, poly_power))
-    k = float(poly_power)
-
-    def logw_k(r):
-        return measure.log_weight(r) + k * np.log(r)
-
-    # the weighted law r^k w(r) has the log-log slope of dimension n + k
-    return _pick_r_max(logw_k, pot, measure.n + poly_power,
-                       measure.log_z + log_mk, tail_tol)
+    grid = np.expm1(np.linspace(0.0, np.log1p(_HORIZON), 4001))[1:]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # the log-log slope p of the density; for p < -1 the tail is
+        # int_r^inf rho dr ~= rho(r) * r / (-(p+1))
+        slopes = (measure.n - 1) - grid * pot.dv(grid)
+        slopes = np.where(np.isnan(slopes), -np.inf, slopes)
+        log_tail = (measure.log_weight(grid) + np.log(grid)
+                    - np.log(-(slopes + 1.0)) - measure.log_z)
+    log_tail = np.where(slopes < -1.0 - _SLOPE_MARGIN, log_tail, np.inf)
+    ok = log_tail < math.log(tail_tol) + math.log(0.5)
+    idx = np.argmax(ok)
+    if not ok[idx]:
+        raise NonIntegrable(
+            "could not locate a truncation radius with tail mass below "
+            f"{tail_tol:g} inside the probe horizon")
+    return float(grid[idx])
 
 
 def diagnostic_grid(measure, count=201, p_lo=1e-4):

@@ -64,7 +64,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -73,7 +73,8 @@ from .errors import (ConvergenceError, DiscretizationError, DomainError,
                      TruncationWarning)
 from .quadrature import gl_rule, log_integrals_exp
 from .radial_model import (_MonotoneCubic, _finite_real, diagnostic_grid,
-                           expectation, truncation_radius, validate_weight)
+                           expectation, moment, truncation_radius,
+                           validate_weight)
 
 
 def _load_flapack():
@@ -113,7 +114,7 @@ dpttrf = _flapack.dpttrf
 
 # width ratio cap of the graded mesh (widest cell / narrowest cell)
 _RATIO_CLIP = 50.0
-# tail-mass budget used to pick the default truncation radius
+# tail-mass budget at the starting radius (see _radii)
 _SOLVER_TAIL_TOL = 1e-10
 # the domain never extends past the radius where the density has decayed
 # this many e-folds below its peak (a policy cap: the domains it sets fix
@@ -228,18 +229,6 @@ def _metric_maps(weight, r_hi):
     return to_metric, from_metric
 
 
-def _default_radius(measure):
-    """Default truncation radius: the solver's tail budget applied to the
-    r^4-weighted law (eigenfunctions of the heavy-tailed families grow
-    like r^2, so the eigenvalue's truncation bias tracks the r^4 tail),
-    falling back to the bare tail mass when r^4 is not integrable --
-    those are essential-spectrum cases, whose bracket closes at W_inf."""
-    try:
-        return truncation_radius(measure, _SOLVER_TAIL_TOL, poly_power=4)
-    except NonIntegrable:
-        return truncation_radius(measure, _SOLVER_TAIL_TOL)
-
-
 def _representable_radius(measure):
     """Largest radius the solver is willing to mesh: the density must not
     have decayed more than _DENSITY_DROP e-folds below its peak (a domain
@@ -275,14 +264,28 @@ def _radii(measure):
     largest radius any solve may mesh.
 
     A bounded law is solved on its whole domain, so r0 = r_cap = its
-    domain end.  An unbounded law starts at the solver's default
-    truncation radius, never past r_cap, its representable radius.
+    domain end.  An unbounded law starts where the solver's tail budget
+    (1e-10) is met by the r^4-weighted law, never past r_cap, its
+    representable radius.  The gap eigenfunctions of the heavy-tailed
+    families grow like r^2, so a truncation biases the eigenvalue
+    through the mass r^4 nu sees, not through the bare tail.  That law
+    is nu's own potential in dimension n + 4, normalized by E r^4.
+    Where E r^4 diverges (essential-spectrum cases, whose bracket closes
+    at W_inf) or its quadrature is refused (cauchy just above
+    t = beta - n/2 = 2), the bare law's 1e-10 radius stands in: r0 only
+    places the first domain, and the bracket audits the truncation.
     """
     domain_end = measure.potential.domain_end
     if math.isfinite(domain_end):
         return float(domain_end), float(domain_end)
     r_cap = _representable_radius(measure)
-    return min(_default_radius(measure), r_cap), r_cap
+    try:
+        shifted = replace(measure, n=measure.n + 4,
+                          log_z=measure.log_z + math.log(moment(measure, 4)))
+        r0 = truncation_radius(shifted, _SOLVER_TAIL_TOL)
+    except (NonIntegrable, ConvergenceError):
+        r0 = truncation_radius(measure, _SOLVER_TAIL_TOL)
+    return min(r0, r_cap), r_cap
 
 
 def _mesh_family(measure, weight, from_metric, s_max):

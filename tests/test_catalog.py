@@ -31,6 +31,7 @@ from specgap.catalog import (
     reference_gap,
 )
 from specgap.errors import InvalidInput, SpecGapError
+from specgap.quadrature import tail_integral
 from specgap.radial_model import moment, validate_weight, weighted_moment
 from specgap.sl_eigensolver import residual_check, spectral_gap
 
@@ -357,6 +358,34 @@ def test_inv_weight_tabulated_metric_maps(n):
     assert np.max(np.abs(from_metric(to_metric(rs)) - rs) / rs) < 3e-8
     assert from_metric(0.0) == 0.0
     assert np.ndim(from_metric(2.5)) == 0
+
+
+# ------------------------------------------------ the solver's first domain
+
+
+def test_first_domain_meets_the_solver_tail_budget():
+    # past the first domain's radius the r^4-weighted law keeps at most
+    # 1e-10 of its mass, and so does the bare law where E r^4 diverges
+    # (cauchy with t = beta - n/2 <= 2); on the 57 unbounded laws the
+    # largest share of the budget is 0.495, bare, at cauchy beta=2 n=3
+    unbounded = 0
+    for spec in catalog_grid():
+        measure = make_family(spec)[0]
+        if math.isfinite(measure.potential.domain_end):
+            continue
+        unbounded += 1
+        r0 = sl_eigensolver._radii(measure)[0]
+        k = 0 if (spec.family == "generalized_cauchy"
+                  and spec.beta - spec.n / 2.0 <= 2.0) else 4
+        log_mk = math.log(moment(measure, k))
+
+        def log_f(r):
+            return measure.log_density(r) + k * np.log(r) - log_mk
+
+        val, _, shift = tail_integral(log_f, r0, rel_tol=1e-8)
+        ratio = val * math.exp(shift) / sl_eigensolver._SOLVER_TAIL_TOL
+        assert ratio <= 1.0, (spec.label(), k, ratio)
+    assert unbounded == 57
 
 
 # ------------------------------------------------------------- the grid

@@ -287,8 +287,6 @@ def test_bool_orders_are_invalid_input():
     mu = _gaussian(3)
     with pytest.raises(InvalidInput, match="moment order"):
         moment(mu, True)
-    with pytest.raises(InvalidInput, match="poly_power"):
-        truncation_radius(mu, 1e-10, poly_power=True)
 
 
 def test_diagnostic_grid_inside_support():

@@ -88,7 +88,12 @@ A refactor that claims to keep behaviour shows it on this list:
   betas cross each n = 3 regime change the full reference once had
   (t = 2, beta = n(n+2)/(n+1) = 3.75, beta = n + 1), and ``bounds`` on
   cauchy beta=2.7 n=2 with sigma^2 = 1+r^2, between the n = 2 changes
-  at (3 + sqrt 5)/2 and 3.
+  at (3 + sqrt 5)/2 and 3;
+- ``eigen`` on cauchy n=3 with sigma^2 = 1+r^2 at beta = 3.503 and 3.51,
+  just above t = beta - n/2 = 2, where E r^4 converges too slowly to
+  integrate and the starting radius falls back to the bare law's;
+- ``bounds --family cauchy --beta 2.5 --n 3``, whose second moment
+  diverges logarithmically yet is reported finite.
 
     python3 tools/cli_report_diff.py run SRC_TREE OUT_DIR
     python3 tools/cli_report_diff.py compare DIR_A DIR_B
@@ -237,6 +242,9 @@ _VARIANTS = (
      "--no-solve"],
     ["bounds", "--family", "cauchy", "--beta", "2.7", "--n", "2",
      "--weight", "one-plus-r2"],
+    *(["eigen", "--family", "cauchy", "--beta", beta, "--n", "3",
+       "--weight", "one-plus-r2"] for beta in ("3.503", "3.51")),
+    ["bounds", "--family", "cauchy", "--beta", "2.5", "--n", "3"],
 )
 
 
