@@ -470,7 +470,9 @@ def variational_potential(measure, weight, cand):
     this quantity over the domain is a lower bound for the gap, with
     equality at the gap eigenfunction when one exists.  The callable
     raises DomainError at radii r <= 0, and gives NaN (not evaluable)
-    where f' underflows to 0.
+    where f' underflows to 0.  The (n-1)/r parts of b and b' are summed as
+    (n-1)/r (sigma^2 (f'' - f'/r) + (sigma^2)' f'), exactly 0 for f = r^2/2
+    where the terms apart leave rounding noise of size (n-1)/r^2.
     """
     if cand.d3f is None:
         raise InvalidInput(
@@ -482,13 +484,13 @@ def variational_potential(measure, weight, cand):
     def vf(r):
         rr = _require_positive_radii(r)
         s2, ds2 = weight.s2(rr), weight.ds2(rr)
-        du = pot.dv(rr) - nm1 / rr
-        b = ds2 - s2 * du
-        db = weight.d2s2(rr) - ds2 * du - s2 * (pot.d2v(rr) + nm1 / (rr * rr))
+        dv = pot.dv(rr)
         f1 = np.asarray(cand.df(rr), dtype=float)
+        f2 = np.asarray(cand.d2f(rr), dtype=float)
         num = -(s2 * np.asarray(cand.d3f(rr), dtype=float)
-                + (ds2 + b) * np.asarray(cand.d2f(rr), dtype=float)
-                + db * f1)
+                + (2.0 * ds2 - s2 * dv) * f2
+                + (weight.d2s2(rr) - ds2 * dv - s2 * pot.d2v(rr)) * f1
+                + nm1 / rr * (s2 * (f2 - f1 / rr) + ds2 * f1))
         # where f' underflowed to 0 the rate is not evaluable
         return np.divide(num, f1, out=np.full(np.shape(num), np.nan),
                          where=f1 != 0.0)

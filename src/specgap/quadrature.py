@@ -2,22 +2,17 @@
 
 Two layers are used throughout the package:
 
-* one adaptive Gauss-Kronrod engine (G10K21 panels with QUADPACK's error
-  estimate, the worst panels bisected first, every refinement round's
-  nodes evaluated in one call of a vectorized integrand) behind
-  tail_integral, the one routine for normalizations, moments and tail
-  masses on bounded and unbounded domains alike; it works in the
-  variable u = log(1+r), where the r^{n-1} vanishing at the origin stays
-  polynomial and every integrable tail (power law or faster) becomes an
-  exponential decay, and the integrand is assembled as
-  sign * exp(log-magnitude - peak) so that partial under/overflow of its
-  factors cannot corrupt it.  The probe that locates the peak and the
-  tail also seeds the engine's starting partition, a breakpoint every
-  few e-folds of the live integrand, so few refinement rounds remain.
-  It works in two levels: every 8th point of its grid first, then the
-  whole grid only inside the window where that coarse pass found the
-  integrand live.  Its one assumption is that no live feature narrower
-  than a coarse step sits outside that window;
+* one adaptive Gauss-Kronrod engine, rule_integral (G10K21 panels with
+  QUADPACK's error estimate, the worst panels bisected first, each
+  round's nodes evaluated in one call), in u = log(1+r), where r^{n-1}
+  stays polynomial at the origin and every integrable tail becomes an
+  exponential decay; integrands are sign * exp(log-magnitude - peak), so
+  partial under/overflow of their factors cannot corrupt them.  Only a
+  law's normalization starts from scratch (tail_integral, whose probe
+  seeds the partition); its final panels, nodes and log-integrand are
+  the law's PanelRule, and every further expectation is a Kronrod dot
+  product on them, refined where needed, plus the closed-form tail
+  e^L / (-s) past the window, whose end slope s also decides divergence;
 * variation-adaptive Gauss-Legendre panels for many cell integrals of
   the form exp(g) with g of large dynamic range (finite-volume cell
   masses, cumulative distribution tables), carried out entirely on the
@@ -29,6 +24,7 @@ Two layers are used throughout the package:
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -85,15 +81,31 @@ GK_GAUSS[11:20:2] = _WG_HALF[::-1]
 
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
-# subinterval budget of one adaptive integral
+# panels one integral on a rule may add
 _LIMIT = 400
 
 
-def _gk_panels(fn, lo, hi):
-    """G10K21 value and QUADPACK error estimate on each panel [lo_i, hi_i]."""
+class PanelRule(NamedTuple):
+    """G10K21 panels [lo_i, hi_i] in u = log(1+r), ascending, their nodes
+    and the log-integrand there (one row per panel); ``open_end``: the
+    domain goes on past hi[-1], where _closed_tail takes over."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    nodes: np.ndarray
+    logs: np.ndarray
+    open_end: bool
+
+
+def _panel_nodes(lo, hi):
+    """The 21 Kronrod nodes of every panel [lo_i, hi_i], one row each."""
     half = 0.5 * (hi - lo)
-    nodes = 0.5 * (lo + hi)[:, None] + half[:, None] * GK_NODES[None, :]
-    f = np.asarray(fn(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    return 0.5 * (lo + hi)[:, None] + half[:, None] * GK_NODES[None, :]
+
+
+def _gk_sums(f, half):
+    """G10K21 value and QUADPACK error estimate of every panel from the
+    integrand ``f`` at its nodes."""
     res_k = f @ GK_KRONROD
     res_g = f @ GK_GAUSS
     res_abs = np.abs(f) @ GK_KRONROD
@@ -110,57 +122,27 @@ def _gk_panels(fn, lo, hi):
     return val, np.maximum(err, floor)
 
 
-def gauss_kronrod(fn, a, b, rel_tol, abs_tol=0.0, points=()):
-    """Adaptive G10K21 integral of a vectorized ``fn`` over [a, b].
-
-    ``points`` are breakpoints (a peak, say) that start the subdivision;
-    those outside (a, b) are ignored.  Every round bisects the panels
-    carrying the largest error estimates -- as few as can bring the total
-    under max(abs_tol, rel_tol * |value|) if each bisection removed its
-    panel's error -- and evaluates all of their new nodes in one call of
-    ``fn`` on a 1-d array.  Stops when the tolerance is met, the value
-    is not finite, or the 400-subinterval budget is spent.  Returns
-    (value, error_estimate) unchecked; callers judge acceptance.
-    """
-    points = np.asarray(points, dtype=float)
-    edges = sorted_unique(np.concatenate(
-        ([a, b], points[(points > a) & (points < b)])))
-    lo, hi = edges[:-1], edges[1:]
-    vals, errs = _gk_panels(fn, lo, hi)
-    while True:
-        total = float(np.sum(vals))
-        err = float(np.sum(errs))
-        excess = err - max(abs_tol, rel_tol * abs(total))
-        if excess <= 0.0 or not math.isfinite(total) or lo.size >= _LIMIT:
-            return total, err
-        order = np.argsort(-errs, kind="stable")
-        count = int(np.searchsorted(np.cumsum(errs[order]), excess)) + 1
-        split = order[:min(count, _LIMIT - lo.size)]
-        keep = np.ones(lo.size, dtype=bool)
-        keep[split] = False
-        mid = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate((lo[split], mid))
-        new_hi = np.concatenate((mid, hi[split]))
-        new_vals, new_errs = _gk_panels(fn, new_lo, new_hi)
-        lo = np.concatenate((lo[keep], new_lo))
-        hi = np.concatenate((hi[keep], new_hi))
-        vals = np.concatenate((vals[keep], new_vals))
-        errs = np.concatenate((errs[keep], new_errs))
-
-
-# log(1+r) beyond which r itself leaves double range; integration windows
-# never extend past it and the remainder is handled analytically
+# log(1+r) beyond which r itself leaves double range: the probe grid ends
+# there
 _U_CAP = 708.0
-# e-folds below the peak past which the integrand is considered dead
+# log(1+r) short of where r^2 leaves double range (r = 1.34e154), past
+# which formulas in r^2 are corrupted: a window's open end at the latest
+_U_SQUARE = 354.0
+# e-folds below the peak past which the integrand is considered dead, and
+# past which a window's end leaves no tail that a double resolves
 _DROP = 320.0
+_TAIL_DEAD = 300.0
 # u-slopes above this are treated as "no integrable decay established";
 # in terms of the log-log slope p of the r-space integrand this is the
 # usual p >= -1.005 margin (the u-integrand carries slope p + 1)
 _LIVE_SLOPE = -5e-3
-# density peaks of interest all sit at moderate radii; a global maximum
-# beyond this u with no decay behind it signals overflow corruption of a
-# genuinely divergent integrand, not a real concentration of mass
-_U_PEAK_SANE = 30.0
+# the end slope is fitted on _FIT_POINTS equally spaced points over the
+# window's last _FIT_WIDTH of u (less where the window is shorter)
+_FIT_WIDTH = 16.0
+_FIT_POINTS = 17
+# the refusal of an integrand whose log-magnitude reaches +inf
+_OVERFLOW = ("integrand log-magnitude reaches +inf: the integral diverges, "
+             "or overflows float range and needs a log-form integrand")
 
 
 # probe grid of the integrand, uniform in u
@@ -188,17 +170,16 @@ def _seed_points(us, rel_li):
     return us[1 + np.nonzero(np.diff(np.floor(walked / step)))[0]]
 
 
-def _probe(log_abs_fn, us):
+def _probe(log_u_integrand, us):
     """(abscissae, log u-integrand) of the probe grid ``us`` inside its
-    live window, found by a coarse first pass (see tail_integral).  The
-    points left out sit more than _DROP e-folds below the peak at their
-    coarse neighbours, so every rule of tail_integral reads them as dead.
+    live window: every ``_COARSE_STRIDE``-th point first, then the whole
+    grid from one coarse step before the first to one after the last
+    coarse point within ``_DROP`` e-folds of the coarse maximum
+    (everywhere when that is -inf or +inf).  The points left out read as
+    dead to every rule of tail_integral, so peak, window and seeds are the
+    whole grid's unless a live feature narrower than a coarse step (a
+    spike, or a +inf) lies outside.
     """
-    def log_u_integrand(u):
-        with np.errstate(all="ignore"):
-            la = np.asarray(log_abs_fn(np.expm1(u)), dtype=float)
-        return np.where(np.isnan(la), -np.inf, la) + u
-
     coarse = log_u_integrand(us[::_COARSE_STRIDE])
     top = float(np.max(coarse))
     if math.isfinite(top):
@@ -209,121 +190,90 @@ def _probe(log_abs_fn, us):
     return us, log_u_integrand(us)
 
 
-def tail_integral(log_abs_fn, r_lo=0.0, r_hi=math.inf, *, sign_fn=None,
-                  rel_tol=1e-12, accept_rel=None, abs_floor=0.0, r_stop=None):
-    """integral_{r_lo}^{r_hi} s(r) exp(L(r)) dr, L = log_abs_fn, s = sign_fn.
+def _slope(u, y):
+    """Least-squares slope of y against u."""
+    du = u - np.mean(u)
+    return float(du @ (y - np.mean(y)) / (du @ du))
 
-    Carried out in u = log(1+r).  Returns (value, error, log_scale) as
-    Python floats: the integral is value * exp(log_scale) and the error
-    bound scales the same way.  ``log_abs_fn`` and ``sign_fn`` are called
-    with 1-d arrays of radii only and must be vectorized; ``log_abs_fn``
-    may return -inf where the integrand vanishes (isolated zeros of a
-    signed integrand included), and ``sign_fn`` (radii -> +-1 or 0)
-    defaults to a positive integrand.
 
-    The u-axis is probed on a fine grid up to ``r_hi`` (up to the
-    float-representability cap when it is infinite), or up to ``r_stop``
-    when that comes first and the caller knows its integrand is only
-    resolved below that radius.  A finite ``r_hi`` is a hard end: the
-    domain stops there, so the integral runs up to it and nothing past
-    it is estimated.  Before an open end the quadrature window ends where
-    the integrand has permanently dropped ``_DROP`` e-folds below its
-    peak; mass beyond the window (or beyond the probe's end) is estimated
-    from the fitted log-linear tail slope and the estimate is charged to
-    the error bound, so near-threshold tails fail the acceptance check
-    honestly instead of being silently dropped.  That estimate matters
-    where the window ends because the integrand's own evaluation
-    overflows (r^2 past 1.3e154) while it is still live.  The window's
-    adaptive Gauss-Kronrod integral starts from the probe's peak plus a
-    breakpoint wherever the probe's log-integrand has varied by another
-    ``_SEED_EFOLDS`` within ``_SEED_FLOOR`` e-folds of the peak (at most
-    ``_SEED_CAP`` of them).
+def _closed_tail(u, lv, u_end, where):
+    """(integral, error) past ``u_end`` of exp(lv), lv the log-integrand
+    (relative to its peak) at the ascending points ``u`` before it.
 
-    The probe evaluates ``log_abs_fn`` on every ``_COARSE_STRIDE``-th
-    grid point first, and on the whole grid only from one coarse step
-    before the first to one coarse step after the last coarse point
-    within ``_DROP`` e-folds of the coarse maximum (everywhere when that
-    maximum is -inf or +inf).  Peak, cut, tail slope and seeds read only
-    that window, so they are the whole grid's, provided no live feature
-    narrower than a coarse step (a spike, or a +inf) lies outside it.
-
-    Raises NonIntegrable when no integrable decay is established while the
-    integrand is still live at an open end (slope above ``_LIVE_SLOPE`` at
-    the probe's end, a peak at the representability cap, or a float-range
-    overflow), and ConvergenceError when the final error violates
-    max(abs_floor, accept_rel * |value|); its message gives the
-    quadrature error and the extrapolated-tail charge apart.
+    e^L / (-s) for the least-squares line L + s (u - u_end) through the
+    finite points past the maximum, exact for the power laws (and faster
+    decays) that u = log(1+r) makes log-linear; the error is the tail's
+    response to the two halves' slope disagreement, as a slope error and
+    as the curvature it measures.  A dead last point leaves no tail.
+    Raises NonIntegrable, naming ``where``, when no decay is established:
+    under two points past the maximum in either half of their span, or a
+    slope not below _LIVE_SLOPE.
     """
-    if accept_rel is None:
-        accept_rel = 100.0 * rel_tol
-    u0 = math.log1p(r_lo)
-    u_end = _U_CAP if r_stop is None else min(math.log1p(r_stop), _U_CAP)
-    hard_end = math.log1p(r_hi) <= u_end
-    if hard_end:
-        u_end = math.log1p(r_hi)
-    if u0 >= u_end:
-        return 0.0, 0.0, 0.0
-    us, li = _probe(log_abs_fn, np.linspace(u0, u_end, _PROBE_POINTS))
+    if not lv[-1] > -_TAIL_DEAD:
+        return 0.0, 0.0
+    live = np.isfinite(lv)
+    live[:int(np.argmax(lv))] = False
+    u, lv = u[live], lv[live]
+    first = u < 0.5 * (u[0] + u[-1])
+    if min(np.count_nonzero(first), np.count_nonzero(~first)) < 2:
+        raise NonIntegrable(f"integrand tail is still live at {where} with "
+                            "no decay established")
+    s = _slope(u, lv)
+    if not s < _LIVE_SLOPE:
+        raise NonIntegrable(f"integrand tail is still live at {where} with "
+                            f"log slope {s:.3e}")
+    tail = math.exp(float(np.mean(lv)) + s * (u_end - float(np.mean(u)))) / -s
+    gap = abs(_slope(u[first], lv[first]) - _slope(u[~first], lv[~first]))
+    return tail, tail * gap * (1.0 + 2.0 / ((u[-1] - u[0]) * -s)) / -s
+
+
+def tail_integral(log_abs_fn, r_hi=math.inf, *, rel_tol=1e-12,
+                  accept_rel=None):
+    """integral_0^{r_hi} exp(L(r)) dr, L = log_abs_fn, from scratch:
+    rule_integral on the partition a probe seeds, in u = log(1+r).
+    Returns its (value, error, log_scale, rule), the rule holding
+    L(r) + u at its nodes.  ``log_abs_fn`` is vectorized, called with 1-d
+    arrays of radii only, and -inf where the integrand vanishes.  A finite
+    ``r_hi`` is a hard end: nothing past it is estimated.
+
+    The probe grid is uniform in u up to ``r_hi`` (the representability
+    cap when it is infinite), read inside its live window (_probe).
+    Before an open end the window ends where the integrand has dropped
+    ``_DROP`` e-folds below its peak for good, or at u = ``_U_SQUARE``.
+    The partition breaks at the peak and wherever the log-integrand has
+    varied by another ``_SEED_EFOLDS`` within ``_SEED_FLOOR`` e-folds of
+    the peak (at most ``_SEED_CAP`` times).  Raises NonIntegrable when the
+    integrand reaches +inf or peaks past the window, and as rule_integral
+    does.
+    """
+    hard_end = math.log1p(r_hi) <= _U_CAP
+    u_end = math.log1p(r_hi) if hard_end else _U_CAP
+
+    def log_base(u):
+        with np.errstate(all="ignore"):
+            la = np.asarray(log_abs_fn(np.expm1(u)), dtype=float)
+        return np.where(np.isnan(la), -np.inf, la) + u
+
+    us, li = _probe(log_base, np.linspace(0.0, u_end, _PROBE_POINTS))
     shift = float(np.max(li))
     if shift == -np.inf:
-        return 0.0, 0.0, 0.0
+        return 0.0, 0.0, 0.0, None
     if math.isinf(shift):
-        raise NonIntegrable(
-            "integrand log-magnitude reaches +inf: the integral diverges, "
-            "or overflows float range and needs a log-form integrand")
+        raise NonIntegrable(_OVERFLOW)
     rel_li = li - shift
     i_pk = int(np.argmax(li))
-
-    # window end: first index past the peak from which on everything is dead
-    suffix_max = np.maximum.accumulate(rel_li[::-1])[::-1]
-    dead = np.nonzero(suffix_max[i_pk + 1:] < -_DROP)[0]
-    cut = (i_pk + 1 + dead[0]) if dead.size else None
-
-    # decay slope on the (post-peak) approach to the window end
-    stop = cut if cut is not None else us.size
-    approach = np.arange(i_pk + 1, stop)
-    approach = approach[np.isfinite(rel_li[approach])][-32:]
-    slope = None
-    if approach.size >= 4:
-        slope = float(np.polyfit(us[approach], rel_li[approach], 1)[0])
-
-    live = cut is None and not hard_end
-    corr = 0.0
-    r_last = float(np.expm1(us[approach[-1]])) if approach.size else None
     u_hi = u_end
-    if live:
-        if slope is None or slope >= _LIVE_SLOPE:
-            where = ("the representability cap" if r_stop is None
-                     else f"r = {r_stop:.6g} (its resolution limit)")
+    if not hard_end:
+        # the first probe point past the peak from which on all is dead
+        suffix_max = np.maximum.accumulate(rel_li[::-1])[::-1]
+        dead = np.nonzero(suffix_max[i_pk + 1:] < -_DROP)[0]
+        if dead.size:
+            u_hi = float(us[i_pk + 1 + dead[0]])
+        u_hi = min(u_hi, _U_SQUARE)
+        if us[i_pk] > u_hi:
             raise NonIntegrable(
-                f"integrand tail is still live at {where} "
-                + (f"with log slope {slope:.3e}" if slope is not None
-                   else "with no decay established"))
-        corr = math.exp(float(rel_li[approach[-1]])) / (-slope)
-    elif not hard_end:
-        u_hi = float(us[cut])
-        if us[i_pk] > _U_PEAK_SANE and (slope is None or slope >= _LIVE_SLOPE):
-            raise NonIntegrable(
-                "integrand rises out to extreme radii and then vanishes "
-                "abruptly; this is float-range corruption of a divergent "
-                "integral, not decay")
-        if slope is not None and slope < _LIVE_SLOPE and approach.size:
-            tail_top = float(rel_li[approach[-1]])
-            if tail_top > -340.0:
-                corr = math.exp(tail_top) / (-slope)
-    sg_corr = 1.0
-    if sign_fn is not None and corr > 0.0 and r_last is not None:
-        sg_corr = float(sign_fn(np.array([r_last]))[0])
-
-    def integrand(u):
-        r = np.expm1(u)
-        with np.errstate(all="ignore"):
-            v = np.asarray(log_abs_fn(r), dtype=float) + u - shift
-            # nan and dead values alike contribute nothing
-            val = np.where(v > -745.0, np.exp(np.minimum(v, 705.0)), 0.0)
-            if sign_fn is not None:
-                val = np.where(val != 0.0, val * sign_fn(r), 0.0)
-        return val
+                f"integrand peaks at r = {math.expm1(us[i_pk]):.6g}, past "
+                "the window's end where r^2 leaves double range")
 
     # a peak whose live neighbour lies more than _SEED_EFOLDS below it is
     # narrower than a probe step: that neighbour becomes a breakpoint too,
@@ -333,27 +283,130 @@ def tail_integral(log_abs_fn, r_lo=0.0, r_hi=math.inf, *, sign_fn=None,
     flank = rel_li[max(i_pk - 1, 0):i_pk + 2]
     steep = np.isfinite(flank) & (flank < -_SEED_EFOLDS)
     pts = np.concatenate((_seed_points(us, rel_li), [us[i_pk]], near[steep]))
-    abs_floor_scaled = 0.0
-    if abs_floor > 0.0:
-        abs_floor_scaled = min(abs_floor * math.exp(min(-shift, 690.0)), 1e280)
-    val, qerr = gauss_kronrod(integrand, u0, u_hi, rel_tol, abs_floor_scaled,
-                              pts)
-    total = val + sg_corr * corr
-    charge = 0.6 * corr
-    err = qerr + charge
+    edges = sorted_unique(np.concatenate(
+        ([0.0, u_hi], pts[(pts > 0.0) & (pts < u_hi)])))
+    nodes = _panel_nodes(edges[:-1], edges[1:])
+    rule = PanelRule(edges[:-1], edges[1:], nodes,
+                     log_base(nodes.ravel()).reshape(nodes.shape),
+                     not hard_end)
+    return rule_integral(rule, log_base, shift=shift, rel_tol=rel_tol,
+                         accept_rel=accept_rel)
+
+
+def rule_integral(rule, log_base, log_factor=None, sign_fn=None, *,
+                  u_lo=0.0, u_stop=None, shift=None, rel_tol=1e-12,
+                  accept_rel=None, abs_floor=0.0):
+    """integral over u > u_lo of s(r) exp(B(u) + F(r)) du, r = e^u - 1, on
+    the panels of ``rule``, whose logs B = ``log_base`` gave; F =
+    ``log_factor`` (0 if None; +inf counts as 0 where B is 5000 e-folds
+    below the rule's top) and s = ``sign_fn`` (+1 if None), vectorized.
+
+    The Kronrod dot product in units of exp(``shift``) (by default the
+    largest log-integrand), plus _closed_tail past an open end.  While the
+    error estimates exceed max(abs_floor, rel_tol |value|), the panels
+    carrying the largest are bisected (as few as could meet it if
+    bisection removed their error; at most ``_LIMIT`` more panels).  Past
+    ``u_stop``, where F is not resolved, the panels stop and the tail is
+    charged in full.  Returns (value, error, log_scale, rule): value and
+    error times exp(log_scale), and the refined rule (None when ``u_lo``
+    or ``u_stop`` cut it).  Raises NonIntegrable at a +inf or as
+    _closed_tail does, and ConvergenceError when the error exceeds
+    max(abs_floor, accept_rel |value|) (accept_rel: 100 rel_tol).
+    """
+    lo, hi, nodes, logs, open_end = rule
+    u_end = float(hi[-1])
+    stopped = u_stop is not None and u_stop < u_end
+    if stopped:
+        u_end, open_end = u_stop, True
+    cut = stopped or u_lo > lo[0]
+    if cut:
+        keep = (hi > u_lo) & (lo < u_end)
+        lo, hi = np.maximum(lo[keep], u_lo), np.minimum(hi[keep], u_end)
+        nodes, logs = nodes[keep], logs[keep]
+        redo = (lo != rule.lo[keep]) | (hi != rule.hi[keep])
+        nodes[redo] = _panel_nodes(lo[redo], hi[redo])
+        logs[redo] = log_base(nodes[redo].ravel()).reshape(-1, GK_NODES.size)
+    dead = float(np.max(rule.logs)) - 5000.0
+
+    def log_integrand(u, lb):
+        if log_factor is None:
+            return lb
+        with np.errstate(all="ignore"):
+            lf = np.asarray(log_factor(np.expm1(u)), dtype=float)
+            out = lb + np.where(np.isposinf(lf) & (lb < dead), -np.inf, lf)
+        return np.where(np.isnan(out), -np.inf, out)
+
+    def sums(u, li, half):
+        # nan and dead values alike contribute nothing
+        f = np.where(li - shift > -745.0,
+                     np.exp(np.minimum(li - shift, 705.0)), 0.0)
+        if sign_fn is not None:
+            with np.errstate(all="ignore"):
+                f = np.where(f != 0.0, f * sign_fn(np.expm1(u)), 0.0)
+        return _gk_sums(f.reshape(-1, GK_NODES.size), half)
+
+    li = log_integrand(nodes.ravel(), logs.ravel())
+    if open_end:
+        u_fit = np.linspace(max(u_end - _FIT_WIDTH, float(rule.lo[0])),
+                            u_end, _FIT_POINTS)
+        lv_fit = log_integrand(u_fit, log_base(u_fit))
+        li = np.concatenate((li, lv_fit))
+    if shift is None:
+        shift = float(np.max(li, initial=-np.inf))
+    if shift == -np.inf:
+        return 0.0, 0.0, 0.0, None
+    if math.isinf(shift):
+        raise NonIntegrable(_OVERFLOW)
+    floor = min(abs_floor * math.exp(min(-shift, 690.0)), 1e280)
+    limit = lo.size + _LIMIT
+    vals, errs = sums(nodes.ravel(), li[:nodes.size], 0.5 * (hi - lo))
+    while True:
+        total = float(np.sum(vals))
+        qerr = float(np.sum(errs))
+        excess = qerr - max(floor, rel_tol * abs(total))
+        if excess <= 0.0 or not math.isfinite(total) or lo.size >= limit:
+            break
+        order = np.argsort(-errs, kind="stable")
+        count = int(np.searchsorted(np.cumsum(errs[order]), excess)) + 1
+        split = order[:min(count, limit - lo.size)]
+        keep = np.ones(lo.size, dtype=bool)
+        keep[split] = False
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate((lo[split], mid))
+        new_hi = np.concatenate((mid, hi[split]))
+        u = _panel_nodes(new_lo, new_hi)
+        lb = log_base(u.ravel())
+        new = (new_lo, new_hi, u, lb.reshape(u.shape), *sums(
+            u.ravel(), log_integrand(u.ravel(), lb), 0.5 * (new_hi - new_lo)))
+        lo, hi, nodes, logs, vals, errs = (
+            np.concatenate((old[keep], part)) for old, part in
+            zip((lo, hi, nodes, logs, vals, errs), new))
+    tail, tail_err, past = 0.0, 0.0, ""
+    if open_end:
+        where = f"r = {math.expm1(u_end):.6g}" + (
+            " (its resolution limit)" if stopped else "")
+        tail, tail_err = _closed_tail(u_fit, lv_fit - shift,
+                                      max(u_end, u_lo), where)
+        if stopped:
+            tail_err = 0.6 * tail
+        if tail != 0.0 and sign_fn is not None:
+            tail *= float(sign_fn(np.expm1(u_fit[-1:]))[0])
+        if tail_err > 0.0:
+            past = f" past {where}"
+    total += tail
     if not math.isfinite(total):
         raise ConvergenceError("tail integral did not converge")
-    if err > max(abs_floor_scaled, accept_rel * abs(total)) + 1e-300:
-        past = ""
-        if live and r_stop is not None:
-            past = f" past the integrand's resolution limit r = {r_stop:.6g}"
-        elif charge > 0.0:
-            past = f" past r = {r_last:.6g}"
+    if qerr + tail_err > max(floor, (accept_rel or 100.0 * rel_tol)
+                             * abs(total)) + 1e-300:
         raise ConvergenceError(
             f"tail-integral error exceeds tolerance for value {total:.6e} "
             f"(log scale {shift:.3f}): quadrature error {qerr:.1e}, "
-            f"extrapolated-tail charge {charge:.1e}{past}")
-    return total, err, shift
+            f"extrapolated-tail charge {tail_err:.1e}{past}")
+    if cut:
+        return total, qerr + tail_err, shift, None
+    order = np.argsort(lo, kind="stable")
+    return total, qerr + tail_err, shift, PanelRule(
+        lo[order], hi[order], nodes[order], logs[order], rule.open_end)
 
 
 # points per block of a per-point kernel: a float temporary is 64 KiB, half

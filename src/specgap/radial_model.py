@@ -5,8 +5,9 @@ proportional to exp(-V(||x||)) pushes forward, under x -> ||x||, to the
 one-dimensional measure with density proportional to r^{n-1} exp(-V(r))
 on (0, R).  This module owns that one-dimensional object: normalization,
 truncation radius, tabulated quantile functions (for inverse sampling
-and for diagnostic grids), moments and tail masses by adaptive
-quadrature.
+and for diagnostic grids), and expectations (moments, tail masses, the
+bounds' integrals), each a dot product on the Gauss-Kronrod rule that
+the normalization leaves on the measure (see quadrature).
 
 A quantile table is a PCHIP monotone cubic (_MonotoneCubic, numpy only,
 also used by the eigensolver's coordinate maps and mesh placement)
@@ -35,13 +36,11 @@ import numpy as np
 
 from .errors import (ConvergenceError, DomainError, InvalidInput,
                      NonIntegrable)
-from .quadrature import (_BLOCK, log_integrals_exp, sorted_unique,
-                         tail_integral)
+from .quadrature import (_BLOCK, _LIVE_SLOPE, log_integrals_exp,
+                         rule_integral, sorted_unique, tail_integral)
 
 # past this radius no family of interest carries any mass; probing stops here
 _HORIZON = 1e120
-# integrability requires the log-density log-log slope below -1 - margin
-_SLOPE_MARGIN = 5e-3
 
 # cells of the sampling quantile table, and of the diagnostic table that
 # only places check radii (on the catalog its quantiles agree with the
@@ -226,10 +225,10 @@ class BoundBracket:
 class RadialMeasure:
     """Normalized radial law nu with cached truncation and quantile tables.
 
-    ``_tables`` caches, per measure object, the diagnostic and sampling
-    quantile tables and the diagnostic grids, each built on first use.
-    It is not an __init__ field, so ``dataclasses.replace`` starts it
-    empty.
+    ``_tables`` caches, per measure object, the quadrature rule (see
+    _integrate), the diagnostic and sampling quantile tables and the
+    diagnostic grids, each built on first use.  It is not an __init__
+    field, so ``dataclasses.replace`` starts it empty.
     """
 
     n: int
@@ -375,11 +374,11 @@ def _invert(table, p, r_max):
 def build_measure(n, potential, tail_tol=1e-12, name=""):
     """Construct the radial measure nu for dimension n and potential V.
 
-    The log-normalization log_z, the truncation radius r_max (estimated
-    tail mass below tail_tol) and the 256-cell diagnostic quantile table
-    are computed here, and the supplied derivatives are
-    finite-difference checked on a grid from that table.  The 4096-cell
-    sampling table is left to the first ``quantile`` call.
+    The log-normalization log_z with its quadrature rule, the truncation
+    radius r_max (estimated tail mass below tail_tol) and the 256-cell
+    diagnostic quantile table are computed here, and the supplied
+    derivatives are finite-difference checked on a grid from that table.
+    The 4096-cell sampling table is left to the first ``quantile`` call.
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise InvalidInput(f"dimension n must be an integer >= 2, got {n!r}")
@@ -400,22 +399,31 @@ def build_measure(n, potential, tail_tol=1e-12, name=""):
     measure = RadialMeasure(
         n=n, potential=potential, tail_tol=float(tail_tol),
         log_z=0.0, r_max=potential.domain_end, name=name or potential.name)
-    try:
-        val, _, shift = tail_integral(measure.log_weight, 0.0,
-                                      potential.domain_end, rel_tol=1e-13,
-                                      accept_rel=5e-11)
-    except NonIntegrable as exc:
-        raise NonIntegrable(
-            f"r^{{n-1}} exp(-V) is not integrable for potential "
-            f"{potential.name or '<anon>'} (n = {n}): {exc}") from None
-    if not (val > 0.0 and math.isfinite(val)):
-        raise NonIntegrable("normalization integral did not converge")
-    log_z = shift + math.log(val)
+    log_z, rule = _normalization(measure)
     measure = replace(measure, log_z=log_z)
     measure = replace(measure, r_max=truncation_radius(measure, tail_tol))
+    measure._tables["rule"] = rule._replace(logs=rule.logs - log_z)
 
     _check_potential_derivatives(measure)
     return measure
+
+
+def _normalization(measure):
+    """(log Z, PanelRule) of the integral Z of r^{n-1} exp(-V), from
+    scratch; the rule holds log_weight + u at its nodes (log nu in u
+    = log(1+r) once log Z is subtracted)."""
+    pot = measure.potential
+    try:
+        val, _, shift, rule = tail_integral(measure.log_weight,
+                                            pot.domain_end, rel_tol=1e-13,
+                                            accept_rel=5e-11)
+    except NonIntegrable as exc:
+        raise NonIntegrable(
+            f"r^{{n-1}} exp(-V) is not integrable for potential "
+            f"{pot.name or '<anon>'} (n = {measure.n}): {exc}") from None
+    if not (val > 0.0 and math.isfinite(val)):
+        raise NonIntegrable("normalization integral did not converge")
+    return shift + math.log(val), rule
 
 
 def truncation_radius(measure, tail_tol):
@@ -442,7 +450,8 @@ def truncation_radius(measure, tail_tol):
         slopes = np.where(np.isnan(slopes), -np.inf, slopes)
         log_tail = (measure.log_weight(grid) + np.log(grid)
                     - np.log(-(slopes + 1.0)) - measure.log_z)
-    log_tail = np.where(slopes < -1.0 - _SLOPE_MARGIN, log_tail, np.inf)
+    # integrable: a log-log slope below -1 by the quadrature's margin
+    log_tail = np.where(slopes < -1.0 + _LIVE_SLOPE, log_tail, np.inf)
     ok = log_tail < math.log(tail_tol) + math.log(0.5)
     idx = np.argmax(ok)
     if not ok[idx]:
@@ -528,24 +537,44 @@ def validate_weight(measure, weight):
 # ---------------------------------------------------------------------
 
 
+def _integrate(measure, log_abs_g, sign_fn=None, *, r_lo=0.0, r_stop=None,
+               **tolerances):
+    """integral of g nu(dr) over (r_lo, R) by rule_integral on the
+    measure's rule (stored by build_measure; a measure made by
+    ``dataclasses.replace`` integrates its weight afresh), keeping a
+    refinement of the whole rule for the integrals after it."""
+    rule = measure._tables.get("rule")
+    if rule is None:
+        rule = _normalization(measure)[1]
+        rule = rule._replace(logs=rule.logs - measure.log_z)
+    val, _, log_scale, rule = rule_integral(
+        rule, lambda u: measure.log_density(np.expm1(u)) + u, log_abs_g,
+        sign_fn, u_lo=math.log1p(r_lo),
+        u_stop=None if r_stop is None else math.log1p(r_stop), **tolerances)
+    if rule is not None:
+        measure._tables["rule"] = rule
+    return val * math.exp(log_scale)
+
+
 def expectation(measure, g, *, log_abs_g=None, positive=False, r_stop=None):
     """integral of g(r) nu(dr) over the whole domain, to relative 1e-10.
 
-    g must be vectorized and defined on (0, R); the quadrature
-    (tail_integral up to the domain end R) calls it (and ``log_abs_g``)
-    with arrays of radii only.  The default probe requires |g| to stay
-    within float range at every radius where the density has not yet
-    decayed 5000 e-folds below scale; functions
-    that overflow doubles earlier (high powers of r against heavy tails,
-    or negative powers at the origin, say) must supply ``log_abs_g``
-    (vectorized log |g|) so the probe can work on the log scale, and
-    otherwise fail with NonIntegrable rather than risk a corrupted value.
-    ``positive`` skips the sign bookkeeping for g >= 0.  ``r_stop`` is
-    the radius past which g is not resolved in floating point (see
-    tail_integral); the tail beyond it is extrapolated and charged to the
-    error.  NonIntegrable is also raised when no integrable decay of g
-    times the density is established at radii where the integrand still
-    carries mass on an unbounded domain.
+    A dot product on the measure's Gauss-Kronrod rule (see _integrate):
+    g times the density at its nodes, panels refined where this g needs
+    it, plus the closed-form tail past the rule's window.  The rule keeps
+    earlier expectations' refinements, so the value's last digits
+    (within its error) depend on which ran before it.  g is
+    vectorized, defined on (0, R) and called with arrays of radii only.
+    Functions that overflow doubles inside the window (high powers of r
+    against heavy tails, negative powers at the origin) must supply
+    ``log_abs_g`` (vectorized log |g|), and otherwise fail with
+    NonIntegrable rather than risk a corrupted value.  ``positive`` skips
+    the sign bookkeeping for g >= 0.  ``r_stop`` is the radius past which
+    g is not resolved in floating point: the integral stops there and the
+    extrapolated tail beyond it is charged to the error.  NonIntegrable
+    is raised where g times the density does not decay at the window's
+    open end (log slope in log(1+r) not below -5e-3): a divergence,
+    logarithmic ones included.
     """
     scale = max(1.0, float(np.max(np.abs(
         g(diagnostic_grid(measure, count=33))))))
@@ -554,34 +583,21 @@ def expectation(measure, g, *, log_abs_g=None, positive=False, r_stop=None):
             with np.errstate(all="ignore"):
                 return np.log(np.abs(np.asarray(g(r), dtype=float)))
 
-    def log_abs_integrand(r):
-        arr = np.asarray(r, dtype=float)
-        with np.errstate(all="ignore"):
-            lg = np.asarray(log_abs_g(arr), dtype=float)
-            ld = np.asarray(measure.log_density(arr), dtype=float)
-            # |g| overflowing doubles is harmless where the density has been
-            # dead for thousands of e-folds (any float-range-in-the-bulk g
-            # contributes nothing there); where the density is not long
-            # dead the +inf is kept and rejected as untrustworthy upstream
-            out = np.where(np.isposinf(lg) & (ld < -5000.0),
-                           -np.inf, lg + ld)
-        return np.where(np.isnan(out), -np.inf, out)
-
     sign_fn = None
     if not positive:
         def sign_fn(r):
             with np.errstate(all="ignore"):
                 return np.sign(np.asarray(g(r), dtype=float))
 
-    val, _, log_scale = tail_integral(
-        log_abs_integrand, 0.0, measure.potential.domain_end,
-        sign_fn=sign_fn, rel_tol=1e-12, accept_rel=1e-10,
-        abs_floor=1e-12 * scale, r_stop=r_stop)
-    return val * math.exp(log_scale)
+    return _integrate(measure, log_abs_g, sign_fn, r_stop=r_stop,
+                      rel_tol=1e-12, accept_rel=1e-10,
+                      abs_floor=1e-12 * scale)
 
 
 def moment(measure, k):
-    """k-th moment of nu, integral of r^k nu(dr), to relative 1e-10."""
+    """k-th moment of nu, integral of r^k nu(dr), to relative 1e-10: an
+    expectation on the measure's rule, NonIntegrable where r^k nu does
+    not decay past its window (E r^2 of cauchy beta = 2.5, n = 3)."""
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
         raise InvalidInput(f"moment order must be an integer >= 0, got {k!r}")
     if k == 0:
@@ -615,14 +631,12 @@ def weighted_moment(measure, weight, kind):
 
 
 def tail_mass(measure, r):
-    """nu((r, R)) = 1 - CDF(r), by quadrature, for a real scalar r."""
+    """nu((r, R)) = 1 - CDF(r), on the measure's rule, for a real scalar r."""
     if (isinstance(r, bool) or not isinstance(r, numbers.Real)
             or not r >= 0.0):
         raise InvalidInput(f"tail_mass requires r >= 0, got {r!r}")
     if r == 0.0:
         return 1.0
-    val, _, log_scale = tail_integral(
-        measure.log_density, r, measure.potential.domain_end, rel_tol=1e-12,
-        accept_rel=1e-9, abs_floor=1e-15)
-    return min(max(val * math.exp(log_scale), 0.0), 1.0)
-
+    mass = _integrate(measure, np.zeros_like, r_lo=r, rel_tol=1e-12,
+                      accept_rel=1e-9, abs_floor=1e-15)
+    return min(max(mass, 0.0), 1.0)

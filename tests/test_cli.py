@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from jsonschema import Draft202012Validator
 from scipy.special import jn_zeros
 
-from specgap import catalog, cli, errors, radial_model
+from specgap import catalog, cli, errors, quadrature, radial_model
 from specgap.errors import ConvergenceError, InvalidInput
 from specgap.sl_eigensolver import essential_edge
 
@@ -159,11 +159,61 @@ def test_bounds_divergent_moment_warning_path():
 
     rr = recs(rep, "reference_radial")
     assert rr and rel(rr[0]["value"], 0.09) < 1e-12
-    ru = recs(rep, "rayleigh_upper")
     vl = recs(rep, "variational_lower")
-    assert ru and vl
-    assert vl[0]["value"] <= 0.09 + 1e-9
-    assert ru[0]["upper"] >= 0.09 - 1e-9
+    assert vl and vl[0]["value"] <= 0.09 + 1e-9
+    # the candidate (1+r^2)^(t/2) has E f^2 = infinity (logarithmically):
+    # its Rayleigh quotient is no bound, and the report says why
+    assert not recs(rep, "rayleigh_upper")
+    assert any(w.startswith("Rayleigh upper bound unavailable: integrand "
+                            "tail is still live") for w in rep["warnings"])
+
+
+def test_bounds_log_divergent_second_moment_is_unavailable():
+    # cauchy beta=2.5 n=3: r^2 nu is flat in log(1+r), so E|x|^2 diverges
+    # logarithmically; no moment bracket is reported, and the note says why
+    code, rep = run_json(["bounds", "--family", "cauchy", "--beta", "2.5",
+                          "--n", "3"])
+    assert code == 0 and rep["status"] == "warning"
+    assert not recs(rep, "moment_bracket")
+    assert any(w.startswith("second-moment bracket unavailable: ")
+               for w in rep["warnings"]), rep["warnings"]
+
+
+def test_bounds_gaussian_variational_is_exact():
+    # r^2/2 is the gaussian's gap eigenfunction: its decay rate is 2 at
+    # every radius, the grid's first (r_max 1e-6) included
+    code, rep = run_json(["bounds", "--family", "gaussian", "--n", "5"])
+    assert code == 0
+    vl, = recs(rep, "variational_lower")
+    assert abs(vl["value"] - 2.0) <= 1e-9
+
+
+_CLI_FAMILY = {"exponential_power": "exp-power", "uniform_ball": "ball",
+               "generalized_cauchy": "cauchy", "gaussian": "gaussian"}
+
+
+def test_bounds_integrate_each_law_from_scratch_once(monkeypatch):
+    # every bound's expectation is a dot product on the law's own rule:
+    # over the 62 catalog bounds commands a partition is probed and seeded
+    # from scratch only for the 62 normalizations
+    fresh = []
+    real = quadrature._probe
+
+    def spy(*args):
+        fresh.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(quadrature, "_probe", spy)
+    for spec in catalog.catalog_grid():
+        argv = ["bounds", "--family", _CLI_FAMILY[spec.family],
+                "--n", str(spec.n),
+                "--weight", spec.weight_choice.replace("_", "-")]
+        if spec.alpha is not None:
+            argv += ["--alpha", repr(spec.alpha)]
+        if spec.beta is not None:
+            argv += ["--beta", repr(spec.beta)]
+        assert run_cli(argv)[0] == 0, argv
+    assert len(fresh) == 62
 
 
 def test_bounds_failed_second_moment_is_computed_once(monkeypatch):

@@ -4,7 +4,8 @@ Oracle: mpmath.quad at 30 significant digits on explicitly written
 integrands (tanh-sinh, nothing shared with the package).  Each
 Gauss-Kronrod value must agree with the oracle to 1e-12 relative and lie
 within the error the engine reported for it; the reported errors are read
-by wrapping tail_integral where radial_model looks it up.  Each
+by wrapping tail_integral (the normalization) and rule_integral (every
+integral on a law's rule) where radial_model looks them up.  Each
 Gauss-Legendre cell log-integral must agree with the oracle to 1e-13
 absolute (2 ulp where that is finer than a double resolves); its oracles
 are closed forms evaluated by mpmath (incomplete gamma, exponential),
@@ -14,7 +15,9 @@ read by spies, not timers.  The probe's live window is checked bit for
 bit against the same call probing its whole grid (coarse stride 1).
 """
 
+import json
 import math
+import pathlib
 import warnings
 
 import mpmath
@@ -42,7 +45,7 @@ from specgap import (
 from specgap import quadrature, radial_model, sl_eigensolver
 from specgap.errors import ConvergenceError, NonIntegrable, SpecGapError
 from specgap.quadrature import (GK_GAUSS, GK_KRONROD, GK_NODES,
-                                gauss_kronrod, log_integrals_exp,
+                                log_integrals_exp, rule_integral,
                                 tail_integral)
 
 mpmath.mp.dps = 30
@@ -50,15 +53,21 @@ mpmath.mp.dps = 30
 
 @pytest.fixture
 def reported(monkeypatch):
-    """Absolute (value, error) of every engine call radial_model makes."""
+    """Absolute (value, error) of every engine call radial_model makes:
+    the normalization's and every integral on a law's rule."""
     calls = []
 
-    def spy_tail(*args, **kwargs):
-        val, err, log_scale = tail_integral(*args, **kwargs)
-        calls.append((val * math.exp(log_scale), err * math.exp(log_scale)))
-        return val, err, log_scale
+    def spy(engine):
+        def wrapped(*args, **kwargs):
+            out = engine(*args, **kwargs)
+            val, err, log_scale = out[:3]
+            calls.append((val * math.exp(log_scale),
+                          err * math.exp(log_scale)))
+            return out
+        return wrapped
 
-    monkeypatch.setattr(radial_model, "tail_integral", spy_tail)
+    monkeypatch.setattr(radial_model, "tail_integral", spy(tail_integral))
+    monkeypatch.setattr(radial_model, "rule_integral", spy(rule_integral))
     return calls
 
 
@@ -121,50 +130,129 @@ def test_signed_expectation(reported):
     _check(expectation(mu, lambda r: r - 1.5), oracle, reported[-1])
 
 
-def test_tail_integral_calls_integrand_with_arrays_only():
-    # a signed heavy-tail integrand, so the sign of the extrapolated tail
-    # is looked up too
-    calls = {"log_abs": [], "sign": []}
+def test_integrands_are_called_with_arrays_only():
+    # a heavy-tailed normalization and a signed expectation on its rule,
+    # so the sign of the closed-form tail is looked up too
+    calls = {"log_weight": [], "log_abs": [], "sign": []}
+
+    def log_weight(r):
+        calls["log_weight"].append(np.ndim(r))
+        return (2.0 * np.log(r) - 3.0 * np.log1p(r * r))
 
     def log_abs(r):
         calls["log_abs"].append(np.ndim(r))
-        return (2.0 * np.log(r) - 3.0 * np.log1p(r * r)
-                + np.log(np.abs(r - 1.0)))
+        return np.log(np.abs(r - 1.0))
 
     def sign(r):
         calls["sign"].append(np.ndim(r))
         return np.sign(r - 1.0)
 
-    tail_integral(log_abs, sign_fn=sign, rel_tol=1e-12, accept_rel=1e-10)
-    assert set(calls["log_abs"]) == {1}
-    assert set(calls["sign"]) == {1}
+    _, _, _, rule = tail_integral(log_weight, rel_tol=1e-12)
+    rule_integral(rule, lambda u: log_weight(np.expm1(u)) + u, log_abs, sign,
+                  rel_tol=1e-12, accept_rel=1e-10)
+    assert all(set(dims) == {1} for dims in calls.values()), calls
 
 
 def test_tail_integral_hard_end_takes_no_tail_charge():
     # integrands still live at a finite r_hi: the domain ends there, so
     # nothing past it is extrapolated, whether the integrand falls (an
     # open end would charge a tail) or rises (an open end would diverge)
-    for log_abs, lo, exact in ((lambda r: -r, 0.0, -math.expm1(-2.0)),
-                               (lambda r: 2.0 * np.log(r), 0.5, 21.0 / 8.0)):
-        val, err, log_scale = tail_integral(log_abs, lo, 2.0, rel_tol=1e-13)
+    for log_abs, exact in ((lambda r: -r, -math.expm1(-2.0)),
+                           (lambda r: 2.0 * np.log(r), 8.0 / 3.0)):
+        val, err, log_scale, rule = tail_integral(log_abs, 2.0,
+                                                  rel_tol=1e-13)
         assert abs(val * math.exp(log_scale) - exact) <= 1e-13 * exact
         assert err * math.exp(log_scale) <= 1e-13 * exact
-    with pytest.raises(NonIntegrable):
-        tail_integral(lambda r: 2.0 * np.log(r), 0.5, rel_tol=1e-13)
+        assert not rule.open_end and rule.hi[-1] == math.log1p(2.0)
+    with pytest.raises(NonIntegrable, match="integrand peaks at r = "):
+        tail_integral(lambda r: 2.0 * np.log(r), rel_tol=1e-13)
+    with pytest.raises(NonIntegrable, match="log slope"):
+        tail_integral(lambda r: -1.002 * np.log1p(r), rel_tol=1e-13)
 
 
-def test_tail_integral_charges_the_mass_past_an_overflow_cut():
+def test_tail_integral_closes_the_tail_past_the_overflow_cut():
     # r^2 overflows past r ~ 1.34e154, so r (1+r^2)^(-1.01), whose
-    # integral is 50, vanishes there abruptly while still within ~7
-    # e-folds of its peak.  The window ends at that cut, and the 2% of the
-    # mass past it is extrapolated and charged to the error, not dropped
+    # integral is 50, is not resolved past it while still within ~7
+    # e-folds of its peak.  The window ends short of that cut, at
+    # u = _U_SQUARE, and the 2% of the mass past it is the closed-form
+    # tail of a power law: exact, not charged as an unknown
     def log_abs(r):
         return np.log(r) - 1.01 * np.log1p(r * r)
 
-    with pytest.raises(ConvergenceError, match=(
-            r"value 4\.22\d*e\+01 \(log scale 0\.169\).*"
-            r"extrapolated-tail charge 2\.1e-02 past r = 1\.30494e\+154")):
-        tail_integral(log_abs, rel_tol=1e-12)
+    val, err, log_scale, rule = tail_integral(log_abs, rel_tol=1e-12)
+    assert rule.open_end and rule.hi[-1] == quadrature._U_SQUARE
+    value = val * math.exp(log_scale)
+    assert abs(value - 50.0) <= 1e-12 * 50.0
+    assert abs(value - 50.0) <= err * math.exp(log_scale) <= 1e-10 * 50.0
+
+
+def test_log_divergent_moments_are_refused():
+    # r^k nu is flat in u = log(1+r) when 2 beta = n + k: the moment
+    # diverges logarithmically, and the end slope refuses it (the
+    # representability cut of r^2 once truncated it to a finite value)
+    for n, beta, k in ((3, 2.5, 2), (3, 3.5, 4)):
+        mu = build_measure(n, cauchy_potential(beta))
+        with pytest.raises(NonIntegrable, match="tail is still live at r ="):
+            moment(mu, k)
+    # the same rule serves E r^2 of the second law, finite
+    assert abs(moment(mu, 2) - 1.5) <= 1e-12 * 1.5
+
+
+def _cauchy_moment(n, beta, k):
+    """E r^k of cauchy(beta) in dimension n, a ratio of Beta functions:
+    integral_0^inf r^(a-1) (1+r^2)^(-beta) dr = B(a/2, beta - a/2) / 2."""
+    def log_beta(a):
+        b = beta - a / 2.0
+        return math.lgamma(a / 2.0) + math.lgamma(b) - math.lgamma(beta)
+
+    return math.exp(log_beta(n + k) - log_beta(n))
+
+
+def test_near_threshold_values_match_beta_functions():
+    # laws whose integrand decays like r^(-1.02) or r^(-1.04) in r-space,
+    # so 1-8% of the mass lies past the window's end at u = log(1+r) of
+    # 150-354: the closed-form tail carries it exactly.  cauchy 1.01
+    # n = 2 has no truncation radius inside the probe horizon (its tail
+    # mass reaches 1e-12 only near r = 1e600), so its normalization is
+    # read from the engine; the others are moments of built measures
+    law = radial_model.RadialMeasure(
+        n=2, potential=cauchy_potential(1.01), tail_tol=1e-12, log_z=0.0,
+        r_max=math.inf)
+    z = math.exp(radial_model._normalization(law)[0])
+    assert abs(z - 50.0) <= 1e-12 * 50.0
+    for n, beta, exact in ((2, 2.01, 100.0), (5, 3.51, 250.0),
+                           (3, 2.52, 75.0)):
+        assert abs(_cauchy_moment(n, beta, 2) - exact) <= 1e-12 * exact
+        value = moment(build_measure(n, cauchy_potential(beta)), 2)
+        assert abs(value - exact) <= 1e-12 * exact, (n, beta, value)
+
+
+def test_catalog_moments_match_the_per_integral_quadrature():
+    # tests/data/catalog_moments.json holds E r^2, E r^4, E sigma^2 and
+    # E r^2/sigma^2 of the 62 catalog laws as a separate adaptive
+    # integral per moment gave them (commit 1266df9), or the error type
+    # it raised; the rule's dot products agree to 1e-12 and refuse the
+    # same ones
+    table = json.loads((pathlib.Path(__file__).parent / "data"
+                        / "catalog_moments.json").read_text())
+    assert len(table) == 62
+    for spec in catalog_grid():
+        measure, weight, _ = make_family(spec)
+        for key, fn in (
+                ("E r^2", lambda: moment(measure, 2)),
+                ("E r^4", lambda: moment(measure, 4)),
+                ("E sigma^2", lambda: weighted_moment(measure, weight, "s2")),
+                ("E r^2/sigma^2",
+                 lambda: weighted_moment(measure, weight, "r2_over_s2"))):
+            want = table[spec.label()][key]
+            if isinstance(want, str):
+                with pytest.raises(SpecGapError) as err:
+                    fn()
+                assert type(err.value).__name__ == want, (spec.label(), key)
+            else:
+                got = fn()
+                assert abs(got - want) <= 1e-12 * abs(want), (
+                    spec.label(), key, got, want)
 
 
 # ---------------------------------------------------------------------
@@ -177,27 +265,31 @@ def _bits(outcome):
     hex, or the exception's type and text."""
     if isinstance(outcome, SpecGapError):
         return f"{type(outcome).__name__}: {outcome}"
-    return tuple(float(x).hex() for x in outcome)
+    return tuple(float(x).hex() for x in outcome[:3])
 
 
 def _probe_outcomes(monkeypatch, stride, run):
     """Outcome bits of every engine call ``run`` makes through
-    radial_model, with the probe's coarse pass reading every ``stride``-th
-    grid point (stride 1 reads the whole grid, as the full probe does)."""
+    radial_model (normalizations and integrals on their rules), with the
+    probe's coarse pass reading every ``stride``-th grid point (stride 1
+    reads the whole grid, as the full probe does)."""
     outcomes = []
 
-    def spy_tail(*args, **kwargs):
-        try:
-            out = tail_integral(*args, **kwargs)
-        except SpecGapError as exc:
-            outcomes.append(_bits(exc))
-            raise
-        outcomes.append(_bits(out))
-        return out
+    def spy(engine):
+        def wrapped(*args, **kwargs):
+            try:
+                out = engine(*args, **kwargs)
+            except SpecGapError as exc:
+                outcomes.append(_bits(exc))
+                raise
+            outcomes.append(_bits(out))
+            return out
+        return wrapped
 
     with monkeypatch.context() as m:
         m.setattr(quadrature, "_COARSE_STRIDE", stride)
-        m.setattr(radial_model, "tail_integral", spy_tail)
+        m.setattr(radial_model, "tail_integral", spy(tail_integral))
+        m.setattr(radial_model, "rule_integral", spy(rule_integral))
         run()
     return outcomes
 
@@ -286,7 +378,7 @@ def test_windowed_probe_matches_full_probe_on_synthetic_integrands(
 
     # dead near the origin and still live at the probe's end (u-slope
     # -0.4): the window starts past the origin, runs to the end, and the
-    # extrapolated tail is read from its last points
+    # closed-form tail is fitted on its last nodes
     def late_heavy_tail(r):
         with np.errstate(divide="ignore"):
             return 500.0 * np.log(r / (1.0 + r)) - 1.4 * np.log1p(r)
@@ -307,29 +399,35 @@ def test_windowed_probe_matches_full_probe_on_synthetic_integrands(
     assert bits == _sizes_and_bits(monkeypatch, 1, overflow)[1]
 
 
+def _count_gk_points(monkeypatch):
+    """A list that the Gauss-Kronrod engine's panel sums append their
+    node counts to."""
+    points = []
+    real_sums = quadrature._gk_sums
+
+    def spy_sums(f, half):
+        points.append(np.size(f))
+        return real_sums(f, half)
+
+    monkeypatch.setattr(quadrature, "_gk_sums", spy_sums)
+    return points
+
+
 def test_normalization_probes_only_the_live_window(monkeypatch):
     # gaussian n = 3 is live (within _DROP e-folds of its peak) on 37 of
     # the 8193 probe points: the probe reads the 1025 coarse points and a
     # window of those plus a coarse step or two on either side, not the
     # whole grid
-    points, nodes = [], []
-    real_panels = quadrature._gk_panels
-
-    def spy_panels(fn, lo, hi):
-        nodes[-1] += 21 * np.size(lo)
-        return real_panels(fn, lo, hi)
+    points = []
 
     def spy_tail(log_abs_fn, *args, **kwargs):
-        points.append(0)
-        nodes.append(0)
-
         def counted(r):
-            points[-1] += np.size(r)
+            points.append(np.size(r))
             return log_abs_fn(r)
 
         return tail_integral(counted, *args, **kwargs)
 
-    monkeypatch.setattr(quadrature, "_gk_panels", spy_panels)
+    nodes = _count_gk_points(monkeypatch)
     monkeypatch.setattr(radial_model, "tail_integral", spy_tail)
     build_measure(3, exp_power_potential(2.0))
     grid = np.linspace(0.0, quadrature._U_CAP, quadrature._PROBE_POINTS)
@@ -339,8 +437,8 @@ def test_normalization_probes_only_the_live_window(monkeypatch):
     live = np.nonzero(li >= np.max(li) - quadrature._DROP)[0]
     assert live.size == 37
     window = live[-1] - live[0] + 1 + 4 * 8
-    # the first engine call of build_measure is the normalization
-    assert points[0] <= 1025 + window + nodes[0], (points[0], nodes[0])
+    # build_measure's only engine call is the normalization
+    assert sum(points) <= 1025 + window + sum(nodes), (points, nodes)
 
 
 def test_kronrod_rule_exact_to_degree_31():
@@ -353,13 +451,24 @@ def test_kronrod_rule_exact_to_degree_31():
     assert np.allclose(wg[wg > 0], gw, rtol=0, atol=1e-15)
 
 
-def test_gauss_kronrod_bisects_a_kink_to_tolerance():
+def test_rule_integral_bisects_a_kink_to_tolerance():
     # |u - 1/3| has a kink no panel edge hits; the estimate must still
     # be honest after adaptive bisection
-    val, err = gauss_kronrod(lambda u: np.abs(u - 1.0 / 3.0), 0.0, 1.0,
-                             rel_tol=1e-12)
+    def log_base(u):
+        return np.log(np.abs(u - 1.0 / 3.0))
+
+    lo, hi = np.array([0.0]), np.array([1.0])
+    nodes = quadrature._panel_nodes(lo, hi)
+    rule = quadrature.PanelRule(lo, hi, nodes, log_base(nodes), False)
+    val, err, log_scale, (lo, hi, nodes, logs, _) = rule_integral(
+        rule, log_base, rel_tol=1e-12)
+    val, err = val * math.exp(log_scale), err * math.exp(log_scale)
     exact = 5.0 / 18.0
     assert abs(val - exact) <= err <= 1e-12 * exact
+    # the refined rule comes back in order, nodes and logs with it
+    assert lo.size > 1 and lo[0] == 0.0 and hi[-1] == 1.0
+    assert np.all(lo[1:] == hi[:-1])
+    assert np.array_equal(logs, log_base(nodes))
 
 
 # ---------------------------------------------------------------------
@@ -525,24 +634,12 @@ def test_log_integrals_blocks_keep_mesh_mass_bits(monkeypatch):
 def test_normalization_takes_at_most_two_rounds(monkeypatch):
     # the probe seeds the Gauss-Kronrod partition, so the starting panels
     # (nearly) meet the tolerance; unseeded it took 3 to 8 rounds
-    rounds = []
-    real_panels = quadrature._gk_panels
-
-    def spy_panels(fn, lo, hi):
-        rounds[-1] += 1
-        return real_panels(fn, lo, hi)
-
-    def spy_tail(*args, **kwargs):
-        rounds.append(0)
-        return tail_integral(*args, **kwargs)
-
-    monkeypatch.setattr(quadrature, "_gk_panels", spy_panels)
-    monkeypatch.setattr(radial_model, "tail_integral", spy_tail)
+    rounds = _count_gk_points(monkeypatch)
     for n, potential in _NORMALIZED:
         rounds.clear()
         build_measure(n, potential)
-        # the first engine call of build_measure is the normalization
-        assert 1 <= rounds[0] <= 2, (potential.name, rounds)
+        # build_measure's only engine call is the normalization
+        assert 1 <= len(rounds) <= 2, (potential.name, rounds)
 
 
 def test_cdf_table_evaluates_few_points_per_cell(monkeypatch):
@@ -569,7 +666,7 @@ def test_tail_integral_keeps_both_halves_of_a_peak_narrower_than_a_step(
         u = np.log1p(r)
         return -(u - u_c) ** 2 / 2e-6 - u
 
-    value, err, log_scale = tail_integral(log_abs)
+    value, err, log_scale, _ = tail_integral(log_abs)
     exact = 0.5 * math.log(2.0 * math.pi * 1e-6)
     assert abs(math.log(value) + log_scale - exact) <= 1e-10
     assert err <= 1e-10 * value

@@ -59,11 +59,11 @@ A refactor that claims to keep behaviour shows it on this list:
   alpha=1.5 n=4, each with sigma^2 = 1+r^2 and with sigma^2 = 1/(1+r^2),
   and ``sample --function linear`` on gaussian n=3 with
   sigma^2 = 1/(1+r^2);
-- the tail-acceptance error path: ``bounds`` on cauchy beta=1.01 n=2 and
-  ``eigen`` on cauchy beta=2.51 n=5 with sigma^2 = 1+r^2, just above the
-  integrability threshold beta = n/2, whose normalization raises a
-  ``ConvergenceError`` (exit 1) with its quadrature error and
-  extrapolated-tail charge.
+- ``bounds`` on cauchy beta=1.01 n=2 and ``eigen`` on cauchy beta=2.51
+  n=5 with sigma^2 = 1+r^2, just above the integrability threshold
+  beta = n/2: the normalization's closed-form tail carries the 2% of the
+  mass past r = 1e154, but the 1e-12 truncation radius lies near
+  r = 1e600, past the probe horizon, so both exit 1 (``NonIntegrable``).
 - ``eigen`` past the catalog's dimensions, where the pencil's masses and
   conductances span hundreds of decades: ball n=128, gaussian n=1024,
   exp-power alpha=1 n=1024 and cauchy beta=514.5 n=1024 with
@@ -90,10 +90,12 @@ A refactor that claims to keep behaviour shows it on this list:
   cauchy beta=2.7 n=2 with sigma^2 = 1+r^2, between the n = 2 changes
   at (3 + sqrt 5)/2 and 3;
 - ``eigen`` on cauchy n=3 with sigma^2 = 1+r^2 at beta = 3.503 and 3.51,
-  just above t = beta - n/2 = 2, where E r^4 converges too slowly to
-  integrate and the starting radius falls back to the bare law's;
+  just above t = beta - n/2 = 2, where the r^4-weighted law's 1e-10
+  radius lies past the probe horizon and the starting radius falls back
+  to the bare law's;
 - ``bounds --family cauchy --beta 2.5 --n 3``, whose second moment
-  diverges logarithmically yet is reported finite.
+  diverges logarithmically: the end slope of r^2 nu refuses it, and the
+  report says why no moment bracket is given.
 
     python3 tools/cli_report_diff.py run SRC_TREE OUT_DIR
     python3 tools/cli_report_diff.py compare DIR_A DIR_B
