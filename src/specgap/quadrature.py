@@ -12,36 +12,33 @@ Two layers are used throughout the package:
   seeds the partition); its final panels, nodes and log-integrand are
   the law's PanelRule, and every further expectation is a Kronrod dot
   product on them, refined where needed, plus the closed-form tail
-  e^L / (-s) past the window, whose end slope s also decides divergence;
+  e^L / (-s) past the window, whose end slope s also decides divergence.
+  The law's CDF table is read off the same rule (rule_cdf), so the law
+  is integrated once;
 * variation-adaptive Gauss-Legendre panels for many cell integrals of
-  the form exp(g) with g of large dynamic range (finite-volume cell
-  masses, cumulative distribution tables), carried out entirely on the
-  log scale.  Each cell's one-panel rule doubles as its variation probe,
-  and only the cells that vary too much are evaluated again, split.
-  The cells go in blocks of ``_BLOCK`` one-panel nodes, the block size
-  the per-point kernels of the package share: a 4096-cell table makes
-  no 32,768-node temporaries, and each cell keeps its bits.
+  the form exp(g) with g of large dynamic range (the finite-volume cell
+  masses of the eigensolver), carried out entirely on the log scale.
+  Each cell's one-panel rule doubles as its variation probe, and only
+  the cells that vary too much are evaluated again, split.  The cells go
+  in blocks of ``_BLOCK`` one-panel nodes, the block size the per-point
+  kernels of the package share, and each cell keeps its bits.
 """
 
+import functools
 import math
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legint, legvander
 
 from .errors import ConvergenceError, NonIntegrable
 
-_GL_CACHE = {}
 
-
+@functools.lru_cache(maxsize=None)
 def gl_rule(order):
     """Gauss-Legendre nodes/weights on [0, 1], cached per order."""
-    rule = _GL_CACHE.get(order)
-    if rule is None:
-        x, w = leggauss(order)
-        rule = ((x + 1.0) / 2.0, w / 2.0)
-        _GL_CACHE[order] = rule
-    return rule
+    x, w = leggauss(order)
+    return (x + 1.0) / 2.0, w / 2.0
 
 
 def sorted_unique(x):
@@ -311,7 +308,8 @@ def rule_integral(rule, log_base, log_factor=None, sign_fn=None, *,
     error times exp(log_scale), and the refined rule (None when ``u_lo``
     or ``u_stop`` cut it).  Raises NonIntegrable at a +inf or as
     _closed_tail does, and ConvergenceError when the error exceeds
-    max(abs_floor, accept_rel |value|) (accept_rel: 100 rel_tol).
+    max(abs_floor, accept_rel |value|) (accept_rel: 100 rel_tol) or a
+    refined panel rises 705 e-folds over the scale.
     """
     lo, hi, nodes, logs, open_end = rule
     u_end = float(hi[-1])
@@ -337,9 +335,11 @@ def rule_integral(rule, log_base, log_factor=None, sign_fn=None, *,
         return np.where(np.isnan(out), -np.inf, out)
 
     def sums(u, li, half):
+        if np.max(li, initial=-np.inf) - shift > 705.0:
+            raise ConvergenceError("integrand rises 705 e-folds over its "
+                                   "scale: a peak narrower than the probe")
         # nan and dead values alike contribute nothing
-        f = np.where(li - shift > -745.0,
-                     np.exp(np.minimum(li - shift, 705.0)), 0.0)
+        f = np.where(li - shift > -745.0, np.exp(li - shift), 0.0)
         if sign_fn is not None:
             with np.errstate(all="ignore"):
                 f = np.where(f != 0.0, f * sign_fn(np.expm1(u)), 0.0)
@@ -407,6 +407,39 @@ def rule_integral(rule, log_base, log_factor=None, sign_fn=None, *,
     order = np.argsort(lo, kind="stable")
     return total, qerr + tail_err, shift, PanelRule(
         lo[order], hi[order], nodes[order], logs[order], rule.open_end)
+
+
+# the knots of a rule's CDF number about this many
+_CDF_KNOTS = 4096
+# the Legendre coefficients (rows) of the integral from -1 of the degree-20
+# interpolant through the 21 node values (columns)
+_GK_ANTIDERIVATIVE = legint(np.linalg.inv(legvander(GK_NODES, 20)), lbnd=-1)
+
+
+@functools.lru_cache(maxsize=None)
+def _panel_knots(per):
+    """The per - 1 Chebyshev points x inside [-1, 1], and the integral from
+    -1 to each x of the 21 nodes' interpolant, per node value."""
+    x = -np.cos(np.pi * np.arange(1, per) / per)
+    return x, (legvander(x, 21) @ _GK_ANTIDERIVATIVE).T
+
+
+def rule_cdf(rule):
+    """(u, F): the integral F of exp(logs) from rule.lo[0] to u, at about
+    ``_CDF_KNOTS`` knots u Chebyshev-spaced inside each panel: the Kronrod
+    values of the panels below plus the integral of the panel's node
+    interpolant, exp taken relative to the largest log; F made monotone."""
+    lo, hi, _, logs, _ = rule
+    x, integrals = _panel_knots(-(-_CDF_KNOTS // lo.size))
+    top = float(np.max(logs))
+    f = np.exp(logs - top)
+    half = 0.5 * (hi - lo)
+    ends = np.append(0.0, np.cumsum((f @ GK_KRONROD) * half))
+    inner = (f @ integrals) * half[:, None]
+    u = np.column_stack((lo, 0.5 * (lo + hi)[:, None] + half[:, None] * x))
+    cdf = np.column_stack((ends[:-1], ends[:-1, None] + inner)).ravel()
+    cdf = np.maximum.accumulate(np.append(cdf, ends[-1])) * math.exp(top)
+    return np.append(u.ravel(), hi[-1]), cdf
 
 
 # points per block of a per-point kernel: a float temporary is 64 KiB, half

@@ -4,19 +4,18 @@ A spherically symmetric probability measure on R^n with density
 proportional to exp(-V(||x||)) pushes forward, under x -> ||x||, to the
 one-dimensional measure with density proportional to r^{n-1} exp(-V(r))
 on (0, R).  This module owns that one-dimensional object: normalization,
-truncation radius, tabulated quantile functions (for inverse sampling
-and for diagnostic grids), and expectations (moments, tail masses, the
-bounds' integrals), each a dot product on the Gauss-Kronrod rule that
-the normalization leaves on the measure (see quadrature).
+truncation radius, a quantile table (for inverse sampling and for
+diagnostic grids), and expectations (moments, tail masses, the bounds'
+integrals), each a dot product on the Gauss-Kronrod rule that the
+normalization leaves on the measure (see quadrature).  The law is
+integrated once: the quantile table is read off that same rule.
 
-A quantile table is a PCHIP monotone cubic (_MonotoneCubic, numpy only,
-also used by the eigensolver's coordinate maps and mesh placement)
-through the CDF values of a graded grid, and a guide table maps a
-uniform draw straight to its knot interval.  Each measure carries two,
-from one builder: a 256-cell table, built with the measure, that
-places the diagnostic grids, and the 4096-cell table that sampling
-reads, built on the first ``RadialMeasure.quantile`` call.  Commands
-that never sample (bounds, the eigensolver) never build the large one.
+The quantile table is a PCHIP monotone cubic (_MonotoneCubic, numpy
+only, also used by the eigensolver's coordinate maps and mesh placement)
+of u = log(1+r) against the CDF at the rule's knots (quadrature.rule_cdf),
+and a guide table maps a uniform draw straight to its knot interval.
+build_measure builds it before any expectation refines the rule, and
+sampling and every diagnostic grid read it.
 
 All callables supplied in a RadialPotential or Weight must accept floats
 and numpy arrays and be analytically correct derivatives of each other: a
@@ -36,17 +35,12 @@ import numpy as np
 
 from .errors import (ConvergenceError, DomainError, InvalidInput,
                      NonIntegrable)
-from .quadrature import (_BLOCK, _LIVE_SLOPE, log_integrals_exp,
-                         rule_integral, sorted_unique, tail_integral)
+from .quadrature import (_BLOCK, _LIVE_SLOPE, rule_cdf, rule_integral,
+                         sorted_unique, tail_integral)
 
 # past this radius no family of interest carries any mass; probing stops here
 _HORIZON = 1e120
 
-# cells of the sampling quantile table, and of the diagnostic table that
-# only places check radii (on the catalog its quantiles agree with the
-# sampling table's to 1e-4 relative outside its first and last cells)
-_CDF_CELLS = 4096
-_GRID_CELLS = 256
 _FD_REL_STEP = 1e-5
 _FD_REL_TOL = 1e-5
 _CONVEXITY_SLACK = 1e-10
@@ -100,11 +94,7 @@ class _MonotoneCubic:
     back to a binary search.  The bucket map is monotone and applied to
     knots and points alike, so the lookup is exact.
 
-    Lookup and power sum run in blocks of ``_BLOCK`` points, each written
-    into one output array: a fresh temporary per operation the size of a
-    100k-point input would be mapped and page-faulted anew on every call,
-    while a block's temporaries reuse heap memory.  Every operation is
-    elementwise, so the bits do not depend on the blocking.
+    Lookup and power sum run per block of points (_blockwise).
     """
 
     def __init__(self, x, y):
@@ -147,24 +137,34 @@ class _MonotoneCubic:
         return i
 
     def __call__(self, v):
-        v = np.asarray(v, dtype=float)
-        flat = v.ravel()
-        out = np.empty(flat.shape)
+        return _blockwise(self._fill, v)
+
+    def _fill(self, blk, res):
+        """The interpolant at the points ``blk``, written into ``res``."""
         c0, c1, c2, c3 = self._c
-        for start in range(0, flat.size, _BLOCK):
-            blk = flat[start:start + _BLOCK]
-            res = out[start:start + _BLOCK]
-            i = self._interval(blk)
-            # PPoly's power sum: res += c[3-k] * s^k, the powers by z *= s
-            with np.errstate(all="ignore"):
-                s = blk - self.x.take(i)
-                np.add(0.0, c3.take(i), out=res)
-                res += c2.take(i) * s
-                z = s * s
-                res += c1.take(i) * z
-                z *= s
-                res += c0.take(i) * z
-        return out.reshape(v.shape)
+        i = self._interval(blk)
+        # PPoly's power sum: res += c[3-k] * s^k, the powers by z *= s
+        with np.errstate(all="ignore"):
+            s = blk - self.x.take(i)
+            np.add(0.0, c3.take(i), out=res)
+            res += c2.take(i) * s
+            z = s * s
+            res += c1.take(i) * z
+            z *= s
+            res += c0.take(i) * z
+
+
+def _blockwise(fill, v):
+    """fill(block, out) over blocks of ``_BLOCK`` points of v into one
+    array of v's shape: a block's temporaries reuse heap memory, where
+    100k-point ones would be mapped and page-faulted anew on every call.
+    Every operation is elementwise, so the blocking keeps the bits."""
+    v = np.asarray(v, dtype=float)
+    flat = v.ravel()
+    out = np.empty(flat.shape)
+    for start in range(0, flat.size, _BLOCK):
+        fill(flat[start:start + _BLOCK], out[start:start + _BLOCK])
+    return out.reshape(v.shape)
 
 
 @dataclass(frozen=True)
@@ -223,12 +223,12 @@ class BoundBracket:
 
 @dataclass(frozen=True)
 class RadialMeasure:
-    """Normalized radial law nu with cached truncation and quantile tables.
+    """Normalized radial law nu with its quadrature rule, quantile table
+    and diagnostic grids.
 
-    ``_tables`` caches, per measure object, the quadrature rule (see
-    _integrate), the diagnostic and sampling quantile tables and the
-    diagnostic grids, each built on first use.  It is not an __init__
-    field, so ``dataclasses.replace`` starts it empty.
+    ``_tables`` caches them per measure object: the rule (see _rule), the
+    one quantile table read off it, and each diagnostic grid.  It is not
+    an __init__ field, so ``dataclasses.replace`` starts it empty.
     """
 
     n: int
@@ -273,25 +273,25 @@ class RadialMeasure:
     # -- inverse sampling ---------------------------------------------
 
     def quantile(self, p):
-        """Generalized inverse of the CDF (used for sampling).
-
-        A PCHIP interpolant of u = log(1+r) against the CDF values of a
-        4096-cell graded grid, from probability 1e-18 up, built on the
-        first call; p outside the table's probability range is clipped
-        into it, and the interpolant's guide table finds each p's knot
-        interval without a binary search.  Clip, table, expm1 and clip
-        run per block of ``_BLOCK`` probabilities into one array of
-        radii, so a large draw makes no count-sized temporaries (each
-        would cost fresh page faults); the radii are the same bits."""
+        """Generalized inverse of the CDF, by the measure's quantile table
+        (from probability 1e-18 up; p outside its range is clipped into
+        it), whose guide table finds each p's knot interval without a
+        binary search.  Clip, table, expm1 and clip run per block of
+        probabilities, so a large draw makes no count-sized temporaries."""
         arr = np.asarray(p, dtype=float)
         outside = ~((arr >= 0.0) & (arr <= 1.0))
         if np.any(outside):
             raise InvalidInput(
                 "quantile probabilities p must lie in [0, 1], got "
                 f"{float(arr[outside].flat[0])}")
-        table = self._cached(
-            "quantile", lambda: _quantile_table(self, _CDF_CELLS))
-        vals = _invert(table, arr, self.r_max)
+        table = self._cached("quantile", lambda: _quantile_table(self))
+
+        def fill(blk, res):
+            table._fill(np.clip(blk, table.x[0], table.x[-1]), res)
+            np.expm1(res, out=res)
+            np.clip(res, 0.0, self.r_max, out=res)
+
+        vals = _blockwise(fill, arr)
         if arr.ndim == 0:
             return float(vals)
         return vals
@@ -319,66 +319,29 @@ def _check_tail_tol(tail_tol):
         raise InvalidInput(f"tail_tol must lie in (0, 1e-3), got {tail_tol!r}")
 
 
-def _quantile_table(measure, cells):
-    """PCHIP table of u = log(1+r) against the CDF values of a grid of
-    ``cells`` cells in u, graded denser near both ends.  Raises
-    ConvergenceError when the cells' masses do not add up to the
-    normalization."""
-    # CDF values: Chebyshev-extrema grading in u = log(1+r) clusters nodes
-    # at both ends, where the density factor r^{n-1} and the tail live
-    u_max = math.log1p(measure.r_max)
-    x = np.linspace(0.0, 1.0, cells + 1)
-    u_nodes = u_max * (1.0 - np.cos(math.pi * x)) / 2.0
-    u_nodes[0], u_nodes[-1] = 0.0, u_max
-
-    def log_dens_u(u):
-        # density of nu transported to u = log(1+r); jacobian dr/du = 1+r = e^u
-        return measure.log_density(np.expm1(u)) + u
-
-    with np.errstate(over="ignore"):
-        masses = np.exp(log_integrals_exp(log_dens_u, u_nodes[:-1],
-                                          u_nodes[1:]))
-    f_nodes = np.concatenate(([0.0], np.cumsum(masses)))
-    # a total a little above 1 is rounding; an infinite or nan one is not
-    if not 1.0 - max(100.0 * measure.tail_tol, 1e-9) <= f_nodes[-1] < math.inf:
-        raise ConvergenceError(
-            f"CDF table mass {float(f_nodes[-1])!r} inconsistent with "
-            f"normalization")
-    f_nodes = np.minimum(f_nodes, 1.0)
-
+def _quantile_table(measure):
+    """PCHIP table of u = log(1+r) against the CDF at the knots of the
+    measure's rule (quadrature.rule_cdf)."""
+    u, cdf = rule_cdf(_rule(measure))
+    cdf = np.minimum(cdf, 1.0)
     # in high dimension the CDF is astronomically flat at the left end
-    # (r^{n-1} vanishing) and the inverse slopes there break the monotone
-    # interpolant; uniform doubles never resolve probabilities below 2^-53,
-    # so the quantile table starts at 1e-18 and clips below it
-    keep = (f_nodes >= 1e-18) & np.concatenate(([False],
-                                                np.diff(f_nodes) > 0.0))
+    # (r^{n-1} vanishing), too flat to invert; uniform doubles never
+    # resolve probabilities below 2^-53, so the table starts at 1e-18
+    keep = (cdf >= 1e-18) & np.append(False, np.diff(cdf) > 0.0)
     if np.count_nonzero(keep) < 2:
         raise ConvergenceError(
-            f"no quantile table: the law (n = {measure.n}) sits in fewer "
-            f"than two of its {cells} cells in log(1+r)")
-    return _MonotoneCubic(f_nodes[keep], u_nodes[keep])
-
-
-def _invert(table, p, r_max):
-    """Radii at probabilities p (in [0, 1]) by a quantile table."""
-    p = np.asarray(p, dtype=float)
-    flat = p.ravel()
-    r = np.empty(flat.shape)
-    for start in range(0, flat.size, _BLOCK):
-        u = table(np.clip(flat[start:start + _BLOCK], table.x[0], table.x[-1]))
-        np.expm1(u, out=u)
-        np.clip(u, 0.0, r_max, out=r[start:start + _BLOCK])
-    return r.reshape(p.shape)
+            f"no quantile table: the law (n = {measure.n}) rises at "
+            f"fewer than two of its {u.size} knots in log(1+r)")
+    return _MonotoneCubic(cdf[keep], u[keep])
 
 
 def build_measure(n, potential, tail_tol=1e-12, name=""):
     """Construct the radial measure nu for dimension n and potential V.
 
     The log-normalization log_z with its quadrature rule, the truncation
-    radius r_max (estimated tail mass below tail_tol) and the 256-cell
-    diagnostic quantile table are computed here, and the supplied
+    radius r_max (estimated tail mass below tail_tol) and the quantile
+    table read off the rule are computed here, and the supplied
     derivatives are finite-difference checked on a grid from that table.
-    The 4096-cell sampling table is left to the first ``quantile`` call.
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise InvalidInput(f"dimension n must be an integer >= 2, got {n!r}")
@@ -465,14 +428,11 @@ def diagnostic_grid(measure, count=201, p_lo=1e-4):
     """Quantile-based radii covering the bulk of nu, from probability p_lo
     to 1 - p_lo (used for pointwise positivity/consistency checks).
 
-    The radii come from the measure's 256-cell diagnostic table, not the
-    sampling table, and each (count, p_lo) grid is computed once per
-    measure and returned as a read-only array."""
+    The radii come from the measure's quantile table, the one sampling
+    reads, and each (count, p_lo) grid is computed once per measure and
+    returned as a read-only array."""
     def build():
-        table = measure._cached(
-            "grid", lambda: _quantile_table(measure, _GRID_CELLS))
-        r = _invert(table,
-                    np.linspace(p_lo, 1.0 - p_lo, count), measure.r_max)
+        r = measure.quantile(np.linspace(p_lo, 1.0 - p_lo, count))
         r = sorted_unique(r[r > 0.0])
         if r.size < 8:
             raise ConvergenceError("diagnostic grid degenerate")
@@ -537,19 +497,24 @@ def validate_weight(measure, weight):
 # ---------------------------------------------------------------------
 
 
+def _rule(measure):
+    """The measure's rule (log nu + u at its nodes): build_measure's, or
+    for a measure made by ``dataclasses.replace`` its own, normalized."""
+    def build():
+        rule = _normalization(measure)[1]
+        return rule._replace(logs=rule.logs - measure.log_z)
+
+    return measure._cached("rule", build)
+
+
 def _integrate(measure, log_abs_g, sign_fn=None, *, r_lo=0.0, r_stop=None,
                **tolerances):
     """integral of g nu(dr) over (r_lo, R) by rule_integral on the
-    measure's rule (stored by build_measure; a measure made by
-    ``dataclasses.replace`` integrates its weight afresh), keeping a
-    refinement of the whole rule for the integrals after it."""
-    rule = measure._tables.get("rule")
-    if rule is None:
-        rule = _normalization(measure)[1]
-        rule = rule._replace(logs=rule.logs - measure.log_z)
+    measure's rule (_rule), keeping a refinement of the whole rule for the
+    integrals after it."""
     val, _, log_scale, rule = rule_integral(
-        rule, lambda u: measure.log_density(np.expm1(u)) + u, log_abs_g,
-        sign_fn, u_lo=math.log1p(r_lo),
+        _rule(measure), lambda u: measure.log_density(np.expm1(u)) + u,
+        log_abs_g, sign_fn, u_lo=math.log1p(r_lo),
         u_stop=None if r_stop is None else math.log1p(r_stop), **tolerances)
     if rule is not None:
         measure._tables["rule"] = rule

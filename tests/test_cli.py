@@ -526,37 +526,37 @@ _CAUCHY_WEIGHTED = ["--family", "cauchy", "--beta", "4", "--n", "3",
                     "--weight", "one-plus-r2"]
 
 
-@pytest.mark.parametrize("command, tables", [
-    ("bounds", 0), ("eigen", 0), ("sample", 1)])
-def test_only_sample_builds_the_sampling_table(monkeypatch, command, tables):
-    # the 4096-cell quantile table is integrated on the first draw
+@pytest.mark.parametrize("command", ["bounds", "eigen", "sample"])
+def test_each_command_builds_one_table_per_law(monkeypatch, command):
+    # the law's one quantile table is read off its rule with the measure;
+    # the diagnostic grids and the draws read it, and nothing integrates
+    # the law again for a table
     built = []
-    real = radial_model.log_integrals_exp
+    real = radial_model.rule_cdf
 
-    def spy(log_f, lo, hi):
-        if len(lo) == 4096:
-            built.append(lo)
-        return real(log_f, lo, hi)
+    def spy(rule):
+        built.append(rule.lo.size)
+        return real(rule)
 
-    monkeypatch.setattr(radial_model, "log_integrals_exp", spy)
+    monkeypatch.setattr(radial_model, "rule_cdf", spy)
     extra = ["--count", "2000"] if command == "sample" else []
     code, _ = run_json([command] + _CAUCHY_WEIGHTED + extra)
     assert code == 0
-    assert len(built) == tables
+    assert len(built) == 1
 
 
 def test_bounds_computes_each_diagnostic_grid_once(monkeypatch):
-    # bounds never samples, so every quantile-table evaluation places a
-    # diagnostic grid; keyed by its probabilities, none is repeated
+    # bounds never samples, so every quantile call places a diagnostic
+    # grid; keyed by its probabilities, none is repeated
     grids = []
-    real = radial_model._MonotoneCubic.__call__
+    real = radial_model.RadialMeasure.quantile
 
-    def spy(self, v):
-        v = np.asarray(v, dtype=float)
-        grids.append((v.size, float(v.flat[0]), float(v.flat[-1])))
-        return real(self, v)
+    def spy(self, p):
+        p = np.asarray(p, dtype=float)
+        grids.append((p.size, float(p.flat[0]), float(p.flat[-1])))
+        return real(self, p)
 
-    monkeypatch.setattr(radial_model._MonotoneCubic, "__call__", spy)
+    monkeypatch.setattr(radial_model.RadialMeasure, "quantile", spy)
     code, _ = run_json(["bounds"] + _CAUCHY_WEIGHTED)
     assert code == 0
     assert 0 < len(grids) == len(set(grids)) <= 4
@@ -609,16 +609,16 @@ def test_sample_tiny_count_same_report_under_both_functions():
 
 @pytest.mark.parametrize("function", ["linear", "radial-quadratic"])
 def test_sample_tiny_count_refused_before_any_table(monkeypatch, function):
-    # a sample too small for batch means is refused before the law's
-    # tables are integrated, the 4096-cell sampling table included
+    # a sample too small for batch means is refused before the law is
+    # built, so before its quantile table
     built = []
-    real = radial_model.log_integrals_exp
+    real = radial_model.rule_cdf
 
-    def spy(log_f, lo, hi):
-        built.append(len(lo))
-        return real(log_f, lo, hi)
+    def spy(rule):
+        built.append(rule.lo.size)
+        return real(rule)
 
-    monkeypatch.setattr(radial_model, "log_integrals_exp", spy)
+    monkeypatch.setattr(radial_model, "rule_cdf", spy)
     code, rep = run_json(["sample", "--family", "gaussian", "--n", "3",
                           "--count", "15", "--function", function])
     assert code == 2
@@ -631,7 +631,7 @@ def test_steep_power_laws_approach_the_ball():
     # exp-power alpha -> inf tends to the ball, whose n=2 radial gap is
     # j_{1,1}^2; the solver's radius grid is coarser than these density
     # walls, the plain central difference misjudges r^m for |m| > ~775,
-    # and the CDF table meets cells where the density underflows to 0
+    # and the CDF table meets rule knots where the density underflows to 0
     ball = float(jn_zeros(1, 1)[0]) ** 2
     gaps = []
     for alpha in ("260", "300", "500", "1024", "4096", "1e6"):

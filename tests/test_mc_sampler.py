@@ -329,7 +329,7 @@ def test_sample_path_traced_peak_memory(count):
     # numbers per batch, so its peak does not grow with count (8.9 MB
     # for the draw alone, and 4 MB more for the estimator, when every
     # operation made a count-sized temporary at 100k points)
-    GAUSS3.quantile(0.5)  # the sampling table is built once, not counted
+    GAUSS3.quantile(0.5)  # one warm draw, outside the traced window
     _, peak = _traced_peak(lambda: radial_rayleigh_estimate(
         GAUSS3, count, 0, *_RADIAL_FUNCTIONS["radial-quadratic"], UNIT))
     assert peak <= 1.0e6, (

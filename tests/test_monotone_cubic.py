@@ -71,12 +71,11 @@ def _assert_matches_scipy(made):
 @pytest.mark.parametrize("spec", CASES, ids=lambda s: s.label())
 def test_cdf_and_quantile_tables_match_scipy_bit_for_bit(built, spec):
     measure, _, _ = make_family(spec)
-    # two tables per measure, both quantiles whose knots are CDF values:
-    # the diagnostic one with the measure, the sampling one on first draw
-    assert [fn for fn, _, _ in built] == [measure._tables["grid"]]
+    # one table per measure, a quantile whose knots are CDF values, built
+    # with the measure; sampling reads the same table
+    assert [fn for fn, _, _ in built] == [measure._tables["quantile"]]
     measure.quantile(0.5)
-    assert [fn for fn, _, _ in built] == [measure._tables["grid"],
-                                          measure._tables["quantile"]]
+    assert [fn for fn, _, _ in built] == [measure._tables["quantile"]]
     for _, probs, _ in built:
         assert probs[0] >= 1e-18 and probs[-1] <= 1.0
         assert np.all(np.diff(probs) > 0.0)
@@ -85,7 +84,7 @@ def test_cdf_and_quantile_tables_match_scipy_bit_for_bit(built, spec):
     # the bits of clip, table, expm1 and clip over the whole array
     assert isinstance(measure.quantile(0.5), float)
     table = measure._tables["quantile"]
-    ref = PchipInterpolator(table.x, built[1][2])
+    ref = PchipInterpolator(table.x, built[0][2])
     p = np.linspace(0.0, 1.0, 3 * (_B + 1)).reshape(3, _B + 1)
     want = np.clip(np.expm1(ref(np.clip(p, table.x[0], table.x[-1]))),
                    0.0, measure.r_max)
@@ -112,7 +111,6 @@ def test_mesh_placement_and_metric_tables_match_scipy_bit_for_bit(built):
 
 def test_guide_lookup_equals_searchsorted():
     measure, _, _ = make_family(FamilySpec("gaussian", 3))
-    measure.quantile(0.5)
     table = measure._tables["quantile"]
     x = table.x
     m = table._buckets

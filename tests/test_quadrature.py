@@ -45,7 +45,7 @@ from specgap import (
 from specgap import quadrature, radial_model, sl_eigensolver
 from specgap.errors import ConvergenceError, NonIntegrable, SpecGapError
 from specgap.quadrature import (GK_GAUSS, GK_KRONROD, GK_NODES,
-                                log_integrals_exp, rule_integral,
+                                log_integrals_exp, rule_cdf, rule_integral,
                                 tail_integral)
 
 mpmath.mp.dps = 30
@@ -471,26 +471,55 @@ def test_rule_integral_bisects_a_kink_to_tolerance():
     assert np.array_equal(logs, log_base(nodes))
 
 
+def test_rule_cdf_is_the_chi3_cdf_for_gaussian_n3():
+    # the CDF read off build_measure's rule, to 1e-12 at every knot
+    measure = build_measure(3, exp_power_potential(2.0))
+    u, cdf = rule_cdf(measure._tables["rule"])
+    r = np.expm1(u)
+    exact = np.array([math.erf(x / math.sqrt(2.0)) for x in r]) - (
+        math.sqrt(2.0 / math.pi) * r * np.exp(-r * r / 2.0))
+    assert u.size >= 4096 and np.all(np.diff(u) > 0.0)
+    assert np.max(np.abs(cdf - exact)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 16, 128])
+def test_rule_cdf_is_r_to_the_n_for_the_ball(n):
+    u, cdf = rule_cdf(build_measure(n, ball_potential())._tables["rule"])
+    assert u[-1] == math.log(2.0)
+    assert np.max(np.abs(cdf - np.expm1(u) ** n)) <= 1e-12
+
+
+@pytest.mark.parametrize("n, potential", [
+    (3, exp_power_potential(2.0)), (3, cauchy_potential(4.0))],
+    ids=["gaussian", "cauchy"])
+def test_rule_cdf_panel_ends_are_the_running_kronrod_sums(n, potential):
+    rule = build_measure(n, potential)._tables["rule"]
+    u, cdf = rule_cdf(rule)
+    per = (u.size - 1) // rule.lo.size
+    assert np.array_equal(u[::per], np.append(rule.lo, rule.hi[-1]))
+    sums = np.cumsum((np.exp(rule.logs) @ GK_KRONROD)
+                     * 0.5 * (rule.hi - rule.lo))
+    assert cdf[0] == 0.0
+    assert np.max(np.abs(cdf[per::per] / sums - 1.0)) <= 1e-14
+
+
 # ---------------------------------------------------------------------
 # log_integrals_exp: variation-adaptive Gauss-Legendre cells
 # ---------------------------------------------------------------------
 
 
-def _table_cells(monkeypatch, n, potential):
-    """(log_f, lo, hi) of the 4096-cell CDF table that a measure's first
-    quantile call makes, in u = log(1+r)."""
-    calls = []
+def _table_cells(measure):
+    """(log_f, lo, hi) of 4096 cells in u = log(1+r) from 0 to the
+    truncation radius, Chebyshev-graded toward both ends, and log_f the
+    law's log-density in u: the cells of a graded CDF table of the law."""
+    u_max = math.log1p(measure.r_max)
+    u = u_max * (1.0 - np.cos(math.pi * np.linspace(0.0, 1.0, 4097))) / 2.0
+    u[0], u[-1] = 0.0, u_max
 
-    def spy(log_f, lo, hi):
-        calls.append((log_f, np.array(lo), np.array(hi)))
-        return log_integrals_exp(log_f, lo, hi)
+    def log_f(t):
+        return measure.log_density(np.expm1(t)) + t
 
-    measure = build_measure(n, potential)
-    with monkeypatch.context() as m:
-        m.setattr(radial_model, "log_integrals_exp", spy)
-        measure.quantile(0.5)
-    call, = calls
-    return call
+    return log_f, u[:-1], u[1:]
 
 
 def _gaussian_log_f(n):
@@ -532,10 +561,10 @@ def _points(log_f, lo, hi):
     return count[0]
 
 
-def test_log_integrals_gaussian_table_cells(monkeypatch):
+def test_log_integrals_gaussian_table_cells():
     # every 128th cell of the 4096-cell table, its first and last
     # included; the first starts at u = 0, where log_f is -inf
-    _, lo, hi = _table_cells(monkeypatch, 3, exp_power_potential(2.0))
+    _, lo, hi = _table_cells(build_measure(3, exp_power_potential(2.0)))
     pick = np.linspace(0, lo.size - 1, 33).astype(int)
     log_f = _gaussian_log_f(3)
     assert lo[0] == 0.0 and log_f(np.array([0.0]))[0] == -np.inf
@@ -566,12 +595,12 @@ def test_log_integrals_ball_cell_at_the_wall():
         mpmath.log((mpmath.exp(n * b) - mpmath.exp(n * a)) / n)))
 
 
-def test_log_integrals_steep_cells_at_the_panel_clip(monkeypatch):
+def test_log_integrals_steep_cells_at_the_panel_clip():
     # the n = 128 table starts with r^127: its first cells, and wider
     # cells from or near u = 0, vary by hundreds of e-folds and are cut
     # into the full 64 panels
     n = 128
-    _, lo, hi = _table_cells(monkeypatch, n, exp_power_potential(2.0))
+    _, lo, hi = _table_cells(build_measure(n, exp_power_potential(2.0)))
     lo = np.concatenate((lo[:16], [0.0, 0.0, 1e-3]))
     hi = np.concatenate((hi[:16], [0.01, 1.0, 0.5]))
     log_f = _gaussian_log_f(n)
@@ -596,19 +625,9 @@ def _blocks_keep_the_bits(calls):
             quadrature._log_integrals_block(log_f, lo, hi).tobytes())
 
 
-def test_log_integrals_blocks_keep_table_bits(monkeypatch):
-    # the 4096-cell sampling table of every catalog law is four blocks
-    calls = []
-
-    def spy(log_f, lo, hi):
-        if len(lo) == 4096:
-            calls.append((log_f, np.array(lo), np.array(hi)))
-        return log_integrals_exp(log_f, lo, hi)
-
-    monkeypatch.setattr(radial_model, "log_integrals_exp", spy)
-    for spec in catalog_grid():
-        make_family(spec)[0].quantile(0.5)
-    monkeypatch.undo()
+def test_log_integrals_blocks_keep_table_bits():
+    # the 4096 table cells of every catalog law are four blocks
+    calls = [_table_cells(make_family(spec)[0]) for spec in catalog_grid()]
     assert len(calls) == len(catalog_grid())
     _blocks_keep_the_bits(calls)
 
@@ -642,11 +661,11 @@ def test_normalization_takes_at_most_two_rounds(monkeypatch):
         assert 1 <= len(rounds) <= 2, (potential.name, rounds)
 
 
-def test_cdf_table_evaluates_few_points_per_cell(monkeypatch):
+def test_cdf_table_evaluates_few_points_per_cell():
     # each cell's one-panel rule is its own variation probe: 8 points for
     # most cells (a separate 5-point probe made it 13.1)
     for n, potential in _NORMALIZED:
-        log_f, lo, hi = _table_cells(monkeypatch, n, potential)
+        log_f, lo, hi = _table_cells(build_measure(n, potential))
         assert lo.size == 4096
         points = _points(log_f, lo, hi)
         assert points <= 8.5 * lo.size, (potential.name, points / lo.size)

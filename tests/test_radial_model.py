@@ -43,6 +43,7 @@ from specgap import (
     weighted_curvature,
     weighted_moment,
 )
+from specgap.catalog import catalog_grid, make_family
 
 
 def _gaussian(n):
@@ -308,26 +309,30 @@ def test_diagnostic_grid_is_computed_once_and_read_only():
     assert replace(mu, name="copy")._tables == {}
 
 
-@pytest.mark.parametrize("n, potential", [
-    (3, exp_power_potential(2.0)), (16, ball_potential()),
-    (3, cauchy_potential(2.0))], ids=["gaussian", "ball", "cauchy"])
-def test_diagnostic_table_tracks_the_sampling_table(n, potential):
-    # the 256-cell table against the 4096-cell one on the densest grid;
-    # the end points sit in the first and last cells, where the coarse
-    # cubic is loosest (up to 0.14 relative at p = 1e-6 on n = 2 cauchy)
-    mu = build_measure(n, potential)
-    p = np.linspace(1e-6, 1.0 - 1e-6, 401)
-    got = radial_model._invert(mu._tables["grid"], p, mu.r_max)
-    want = mu.quantile(p)
-    rel = np.abs(got - want) / want
-    assert np.max(rel[1:-1]) <= 2e-4
-    assert np.max(rel) <= 1e-2
+def test_each_catalog_law_builds_one_quantile_table(monkeypatch):
+    # build_measure reads its one table off the normalization's rule; no
+    # second integration of the law, and no lazy table on the first draw
+    built = []
+    real = radial_model.rule_cdf
+
+    def spy(rule):
+        built.append(rule.lo.size)
+        return real(rule)
+
+    monkeypatch.setattr(radial_model, "rule_cdf", spy)
+    for spec in catalog_grid():
+        measure = make_family(spec)[0]
+        measure.quantile(np.linspace(0.0, 1.0, 11))
+    assert len(built) == len(catalog_grid())
+    assert not hasattr(radial_model, "log_integrals_exp")
 
 
 def test_sampling_table_is_the_same_whichever_thread_builds_it():
+    # a measure made by dataclasses.replace builds its table on first use,
+    # from its own weight integrated afresh: the bits of build_measure's
     p = np.linspace(0.0, 1.0, 1001)
     want = build_measure(3, cauchy_potential(4.0)).quantile(p)
-    mu = build_measure(3, cauchy_potential(4.0))
+    mu = replace(build_measure(3, cauchy_potential(4.0)), name="copy")
     assert "quantile" not in mu._tables
     with ThreadPoolExecutor(2) as pool:
         got = list(pool.map(lambda _: mu.quantile(p), range(4)))

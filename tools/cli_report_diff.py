@@ -15,8 +15,8 @@ A refactor that claims to keep behaviour shows it on this list:
   sigma^2 = 1+r^2 and on gaussian n=2 with sigma^2 = 1/(1+r^2), whose
   domain doublings stretch the mesh far from its default spacing;
 - ``sample --function radial-quadratic`` on gaussian n=3, and ``sample``
-  on ball n=128 and exp-power alpha=1.01 n=192, whose quantile tables
-  start at the 1e-18 probability clip;
+  on ball n=128 and exp-power alpha=1.01 n=192, whose CDFs at the rule
+  knots nearest the origin fall below the table's 1e-18 probability clip;
 - ``sample --function linear``, the path that draws n-dimensional points
   (the default radial function reads radii only), on gaussian n=3, on
   cauchy beta=4 n=3 with sigma^2 = 1+r^2 and on ball n=128, and the
@@ -40,7 +40,7 @@ A refactor that claims to keep behaviour shows it on this list:
   ball n=2048 and ``sample`` on exp-power alpha=1e6 n=2: near-ball laws
   whose density wall is narrower than a step of the solver's radius
   grid, power laws steep enough to strain a plain central difference,
-  and a CDF table with cells where the density underflows to 0;
+  and a CDF table with rule knots where the density underflows to 0;
 - ``bounds`` on exp-power alpha=64 and alpha=1024 n=2, whose candidate
   r^alpha/alpha has an f' that underflows to 0 on the bounds' grids;
 - ``eigen --cells 2048`` on gaussian n=6 with sigma^2 = 1/(1+r^2), whose
@@ -95,7 +95,10 @@ A refactor that claims to keep behaviour shows it on this list:
   to the bare law's;
 - ``bounds --family cauchy --beta 2.5 --n 3``, whose second moment
   diverges logarithmically: the end slope of r^2 nu refuses it, and the
-  report says why no moment bracket is given.
+  report says why no moment bracket is given;
+- ``sample`` and ``bounds`` on ball n=1000000, a law within 4e-5 of the
+  wall from probability 1e-18 up: its quantile table is read off the
+  normalization's refined panels next to the wall.
 
     python3 tools/cli_report_diff.py run SRC_TREE OUT_DIR
     python3 tools/cli_report_diff.py compare DIR_A DIR_B
@@ -247,6 +250,8 @@ _VARIANTS = (
     *(["eigen", "--family", "cauchy", "--beta", beta, "--n", "3",
        "--weight", "one-plus-r2"] for beta in ("3.503", "3.51")),
     ["bounds", "--family", "cauchy", "--beta", "2.5", "--n", "3"],
+    *([command, "--family", "ball", "--n", "1000000"]
+      for command in ("sample", "bounds")),
 )
 
 
