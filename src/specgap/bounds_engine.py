@@ -339,7 +339,8 @@ def _inverse_curvature_bound(measure, terms, label):
     grid = diagnostic_grid(measure, count=401, p_lo=1e-6)
     if r_stop is not None:
         grid = grid[grid < r_stop]
-    vals = np.asarray(curv(grid), dtype=float)
+    with np.errstate(all="ignore"):  # far-out overflow is judged below
+        vals = np.asarray(curv(grid), dtype=float)
     bad = ~np.isfinite(vals) | (vals <= 0.0)
     if np.any(bad):
         k = int(np.argmax(bad))

@@ -368,19 +368,18 @@ def _candidate_for(spec):
     return power_law_candidate(spec.alpha or 2.0)  # gaussian, t > 2: a = 2
 
 
-def make_family(spec, tail_tol=1e-12):
+def make_family(spec):
     """Materialize a catalog case: (measure, weight, designated candidate).
 
-    The measure carries the analytic potential derivatives and is
-    truncated at tail mass ``tail_tol`` (see build_measure); the weight
-    carries sigma^2 = (1+r^2)^k, its derivatives, and closed-form natural
+    The measure is the whole (untruncated) radial law with the analytic
+    potential derivatives (see build_measure); the weight carries
+    sigma^2 = (1+r^2)^k, its derivatives, and closed-form natural
     coordinates where available; the candidate is the family's standard
     probe for the variational lower bound and the Rayleigh upper bound.
     """
     if not isinstance(spec, FamilySpec):
         raise InvalidInput("make_family expects a FamilySpec")
-    measure = build_measure(spec.n, _potential_for(spec), tail_tol=tail_tol,
-                            name=spec.label())
+    measure = build_measure(spec.n, _potential_for(spec), name=spec.label())
     return measure, make_weight(spec.weight_choice), _candidate_for(spec)
 
 

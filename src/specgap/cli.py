@@ -17,10 +17,10 @@ Examples::
   specgap table  --id exp-power-asymptotics --alphas 1,2,4 --dims 4..32
   specgap sample --family gaussian --n 3 --function linear --seed 7
 
-Every command accepts ``--seed`` (default 0), ``--tail-tol`` (default
-1e-12) and ``--cells`` (default 1024); unused knobs are simply echoed in
-the report's ``inputs`` block.  ``--cells`` is read, and checked, only by
-the commands that solve (eigen, verify, table without ``--no-solve``).
+Every command accepts ``--seed`` (default 0) and ``--cells`` (default
+1024); unused knobs are simply echoed in the report's ``inputs`` block.
+``--cells`` is read, and checked, only by the commands that solve
+(eigen, verify, table without ``--no-solve``).
 One run handles each case once: a catalog case that several sweeps read
 is built, referenced and solved at most once per ``main`` call, and
 nothing is kept between calls.  Reports share one fixed CSV column set::
@@ -78,8 +78,6 @@ _CLI_WEIGHT = {
 }
 
 _VERIFY_SCOPES = ("all", "cauchy-exact", "gamma-inequalities", "bracketing")
-
-_DEFAULT_TAIL_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------
@@ -206,8 +204,8 @@ class _Case:
 
     @functools.cached_property
     def law(self):
-        """(measure, weight, candidate) at the run's --tail-tol."""
-        return catalog.make_family(self.spec, tail_tol=self.args.tail_tol)
+        """(measure, weight, candidate) of the case."""
+        return catalog.make_family(self.spec)
 
     @functools.cached_property
     def refs(self):
@@ -815,10 +813,6 @@ def _build_parser():
                         help="write the report to PATH instead of stdout")
     common.add_argument("--seed", type=int, default=0,
                         help="RNG seed for sampling commands (default 0)")
-    common.add_argument("--tail-tol", type=float, default=_DEFAULT_TAIL_TOL,
-                        dest="tail_tol", metavar="EPS",
-                        help="tail mass dropped at truncation "
-                             "(default 1e-12)")
     common.add_argument("--cells", type=int, default=1024,
                         help="eigensolver cell count, a power of two times "
                              "64 (default 1024)")

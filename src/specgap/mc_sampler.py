@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import numpy.random  # numpy loads it lazily; a first draw would pay for it
 
-from .errors import DegenerateFunction, InvalidInput
+from .errors import DegenerateFunction, InvalidInput, NonIntegrable
 from .quadrature import _BLOCK
 
 __all__ = [
@@ -156,20 +156,27 @@ def _check_finite(fv, energy):
 
 def _ratio_result(batch_num, batch_den, num, den):
     """num / den with the 95% delta-method half width from the batch
-    means of numerator and denominator; both estimators end here."""
+    means of numerator and denominator; both estimators end here, with
+    floating-point errors ignored.  NonIntegrable where the moments or
+    the ratio's variance overflowed (draws far out in a heavy tail)."""
     if den < _VARIANCE_FLOOR:
         raise DegenerateFunction(
             f"empirical variance {den:.3e} below "
             f"{_VARIANCE_FLOOR:.0e}; f is constant on the sample")
     # covariance of the overall means, estimated from the batch spread
     cov = np.cov(np.vstack([batch_num, batch_den])) / _BATCHES
-    grad = np.array([1.0 / den, -num / den ** 2])
+    grad = np.array([1.0 / den, -num / np.float64(den) ** 2])
     var_ratio = float(grad @ cov @ grad)
+    if not all(map(math.isfinite, (num, den, var_ratio))):
+        raise NonIntegrable(
+            f"sample moments overflow doubles (energy {num:.3g}, variance "
+            f"{den:.3g}): f or its energy has no finite mean under this law")
     half = _Z95 * math.sqrt(max(var_ratio, 0.0))
     return RayleighResult(ratio=num / den, ci_half_width=half,
                           batches=_BATCHES)
 
 
+@np.errstate(all="ignore")
 def _batch_means(fv, energy):
     """mean(energy) / Var(fv) with the batch-means half width described
     in ``rayleigh_estimate``."""
@@ -216,9 +223,9 @@ def rayleigh_estimate(batch, f, grad_f, weight):
 
 def _radial_block(radii, f, df, weight):
     """(mean of f, squared deviations of f from that mean summed, and
-    sigma^2 f'^2 summed) over one block of radii."""
-    with np.errstate(all="ignore"):
-        s2 = np.asarray(weight.s2(radii), dtype=float)
+    sigma^2 f'^2 summed) over one block of radii, floating-point errors
+    ignored (radial_rayleigh_estimate's)."""
+    s2 = np.asarray(weight.s2(radii), dtype=float)
     fv = np.asarray(f(radii), dtype=float)
     dv = np.asarray(df(radii), dtype=float)
     if fv.shape != radii.shape or dv.shape != radii.shape:
@@ -234,6 +241,7 @@ def _radial_block(radii, f, df, weight):
     return mean, float(dev.sum()), float(energy.sum())
 
 
+@np.errstate(all="ignore")
 def radial_rayleigh_estimate(measure, count, seed, f, df, weight):
     """Rayleigh quotient of the radial function F(x) = f(|x|), streamed.
 
@@ -249,7 +257,8 @@ def radial_rayleigh_estimate(measure, count, seed, f, df, weight):
     Golub and LeVeque (1983), and the denominator's batch sums are
     M2 + size (batch mean - overall mean)^2.  So no array grows with
     count.  The half width is the batch-means interval of
-    ``rayleigh_estimate``.
+    ``rayleigh_estimate``.  Overflow raises no warning: _check_finite
+    judges f and the energy, _ratio_result the sums.
     """
     count = _check_batches(count)
     seed = _check_seed(seed)

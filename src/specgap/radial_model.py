@@ -3,12 +3,12 @@
 A spherically symmetric probability measure on R^n with density
 proportional to exp(-V(||x||)) pushes forward, under x -> ||x||, to the
 one-dimensional measure with density proportional to r^{n-1} exp(-V(r))
-on (0, R).  This module owns that one-dimensional object: normalization,
-truncation radius, a quantile table (for inverse sampling and for
-diagnostic grids), and expectations (moments, tail masses, the bounds'
-integrals), each a dot product on the Gauss-Kronrod rule that the
-normalization leaves on the measure (see quadrature).  The law is
-integrated once: the quantile table is read off that same rule.
+on (0, R).  This module owns that one-dimensional object, untruncated:
+normalization, a quantile table (for inverse sampling and for diagnostic
+grids), and expectations (moments, tail masses, the bounds' integrals),
+each a dot product on the Gauss-Kronrod rule that the normalization
+leaves on the measure (see quadrature).  The law is integrated once:
+the quantile table is read off that same rule.
 
 The quantile table is a PCHIP monotone cubic (_MonotoneCubic, numpy
 only, also used by the eigensolver's coordinate maps and mesh placement)
@@ -223,8 +223,8 @@ class BoundBracket:
 
 @dataclass(frozen=True)
 class RadialMeasure:
-    """Normalized radial law nu with its quadrature rule, quantile table
-    and diagnostic grids.
+    """Normalized radial law nu on the whole of (0, R), with its
+    quadrature rule, quantile table and diagnostic grids.
 
     ``_tables`` caches them per measure object: the rule (see _rule), the
     one quantile table read off it, and each diagnostic grid.  It is not
@@ -233,9 +233,7 @@ class RadialMeasure:
 
     n: int
     potential: RadialPotential
-    tail_tol: float
     log_z: float
-    r_max: float
     name: str = ""
     _tables: dict = field(init=False, default_factory=dict, repr=False,
                           compare=False)
@@ -276,8 +274,9 @@ class RadialMeasure:
         """Generalized inverse of the CDF, by the measure's quantile table
         (from probability 1e-18 up; p outside its range is clipped into
         it), whose guide table finds each p's knot interval without a
-        binary search.  Clip, table, expm1 and clip run per block of
-        probabilities, so a large draw makes no count-sized temporaries."""
+        binary search; radii are clipped to [0, R].  Clip, table, expm1
+        and clip run per block of probabilities, so a large draw makes no
+        count-sized temporaries."""
         arr = np.asarray(p, dtype=float)
         outside = ~((arr >= 0.0) & (arr <= 1.0))
         if np.any(outside):
@@ -289,7 +288,7 @@ class RadialMeasure:
         def fill(blk, res):
             table._fill(np.clip(blk, table.x[0], table.x[-1]), res)
             np.expm1(res, out=res)
-            np.clip(res, 0.0, self.r_max, out=res)
+            np.clip(res, 0.0, self.potential.domain_end, out=res)
 
         vals = _blockwise(fill, arr)
         if arr.ndim == 0:
@@ -313,12 +312,6 @@ def _finite_real(name, value):
     return value
 
 
-def _check_tail_tol(tail_tol):
-    if (isinstance(tail_tol, bool) or not isinstance(tail_tol, numbers.Real)
-            or not 0.0 < tail_tol < 1e-3):
-        raise InvalidInput(f"tail_tol must lie in (0, 1e-3), got {tail_tol!r}")
-
-
 def _quantile_table(measure):
     """PCHIP table of u = log(1+r) against the CDF at the knots of the
     measure's rule (quadrature.rule_cdf)."""
@@ -335,17 +328,16 @@ def _quantile_table(measure):
     return _MonotoneCubic(cdf[keep], u[keep])
 
 
-def build_measure(n, potential, tail_tol=1e-12, name=""):
+def build_measure(n, potential, name=""):
     """Construct the radial measure nu for dimension n and potential V.
 
-    The log-normalization log_z with its quadrature rule, the truncation
-    radius r_max (estimated tail mass below tail_tol) and the quantile
-    table read off the rule are computed here, and the supplied
-    derivatives are finite-difference checked on a grid from that table.
+    The log-normalization log_z with its quadrature rule over the whole
+    domain, and the quantile table read off that rule, are computed
+    here, and the supplied derivatives are finite-difference checked on
+    a grid from that table.  The law is not truncated.
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise InvalidInput(f"dimension n must be an integer >= 2, got {n!r}")
-    _check_tail_tol(tail_tol)
     n = int(n)
     finite_domain = math.isfinite(potential.domain_end)
 
@@ -359,12 +351,10 @@ def build_measure(n, potential, tail_tol=1e-12, name=""):
                 f"potential {potential.name or '<anon>'} not finite on its domain")
 
     # the unnormalized law: its log_weight is all the normalization reads
-    measure = RadialMeasure(
-        n=n, potential=potential, tail_tol=float(tail_tol),
-        log_z=0.0, r_max=potential.domain_end, name=name or potential.name)
+    measure = RadialMeasure(n=n, potential=potential, log_z=0.0,
+                            name=name or potential.name)
     log_z, rule = _normalization(measure)
     measure = replace(measure, log_z=log_z)
-    measure = replace(measure, r_max=truncation_radius(measure, tail_tol))
     measure._tables["rule"] = rule._replace(logs=rule.logs - log_z)
 
     _check_potential_derivatives(measure)
@@ -395,13 +385,15 @@ def truncation_radius(measure, tail_tol):
 
     The tail is estimated by integrating a log-linear (in log r)
     extrapolation of the log-density, which over-estimates the tail of
-    any density decaying faster than a power law.  build_measure reads
-    this at the measure's tail_tol for r_max; the bounds read it at
-    their own budget, and the eigensolver at 1e-10 on the law in
-    dimension n + 4 (see sl_eigensolver._radii).  Raises NonIntegrable
-    when no probe radius inside the horizon meets the budget.
+    any density decaying faster than a power law.  The law itself is not
+    truncated: only grids read this, the variational bound's at its own
+    budget and the eigensolver's at 1e-10 on the law in dimension n + 4
+    (see sl_eigensolver._radii).  Raises NonIntegrable when no probe
+    radius inside the horizon meets the budget.
     """
-    _check_tail_tol(tail_tol)
+    if (isinstance(tail_tol, bool) or not isinstance(tail_tol, numbers.Real)
+            or not 0.0 < tail_tol < 1e-3):
+        raise InvalidInput(f"tail_tol must lie in (0, 1e-3), got {tail_tol!r}")
     pot = measure.potential
     if math.isfinite(pot.domain_end):
         return float(pot.domain_end)
@@ -442,26 +434,27 @@ def diagnostic_grid(measure, count=201, p_lo=1e-4):
     return measure._cached(("grid", count, p_lo), build)
 
 
-def _fd_reject(name, r, got, expect):
-    worst = float(np.max(np.abs(got - expect) / (1.0 + np.abs(expect))))
-    raise InvalidInput(
-        f"supplied derivative {name} disagrees with finite differences "
-        f"(worst relative deviation {worst:.2e} at r ~ {float(r):.6g})")
-
-
 def _fd_check(fn, dfn, name, grid):
     # central differences at steps h and h/2 (one call of fn on all four
     # stencils), Richardson-combined: one difference's truncation error,
     # m(m-1)h^2/6 on r^m, passes the tolerance once |m| > ~775 (ball
-    # n = 2048, exp-power alpha = 1024)
+    # n = 2048, exp-power alpha = 1024).  Overflow on a far stencil is
+    # judged here, not warned about; a deviation not <= tol (NaN) rejects
     h = _FD_REL_STEP
     steps = np.array([[h], [-h], [0.5 * h], [-0.5 * h]])
-    f = np.reshape(fn((grid * (1.0 + steps)).ravel()), (4, grid.size))
-    fd = (4.0 * (f[2] - f[3]) / h - (f[0] - f[1]) / (2.0 * h)) / (3.0 * grid)
-    exact = dfn(grid)
-    err = np.abs(fd - exact) / (1.0 + np.abs(exact))
-    if np.any(err > _FD_REL_TOL):
-        _fd_reject(name, grid[int(np.argmax(err))], fd, exact)
+    with np.errstate(all="ignore"):
+        f = np.reshape(fn((grid * (1.0 + steps)).ravel()), (4, grid.size))
+        # 8 (f2 - f3) - (f0 - f1) before any division: no term exceeds f
+        fd = (8.0 * (f[2] - f[3]) - (f[0] - f[1])) / (6.0 * h * grid)
+        exact = dfn(grid)
+        err = np.abs(fd - exact) / (1.0 + np.abs(exact))
+    if np.all(err <= _FD_REL_TOL):
+        return
+    i = int(np.argmax(np.where(np.isfinite(err), err, np.inf)))
+    worst = f"{err[i]:.2e}" if np.isfinite(err[i]) else "not finite"
+    raise InvalidInput(
+        f"supplied derivative {name} disagrees with finite differences "
+        f"(worst relative deviation {worst} at r ~ {grid[i]:.6g})")
 
 
 def _fd_grid(measure):

@@ -146,7 +146,7 @@ class GridSpec:
 
     n_cells must be a power of two times 64, so that the n_cells/2,
     n_cells and 2 n_cells meshes of every domain solve nest, and at most
-    _MAX_CELLS; the cells are graded (see _mesh_family).
+    _MAX_CELLS; the cells are graded (see _mesh).
     """
 
     n_cells: int = 1024
@@ -288,8 +288,9 @@ def _radii(measure):
     return min(r0, r_cap), r_cap
 
 
-def _mesh_family(measure, weight, from_metric, s_max):
-    """Return mesh(n) -> n+1 edges in the natural coordinate on [0, s_max].
+def _mesh(measure, weight, from_metric, s_max, n):
+    """The n+1 edges of an n-cell mesh in the natural coordinate on
+    [0, s_max].
 
     Edges are placed by equidistributing density^(1/2) (expressed in the
     natural coordinate) clipped to a 50:1 width ratio: the cumulative
@@ -312,15 +313,11 @@ def _mesh_family(measure, weight, from_metric, s_max):
     cum = np.concatenate(
         ([0.0], np.cumsum((sp[1:] - sp[:-1]) * 0.5 * (q[1:] + q[:-1]))))
     cum /= cum[-1]
-    place = _MonotoneCubic(cum, sp)
-
-    def mesh(n):
-        edges = np.asarray(place(np.linspace(0.0, 1.0, n + 1)), dtype=float)
-        edges[0] = 0.0
-        edges[-1] = s_max
-        return edges
-
-    return mesh
+    edges = np.asarray(_MonotoneCubic(cum, sp)(np.linspace(0.0, 1.0, n + 1)),
+                       dtype=float)
+    edges[0] = 0.0
+    edges[-1] = s_max
+    return edges
 
 
 # ---------------------------------------------------------------------
@@ -554,14 +551,14 @@ def _solve_domain(measure, weight, r_hi, spec, to_metric, from_metric,
     every catalog pencil), and the coarsest Dirichlet pencil from the
     Robin one, whose leading block it is: by Cauchy interlacing, below it.
     """
-    mesh = _mesh_family(measure, weight, from_metric, float(to_metric(r_hi)))
     slope = (float(_potentials(measure, weight, np.array([r_hi]))[2][0])
              if wall else 0.0)
     wall = slope < 0.0
     ghost = (math.log(2.0 / -slope) + float(measure.log_weight(r_hi))
              if wall else None)
-    pencils = _nested_pencils(measure, weight, mesh(2 * spec.n_cells),
-                              from_metric, wall)
+    edges = _mesh(measure, weight, from_metric, float(to_metric(r_hi)),
+                  2 * spec.n_cells)
+    pencils = _nested_pencils(measure, weight, edges, from_metric, wall)
     dirichlet, robin = [], []
     for log_c, log_m in pencils:
         start = dirichlet[-1] if dirichlet else None

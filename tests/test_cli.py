@@ -12,6 +12,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -166,6 +167,27 @@ def test_bounds_divergent_moment_warning_path():
     assert not recs(rep, "rayleigh_upper")
     assert any(w.startswith("Rayleigh upper bound unavailable: integrand "
                             "tail is still live") for w in rep["warnings"])
+
+
+@pytest.mark.parametrize("case", [
+    ["--beta", "1.01", "--n", "2"],
+    ["--beta", "1.003", "--n", "2", "--weight", "one-plus-r2"],
+], ids=["1.01", "1.003-weighted"])
+def test_bounds_just_above_the_threshold_report_notes_and_no_warning(
+        capsys, case):
+    # cauchy beta=1.01 n=2 carries 8e-4 of its mass past r = 5.5e153, and
+    # its 1e-12 tail radius lies near r = 1e600: the law is not
+    # truncated, so it builds, and its derivative check and curvature
+    # grids, near r = 1e150, overflow without a RuntimeWarning.  At
+    # beta=1.003 the derivative grid reaches r = 5.5e153, where
+    # sigma^2 = 1+r^2 is near 3e307: its differences must not overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, rep = run_json(["bounds", "--family", "cauchy", *case])
+    assert capsys.readouterr().err == ""
+    assert code == 0 and rep["status"] == "warning", rep["error"]
+    assert rep["warnings"] and all("unavailable" in note
+                                   for note in rep["warnings"])
 
 
 def test_bounds_log_divergent_second_moment_is_unavailable():
@@ -607,6 +629,44 @@ def test_sample_tiny_count_same_report_under_both_functions():
         texts["linear"])
 
 
+# cauchy just above beta = n/2 draws radii past 1e150, where f^2 or the
+# energy overflows: the moments' overflow is NonIntegrable (exit 1), an
+# energy that is itself not finite InvalidInput (exit 2, f' or sigma^2
+# diverging), and a finite linear estimate (its variance diverges, but
+# not in doubles) is reported
+_OVERFLOWING = [
+    (["--beta", "1.01", "--n", "2"], 1, 1),
+    (["--beta", "1.02", "--n", "2"], 1, 1),
+    (["--beta", "1.052", "--n", "2"], 1, 0),
+    (["--beta", "1.055", "--n", "2"], 1, 0),
+    (["--beta", "1.055", "--n", "2", "--weight", "one-plus-r2"], 1, 0),
+    (["--beta", "1.01", "--n", "2", "--weight", "one-plus-r2"], 2, 1),
+]
+
+
+@pytest.mark.parametrize("function", ["radial-quadratic", "linear"])
+@pytest.mark.parametrize("case,radial_code,linear_code", _OVERFLOWING,
+                         ids=["1.01", "1.02", "1.052", "1.055",
+                              "1.055-weighted", "1.01-weighted"])
+def test_sample_overflowing_moments_report_typed_errors(
+        capsys, case, radial_code, linear_code, function):
+    want = radial_code if function == "radial-quadratic" else linear_code
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, rep = run_json(["sample", "--family", "cauchy", *case,
+                              "--function", function])
+    assert capsys.readouterr().err == ""
+    assert code == want, rep["error"]
+    if code == 1:
+        assert rep["error"].startswith(
+            "NonIntegrable: sample moments overflow doubles")
+    elif code == 2:
+        assert rep["error"] == ("InvalidInput: f and sigma^2 |grad f|^2 "
+                                "must be finite at all sample points")
+    else:
+        assert math.isfinite(recs(rep, "rayleigh_estimate")[0]["value"])
+
+
 @pytest.mark.parametrize("function", ["linear", "radial-quadratic"])
 def test_sample_tiny_count_refused_before_any_table(monkeypatch, function):
     # a sample too small for batch means is refused before the law is
@@ -698,13 +758,11 @@ def test_non_positive_grid_infimum_names_its_own_reason():
     ["verify", "--scope", "cauchy-exact", "--max-cases", "0"],
     ["verify", "--scope", "cauchy-exact", "--max-cases", "-1"],
     # non-finite flags are echoed as null, so the report still renders
-    ["bounds", "--family", "gaussian", "--n", "3", "--tail-tol", "nan"],
-    ["bounds", "--family", "gaussian", "--n", "3", "--tail-tol", "inf"],
     ["bounds", "--family", "exp-power", "--alpha", "nan", "--n", "3"],
     ["bounds", "--family", "cauchy", "--beta", "inf", "--n", "3"],
 ], ids=["no-beta", "beta-at-threshold", "n1", "bad-betas", "bad-cells",
-        "cells-over-cap", "max-cases-0", "max-cases-negative", "tail-tol-nan",
-        "tail-tol-inf", "alpha-nan", "beta-inf"])
+        "cells-over-cap", "max-cases-0", "max-cases-negative", "alpha-nan",
+        "beta-inf"])
 def test_usage_errors_exit_2(argv):
     code, text = run_cli(argv)
     assert code == 2
@@ -827,8 +885,7 @@ def test_random_specs_give_typed_exits_and_bounds_on_their_side(argv):
         # reaches zero; the law is built as the CLI builds it
         if error.startswith("HypothesisFailed: no spectral gap"):
             args = cli._build_parser().parse_args(["eigen"] + argv)
-            law = catalog.make_family(cli._spec_from_args(args),
-                                      tail_tol=args.tail_tol)
+            law = catalog.make_family(cli._spec_from_args(args))
             edge, edge_err = essential_edge(*law[:2])
             assert abs(edge) <= edge_err, (argv, error, edge, edge_err)
         return

@@ -87,7 +87,7 @@ def test_cdf_and_quantile_tables_match_scipy_bit_for_bit(built, spec):
     ref = PchipInterpolator(table.x, built[0][2])
     p = np.linspace(0.0, 1.0, 3 * (_B + 1)).reshape(3, _B + 1)
     want = np.clip(np.expm1(ref(np.clip(p, table.x[0], table.x[-1]))),
-                   0.0, measure.r_max)
+                   0.0, measure.potential.domain_end)
     got = measure.quantile(p)
     assert got.shape == p.shape
     assert np.array_equal(got, want)
@@ -100,13 +100,13 @@ def test_mesh_placement_and_metric_tables_match_scipy_bit_for_bit(built):
     # the tabulated natural coordinate: no closed-form maps
     to_metric, from_metric = sl_eigensolver._metric_maps(
         replace(weight, to_metric=None, from_metric=None), 40.0)
-    mesh = sl_eigensolver._mesh_family(measure, weight, from_metric,
-                                       float(to_metric(40.0)))
+    edges = sl_eigensolver._mesh(measure, weight, from_metric,
+                                 float(to_metric(40.0)), 256)
     assert len(built) == 3  # s(u), u(s), and the placement table
     _assert_matches_scipy(built)
-    edges = mesh(256)
     assert np.all(np.diff(edges) > 0.0)
-    assert np.array_equal(edges[::2], mesh(128))
+    assert np.array_equal(edges[::2], sl_eigensolver._mesh(
+        measure, weight, from_metric, float(to_metric(40.0)), 128))
 
 
 def test_guide_lookup_equals_searchsorted():

@@ -212,13 +212,9 @@ def test_near_threshold_values_match_beta_functions():
     # laws whose integrand decays like r^(-1.02) or r^(-1.04) in r-space,
     # so 1-8% of the mass lies past the window's end at u = log(1+r) of
     # 150-354: the closed-form tail carries it exactly.  cauchy 1.01
-    # n = 2 has no truncation radius inside the probe horizon (its tail
-    # mass reaches 1e-12 only near r = 1e600), so its normalization is
-    # read from the engine; the others are moments of built measures
-    law = radial_model.RadialMeasure(
-        n=2, potential=cauchy_potential(1.01), tail_tol=1e-12, log_z=0.0,
-        r_max=math.inf)
-    z = math.exp(radial_model._normalization(law)[0])
+    # n = 2 builds, though its tail mass reaches 1e-12 only near
+    # r = 1e600: the law is not truncated
+    z = math.exp(build_measure(2, cauchy_potential(1.01)).log_z)
     assert abs(z - 50.0) <= 1e-12 * 50.0
     for n, beta, exact in ((2, 2.01, 100.0), (5, 3.51, 250.0),
                            (3, 2.52, 75.0)):
@@ -512,7 +508,7 @@ def _table_cells(measure):
     """(log_f, lo, hi) of 4096 cells in u = log(1+r) from 0 to the
     truncation radius, Chebyshev-graded toward both ends, and log_f the
     law's log-density in u: the cells of a graded CDF table of the law."""
-    u_max = math.log1p(measure.r_max)
+    u_max = math.log1p(radial_model.truncation_radius(measure, 1e-12))
     u = u_max * (1.0 - np.cos(math.pi * np.linspace(0.0, 1.0, 4097))) / 2.0
     u[0], u[-1] = 0.0, u_max
 

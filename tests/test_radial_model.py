@@ -38,6 +38,7 @@ from specgap import (
     power_weight,
     tail_mass,
     truncation_radius,
+    validate_candidate,
     validate_weight,
     variational_potential,
     weighted_curvature,
@@ -173,6 +174,41 @@ def test_validate_weight_catches_wrong_derivative():
     validate_weight(mu, w)
 
 
+def _nan_past(fn, r0=1.5):
+    """fn, but NaN at radii above r0."""
+    def broken(r):
+        r = np.asarray(r, dtype=float)
+        return np.where(r > r0, np.nan, fn(r))
+    return broken
+
+
+@pytest.mark.parametrize("derivative", ["V'", "(sigma^2)'", "f'"])
+def test_nan_derivative_is_rejected(derivative):
+    # a NaN deviation is not <= the tolerance: each derivative check
+    # (build, weight, candidate) rejects a derivative that is NaN past
+    # r = 1.5, inside the gaussian n = 3 grid, and names the radius
+    pot = exp_power_potential(2.0)
+    weight = power_weight(1)
+    cand = power_law_candidate(2.0)
+    with pytest.raises(InvalidInput, match=r"deviation not finite at "
+                                           r"r ~ 1\.[5-9]"):
+        if derivative == "V'":
+            build_measure(3, replace(pot, dv=_nan_past(pot.dv)))
+        elif derivative == "(sigma^2)'":
+            validate_weight(_gaussian(3), replace(weight,
+                                                  ds2=_nan_past(weight.ds2)))
+        else:
+            validate_candidate(_gaussian(3),
+                               replace(cand, df=_nan_past(cand.df)))
+
+
+def test_derivative_check_differences_values_near_the_overflow():
+    # f = r^2 near 3e307: the stencil's differences over h would pass
+    # 1.8e308, so the check differences before it divides
+    grid = np.geomspace(1e153, 5.5e153, 9)
+    radial_model._fd_check(lambda r: r * r, lambda r: 2.0 * r, "f'", grid)
+
+
 def test_bound_bracket_validation():
     ok = BoundBracket(1.0, 2.0, "a", "b")
     assert ok.lower == 1.0 and ok.upper == 2.0
@@ -200,7 +236,7 @@ def test_normalization_and_cdf():
     for pot, hi in ((exp_power_potential(2.0), 40.0),
                     (cauchy_potential(4.0), None)):
         mu = build_measure(3, pot)
-        top = hi if hi is not None else mu.r_max
+        top = hi if hi is not None else truncation_radius(mu, 1e-12)
         total, _ = integrate.quad(lambda r: math.exp(mu.log_density(r)),
                                   0, top, limit=400)
         assert abs(total - 1.0) <= 1e-7, f"density of {pot.name} not normalized"
@@ -274,14 +310,6 @@ def test_tail_mass_rejects_non_scalar_radius(r):
 def test_truncation_radius_rejects_non_scalar_tail_tol(tail_tol):
     with pytest.raises(InvalidInput, match="tail_tol must lie"):
         truncation_radius(_gaussian(3), tail_tol)
-
-
-@pytest.mark.parametrize("tail_tol", ["1e-12", np.array([1e-12]),
-                                      np.array([1e-12, 1e-13])],
-                         ids=["str", "array1", "array"])
-def test_build_measure_rejects_non_scalar_tail_tol(tail_tol):
-    with pytest.raises(InvalidInput, match="tail_tol must lie"):
-        build_measure(3, exp_power_potential(2.0), tail_tol=tail_tol)
 
 
 def test_bool_orders_are_invalid_input():

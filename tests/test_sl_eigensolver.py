@@ -21,6 +21,7 @@ closed forms written out there.  Oracle sources:
                 and +inf where W grows or the law is bounded
 """
 
+import functools
 import importlib.machinery
 import math
 import warnings
@@ -124,7 +125,7 @@ def test_gaussian_radial_gap_is_two(n):
 @pytest.mark.parametrize("beta,want", [
     (1.6, 0.01), (2.5, 1.0), (3.5, 4.0), (4.0, 6.0), (6.0, 14.0)])
 def test_heavy_tail_weighted_gap_n3(beta, want):
-    mu = build_measure(3, cauchy_pot(beta), tail_tol=1e-12)
+    mu = build_measure(3, cauchy_pot(beta))
     est = _quiet_gap(mu, one_plus_w())
     rel = abs(est.value - want) / want
     assert rel < 1e-3, (
@@ -137,7 +138,7 @@ def test_heavy_tail_weighted_gap_n3(beta, want):
     # value beta = t^2 = 4(t-1) iff t = 2, checked off-threshold too
     (2.61803398875, 2.61803398875), (4.0, 8.0)])
 def test_heavy_tail_weighted_gap_n2(beta, want):
-    mu = build_measure(2, cauchy_pot(beta), tail_tol=1e-12)
+    mu = build_measure(2, cauchy_pot(beta))
     est = _quiet_gap(mu, one_plus_w())
     rel = abs(est.value - want) / want
     assert rel < 1e-3, (
@@ -178,12 +179,13 @@ def test_inv_weight_quadrature_metric_solves():
 
 
 def _first_domain_mesh(mu, w):
-    """(mesh, from_metric) of the first domain spectral_gap solves."""
+    """(mesh, from_metric) of the first domain spectral_gap solves, with
+    mesh(n) its n-cell edges."""
     r0, r_cap = sl_eigensolver._radii(mu)
     to_metric, from_metric = sl_eigensolver._metric_maps(
         w, min(r_cap, sl_eigensolver._R_CAP))
-    mesh = sl_eigensolver._mesh_family(mu, w, from_metric,
-                                       float(to_metric(r0)))
+    mesh = functools.partial(sl_eigensolver._mesh, mu, w, from_metric,
+                             float(to_metric(r0)))
     return mesh, from_metric
 
 
@@ -791,7 +793,7 @@ def test_unsettled_trace_returns_last_domain(monkeypatch):
     # Robin end or the floor of W~, whichever is lower, plus the mesh
     # error and W_inf's own error
     solves, floors = _bracket_spy(monkeypatch)
-    mu = build_measure(3, cauchy_pot(2.0), tail_tol=1e-12)
+    mu = build_measure(3, cauchy_pot(2.0))
     est = spectral_gap(mu, one_plus_w())
     edge, edge_err = sl_eigensolver.essential_edge(mu, one_plus_w())
     assert len(solves) == len(floors) == 1
@@ -809,7 +811,7 @@ def test_fitted_limit_only_widens_the_error(monkeypatch):
     # the bracket open: the domain grows to the representable radius, the
     # value is still the last domain's upper end (here W_inf, as on one
     # domain), and the error grows by the width
-    mu = build_measure(3, cauchy_pot(2.0), tail_tol=1e-12)
+    mu = build_measure(3, cauchy_pot(2.0))
     plain = spectral_gap(mu, one_plus_w())
     solves = []
     real = sl_eigensolver._solve_domain
@@ -884,7 +886,7 @@ def test_inverse_square_fit_matches_brentq(monkeypatch, lam_inf, amp, phi,
 def test_heavy_tail_eigenvalue_regime_tight(n, beta, exact):
     # in the eigenfunction regime the truncation bracket must leave no
     # visible truncation bias
-    mu = build_measure(n, cauchy_pot(beta), tail_tol=1e-12)
+    mu = build_measure(n, cauchy_pot(beta))
     est = _quiet_gap(mu, one_plus_w())
     assert abs(est.value - exact) <= 5e-6 * (1.0 + exact), (
         f"n={n} beta={beta}: {est.value!r} vs exact {exact}")
@@ -994,7 +996,7 @@ def test_truncation_audit_warns_once(monkeypatch):
     # warns once, naming the case, the bracket, the domain, the width and
     # the mesh error
     monkeypatch.setattr(sl_eigensolver, "_MAX_GROWTH", 0)
-    mu = build_measure(3, cauchy_pot(2.0), tail_tol=1e-12)
+    mu = build_measure(3, cauchy_pot(2.0))
     _, _, trunc = _audited_gap(monkeypatch, mu, one_plus_w(), 1024)
     assert trunc == []
     mu = build_measure(2, gaussian_pot(), name="gaussian n=2 1/(1+r^2)")

@@ -6,9 +6,9 @@ A refactor that claims to keep behaviour shows it on this list:
   tables solved;
 - ``verify --scope all``, and the bracketing and cauchy-exact sweeps cut
   by ``--max-cases``;
-- a few flag variants: ``--tail-tol`` on bounds, eigen and sample,
-  ``--format csv`` on bounds and eigen, ``eigen --cells 512``, and the
-  rejected ``eigen --cells 100`` and ``table --id ball --dims 3..2``;
+- a few flag variants: ``--format csv`` on bounds and eigen,
+  ``eigen --cells 512``, and the rejected ``eigen --cells 100`` and
+  ``table --id ball --dims 3..2``;
 - ``eigen --cells 64`` on gaussian n=3 and ball n=4, the smallest mesh,
   where a change to the Richardson scheme shows first;
 - ``eigen --cells 128`` and ``--cells 256`` on cauchy beta=7.5 n=6 with
@@ -61,9 +61,13 @@ A refactor that claims to keep behaviour shows it on this list:
   sigma^2 = 1/(1+r^2);
 - ``bounds`` on cauchy beta=1.01 n=2 and ``eigen`` on cauchy beta=2.51
   n=5 with sigma^2 = 1+r^2, just above the integrability threshold
-  beta = n/2: the normalization's closed-form tail carries the 2% of the
-  mass past r = 1e154, but the 1e-12 truncation radius lies near
-  r = 1e600, past the probe horizon, so both exit 1 (``NonIntegrable``).
+  beta = n/2: the normalization's closed-form tail carries the 8e-4 of
+  the mass past r = 5.5e153, so the bounds report with notes, while the
+  solver's 1e-10 radius lies past the probe horizon, so eigen exits 1
+  (``NonIntegrable``);
+- ``sample`` on cauchy beta=1.01 and 1.052 n=2, and on beta=1.01 n=2
+  with sigma^2 = 1+r^2: draws so far out that the sample moments
+  overflow (exit 1), or that f' or sigma^2 does (exit 2).
 - ``eigen`` past the catalog's dimensions, where the pencil's masses and
   conductances span hundreds of decades: ball n=128, gaussian n=1024,
   exp-power alpha=1 n=1024 and cauchy beta=514.5 n=1024 with
@@ -107,7 +111,8 @@ A refactor that claims to keep behaviour shows it on this list:
 commit), runs every command in-process with ``--output`` into
 ``OUT_DIR`` (``.csv`` files for CSV reports), and writes the exit codes
 to ``OUT_DIR/exit_codes.json``; a command that raises instead of
-reporting is recorded with its traceback.
+reporting is recorded with its traceback, and one that argparse rejects
+with its ``SystemExit`` code.
 Run it once per tree, in a fresh process each time.
 
 ``compare`` counts byte-identical reports and lists the rest with
@@ -164,9 +169,6 @@ _STRETCHED = (["--family", "cauchy", "--beta", "7.5", "--n", "6",
               ["--family", "gaussian", "--n", "2",
                "--weight", "inv-one-plus-r2"])
 _VARIANTS = (
-    ["bounds"] + _CAUCHY + ["--tail-tol", "1e-6"],
-    ["eigen"] + _CAUCHY + ["--tail-tol", "1e-6"],
-    ["sample"] + _CAUCHY + ["--tail-tol", "1e-6", "--count", "20000"],
     ["bounds"] + _CAUCHY + ["--format", "csv"],
     ["eigen"] + _GAUSSIAN + ["--format", "csv"],
     ["eigen"] + _GAUSSIAN + ["--cells", "512"],
@@ -204,6 +206,10 @@ _VARIANTS = (
     ["sample"] + _GAUSSIAN + ["--weight", "inv-one-plus-r2",
                               "--function", "linear"],
     ["bounds", "--family", "cauchy", "--beta", "1.01", "--n", "2"],
+    *(["sample", "--family", "cauchy", "--beta", beta, "--n", "2"]
+      for beta in ("1.01", "1.052")),
+    ["sample", "--family", "cauchy", "--beta", "1.01", "--n", "2",
+     "--weight", "one-plus-r2"],
     ["eigen", "--family", "cauchy", "--beta", "2.51", "--n", "5",
      "--weight", "one-plus-r2"],
     ["eigen", "--family", "gaussian", "--n", "6",
@@ -284,6 +290,9 @@ def run(tree, out_dir):
         try:
             codes[name] = cli.main(
                 argv + ["--output", os.path.join(out_dir, name)])
+        except SystemExit as exc:
+            # argparse's rejection: its exit code is the outcome
+            codes[name] = exc.code
         except Exception:
             # keep going: a raw exception is an outcome to compare
             codes[name] = "raised: " + traceback.format_exc(limit=-1).strip()
@@ -389,7 +398,9 @@ def compare(dir_a, dir_b):
             diff.other.append(
                 f"{name}: exit {codes_a[name]!r} vs {codes_b[name]!r}")
         paths = [os.path.join(d, name) for d in (dir_a, dir_b)]
-        present = [os.path.exists(p) for p in paths]
+        # an empty file: the command raised after --output was opened
+        present = [os.path.exists(p) and os.path.getsize(p) > 0
+                   for p in paths]
         if not all(present):
             if any(present):
                 diff.other.append(f"{name}: report on one side only")
